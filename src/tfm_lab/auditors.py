@@ -19,9 +19,11 @@ from .core import Block, Money, Scenario, bp_value, welfare
 from .mechanisms import (
     EIP1559,
     TIPLESS,
+    TRIVIAL,
     Allocation,
     BiddingStrategy,
     CappedAtReserve,
+    Eligibility,
     Mechanism,
     UnsupportedInstanceError,
     apply_strategy,
@@ -36,6 +38,7 @@ from .scenario_io import scenario_digest
 from .solver import (
     NoFeasibleBlockError,
     bps_argmax_detail,
+    bps_split_argmax,
     canonical_key,
     enumerate_blocks,
     max_marginal_value,
@@ -276,30 +279,53 @@ def audit_bpic(
     )
 
 
-def _included_payment(mech, block, tx, bid):
+def _included_payment(mech, tx, bid):
     """The deviator's own charge when included; avoids building the full
-    payment map in the audit hot loop (cross-checked against payment())."""
-    if tx.tx_id not in block:
-        return False, 0
+    payment map in the audit hot loop (tested equal to payment())."""
     if mech.preset == TIPLESS:
-        return True, min(bid, mech.reserve(tx))
-    if mech.preset == "trivial":
-        return True, 0
-    return True, bid
+        return min(bid, mech.reserve(tx))
+    if mech.preset == TRIVIAL:
+        return 0
+    return bid
 
 
 def _deviation_table(mech, scenario, tx, base_bids, points, budget):
     """Map each candidate own-bid to (included, own payment) given the other
-    users' bids."""
+    users' bids.
+
+    The own bid x moves the recommendation only through whether it clears
+    the reserve r, and on argmax allocations through one contribution,
+    shared by every block that holds the transaction, that never decreases
+    in x.  So each side of r is solved at most once, when a bid on it is
+    first looked up: by one split argmax pass over the blocks, or by one
+    recommended_block call under a standard allocation, which depends on x
+    only through x >= r.  Every side enumerates the eligibility set that a
+    call at one of its bids would, so budget and base-fee errors are the
+    same.  look(bid) also answers bids that are not on the grid.
+    """
+    t = tx.tx_id
+    reserve = mech.reserve(tx)
+    standard = mech.allocation is Allocation.STANDARD
+    # free-eligibility argmax rules enumerate the same blocks at every x
+    two_sides = standard or mech.eligibility is not Eligibility.FREE
+    sides = {}
     table = {}
 
     def look(bid):
         got = table.get(bid)
         if got is None:
-            bids = dict(base_bids)
-            bids[tx.tx_id] = bid
-            block = recommended_block(mech, bids, scenario, budget=budget)
-            got = _included_payment(mech, block, tx, bid)
+            side = bid >= reserve if two_sides else True
+            rule = sides.get(side)
+            if rule is None:
+                bids = dict(base_bids)
+                bids[t] = bid
+                if standard:
+                    rule = t in recommended_block(mech, bids, scenario, budget=budget)
+                else:
+                    rule = bps_split_argmax(bids, scenario, mech, t, budget=budget)
+                sides[side] = rule
+            included = rule if standard else rule.includes(bid)
+            got = (True, _included_payment(mech, tx, bid)) if included else (False, 0)
             table[bid] = got
         return got
 
@@ -314,7 +340,9 @@ def _profiles_for(points, others, mode, samples, seed_text):
             return product(points, repeat=len(others))
         return [()]
     rng = random.Random(seed_text)
-    return [tuple(rng.choice(points) for _ in others) for _ in range(samples)]
+    drawn = [tuple(rng.choice(points) for _ in others) for _ in range(samples)]
+    # draws are with replacement; a repeated profile is the same cells again
+    return list(dict.fromkeys(drawn))
 
 
 def audit_dsic(
@@ -336,6 +364,12 @@ def audit_dsic(
     the other users' bids, the strategy bid's utility is compared against
     every grid deviation, with the producer following the allocation rule
     throughout.  Zero-gain deviations are not violations.
+
+    Cost model: per other-bid profile, the own-bid table is settled by at
+    most one block pass (or one standard-rule allocation) on each side of
+    the transaction's reserve, not by one allocation per grid bid; every
+    (valuation, deviation) cell then reads that table.  Sampled profiles
+    are drawn with replacement and repeats are audited once.
     """
     points = grid.points()
     witnesses = []

@@ -87,7 +87,6 @@ class ExplicitBlockset:
         if not self.blocks:
             raise ValueError("a blockset must contain at least one block")
         object.__setattr__(self, "blocks", tuple(self.blocks))
-        object.__setattr__(self, "_enum_cache", {})
 
     def referenced_ids(self):
         return {t for b in self.blocks for t in b}
@@ -113,7 +112,6 @@ class KnapsackBlockset:
             if len(set(ids)) != len(ids):
                 raise ValueError("candidate_ids repeats a transaction id")
             object.__setattr__(self, "candidate_ids", ids)
-        object.__setattr__(self, "_enum_cache", {})
 
     def referenced_ids(self):
         return set(self.candidate_ids) if self.candidate_ids is not None else None

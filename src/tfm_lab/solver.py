@@ -11,6 +11,7 @@ the same block for separable instances.
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 from itertools import permutations
 from typing import Mapping
 
@@ -22,13 +23,14 @@ from .core import (
     Money,
     PassiveValuation,
     Scenario,
+    Transaction,
     bp_value,
 )
 from .mechanisms import (
     EIP1559,
     FPA,
     TIPLESS,
-    TRIVIAL,
+    Allocation,
     Mechanism,
     UnsupportedInstanceError,
     _eligible_ids,
@@ -156,41 +158,36 @@ def _enumerate_knapsack(scenario, blockset, eligible, budget):
     return tuple(blocks)
 
 
+def _contribution(mech: Mechanism, tx: Transaction, bid: Money) -> Money:
+    """Fee income minus burn that one included transaction brings the
+    producer; never decreases in the bid."""
+    preset = mech.preset
+    if preset == FPA:
+        return bid
+    if preset == EIP1559:
+        return bid - mech.reserve(tx)
+    if preset == TIPLESS:
+        reserve = mech.reserve(tx)
+        return min(bid, reserve) - reserve
+    return 0
+
+
 def _per_tx_contribution(
     mech: Mechanism, bids: Mapping[int, Money], scenario: Scenario
 ) -> dict[int, Money]:
-    """Fee income minus burn attributable to one included transaction."""
-    out = {}
-    for tx in scenario.transactions:
-        bid = _require_bid(bids, tx.tx_id)
-        if mech.preset == FPA:
-            out[tx.tx_id] = bid
-        elif mech.preset == EIP1559:
-            out[tx.tx_id] = bid - mech.reserve(tx)
-        elif mech.preset == TIPLESS:
-            out[tx.tx_id] = min(bid, mech.reserve(tx)) - mech.reserve(tx)
-        else:
-            out[tx.tx_id] = 0
-    return out
+    """Every transaction's contribution at its bid."""
+    return {
+        tx.tx_id: _contribution(mech, tx, _require_bid(bids, tx.tx_id))
+        for tx in scenario.transactions
+    }
 
 
-def bps_argmax_detail(
-    bids: Mapping[int, Money],
-    scenario: Scenario,
-    mech: Mechanism,
-    *,
-    budget: int | None = None,
-):
-    """(argmax block, its surplus, all surplus-tied blocks).
+def _block_scorer(valuation, contrib):
+    """score(block): the producer's value plus its members' contributions.
 
-    The argmax is the canonical-first block among the exact-integer maximum;
-    the tied tuple preserves enumeration order.
+    Additive and passive producers are summed inline instead of through
+    bp_value; every other valuation goes through bp_value.
     """
-    elig = _eligible_ids(mech, bids, scenario)
-    blocks = enumerate_blocks(scenario, eligible=elig, budget=budget)
-    contrib = _per_tx_contribution(mech, bids, scenario)
-    valuation = scenario.bp_valuation
-
     if isinstance(valuation, AdditiveValuation):
         mu = valuation.values
         weight = {t: c + mu.get(t, 0) for t, c in contrib.items()}
@@ -218,6 +215,27 @@ def bps_argmax_detail(
                 total += contrib[t]
             return total
 
+    return score
+
+
+def bps_argmax_detail(
+    bids: Mapping[int, Money],
+    scenario: Scenario,
+    mech: Mechanism,
+    *,
+    budget: int | None = None,
+):
+    """(argmax block, its surplus, all surplus-tied blocks).
+
+    The argmax is the canonical-first block among the exact-integer maximum;
+    the tied tuple preserves enumeration order.
+    """
+    elig = _eligible_ids(mech, bids, scenario)
+    blocks = enumerate_blocks(scenario, eligible=elig, budget=budget)
+    score = _block_scorer(
+        scenario.bp_valuation, _per_tx_contribution(mech, bids, scenario)
+    )
+
     best = None
     best_score = None
     best_key = None
@@ -233,6 +251,97 @@ def bps_argmax_detail(
             if k < best_key:
                 best, best_key = b, k
     return best, best_score, tuple(tied)
+
+
+@dataclass(frozen=True, slots=True)
+class SplitArgmax:
+    """An argmax allocation for one bid profile, split on one transaction.
+
+    mech, tx       the mechanism and the transaction split on
+    without        canonical-first best block that lacks the transaction
+    without_score  its score
+    holding        canonical-first best block that holds the transaction
+    holding_score  its score minus the transaction's own contribution
+    Either block is None when no enumerated block falls on its side.
+    """
+
+    mech: Mechanism
+    tx: Transaction
+    without: Block | None
+    without_score: Money | None
+    holding: Block | None
+    holding_score: Money | None
+
+    def includes(self, bid: Money) -> bool:
+        """Whether the argmax holds the transaction when it bids `bid`.
+
+        Valid for bids on the same eligibility side of the reserve as the
+        profile the split was computed from.  The contribution never
+        decreases in the bid, so inclusion is a threshold: the critical bid.
+        """
+        if self.holding is None:
+            return False
+        if self.without is None:
+            return True
+        s = self.holding_score + _contribution(self.mech, self.tx, bid)
+        if s != self.without_score:
+            return s > self.without_score
+        return canonical_key(self.holding) < canonical_key(self.without)
+
+
+def bps_split_argmax(
+    bids: Mapping[int, Money],
+    scenario: Scenario,
+    mech: Mechanism,
+    tx_id,
+    *,
+    budget: int | None = None,
+) -> SplitArgmax:
+    """One pass over the blocks that settles the argmax allocation for every
+    own bid of tx_id on the eligibility side of bids[tx_id].
+
+    The own bid enters the score only through one contribution shared by
+    every block that holds tx_id, so the argmax is either the best block
+    without tx_id or the best block with it, whatever that bid.  Consonant
+    and trivial allocations maximize producer surplus; fpa's revenue_max
+    maximizes the sum of member bids.  Standard allocations are not block
+    score maxima and are refused.
+    """
+    if mech.allocation is Allocation.STANDARD:
+        raise UnsupportedInstanceError(
+            "the split argmax covers consonant, trivial and revenue_max "
+            "allocations"
+        )
+    tx = scenario.tx(tx_id)
+    valuation = scenario.bp_valuation
+    if mech.allocation is Allocation.REVENUE_MAX:
+        # fpa contributions are the bids, so revenue is the surplus of a
+        # producer that values every block at 0
+        valuation = PassiveValuation()
+    elig = _eligible_ids(mech, bids, scenario)
+    blocks = enumerate_blocks(scenario, eligible=elig, budget=budget)
+    contrib = _per_tx_contribution(mech, bids, scenario)
+    contrib[tx_id] = 0
+    score = _block_scorer(valuation, contrib)
+
+    without = holding = None
+    without_score = holding_score = None
+    for b in blocks:
+        s = score(b)
+        if tx_id in b.txs:
+            if (
+                holding is None
+                or s > holding_score
+                or (s == holding_score and canonical_key(b) < canonical_key(holding))
+            ):
+                holding, holding_score = b, s
+        elif (
+            without is None
+            or s > without_score
+            or (s == without_score and canonical_key(b) < canonical_key(without))
+        ):
+            without, without_score = b, s
+    return SplitArgmax(mech, tx, without, without_score, holding, holding_score)
 
 
 def bps_argmax(

@@ -6,9 +6,11 @@ results never rest on the auditors' own shortcuts.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tfm_lab import (
     EMPTY_BLOCK,
@@ -17,13 +19,18 @@ from tfm_lab import (
     Block,
     CappedAtReserve,
     Eligibility,
+    EnumerationBudgetError,
+    ExcessivelyLowBaseFeeError,
     ExplicitBlockset,
+    FixedOffset,
     GridSpec,
     KnapsackBlockset,
     Mechanism,
     PassiveValuation,
     ProfileSpaceError,
     Scenario,
+    SingleMindedValuation,
+    TableValuation,
     Transaction,
     Truthful,
     UnsupportedInstanceError,
@@ -40,6 +47,7 @@ from tfm_lab import (
     strategy_bid,
     welfare_argmax,
 )
+from tfm_lab.auditors import _deviation_table, _included_payment
 
 
 def scenario(specs, cap=None, bp=None):
@@ -154,12 +162,181 @@ class TestDsic:
         assert runs[0] == runs[1]
         assert runs[0].mode == "sampled" and runs[0].sampling_seed == 3
 
+    def test_sampled_mode_counts_each_profile_once(self):
+        # draws are with replacement; repeated profiles must not add cells
+        # or witnesses, so drawing every profile equals the exhaustive sweep
+        one = scenario([(1, 3, 3)])
+        mech = Mechanism.eip1559(2)
+        sampled = audit_dsic(mech, Truthful(), [one], GRID, profile_samples=5)
+        exhaustive = audit_dsic(mech, Truthful(), [one], GRID)
+        assert sampled.cells_checked == exhaustive.cells_checked == len(GRID.points())
+        assert sampled.witnesses == exhaustive.witnesses
+
+        two = scenario([(1, 3, 3), (1, 2, 2)], cap=1)
+        grid = GridSpec(1, 2)
+        sampled = audit_dsic(Mechanism.fpa(), Truthful(), [two], grid, profile_samples=10)
+        exhaustive = audit_dsic(Mechanism.fpa(), Truthful(), [two], grid)
+        assert len(set(sampled.witnesses)) == len(sampled.witnesses) > 0
+        assert sampled.cells_checked == exhaustive.cells_checked
+        assert sampled.witnesses == exhaustive.witnesses
+
+        knife = scenario([(2, 4, 4)], cap=2)
+        consonant = Mechanism.eip1559(1, Eligibility.FREE, Allocation.CONSONANT)
+        sampled = audit_approx_dsic_bound(consonant, [knife], GRID, profile_samples=5)
+        exhaustive = audit_approx_dsic_bound(consonant, [knife], GRID)
+        assert sampled.cells_checked == exhaustive.cells_checked
+        assert sampled.witnesses == exhaustive.witnesses
+        assert sampled.bound_checks == exhaustive.bound_checks
+
     def test_jobs_do_not_change_the_report(self):
         sc = scenario([(1, 3, 3), (2, 2, 2), (1, 1, 1)])
         mech = Mechanism.eip1559(2)
         a = audit_dsic(mech, Truthful(), [sc], GRID, jobs=1)
         b = audit_dsic(mech, Truthful(), [sc], GRID, jobs=4)
         assert a == b
+
+
+MECHANISMS = (
+    Mechanism.fpa(),
+    Mechanism.fpa(Allocation.CONSONANT),
+    Mechanism.trivial(),
+) + tuple(
+    factory(fee, elig, alloc)
+    for factory in (Mechanism.eip1559, Mechanism.tipless)
+    for elig in Eligibility
+    for alloc in (Allocation.STANDARD, Allocation.CONSONANT)
+    for fee in range(4)
+)
+
+TABLE_ERRORS = (
+    EnumerationBudgetError,
+    ExcessivelyLowBaseFeeError,
+    UnsupportedInstanceError,
+)
+
+
+@st.composite
+def deviation_cases(draw):
+    """A mechanism, a small scenario, one deviator, the other users' bids,
+    a grid, own bids off the grid, and an enumeration budget."""
+    n = draw(st.integers(1, 4))
+    sizes = [draw(st.integers(1, 3)) for _ in range(n)]
+    txs = tuple(Transaction(i, size, 0) for i, size in enumerate(sizes))
+    cap = draw(st.integers(0, sum(sizes)))
+    fits = [
+        c
+        for k in range(1, n + 1)
+        for c in combinations(range(n), k)
+        if sum(sizes[i] for i in c) <= cap
+    ]
+    shape = draw(st.sampled_from(("knapsack", "permutations", "explicit")))
+    if shape == "explicit" and fits:
+        listed = draw(st.lists(st.sampled_from(fits), unique=True))
+        blockset = ExplicitBlockset(
+            (EMPTY_BLOCK,) + tuple(Block(tuple(draw(st.permutations(c)))) for c in listed)
+        )
+    else:
+        blockset = KnapsackBlockset(cap, enumerate_permutations=shape == "permutations")
+    some_blocks = st.sampled_from([EMPTY_BLOCK] + [Block(c) for c in fits])
+    bp = draw(
+        st.one_of(
+            st.builds(PassiveValuation, st.integers(0, 2)),
+            st.dictionaries(st.integers(0, n - 1), st.integers(0, 3)).map(
+                AdditiveValuation
+            ),
+            st.dictionaries(some_blocks, st.integers(0, 3)).map(TableValuation),
+            st.builds(
+                SingleMindedValuation,
+                st.frozensets(some_blocks, min_size=1, max_size=2),
+                st.integers(0, 3),
+            ),
+        )
+    )
+    sc = Scenario(txs, bp, blockset)
+    mech = draw(st.sampled_from(MECHANISMS))
+    step = draw(st.integers(1, 2))
+    points = GridSpec(step, step * draw(st.integers(0, 4))).points()
+    t = draw(st.integers(0, n - 1))
+    base = {i: draw(st.integers(0, 6)) for i in range(n) if i != t}
+    tx = sc.tx(t)
+    r = mech.reserve(tx)
+    extras = {b for b in (r - 1, r, r + 1) if b >= 0}
+    for v in points:
+        for strategy in (FixedOffset(-1), FixedOffset(1), CappedAtReserve(1), CappedAtReserve(3)):
+            extras.add(strategy_bid(strategy, v, tx))
+    budget = draw(st.sampled_from((None, 3, 8)))
+    return mech, sc, t, base, points, sorted(extras), budget
+
+
+class TestDeviationTable:
+    """The split-argmax deviation table against one recommended_block call
+    and one payment() per own bid."""
+
+    @given(deviation_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_per_point_oracle(self, case):
+        mech, sc, t, base, points, extras, budget = case
+        tx = sc.tx(t)
+
+        def oracle(bid):
+            bids = dict(base)
+            bids[t] = bid
+            block = recommended_block(mech, bids, sc, budget=budget)
+            if t not in block:
+                return False, 0
+            return True, payment(mech, block, bids, sc)[t]
+
+        def outcome(fn, bid):
+            try:
+                return fn(bid)
+            except TABLE_ERRORS as e:
+                return type(e)
+
+        want = {}
+        for b in points:
+            want[b] = outcome(oracle, b)
+            if isinstance(want[b], type):
+                # the table is built in grid order and stops at the first error
+                with pytest.raises(TABLE_ERRORS) as info:
+                    _deviation_table(mech, sc, tx, base, points, budget)
+                assert type(info.value) is want[b]
+                return
+        table, look = _deviation_table(mech, sc, tx, base, points, budget)
+        assert table == want
+        for b in extras:
+            assert outcome(look, b) == outcome(oracle, b)
+
+    def test_exact_ties_go_to_the_canonical_block(self):
+        # one slot and a passive producer: at equal bids the blocks (0,) and
+        # (1,) score the same and only the canonical key decides
+        sc = scenario([(1, 0, 0), (1, 0, 0)], cap=1)
+        mech = Mechanism.fpa(Allocation.CONSONANT)
+        points = (0, 1, 2, 3)
+        first, _ = _deviation_table(mech, sc, sc.tx(0), {1: 2}, points, None)
+        second, _ = _deviation_table(mech, sc, sc.tx(1), {0: 2}, points, None)
+        assert first == {0: (False, 0), 1: (False, 0), 2: (True, 2), 3: (True, 3)}
+        assert second == {0: (False, 0), 1: (False, 0), 2: (False, 0), 3: (True, 3)}
+
+    def test_ties_among_blocks_holding_the_deviator(self):
+        # at own bid 1 the blocks (0,), (0, 2) and (1,) all score 1: (0,)
+        # must stand for the blocks holding tx 0, or (1,) would win the key
+        sc = scenario([(1, 0, 0), (2, 0, 0), (1, 0, 0)], cap=2)
+        mech = Mechanism.fpa(Allocation.CONSONANT)
+        table, _ = _deviation_table(mech, sc, sc.tx(0), {1: 1, 2: 0}, (0, 1, 2), None)
+        assert table == {0: (False, 0), 1: (True, 1), 2: (True, 2)}
+
+    @pytest.mark.parametrize(
+        "mech",
+        [Mechanism.fpa(), Mechanism.eip1559(2), Mechanism.tipless(2), Mechanism.trivial()],
+        ids=lambda m: m.preset,
+    )
+    def test_included_payment_equals_payment(self, mech):
+        sc = scenario([(1, 0, 0), (2, 0, 0)])
+        block = Block((0, 1))
+        for own, other in product(range(7), repeat=2):
+            bids = {0: other, 1: own}
+            want = payment(mech, block, bids, sc)[1]
+            assert _included_payment(mech, sc.tx(1), own) == want
 
 
 class TestBpic:

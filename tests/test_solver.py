@@ -28,6 +28,7 @@ from tfm_lab import (
     bps_argmax,
     bps_argmax_additive_dp,
     bps_argmax_detail,
+    bps_split_argmax,
     burn,
     canonical_key,
     enumerate_blocks,
@@ -147,6 +148,22 @@ class TestArgmax:
             KnapsackBlockset(1),
         )
         assert bps_argmax(sc.submitted_bids(), sc, Mechanism.fpa()) == Block((1,))
+
+
+class TestSplitArgmax:
+    def test_critical_bid_of_the_tie_rule(self):
+        # tx0 bids 1, tx1 bids 2, one slot: tx0 holds the slot from bid 2
+        # on, where the tie with tx1 goes to the canonical-first block (0,)
+        sc = knapsack_scenario([(1, 0, 1), (1, 0, 2)], cap=1)
+        split = bps_split_argmax(sc.submitted_bids(), sc, Mechanism.fpa(), 0)
+        assert split.without == Block((1,)) and split.without_score == 2
+        assert split.holding == Block((0,)) and split.holding_score == 0
+        assert [split.includes(x) for x in range(4)] == [False, False, True, True]
+
+    def test_refuses_standard_allocations(self):
+        sc = knapsack_scenario([(1, 0, 1)], cap=1)
+        with pytest.raises(UnsupportedInstanceError):
+            bps_split_argmax(sc.submitted_bids(), sc, Mechanism.tipless(1), 0)
 
 
 class TestDynamicProgram:
