@@ -65,6 +65,7 @@ from .mechanisms import (
     ExcessivelyLowBaseFeeError,
     FixedOffset,
     Mechanism,
+    NoEligibleBlockError,
     Truthful,
     UnsupportedInstanceError,
     apply_strategy,
@@ -72,6 +73,7 @@ from .mechanisms import (
     burn,
     eligible,
     is_base_fee_excessively_low,
+    own_payment,
     payment,
     recommended_block,
     strategy_bid,
@@ -110,6 +112,7 @@ from .solver import (
     canonical_key,
     enumerate_blocks,
     max_marginal_value,
+    max_revenue_block,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -29,6 +29,7 @@ from .mechanisms import (
     apply_strategy,
     bps,
     is_base_fee_excessively_low,
+    own_payment,
     payment,
     recommended_block,
     strategy_bid,
@@ -200,8 +201,13 @@ def audit_bpic(
     surplus (any strictly better block becomes a witness), and across cells
     the tie-breaking between surplus-tied blocks must be explainable by some
     fixed order on blocks (checked as acyclicity of observed preferences).
+
+    Cost: one bps_argmax_detail call per cell; argmax rules (consonant, or
+    the trivial preset) recommend its best block, and the other rules add
+    one recommended_block call.
     """
     points = bid_grid.points()
+    argmax_rule = mech.preset == TRIVIAL or mech.allocation is Allocation.CONSONANT
     witnesses = []
     conflicts = []
     cells = 0
@@ -224,10 +230,13 @@ def audit_bpic(
                 combos = ((first,) + r for r in product(points, repeat=n - 1))
             for combo in combos:
                 bids = dict(zip(ids, combo))
-                rec = recommended_block(mech, bids, scenario, budget=budget)
                 best, best_score, tied = bps_argmax_detail(
                     bids, scenario, mech, budget=budget
                 )
+                if argmax_rule:
+                    rec = best
+                else:
+                    rec = recommended_block(mech, bids, scenario, budget=budget)
                 chunk_cells += 1
                 if any(rec == b for b in tied):
                     for b in tied:
@@ -279,16 +288,6 @@ def audit_bpic(
     )
 
 
-def _included_payment(mech, tx, bid):
-    """The deviator's own charge when included; avoids building the full
-    payment map in the audit hot loop (tested equal to payment())."""
-    if mech.preset == TIPLESS:
-        return min(bid, mech.reserve(tx))
-    if mech.preset == TRIVIAL:
-        return 0
-    return bid
-
-
 def _deviation_table(mech, scenario, tx, base_bids, points, budget):
     """Map each candidate own-bid to (included, own payment) given the other
     users' bids.
@@ -300,8 +299,9 @@ def _deviation_table(mech, scenario, tx, base_bids, points, budget):
     first looked up: by one split argmax pass over the blocks, or by one
     recommended_block call under a standard allocation, which depends on x
     only through x >= r.  Every side enumerates the eligibility set that a
-    call at one of its bids would, so budget and base-fee errors are the
-    same.  look(bid) also answers bids that are not on the grid.
+    call at one of its bids would, so budget, base-fee and no-eligible-block
+    errors are the same.  look(bid) also answers bids that are not on the
+    grid.
     """
     t = tx.tx_id
     reserve = mech.reserve(tx)
@@ -325,7 +325,7 @@ def _deviation_table(mech, scenario, tx, base_bids, points, budget):
                     rule = bps_split_argmax(bids, scenario, mech, t, budget=budget)
                 sides[side] = rule
             included = rule if standard else rule.includes(bid)
-            got = (True, _included_payment(mech, tx, bid)) if included else (False, 0)
+            got = (True, own_payment(mech, tx, bid)) if included else (False, 0)
             table[bid] = got
         return got
 

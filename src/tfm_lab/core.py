@@ -203,6 +203,7 @@ class Scenario:
                 raise UnknownTransactionError(sorted(missing)[0])
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_enum_cache", {})
+        object.__setattr__(self, "_plan_cache", {})
 
     def tx(self, tx_id) -> Transaction:
         try:

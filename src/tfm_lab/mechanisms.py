@@ -60,6 +60,19 @@ class UnsupportedInstanceError(ValueError):
     """The operation is only defined for a narrower class of inputs."""
 
 
+class NoEligibleBlockError(UnsupportedInstanceError):
+    """No feasible block is eligible under these bids, so the allocation
+    rule names no block; only a blockset without the empty block can get
+    here."""
+
+    def __init__(self, bids):
+        cell = ", ".join(f"{t}:{b}" for t, b in sorted(bids.items()))
+        super().__init__(
+            f"no feasible block is eligible at bids {{{cell}}}; list the "
+            f"empty block in the blockset"
+        )
+
+
 @dataclass(frozen=True, slots=True)
 class Mechanism:
     """One of the shipped fee mechanism presets.
@@ -136,22 +149,27 @@ def _require_bid(bids: Mapping[int, Money], tx_id) -> Money:
     return bid
 
 
+def own_payment(mech: Mechanism, tx: Transaction, bid: Money) -> Money:
+    """What an included transaction is charged at its own bid: the bid
+    under fpa and eip1559, the bid capped at the reserve under tipless,
+    nothing under trivial."""
+    if mech.preset == TIPLESS:
+        return min(bid, mech.reserve(tx))
+    if mech.preset == TRIVIAL:
+        return 0
+    return bid
+
+
 def payment(mech: Mechanism, block: Block, bids: Mapping[int, Money], scenario: Scenario) -> dict[int, Money]:
     """Per-transaction charges for the block's members.
 
     Never exceeds the member's own bid, so a user is charged only what it
     offered (individual rationality against the bid).
     """
-    out = {}
-    for t in block.txs:
-        bid = _require_bid(bids, t)
-        if mech.preset in (FPA, EIP1559):
-            out[t] = bid
-        elif mech.preset == TIPLESS:
-            out[t] = min(bid, mech.reserve(scenario.tx(t)))
-        else:
-            out[t] = 0
-    return out
+    return {
+        t: own_payment(mech, scenario.tx(t), _require_bid(bids, t))
+        for t in block.txs
+    }
 
 
 def burn(mech: Mechanism, block: Block, bids: Mapping[int, Money], scenario: Scenario) -> Money:
@@ -208,23 +226,17 @@ def recommended_block(
     *,
     budget: int | None = None,
 ) -> Block:
-    """The block the mechanism's allocation rule tells the producer to build."""
+    """The block the mechanism's allocation rule tells the producer to build.
+
+    Raises NoEligibleBlockError when the rule has no block to name.
+    """
     from . import solver
 
     if mech.preset == TRIVIAL or mech.allocation is Allocation.CONSONANT:
         return solver.bps_argmax(bids, scenario, mech, budget=budget)
 
     if mech.preset == FPA:
-        # revenue_max: the block with the largest total of its own bids.
-        blocks = solver.enumerate_blocks(scenario, budget=budget)
-        best = None
-        best_rev = None
-        for b in blocks:
-            rev = sum(_require_bid(bids, t) for t in b.txs)
-            key = solver.canonical_key(b)
-            if best is None or rev > best_rev or (rev == best_rev and key < solver.canonical_key(best)):
-                best, best_rev = b, rev
-        return best
+        return solver.max_revenue_block(bids, scenario, budget=budget)
 
     if mech.preset == EIP1559:
         blockset = scenario.blockset
@@ -260,6 +272,8 @@ def recommended_block(
         key = solver.canonical_key(b)
         if best is None or sz > best_sz or (sz == best_sz and key < solver.canonical_key(best)):
             best, best_sz = b, sz
+    if best is None:
+        raise NoEligibleBlockError(bids)
     return best
 
 

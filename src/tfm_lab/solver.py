@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .core import (
     AdditiveValuation,
@@ -32,6 +32,7 @@ from .mechanisms import (
     TIPLESS,
     Allocation,
     Mechanism,
+    NoEligibleBlockError,
     UnsupportedInstanceError,
     _eligible_ids,
     _require_bid,
@@ -182,11 +183,66 @@ def _per_tx_contribution(
     }
 
 
+class _Group(NamedTuple):
+    """The enumerated orderings of one member set.
+
+    Fee contributions depend on the members only, so every ordering of a
+    group scores its producer value plus one shared contribution sum.
+
+    txs    the members, as ordered in `first`
+    value  the highest producer value among the orderings
+    top    (enumeration index, ordering) of every ordering worth value,
+           in enumeration order
+    first  the canonical-first ordering of the group
+    """
+
+    txs: tuple[int, ...]
+    value: Money
+    top: tuple[tuple[int, Block], ...]
+    first: Block
+
+
+def _plan(scenario: Scenario, eligible, blocks) -> tuple[_Group, ...]:
+    """The enumerated blocks grouped by member set, in order of first
+    appearance, cached on the scenario per eligibility filter.
+
+    Private values never depend on the bids, so each block's bp_value is
+    computed once per (scenario, eligibility).  The build touches only
+    locals and stores a finished tuple, so concurrent builds of one key
+    are harmless and store equal plans.
+    """
+    cache = scenario._plan_cache
+    plan = cache.get(eligible)
+    if plan is not None:
+        return plan
+    valuation = scenario.bp_valuation
+    acc = {}
+    for i, b in enumerate(blocks):
+        v = bp_value(b, valuation)
+        key = frozenset(b.txs)
+        g = acc.get(key)
+        if g is None:
+            acc[key] = [v, [(i, b)], b]
+            continue
+        if v > g[0]:
+            g[0], g[1] = v, [(i, b)]
+        elif v == g[0]:
+            g[1].append((i, b))
+        if canonical_key(b) < canonical_key(g[2]):
+            g[2] = b
+    plan = tuple(
+        _Group(first.txs, v, tuple(top), first) for v, top, first in acc.values()
+    )
+    cache[eligible] = plan
+    return plan
+
+
 def _block_scorer(valuation, contrib):
-    """score(block): the producer's value plus its members' contributions.
+    """score(item): the producer's value plus its members' contributions.
 
     Additive and passive producers are summed inline instead of through
-    bp_value; every other valuation goes through bp_value.
+    bp_value; valuation None scores plan groups by their cached value;
+    every other valuation goes through bp_value.
     """
     if isinstance(valuation, AdditiveValuation):
         mu = valuation.values
@@ -207,6 +263,14 @@ def _block_scorer(valuation, contrib):
                 total += contrib[t]
             return total
 
+    elif valuation is None:
+
+        def score(g):
+            total = g.value
+            for t in g.txs:
+                total += contrib[t]
+            return total
+
     else:
 
         def score(b):
@@ -216,6 +280,62 @@ def _block_scorer(valuation, contrib):
             return total
 
     return score
+
+
+def _argmax_pass(scenario, eligible, budget, contrib, valued, tx_id=None):
+    """The one scoring kernel behind every argmax reader.
+
+    A block scores the producer's value for it (0 when not `valued`) plus
+    its members' contributions.  Returns two sides, the blocks lacking
+    tx_id and those holding it (every block lacks a tx_id of None), each
+    as (maximum score, the blocks attaining it in enumeration order); an
+    empty side reads (None, ()).
+
+    Ordered blocksets (explicit, or knapsack permutations) can list several
+    orderings of one member set, so there the pass scores the cached plan's
+    groups: a tied group stands for its top orderings, or, when not
+    `valued`, for its canonical-first ordering alone.  A plain knapsack has
+    one block per member set and scores its blocks directly.
+    """
+    blocks = enumerate_blocks(scenario, eligible=eligible, budget=budget)
+    blockset = scenario.blockset
+    grouped = isinstance(blockset, ExplicitBlockset) or blockset.enumerate_permutations
+    if grouped:
+        items = _plan(scenario, eligible, blocks)
+        valuation = None if valued else PassiveValuation()
+    else:
+        items = blocks
+        valuation = scenario.bp_valuation if valued else PassiveValuation()
+    score = _block_scorer(valuation, contrib)
+
+    lacking = holding = None
+    lacking_tied = holding_tied = ()
+    for it in items:
+        s = score(it)
+        if tx_id is not None and tx_id in it.txs:
+            if holding is None or s > holding:
+                holding, holding_tied = s, [it]
+            elif s == holding:
+                holding_tied.append(it)
+        elif lacking is None or s > lacking:
+            lacking, lacking_tied = s, [it]
+        elif s == lacking:
+            lacking_tied.append(it)
+    sides = (lacking, lacking_tied), (holding, holding_tied)
+    if not grouped:
+        return sides
+    if valued:
+        return tuple(
+            (s, [b for _, b in sorted(p for g in t for p in g.top)]) for s, t in sides
+        )
+    return tuple((s, [g.first for g in t]) for s, t in sides)
+
+
+def _canonical_first(blocks):
+    """The canonical-first of a list of blocks, None for an empty one."""
+    if len(blocks) < 2:
+        return blocks[0] if blocks else None
+    return min(blocks, key=canonical_key)
 
 
 def bps_argmax_detail(
@@ -228,29 +348,29 @@ def bps_argmax_detail(
     """(argmax block, its surplus, all surplus-tied blocks).
 
     The argmax is the canonical-first block among the exact-integer maximum;
-    the tied tuple preserves enumeration order.
+    the tied tuple preserves enumeration order.  Raises NoEligibleBlockError
+    when no enumerated block is eligible under the bids.
+
+    Cost: on ordered blocksets one pass over the member-set groups of a
+    plan whose private values are computed once per (scenario,
+    eligibility); plain knapsacks are scanned block by block.
     """
     elig = _eligible_ids(mech, bids, scenario)
-    blocks = enumerate_blocks(scenario, eligible=elig, budget=budget)
-    score = _block_scorer(
-        scenario.bp_valuation, _per_tx_contribution(mech, bids, scenario)
-    )
+    contrib = _per_tx_contribution(mech, bids, scenario)
+    (best_score, tied), _ = _argmax_pass(scenario, elig, budget, contrib, True)
+    if best_score is None:
+        raise NoEligibleBlockError(bids)
+    return _canonical_first(tied), best_score, tuple(tied)
 
-    best = None
-    best_score = None
-    best_key = None
-    tied = []
-    for b in blocks:
-        s = score(b)
-        if best is None or s > best_score:
-            best, best_score, best_key = b, s, canonical_key(b)
-            tied = [b]
-        elif s == best_score:
-            tied.append(b)
-            k = canonical_key(b)
-            if k < best_key:
-                best, best_key = b, k
-    return best, best_score, tuple(tied)
+
+def max_revenue_block(
+    bids: Mapping[int, Money], scenario: Scenario, *, budget: int | None = None
+) -> Block:
+    """The feasible block with the largest total of its members' bids,
+    canonical-first on ties: fpa's revenue_max allocation."""
+    contrib = {tx.tx_id: _require_bid(bids, tx.tx_id) for tx in scenario.transactions}
+    (_, tied), _ = _argmax_pass(scenario, None, budget, contrib, False)
+    return _canonical_first(tied)
 
 
 @dataclass(frozen=True, slots=True)
@@ -305,7 +425,10 @@ def bps_split_argmax(
     without tx_id or the best block with it, whatever that bid.  Consonant
     and trivial allocations maximize producer surplus; fpa's revenue_max
     maximizes the sum of member bids.  Standard allocations are not block
-    score maxima and are refused.
+    score maxima and are refused.  Raises NoEligibleBlockError when no
+    enumerated block is eligible under the bids.  The pass has the cost of
+    one bps_argmax_detail call: plan groups on ordered blocksets, blocks on
+    plain knapsacks.
     """
     if mech.allocation is Allocation.STANDARD:
         raise UnsupportedInstanceError(
@@ -313,35 +436,25 @@ def bps_split_argmax(
             "allocations"
         )
     tx = scenario.tx(tx_id)
-    valuation = scenario.bp_valuation
-    if mech.allocation is Allocation.REVENUE_MAX:
-        # fpa contributions are the bids, so revenue is the surplus of a
-        # producer that values every block at 0
-        valuation = PassiveValuation()
     elig = _eligible_ids(mech, bids, scenario)
-    blocks = enumerate_blocks(scenario, eligible=elig, budget=budget)
     contrib = _per_tx_contribution(mech, bids, scenario)
     contrib[tx_id] = 0
-    score = _block_scorer(valuation, contrib)
-
-    without = holding = None
-    without_score = holding_score = None
-    for b in blocks:
-        s = score(b)
-        if tx_id in b.txs:
-            if (
-                holding is None
-                or s > holding_score
-                or (s == holding_score and canonical_key(b) < canonical_key(holding))
-            ):
-                holding, holding_score = b, s
-        elif (
-            without is None
-            or s > without_score
-            or (s == without_score and canonical_key(b) < canonical_key(without))
-        ):
-            without, without_score = b, s
-    return SplitArgmax(mech, tx, without, without_score, holding, holding_score)
+    # fpa contributions are the bids, so revenue is the surplus of a
+    # producer that values every block at 0
+    valued = mech.allocation is not Allocation.REVENUE_MAX
+    (without_score, without), (holding_score, holding) = _argmax_pass(
+        scenario, elig, budget, contrib, valued, tx_id
+    )
+    if without_score is None and holding_score is None:
+        raise NoEligibleBlockError(bids)
+    return SplitArgmax(
+        mech,
+        tx,
+        _canonical_first(without),
+        without_score,
+        _canonical_first(holding),
+        holding_score,
+    )
 
 
 def bps_argmax(

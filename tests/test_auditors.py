@@ -16,6 +16,7 @@ from tfm_lab import (
     EMPTY_BLOCK,
     AdditiveValuation,
     Allocation,
+    AuditReport,
     Block,
     CappedAtReserve,
     Eligibility,
@@ -26,28 +27,38 @@ from tfm_lab import (
     GridSpec,
     KnapsackBlockset,
     Mechanism,
+    NoEligibleBlockError,
     PassiveValuation,
     ProfileSpaceError,
     Scenario,
     SingleMindedValuation,
     TableValuation,
+    TieConflict,
     Transaction,
     Truthful,
     UnsupportedInstanceError,
+    Witness,
     audit_approx_dsic_bound,
     audit_bpic,
     audit_dsic,
     audit_welfare_ratio,
+    bps,
+    bps_argmax_detail,
     check_beta_commensurate,
+    enumerate_blocks,
     max_marginal_value,
+    own_payment,
     payment,
     recommended_block,
     replay_bpic_witness,
     replay_dsic_witness,
+    scenario_digest,
     strategy_bid,
     welfare_argmax,
+    witness_sort_key,
 )
-from tfm_lab.auditors import _deviation_table, _included_payment
+from tfm_lab import auditors
+from tfm_lab.auditors import _deviation_table, _detect_cycle
 
 
 def scenario(specs, cap=None, bp=None):
@@ -336,7 +347,7 @@ class TestDeviationTable:
         for own, other in product(range(7), repeat=2):
             bids = {0: other, 1: own}
             want = payment(mech, block, bids, sc)[1]
-            assert _included_payment(mech, sc.tx(1), own) == want
+            assert own_payment(mech, sc.tx(1), own) == want
 
 
 class TestBpic:
@@ -379,6 +390,166 @@ class TestBpic:
         a = audit_bpic(Mechanism.eip1559(2), [sc], GRID, jobs=1)
         b = audit_bpic(Mechanism.eip1559(2), [sc], GRID, jobs=3)
         assert a == b
+
+
+def oracle_bpic(mech, scenarios, grid, rule=recommended_block):
+    """audit_bpic recomputed cell by cell: one rule call and one
+    bps_argmax_detail call per cell, whatever the rule."""
+    points = grid.points()
+    witnesses = []
+    conflicts = []
+    cells = 0
+    max_gain = 0
+    for sc in scenarios:
+        ids = sc.ids()
+        edges = {}
+        for combo in product(points, repeat=len(ids)):
+            bids = dict(zip(ids, combo))
+            rec = rule(mech, bids, sc)
+            best, best_score, tied = bps_argmax_detail(bids, sc, mech)
+            cells += 1
+            if rec in tied:
+                others = [b for b in tied if b != rec]
+                if others:
+                    edges.setdefault(rec, set()).update(others)
+                continue
+            gain = best_score - bps(rec, bids, sc, mech)
+            max_gain = max(max_gain, gain)
+            diff = sorted(set(best.txs) - set(rec.txs)) or sorted(
+                set(rec.txs) - set(best.txs)
+            )
+            t = diff[0] if diff else (best.txs or rec.txs)[0]
+            witnesses.append(
+                Witness(scenario_digest(sc), t, sc.tx(t).valuation, bids[t],
+                        bids[t], gain, tuple(sorted(bids.items())))
+            )
+        cycle = _detect_cycle(edges)
+        if cycle is not None:
+            conflicts.append(
+                TieConflict(scenario_digest(sc), tuple(b.txs for b in cycle))
+            )
+    return AuditReport(
+        kind="bpic",
+        verdict="PASS" if not witnesses and not conflicts else "FAIL",
+        max_regret=max_gain,
+        witnesses=tuple(sorted(witnesses, key=witness_sort_key)[:1000]),
+        cells_checked=cells,
+        tie_conflicts=tuple(conflicts),
+    )
+
+
+BPIC_RULES = (
+    Mechanism.fpa(),
+    Mechanism.fpa(Allocation.CONSONANT),
+    Mechanism.trivial(),
+    Mechanism.tipless(1),
+    Mechanism.tipless(1, Eligibility.BASE_FEE_GATED, Allocation.CONSONANT),
+    Mechanism.tipless(1, Eligibility.BASE_FEE_GATED),
+    Mechanism.eip1559(1, Eligibility.FREE, Allocation.CONSONANT),
+    Mechanism.eip1559(1),
+)
+
+
+@st.composite
+def ordered_bpic_cases(draw):
+    """Two or three transactions, an ordered blockset that holds the empty
+    block, and a table or single-minded producer over its orderings."""
+    n = draw(st.integers(2, 3))
+    txs = tuple(Transaction(i, draw(st.integers(1, 2)), 0) for i in range(n))
+    mech = draw(st.sampled_from(BPIC_RULES))
+    explicit = draw(st.booleans()) and mech != Mechanism.eip1559(1)
+    if explicit:
+        sets = [c for k in range(1, n + 1) for c in combinations(range(n), k)]
+        listed = [EMPTY_BLOCK]
+        for c in draw(st.lists(st.sampled_from(sets), min_size=1, unique=True)):
+            orders = st.permutations(c).map(lambda p: Block(tuple(p)))
+            listed += draw(st.lists(orders, min_size=1, max_size=3, unique=True))
+        blockset = ExplicitBlockset(tuple(listed))
+    else:
+        # every transaction fits, so standard eip1559 is defined on the grid
+        blockset = KnapsackBlockset(sum(t.size for t in txs), enumerate_permutations=True)
+    blocks = st.sampled_from(enumerate_blocks(Scenario(txs, PassiveValuation(), blockset)))
+    bp = draw(
+        st.one_of(
+            st.dictionaries(blocks, st.integers(0, 2)).map(TableValuation),
+            st.builds(
+                SingleMindedValuation,
+                st.frozensets(blocks, min_size=1, max_size=3),
+                st.integers(0, 2),
+            ),
+        )
+    )
+    return mech, Scenario(txs, bp, blockset)
+
+
+def rotating_rule(mech, bids, sc, *, budget=None):
+    """Names a different surplus-tied block from cell to cell, which no
+    fixed order on blocks explains."""
+    _, _, tied = bps_argmax_detail(bids, sc, mech, budget=budget)
+    return tied[sum(bids.values()) % len(tied)]
+
+
+class TestBpicAgainstCells:
+    """audit_bpic, which reads an argmax rule's recommendation off its one
+    bps_argmax_detail call, against the per-cell oracle."""
+
+    @given(ordered_bpic_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_cell_oracle(self, case):
+        mech, sc = case
+        want = oracle_bpic(mech, [sc], GridSpec(1, 2))
+        assert audit_bpic(mech, [sc], GridSpec(1, 2)) == want
+        assert audit_bpic(mech, [sc], GridSpec(1, 2), jobs=3) == want
+
+    def test_revenue_max_witnesses_on_orderings(self):
+        # the producer values one ordering; revenue_max names the other
+        txs = (Transaction(0, 1, 0), Transaction(1, 1, 0))
+        bp = TableValuation({Block((1, 0)): 2})
+        sc = Scenario(txs, bp, KnapsackBlockset(2, enumerate_permutations=True))
+        report = audit_bpic(Mechanism.fpa(), [sc], GridSpec(1, 2), jobs=3)
+        assert report == oracle_bpic(Mechanism.fpa(), [sc], GridSpec(1, 2))
+        assert report.verdict == "FAIL" and report.max_regret == 2
+
+    def test_tie_conflicts_match(self, monkeypatch):
+        # no shipped rule orders its ties inconsistently, so a rule that
+        # rotates among the tied blocks stands in for one
+        sc = scenario([(1, 0, 0), (1, 0, 0)])
+        mech = Mechanism.tipless(0)
+        monkeypatch.setattr(auditors, "recommended_block", rotating_rule)
+        want = oracle_bpic(mech, [sc], GRID, rule=rotating_rule)
+        assert want.tie_conflicts
+        for jobs in (1, 3):
+            assert audit_bpic(mech, [sc], GRID, jobs=jobs) == want
+
+
+class TestNoEligibleBlock:
+    """An explicit blockset without the empty block whose every block holds
+    tx 0: when tx 0 bids below its reserve under gated eligibility, no
+    block is eligible and every audit says so by name."""
+
+    sc = Scenario(
+        (Transaction(0, 1, 0), Transaction(1, 1, 2)),
+        PassiveValuation(0),
+        ExplicitBlockset((Block((0,)), Block((0, 1)))),
+    )
+    mech = Mechanism.tipless(1, Eligibility.BASE_FEE_GATED, Allocation.CONSONANT)
+
+    def test_audits_raise(self):
+        grid = GridSpec(1, 2)
+        with pytest.raises(NoEligibleBlockError):
+            audit_bpic(self.mech, [self.sc], grid)
+        with pytest.raises(NoEligibleBlockError):
+            audit_dsic(self.mech, Truthful(), [self.sc], grid)
+        standard = Mechanism.tipless(1, Eligibility.BASE_FEE_GATED)
+        with pytest.raises(NoEligibleBlockError):
+            audit_dsic(standard, Truthful(), [self.sc], grid)
+
+    def test_replays_raise(self):
+        cell = Witness(scenario_digest(self.sc), 1, 2, 2, 0, 1, ((0, 0), (1, 2)))
+        with pytest.raises(NoEligibleBlockError):
+            replay_bpic_witness(self.mech, self.sc, cell)
+        with pytest.raises(NoEligibleBlockError):
+            replay_dsic_witness(self.mech, Truthful(), self.sc, cell)
 
 
 class TestApproxBound:

@@ -6,8 +6,14 @@ import pytest
 
 from tfm_lab import (
     Allocation,
+    Block,
     Eligibility,
+    ExplicitBlockset,
     Mechanism,
+    PassiveValuation,
+    Scenario,
+    ScenarioDoc,
+    Transaction,
     Truthful,
     bps_argmax,
     load_scenario_file,
@@ -15,6 +21,7 @@ from tfm_lab import (
     parse_welfare_report,
     payment,
     replay_dsic_witness,
+    write_scenario_file,
 )
 from tfm_lab.cli import main
 
@@ -116,6 +123,28 @@ class TestExitCodes:
         )
         assert code == 1
         assert "base fee" in err
+
+    @pytest.mark.parametrize("kind", ["bpic", "dsic"])
+    def test_fail_exit_when_no_block_is_eligible(self, tmp_path, capsys, kind):
+        # no listed block is empty and every one holds tx 0, so a cell where
+        # tx 0 bids below its reserve leaves the producer no eligible block
+        sc = Scenario(
+            (Transaction(0, 1, 0), Transaction(1, 1, 2)),
+            PassiveValuation(0),
+            ExplicitBlockset((Block((0,)), Block((0, 1)))),
+        )
+        path = tmp_path / "s.json"
+        write_scenario_file(path, ScenarioDoc(sc))
+        code, out, err = run(
+            capsys,
+            "audit", kind, str(path),
+            "--mech", "tipless", "--base-fee", "1", "--eligibility", "gated",
+            "--allocation", "consonant", "--grid-max", "2",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: no feasible block is eligible")
+        assert "Traceback" not in err
 
 
 class TestAudit:

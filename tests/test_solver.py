@@ -1,7 +1,10 @@
 """Unit tests for block enumeration, the exhaustive surplus argmax, and the
 independent dynamic-programming route that must agree with it exactly."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from tfm_lab import (
     ExplicitBlockset,
     KnapsackBlockset,
     Mechanism,
+    NoEligibleBlockError,
     NoFeasibleBlockError,
     PassiveValuation,
     Scenario,
@@ -27,12 +31,17 @@ from tfm_lab import (
     bp_value,
     bps_argmax,
     bps_argmax_additive_dp,
+    bps,
     bps_argmax_detail,
     bps_split_argmax,
     burn,
     canonical_key,
+    eligible,
     enumerate_blocks,
     max_marginal_value,
+    max_revenue_block,
+    payment,
+    recommended_block,
 )
 
 
@@ -296,3 +305,252 @@ class TestMaxMarginalValue:
         )
         # deleting tx0 from the target loses all 7; other blocks carry 0
         assert max_marginal_value(0, sc) == 7
+
+
+# -- the grouped plan against a per-block scan ---------------------------------
+
+
+def scan_blocks(bids, sc, mech):
+    """Every block the mechanism's eligibility admits, in enumeration order."""
+    if mech.eligibility is Eligibility.FREE:
+        return enumerate_blocks(sc)
+    ok = frozenset(t for t in sc.ids() if eligible(mech, sc.tx(t), bids[t]))
+    return enumerate_blocks(sc, eligible=ok)
+
+
+def scan_detail(bids, sc, mech):
+    """The per-block argmax loop: each block scored through bps()."""
+    blocks = scan_blocks(bids, sc, mech)
+    if not blocks:
+        return NoEligibleBlockError
+    best = None
+    tied = []
+    for b in blocks:
+        s = bps(b, bids, sc, mech)
+        if best is None or s > best_score:
+            best, best_score, tied = b, s, [b]
+        elif s == best_score:
+            tied.append(b)
+            if canonical_key(b) < canonical_key(best):
+                best = b
+    return best, best_score, tuple(tied)
+
+
+def scan_revenue(bids, sc):
+    """The per-block revenue_max loop: the largest total of member bids."""
+    best = None
+    for b in enumerate_blocks(sc):
+        rev = sum(bids[t] for t in b.txs)
+        if best is None or rev > best_rev or (
+            rev == best_rev and canonical_key(b) < canonical_key(best)
+        ):
+            best, best_rev = b, rev
+    return best
+
+
+def scan_split(bids, sc, mech, t):
+    """(without, its score, holding, its score less t's own contribution)."""
+    blocks = scan_blocks(bids, sc, mech)
+    if not blocks:
+        return NoEligibleBlockError
+    if mech.allocation is Allocation.REVENUE_MAX:
+
+        def score(b):
+            return sum(bids[u] for u in b.txs if u != t)
+
+    else:
+        alone = Block((t,))
+        own = payment(mech, alone, bids, sc)[t] - burn(mech, alone, bids, sc)
+
+        def score(b):
+            return bps(b, bids, sc, mech) - (own if t in b.txs else 0)
+
+    out = []
+    for holds in (False, True):
+        side = [b for b in blocks if (t in b.txs) == holds]
+        if not side:
+            out += [None, None]
+            continue
+        top = max(map(score, side))
+        out += [min((b for b in side if score(b) == top), key=canonical_key), top]
+    return tuple(out)
+
+
+ALL_MECHANISMS = (
+    Mechanism.fpa(),
+    Mechanism.fpa(Allocation.CONSONANT),
+    Mechanism.trivial(),
+) + tuple(
+    factory(fee, elig, alloc)
+    for factory in (Mechanism.eip1559, Mechanism.tipless)
+    for elig in Eligibility
+    for alloc in (Allocation.STANDARD, Allocation.CONSONANT)
+    for fee in range(3)
+)
+
+
+@st.composite
+def ordered_cases(draw):
+    """A scenario whose blockset can hold several orderings of one member
+    set (explicit or permutation knapsack; plain knapsacks too, for the
+    unplanned path), a producer valuation over those orderings, bids, and
+    a mechanism."""
+    n = draw(st.integers(1, 4))
+    sizes = [draw(st.integers(1, 2)) for _ in range(n)]
+    txs = tuple(Transaction(i, size, 0) for i, size in enumerate(sizes))
+    shape = draw(st.sampled_from(("explicit", "permutations", "knapsack")))
+    if shape == "explicit":
+        sets = [c for k in range(1, n + 1) for c in combinations(range(n), k)]
+        listed = []
+        for c in draw(st.lists(st.sampled_from(sets), min_size=1, unique=True)):
+            orders = st.permutations(c).map(lambda p: Block(tuple(p)))
+            listed += draw(st.lists(orders, min_size=1, max_size=3, unique=True))
+        if draw(st.booleans()):
+            listed.insert(draw(st.integers(0, len(listed))), EMPTY_BLOCK)
+        blockset = ExplicitBlockset(tuple(listed))
+    else:
+        cap = draw(st.integers(0, sum(sizes)))
+        blockset = KnapsackBlockset(cap, enumerate_permutations=shape == "permutations")
+    blocks = enumerate_blocks(Scenario(txs, PassiveValuation(), blockset))
+    some_blocks = st.sampled_from(blocks)
+    bp = draw(
+        st.one_of(
+            st.builds(PassiveValuation, st.integers(0, 2)),
+            st.dictionaries(st.integers(0, n - 1), st.integers(0, 2)).map(
+                AdditiveValuation
+            ),
+            st.dictionaries(some_blocks, st.integers(0, 2)).map(TableValuation),
+            st.builds(
+                SingleMindedValuation,
+                st.frozensets(some_blocks, min_size=1, max_size=3),
+                st.integers(0, 2),
+            ),
+        )
+    )
+    sc = Scenario(txs, bp, blockset)
+    bids = {i: draw(st.integers(0, 3)) for i in range(n)}
+    return sc, bids, draw(st.sampled_from(ALL_MECHANISMS))
+
+
+class TestPlanAgainstScan:
+    """bps_argmax_detail, bps_split_argmax and the revenue_max rule read the
+    grouped plan on ordered blocksets; each must agree with a per-block
+    scan, tie order included."""
+
+    @given(ordered_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_per_block_scan(self, case):
+        sc, bids, mech = case
+        want = scan_detail(bids, sc, mech)
+        if want is NoEligibleBlockError:
+            with pytest.raises(NoEligibleBlockError):
+                bps_argmax_detail(bids, sc, mech)
+        else:
+            assert bps_argmax_detail(bids, sc, mech) == want
+        # a second call reads the cached plan
+        if want is not NoEligibleBlockError:
+            assert bps_argmax_detail(bids, sc, mech) == want
+        assert max_revenue_block(bids, sc) == scan_revenue(bids, sc)
+        if mech.preset == "fpa" and mech.allocation is Allocation.REVENUE_MAX:
+            assert recommended_block(mech, bids, sc) == scan_revenue(bids, sc)
+        if mech.allocation is Allocation.STANDARD:
+            return
+        for t in sc.ids():
+            want = scan_split(bids, sc, mech, t)
+            if want is NoEligibleBlockError:
+                with pytest.raises(NoEligibleBlockError):
+                    bps_split_argmax(bids, sc, mech, t)
+                continue
+            split = bps_split_argmax(bids, sc, mech, t)
+            got = (split.without, split.without_score, split.holding, split.holding_score)
+            assert got == want
+
+    def tie_scenario(self, values, blocks):
+        txs = tuple(Transaction(i, 1, 0) for i in range(3))
+        table = TableValuation({Block(b): v for b, v in values.items()})
+        return Scenario(txs, table, ExplicitBlockset(tuple(Block(b) for b in blocks)))
+
+    def test_ties_within_and_across_groups_keep_enumeration_order(self):
+        # (1, 0) and (0, 1) are one member set worth 1 either way; (2,) and
+        # (0, 2) tie with them at 3 from other groups
+        sc = self.tie_scenario(
+            {(1, 0): 1, (0, 1): 1, (2,): 1},
+            [(), (1, 0), (2,), (0, 1), (0, 2)],
+        )
+        bids = {0: 1, 1: 1, 2: 2}
+        best, score, tied = bps_argmax_detail(bids, sc, Mechanism.fpa(Allocation.CONSONANT))
+        assert score == 3
+        assert tied == tuple(Block(b) for b in [(1, 0), (2,), (0, 1), (0, 2)])
+        assert best == Block((2,))
+        split = bps_split_argmax(bids, sc, Mechanism.fpa(Allocation.CONSONANT), 0)
+        assert (split.without, split.without_score) == (Block((2,)), 3)
+        assert (split.holding, split.holding_score) == (Block((0, 1)), 2)
+
+    def test_only_the_top_orderings_of_a_group_tie(self):
+        sc = self.tie_scenario({(1, 0): 2, (0, 1): 1}, [(), (1, 0), (0, 1)])
+        bids = {0: 0, 1: 0, 2: 0}
+        best, score, tied = bps_argmax_detail(bids, sc, Mechanism.trivial())
+        assert (best, score, tied) == (Block((1, 0)), 2, (Block((1, 0)),))
+
+    def test_revenue_max_takes_the_canonical_first_ordering(self):
+        # the producer prefers (1, 0); revenue ignores it and the group's
+        # canonical-first ordering (0, 1) stands for the tie
+        sc = self.tie_scenario({(1, 0): 5}, [(), (1, 0), (2,), (0, 1)])
+        bids = {0: 2, 1: 1, 2: 2}
+        assert recommended_block(Mechanism.fpa(), bids, sc) == Block((0, 1))
+        split = bps_split_argmax(bids, sc, Mechanism.fpa(), 2)
+        assert (split.without, split.without_score) == (Block((0, 1)), 3)
+
+
+    def test_plan_cache_is_safe_under_threads(self):
+        # eight threads at a time ask for the same plan of a fresh scenario
+        # (gated eligibility gives each pattern of cleared reserves its own
+        # plan); every answer must equal the per-block scan
+        txs = tuple(Transaction(i, 1, 0) for i in range(4))
+        blockset = KnapsackBlockset(3, enumerate_permutations=True)
+        orderings = enumerate_blocks(Scenario(txs, PassiveValuation(), blockset))
+        bp = TableValuation({b: len(b.txs) % 3 for b in orderings[::2]})
+        mech = Mechanism.tipless(1, Eligibility.BASE_FEE_GATED, Allocation.CONSONANT)
+        cells = [dict(enumerate(c)) for c in product(range(2), repeat=4)]
+        want = [scan_detail(bids, Scenario(txs, bp, blockset), mech) for bids in cells]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(40):
+                shared = Scenario(txs, bp, blockset)
+                with ThreadPoolExecutor(max_workers=8) as ex:
+                    got = list(
+                        ex.map(
+                            lambda bids: bps_argmax_detail(bids, shared, mech),
+                            [bids for bids in cells for _ in range(8)],
+                            timeout=120,
+                        )
+                    )
+                assert got == [w for w in want for _ in range(8)]
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestNoEligibleBlock:
+    # no listed block is empty, and every block holds tx 0, which bids
+    # below its reserve of 1
+    sc = Scenario(
+        (Transaction(0, 1, 0), Transaction(1, 1, 0)),
+        PassiveValuation(0),
+        ExplicitBlockset((Block((0,)), Block((0, 1)))),
+    )
+    bids = {0: 0, 1: 2}
+
+    @pytest.mark.parametrize("allocation", [Allocation.CONSONANT, Allocation.STANDARD])
+    def test_every_reader_raises(self, allocation):
+        mech = Mechanism.tipless(1, Eligibility.BASE_FEE_GATED, allocation)
+        with pytest.raises(NoEligibleBlockError):
+            recommended_block(mech, self.bids, self.sc)
+        with pytest.raises(NoEligibleBlockError):
+            bps_argmax_detail(self.bids, self.sc, mech)
+        if allocation is Allocation.CONSONANT:
+            with pytest.raises(NoEligibleBlockError):
+                bps_split_argmax(self.bids, self.sc, mech, 1)
+
+    def test_is_an_unsupported_instance(self):
+        assert issubclass(NoEligibleBlockError, UnsupportedInstanceError)
