@@ -9,10 +9,9 @@ a witness cell that reproduces the gain exactly when re-simulated.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import groupby, product
 from typing import Mapping, Sequence
 
 from .core import Block, Money, Scenario, bp_value, welfare
@@ -125,16 +124,9 @@ class AuditReport:
     sampling_seed: int | None = None
 
 
-def _run_ordered(fn, tasks, jobs):
-    """Apply fn to tasks, returning results in task order regardless of the
-    worker count, so merged reports never depend on scheduling."""
-    if jobs <= 1:
-        return [fn(task) for task in tasks]
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, tasks))
-
-
 def _finalize_witnesses(witnesses, max_witnesses):
+    if max_witnesses < 0:
+        raise ValueError(f"max_witnesses must be >= 0, got {max_witnesses}")
     witnesses.sort(key=witness_sort_key)
     return tuple(witnesses[:max_witnesses])
 
@@ -191,7 +183,6 @@ def audit_bpic(
     scenarios: Sequence[Scenario],
     bid_grid: Grid,
     *,
-    jobs: int = 1,
     budget: int | None = None,
     max_witnesses: int = 1000,
 ) -> AuditReport:
@@ -217,62 +208,39 @@ def audit_bpic(
         _precheck_standard_eip1559(mech, scenario, bid_grid)
         digest = scenario_digest(scenario)
         ids = scenario.ids()
-        n = len(ids)
-
-        def run_chunk(first):
-            chunk_witnesses = []
-            chunk_edges = {}
-            chunk_cells = 0
-            chunk_max = 0
-            if first is None:
-                combos = [()]
-            else:
-                combos = ((first,) + r for r in product(points, repeat=n - 1))
-            for combo in combos:
-                bids = dict(zip(ids, combo))
-                best, best_score, tied = bps_argmax_detail(
-                    bids, scenario, mech, budget=budget
-                )
-                if argmax_rule:
-                    rec = best
-                else:
-                    rec = recommended_block(mech, bids, scenario, budget=budget)
-                chunk_cells += 1
-                if any(rec == b for b in tied):
-                    for b in tied:
-                        if b != rec:
-                            chunk_edges.setdefault(rec, set()).add(b)
-                    continue
-                rec_score = bps(rec, bids, scenario, mech)
-                gain = best_score - rec_score
-                chunk_max = max(chunk_max, gain)
-                diff = sorted(set(best.txs) - set(rec.txs)) or sorted(
-                    set(rec.txs) - set(best.txs)
-                )
-                tx_id = diff[0] if diff else (best.txs or rec.txs)[0]
-                chunk_witnesses.append(
-                    Witness(
-                        scenario_digest=digest,
-                        tx_id=tx_id,
-                        valuation=scenario.tx(tx_id).valuation,
-                        recommended_bid=bids[tx_id],
-                        deviation_bid=bids[tx_id],
-                        utility_gain=gain,
-                        cell_bids=tuple(sorted(bids.items())),
-                    )
-                )
-            return chunk_witnesses, chunk_edges, chunk_cells, chunk_max
-
-        tasks = list(points) if n >= 1 else [None]
-        results = _run_ordered(run_chunk, tasks, jobs)
-
         edges = {}
-        for ws, es, c, m in results:
-            witnesses.extend(ws)
-            cells += c
-            max_gain = max(max_gain, m)
-            for node, succ in es.items():
-                edges.setdefault(node, set()).update(succ)
+        for combo in product(points, repeat=len(ids)):
+            bids = dict(zip(ids, combo))
+            best, best_score, tied = bps_argmax_detail(
+                bids, scenario, mech, budget=budget
+            )
+            if argmax_rule:
+                rec = best
+            else:
+                rec = recommended_block(mech, bids, scenario, budget=budget)
+            cells += 1
+            if any(rec == b for b in tied):
+                for b in tied:
+                    if b != rec:
+                        edges.setdefault(rec, set()).add(b)
+                continue
+            gain = best_score - bps(rec, bids, scenario, mech)
+            max_gain = max(max_gain, gain)
+            diff = sorted(set(best.txs) - set(rec.txs)) or sorted(
+                set(rec.txs) - set(best.txs)
+            )
+            tx_id = diff[0] if diff else (best.txs or rec.txs)[0]
+            witnesses.append(
+                Witness(
+                    scenario_digest=digest,
+                    tx_id=tx_id,
+                    valuation=scenario.tx(tx_id).valuation,
+                    recommended_bid=bids[tx_id],
+                    deviation_bid=bids[tx_id],
+                    utility_gain=gain,
+                    cell_bids=tuple(sorted(bids.items())),
+                )
+            )
         cycle = _detect_cycle(edges)
         if cycle is not None:
             conflicts.append(TieConflict(digest, tuple(b.txs for b in cycle)))
@@ -334,15 +302,48 @@ def _deviation_table(mech, scenario, tx, base_bids, points, budget):
     return table, look
 
 
-def _profiles_for(points, others, mode, samples, seed_text):
-    if mode == "exhaustive":
-        if others:
-            return product(points, repeat=len(others))
-        return [()]
-    rng = random.Random(seed_text)
-    drawn = [tuple(rng.choice(points) for _ in others) for _ in range(samples)]
-    # draws are with replacement; a repeated profile is the same cells again
-    return list(dict.fromkeys(drawn))
+def _sweep(mech, scenarios, grid, budget, profile_samples, sampling_seed, exhaustive_limit):
+    """Yield (position, digest, tx, base, dev, look) once per other-bid
+    profile of every transaction of every scenario, in input order.
+
+    position is the scenario's index in `scenarios`, which keeps a repeated
+    scenario apart from its copy.  base maps the other users to their bids;
+    dev pairs each grid bid with its (included, own payment) entry, and
+    look(bid) answers any own bid.  Exhaustive sweeps walk the profiles in
+    product order.  Sampled sweeps draw profile_samples profiles per
+    transaction with replacement from a seeded stream and audit each
+    distinct one once.  A sample count below 1 and an oversized exhaustive
+    profile space are refused before any scenario is swept.
+    """
+    sampled = profile_samples is not None
+    if sampled and profile_samples < 1:
+        raise ValueError(f"profile_samples must be >= 1, got {profile_samples}")
+    for scenario in scenarios:
+        n = len(scenario.ids())
+        if n > exhaustive_limit and not sampled:
+            raise ProfileSpaceError(n, exhaustive_limit)
+
+    points = grid.points()
+    for pos, scenario in enumerate(scenarios):
+        _precheck_standard_eip1559(mech, scenario, grid)
+        digest = scenario_digest(scenario)
+        ids = scenario.ids()
+        for t in ids:
+            tx = scenario.tx(t)
+            others = tuple(i for i in ids if i != t)
+            if sampled:
+                rng = random.Random(f"{sampling_seed}:{digest}:{t}")
+                drawn = [
+                    tuple(rng.choice(points) for _ in others)
+                    for _ in range(profile_samples)
+                ]
+                profiles = dict.fromkeys(drawn)
+            else:
+                profiles = product(points, repeat=len(others))
+            for profile in profiles:
+                base = dict(zip(others, profile))
+                table, look = _deviation_table(mech, scenario, tx, base, points, budget)
+                yield pos, digest, tx, base, [(b, table[b]) for b in points], look
 
 
 def audit_dsic(
@@ -351,7 +352,6 @@ def audit_dsic(
     scenarios: Sequence[Scenario],
     grid: Grid,
     *,
-    jobs: int = 1,
     budget: int | None = None,
     profile_samples: int | None = None,
     sampling_seed: int = 0,
@@ -369,7 +369,8 @@ def audit_dsic(
     most one block pass (or one standard-rule allocation) on each side of
     the transaction's reserve, not by one allocation per grid bid; every
     (valuation, deviation) cell then reads that table.  Sampled profiles
-    are drawn with replacement and repeats are audited once.
+    are drawn with replacement and repeats are audited once.  A
+    profile_samples below 1 or a negative max_witnesses raises ValueError.
     """
     points = grid.points()
     witnesses = []
@@ -377,80 +378,34 @@ def audit_dsic(
     max_regret = 0
     sampled = profile_samples is not None
 
-    for scenario in scenarios:
-        n = len(scenario.ids())
-        if n > exhaustive_limit and not sampled:
-            raise ProfileSpaceError(n, exhaustive_limit)
-
-    for scenario in scenarios:
-        _precheck_standard_eip1559(mech, scenario, grid)
-        digest = scenario_digest(scenario)
-        ids = scenario.ids()
-
-        tasks = []
-        for t in ids:
-            others = tuple(i for i in ids if i != t)
-            if sampled:
-                tasks.append((t, others, None))
-            elif others:
-                for first in points:
-                    tasks.append((t, others, first))
-            else:
-                tasks.append((t, others, None))
-
-        def run_task(task):
-            t, others, first = task
-            tx = scenario.tx(t)
-            task_witnesses = []
-            task_cells = 0
-            task_regret = 0
-            if sampled:
-                profiles = _profiles_for(
-                    points, others, "sampled", profile_samples,
-                    f"{sampling_seed}:{digest}:{t}",
+    for _, digest, tx, base, dev, look in _sweep(
+        mech, scenarios, grid, budget, profile_samples, sampling_seed, exhaustive_limit
+    ):
+        for v in points:
+            sb = strategy_bid(strategy, v, tx)
+            inc0, pay0 = look(sb)
+            u0 = (v - pay0) if inc0 else 0
+            best_gain = 0
+            best_bid = None
+            for b, (inc, pay) in dev:
+                u = (v - pay) if inc else 0
+                if u - u0 > best_gain:
+                    best_gain = u - u0
+                    best_bid = b
+            cells += 1
+            if best_gain > 0:
+                max_regret = max(max_regret, best_gain)
+                witnesses.append(
+                    Witness(
+                        scenario_digest=digest,
+                        tx_id=tx.tx_id,
+                        valuation=v,
+                        recommended_bid=sb,
+                        deviation_bid=best_bid,
+                        utility_gain=best_gain,
+                        cell_bids=tuple(sorted(base.items())),
+                    )
                 )
-            elif others and first is not None:
-                rest = product(points, repeat=len(others) - 1)
-                profiles = ((first,) + r for r in rest)
-            else:
-                profiles = [()]
-            for profile in profiles:
-                base = dict(zip(others, profile))
-                table, look = _deviation_table(
-                    mech, scenario, tx, base, points, budget
-                )
-                dev = [(b, table[b]) for b in points]
-                for v in points:
-                    sb = strategy_bid(strategy, v, tx)
-                    inc0, pay0 = look(sb)
-                    u0 = (v - pay0) if inc0 else 0
-                    best_gain = 0
-                    best_bid = None
-                    for b, (inc, pay) in dev:
-                        u = (v - pay) if inc else 0
-                        if u - u0 > best_gain:
-                            best_gain = u - u0
-                            best_bid = b
-                    task_cells += 1
-                    if best_gain > 0:
-                        task_regret = max(task_regret, best_gain)
-                        task_witnesses.append(
-                            Witness(
-                                scenario_digest=digest,
-                                tx_id=t,
-                                valuation=v,
-                                recommended_bid=sb,
-                                deviation_bid=best_bid,
-                                utility_gain=best_gain,
-                                cell_bids=tuple(sorted(base.items())),
-                            )
-                        )
-            return task_witnesses, task_cells, task_regret
-
-        for ws, c, r in _run_ordered(run_task, tasks, jobs):
-            witnesses.extend(ws)
-            cells += c
-            max_regret = max(max_regret, r)
 
     verdict = PASS if max_regret == 0 else FAIL
     return AuditReport(
@@ -469,7 +424,6 @@ def audit_approx_dsic_bound(
     scenarios: Sequence[Scenario],
     grid: Grid,
     *,
-    jobs: int = 1,
     budget: int | None = None,
     profile_samples: int | None = None,
     sampling_seed: int = 0,
@@ -484,7 +438,9 @@ def audit_approx_dsic_bound(
     than the transaction's maximum marginal producer value below the capped
     bid never strictly help, and no deviation gains more than that marginal
     value.  Violations of any of the three are witnessed; lawful bounded
-    regret is reported but is not a violation.
+    regret is reported but is not a violation.  Profiles are swept as in
+    audit_dsic, and the bound checks keep one entry per (scenario,
+    transaction) in input order, a repeated scenario included.
     """
     if mech.preset not in (TIPLESS, EIP1559) or mech.allocation is not Allocation.CONSONANT:
         raise UnsupportedInstanceError(
@@ -506,104 +462,68 @@ def audit_approx_dsic_bound(
     witnesses = []
     bound_checks = []
     cells = 0
-    max_regret = 0
     sampled = profile_samples is not None
-    violations = 0
 
-    for scenario in scenarios:
-        n = len(scenario.ids())
-        if n > exhaustive_limit and not sampled:
-            raise ProfileSpaceError(n, exhaustive_limit)
-
-    for scenario in scenarios:
-        digest = scenario_digest(scenario)
-        ids = scenario.ids()
-        nu = {}
-        for t in ids:
-            try:
-                nu[t] = max_marginal_value(t, scenario, budget=budget)
-            except NoFeasibleBlockError:
-                nu[t] = 0  # never includable, so deviations never matter
-
-        def run_tx(t):
-            tx = scenario.tx(t)
-            others = tuple(i for i in ids if i != t)
-            profiles = _profiles_for(
-                points,
-                others,
-                "sampled" if sampled else "exhaustive",
-                profile_samples,
-                f"{sampling_seed}:{digest}:{t}",
-            )
-            tx_witnesses = []
-            tx_cells = 0
-            tx_regret = 0
-            overbid = 0
-            below = 0
-            bound_ok = True
-            for profile in profiles:
-                base = dict(zip(others, profile))
-                table, look = _deviation_table(
-                    mech, scenario, tx, base, points, budget
-                )
-                dev = [(b, table[b]) for b in points]
-                for v in points:
-                    sb = strategy_bid(strategy, v, tx)
-                    inc0, pay0 = look(sb)
-                    u0 = (v - pay0) if inc0 else 0
-                    cell_best = 0
-                    cell_bid = None
-                    for b, (inc, pay) in dev:
-                        u = (v - pay) if inc else 0
-                        gain = u - u0
-                        if gain > 0:
-                            if b > sb:
-                                overbid += 1
-                                tx_witnesses.append(
-                                    Witness(digest, t, v, sb, b, gain,
-                                            tuple(sorted(base.items())))
-                                )
-                            if b < sb - nu[t]:
-                                below += 1
-                                tx_witnesses.append(
-                                    Witness(digest, t, v, sb, b, gain,
-                                            tuple(sorted(base.items())))
-                                )
-                            if gain > cell_best:
-                                cell_best = gain
-                                cell_bid = b
-                    tx_cells += 1
-                    tx_regret = max(tx_regret, cell_best)
-                    if cell_best > nu[t]:
-                        bound_ok = False
-                        tx_witnesses.append(
-                            Witness(digest, t, v, sb, cell_bid, cell_best,
-                                    tuple(sorted(base.items())))
-                        )
-            check = BoundCheck(
+    sweep = _sweep(
+        mech, scenarios, grid, budget, profile_samples, sampling_seed, exhaustive_limit
+    )
+    for (pos, t), profiles in groupby(sweep, key=lambda p: (p[0], p[2].tx_id)):
+        try:
+            nu = max_marginal_value(t, scenarios[pos], budget=budget)
+        except NoFeasibleBlockError:
+            nu = 0  # never includable, so deviations never matter
+        tx_regret = 0
+        overbid = 0
+        below = 0
+        bound_ok = True
+        for _, digest, tx, base, dev, look in profiles:
+            cell_bids = tuple(sorted(base.items()))
+            for v in points:
+                sb = strategy_bid(strategy, v, tx)
+                inc0, pay0 = look(sb)
+                u0 = (v - pay0) if inc0 else 0
+                cell_best = 0
+                cell_bid = None
+                for b, (inc, pay) in dev:
+                    u = (v - pay) if inc else 0
+                    gain = u - u0
+                    if gain > 0:
+                        if b > sb:
+                            overbid += 1
+                            witnesses.append(Witness(digest, t, v, sb, b, gain, cell_bids))
+                        if b < sb - nu:
+                            below += 1
+                            witnesses.append(Witness(digest, t, v, sb, b, gain, cell_bids))
+                        if gain > cell_best:
+                            cell_best = gain
+                            cell_bid = b
+                cells += 1
+                tx_regret = max(tx_regret, cell_best)
+                if cell_best > nu:
+                    bound_ok = False
+                    witnesses.append(
+                        Witness(digest, t, v, sb, cell_bid, cell_best, cell_bids)
+                    )
+        bound_checks.append(
+            BoundCheck(
                 scenario_digest=digest,
                 tx_id=t,
-                nu=nu[t],
+                nu=nu,
                 max_regret=tx_regret,
                 within_bound=bound_ok,
                 overbid_violations=overbid,
                 below_range_violations=below,
             )
-            return tx_witnesses, tx_cells, tx_regret, check
+        )
 
-        for ws, c, r, check in _run_ordered(run_tx, list(ids), jobs):
-            witnesses.extend(ws)
-            cells += c
-            max_regret = max(max_regret, r)
-            bound_checks.append(check)
-            violations += check.overbid_violations + check.below_range_violations
-            violations += 0 if check.within_bound else 1
-
-    verdict = PASS if violations == 0 else FAIL
+    violations = sum(
+        c.overbid_violations + c.below_range_violations + (not c.within_bound)
+        for c in bound_checks
+    )
     return AuditReport(
         kind="approx-dsic",
-        verdict=verdict,
-        max_regret=max_regret,
+        verdict=PASS if violations == 0 else FAIL,
+        max_regret=max((c.max_regret for c in bound_checks), default=0),
         witnesses=_finalize_witnesses(witnesses, max_witnesses),
         cells_checked=cells,
         bound_checks=tuple(bound_checks),

@@ -55,7 +55,7 @@ from .scenario_io import (
     serialize_scenario,
     write_scenario_file,
 )
-from .solver import BUDGET_ENV_VAR, EnumerationBudgetError
+from .solver import BUDGET_ENV_VAR, EnumerationBudgetError, resolve_budget
 
 PASS_EXIT = 0
 FAIL_EXIT = 1
@@ -93,7 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(audit)
     audit.add_argument("--grid-step", type=int)
     audit.add_argument("--grid-max", type=int)
-    audit.add_argument("--jobs", type=int, default=1)
     audit.add_argument("--samples", type=int, help="sample this many bid profiles per user instead of sweeping all")
     audit.add_argument("--seed", type=int, default=0, help="sampling seed for --samples")
     audit.add_argument("--strategy", default="truthful", help="truthful, capped, or offset:D")
@@ -233,6 +232,10 @@ def _emit(text: str, out: Path | None):
 def _cmd_audit(args) -> int:
     if args.kind == "welfare":
         return _cmd_welfare(args)
+    if args.samples is not None and args.samples < 1:
+        raise CliUsageError(f"--samples must be >= 1, got {args.samples}")
+    if args.max_witnesses < 0:
+        raise CliUsageError(f"--max-witnesses must be >= 0, got {args.max_witnesses}")
     docs = _load_docs(args.files)
     started = time.monotonic()
     parts = []
@@ -247,7 +250,6 @@ def _cmd_audit(args) -> int:
                 strategy,
                 scenarios,
                 grid,
-                jobs=args.jobs,
                 budget=args.budget,
                 profile_samples=args.samples,
                 sampling_seed=args.seed,
@@ -258,7 +260,6 @@ def _cmd_audit(args) -> int:
                 mech,
                 scenarios,
                 grid,
-                jobs=args.jobs,
                 budget=args.budget,
                 max_witnesses=args.max_witnesses,
             )
@@ -267,7 +268,6 @@ def _cmd_audit(args) -> int:
                 mech,
                 scenarios,
                 grid,
-                jobs=args.jobs,
                 budget=args.budget,
                 profile_samples=args.samples,
                 sampling_seed=args.seed,
@@ -407,6 +407,11 @@ def main(argv=None) -> int:
         "gen": _cmd_gen,
     }
     try:
+        if hasattr(args, "budget"):  # every command but gen enumerates blocks
+            try:
+                resolve_budget(args.budget)
+            except ValueError as exc:
+                raise CliUsageError(str(exc)) from None
         return handlers[args.command](args)
     except (CliUsageError, ScenarioFormatError, OSError, ProfileSpaceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

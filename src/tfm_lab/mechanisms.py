@@ -173,10 +173,9 @@ def payment(mech: Mechanism, block: Block, bids: Mapping[int, Money], scenario: 
 
 
 def burn(mech: Mechanism, block: Block, bids: Mapping[int, Money], scenario: Scenario) -> Money:
-    """Money destroyed when this block is produced under these bids."""
-    if mech.preset in (EIP1559, TIPLESS):
-        return sum(mech.reserve(scenario.tx(t)) for t in block.txs)
-    return 0
+    """Money destroyed when this block is produced under these bids: every
+    member's reserve, which is 0 for presets without a base fee."""
+    return sum(mech.reserve(scenario.tx(t)) for t in block.txs)
 
 
 def bps(block: Block, bids: Mapping[int, Money], scenario: Scenario, mech: Mechanism) -> Money:

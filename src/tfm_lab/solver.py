@@ -27,15 +27,13 @@ from .core import (
     bp_value,
 )
 from .mechanisms import (
-    EIP1559,
-    FPA,
-    TIPLESS,
     Allocation,
     Mechanism,
     NoEligibleBlockError,
     UnsupportedInstanceError,
     _eligible_ids,
     _require_bid,
+    own_payment,
 )
 
 DEFAULT_BUDGET = 1 << 20
@@ -159,26 +157,15 @@ def _enumerate_knapsack(scenario, blockset, eligible, budget):
     return tuple(blocks)
 
 
-def _contribution(mech: Mechanism, tx: Transaction, bid: Money) -> Money:
-    """Fee income minus burn that one included transaction brings the
-    producer; never decreases in the bid."""
-    preset = mech.preset
-    if preset == FPA:
-        return bid
-    if preset == EIP1559:
-        return bid - mech.reserve(tx)
-    if preset == TIPLESS:
-        reserve = mech.reserve(tx)
-        return min(bid, reserve) - reserve
-    return 0
-
-
 def _per_tx_contribution(
     mech: Mechanism, bids: Mapping[int, Money], scenario: Scenario
 ) -> dict[int, Money]:
-    """Every transaction's contribution at its bid."""
+    """Every transaction's contribution at its bid: the fee income minus
+    burn that it brings the producer when included, which never decreases
+    in the bid."""
     return {
-        tx.tx_id: _contribution(mech, tx, _require_bid(bids, tx.tx_id))
+        tx.tx_id: own_payment(mech, tx, _require_bid(bids, tx.tx_id))
+        - mech.reserve(tx)
         for tx in scenario.transactions
     }
 
@@ -403,7 +390,8 @@ class SplitArgmax:
             return False
         if self.without is None:
             return True
-        s = self.holding_score + _contribution(self.mech, self.tx, bid)
+        tx = self.tx
+        s = self.holding_score + own_payment(self.mech, tx, bid) - self.mech.reserve(tx)
         if s != self.without_score:
             return s > self.without_score
         return canonical_key(self.holding) < canonical_key(self.without)

@@ -345,25 +345,21 @@ def test_criterion_9_reports_are_byte_deterministic(tmp_path):
     )
     assert src.read_bytes() == src_again.read_bytes()
 
-    def audit_bytes(kind, jobs, name, *extra):
+    def audit_bytes(kind, name):
         out = tmp_path / name
         code = cli_main(
             [
                 "audit", kind, str(src),
                 "--mech", "eip1559", "--base-fee", "2",
                 "--grid-step", "1", "--grid-max", "6",
-                "--jobs", jobs, "--out", str(out),
-                *extra,
+                "--out", str(out),
             ]
         )
         assert code in (0, 1)
         return out.read_bytes()
 
     for kind in ("bpic", "dsic"):
-        one = audit_bytes(kind, "1", f"{kind}-j1.csv")
-        eight = audit_bytes(kind, "8", f"{kind}-j8.csv")
-        rerun = audit_bytes(kind, "8", f"{kind}-j8b.csv")
-        assert one == eight == rerun
+        assert audit_bytes(kind, f"{kind}-a.csv") == audit_bytes(kind, f"{kind}-b.csv")
 
     def construction_bytes(tag):
         out_dir = tmp_path / tag

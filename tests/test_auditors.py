@@ -18,6 +18,7 @@ from tfm_lab import (
     Allocation,
     AuditReport,
     Block,
+    BoundCheck,
     CappedAtReserve,
     Eligibility,
     EnumerationBudgetError,
@@ -70,30 +71,109 @@ def scenario(specs, cap=None, bp=None):
 GRID = GridSpec(1, 4)
 
 
-def oracle_dsic_regret(mech, strategy, sc, grid):
-    """Naive recomputation of the worst deviation gain over all cells."""
+def oracle_cells(sc, grid):
+    """Every (tx id, other users' bids, valuation) cell of an exhaustive
+    user-deviation sweep, in sweep order."""
     points = grid.points()
     ids = sc.ids()
-    worst = 0
-    for profile in product(points, repeat=len(ids)):
-        others = dict(zip(ids, profile))
-        for t in ids:
-            tx = sc.tx(t)
+    for t in ids:
+        others = [i for i in ids if i != t]
+        for profile in product(points, repeat=len(others)):
+            base = dict(zip(others, profile))
             for v in points:
-                sb = strategy_bid(strategy, v, tx)
+                yield t, base, v
 
-                def utility(bid):
-                    bids = dict(others)
-                    bids[t] = bid
-                    block = recommended_block(mech, bids, sc)
-                    if t not in block:
-                        return 0
-                    return v - payment(mech, block, bids, sc)[t]
 
-                base = utility(sb)
-                for dev in points:
-                    worst = max(worst, utility(dev) - base)
-    return worst
+def oracle_gains(mech, sc, t, base, v, sb, points):
+    """Gain of every grid deviation over the bid sb: one
+    recommended_block and one payment() call per own bid."""
+
+    def utility(bid):
+        bids = dict(base)
+        bids[t] = bid
+        block = recommended_block(mech, bids, sc)
+        if t not in block:
+            return 0
+        return v - payment(mech, block, bids, sc)[t]
+
+    stay = utility(sb)
+    return [utility(b) - stay for b in points]
+
+
+def oracle_dsic(mech, strategy, scenarios, grid):
+    """audit_dsic recomputed cell by cell."""
+    points = grid.points()
+    witnesses = []
+    cells = 0
+    for sc in scenarios:
+        for t, base, v in oracle_cells(sc, grid):
+            sb = strategy_bid(strategy, v, sc.tx(t))
+            gains = oracle_gains(mech, sc, t, base, v, sb, points)
+            best = max(gains)
+            cells += 1
+            if best > 0:
+                witnesses.append(
+                    Witness(scenario_digest(sc), t, v, sb, points[gains.index(best)],
+                            best, tuple(sorted(base.items())))
+                )
+    return AuditReport(
+        kind="dsic",
+        verdict="FAIL" if witnesses else "PASS",
+        max_regret=max((w.utility_gain for w in witnesses), default=0),
+        witnesses=tuple(sorted(witnesses, key=witness_sort_key)[:1000]),
+        cells_checked=cells,
+    )
+
+
+def oracle_approx_dsic(mech, scenarios, grid):
+    """audit_approx_dsic_bound recomputed cell by cell, one bound check per
+    (scenario, transaction) in input order."""
+    points = grid.points()
+    strategy = CappedAtReserve(mech.base_fee)
+    witnesses = []
+    checks = []
+    cells = 0
+    for sc in scenarios:
+        digest = scenario_digest(sc)
+        ids = sc.ids()
+        nu = {t: max_marginal_value(t, sc) for t in ids}
+        regret = dict.fromkeys(ids, 0)
+        overbid = dict.fromkeys(ids, 0)
+        below = dict.fromkeys(ids, 0)
+        for t, base, v in oracle_cells(sc, grid):
+            cell = tuple(sorted(base.items()))
+            sb = strategy_bid(strategy, v, sc.tx(t))
+            gains = oracle_gains(mech, sc, t, base, v, sb, points)
+            for b, gain in zip(points, gains):
+                if gain > 0 and b > sb:
+                    overbid[t] += 1
+                    witnesses.append(Witness(digest, t, v, sb, b, gain, cell))
+                if gain > 0 and b < sb - nu[t]:
+                    below[t] += 1
+                    witnesses.append(Witness(digest, t, v, sb, b, gain, cell))
+            best = max(0, *gains)
+            regret[t] = max(regret[t], best)
+            cells += 1
+            if best > nu[t]:
+                witnesses.append(
+                    Witness(digest, t, v, sb, points[gains.index(best)], best, cell)
+                )
+        checks += [
+            BoundCheck(digest, t, nu[t], regret[t], regret[t] <= nu[t], overbid[t], below[t])
+            for t in ids
+        ]
+    failed = any(
+        c.overbid_violations or c.below_range_violations or not c.within_bound
+        for c in checks
+    )
+    return AuditReport(
+        kind="approx-dsic",
+        verdict="FAIL" if failed else "PASS",
+        max_regret=max((c.max_regret for c in checks), default=0),
+        witnesses=tuple(sorted(witnesses, key=witness_sort_key)[:1000]),
+        cells_checked=cells,
+        bound_checks=tuple(checks),
+    )
 
 
 class TestDsic:
@@ -136,15 +216,43 @@ class TestDsic:
 
     def test_matches_nested_loop_oracle(self):
         sc = scenario([(1, 3, 3), (1, 1, 1)])
+        scenarios = [sc, scenario([(2, 2, 2)]), sc]
         grid = GridSpec(1, 3)
         for mech, strategy in (
             (Mechanism.eip1559(2), Truthful()),
             (Mechanism.eip1559(2), CappedAtReserve(2)),
             (Mechanism.fpa(), Truthful()),
             (Mechanism.tipless(1), Truthful()),
+            # every bid from the reserve up gains the same: the first is named
+            (Mechanism.tipless(1), FixedOffset(-2)),
         ):
-            report = audit_dsic(mech, strategy, [sc], grid)
-            assert report.max_regret == oracle_dsic_regret(mech, strategy, sc, grid)
+            report = audit_dsic(mech, strategy, scenarios, grid)
+            assert report == oracle_dsic(mech, strategy, scenarios, grid)
+
+    def test_rejects_sample_counts_below_one(self):
+        # a sweep of no profiles would PASS over 0 cells, although this
+        # scenario FAILs when swept exhaustively
+        sc = scenario([(1, 3, 3), (1, 2, 2)], cap=1)
+        mech = Mechanism.fpa(Allocation.CONSONANT)
+        grid = GridSpec(1, 3)
+        assert audit_dsic(mech, Truthful(), [sc], grid).verdict == "FAIL"
+        for samples in (0, -2):
+            with pytest.raises(ValueError, match="profile_samples"):
+                audit_dsic(mech, Truthful(), [sc], grid, profile_samples=samples)
+            with pytest.raises(ValueError, match="profile_samples"):
+                audit_approx_dsic_bound(
+                    Mechanism.tipless(2, Eligibility.FREE, Allocation.CONSONANT),
+                    [sc], grid, profile_samples=samples,
+                )
+
+    def test_rejects_negative_max_witnesses(self):
+        sc = scenario([(1, 3, 3), (1, 2, 2)], cap=1)
+        mech = Mechanism.fpa(Allocation.CONSONANT)
+        assert audit_dsic(mech, Truthful(), [sc], GRID, max_witnesses=0).witnesses == ()
+        with pytest.raises(ValueError, match="max_witnesses"):
+            audit_dsic(mech, Truthful(), [sc], GRID, max_witnesses=-1)
+        with pytest.raises(ValueError, match="max_witnesses"):
+            audit_bpic(Mechanism.fpa(), [sc], GRID, max_witnesses=-1)
 
     def test_cells_checked_counts_grid_exactly(self):
         sc = scenario([(1, 3, 3), (1, 1, 1)])
@@ -198,13 +306,6 @@ class TestDsic:
         assert sampled.cells_checked == exhaustive.cells_checked
         assert sampled.witnesses == exhaustive.witnesses
         assert sampled.bound_checks == exhaustive.bound_checks
-
-    def test_jobs_do_not_change_the_report(self):
-        sc = scenario([(1, 3, 3), (2, 2, 2), (1, 1, 1)])
-        mech = Mechanism.eip1559(2)
-        a = audit_dsic(mech, Truthful(), [sc], GRID, jobs=1)
-        b = audit_dsic(mech, Truthful(), [sc], GRID, jobs=4)
-        assert a == b
 
 
 MECHANISMS = (
@@ -385,12 +486,6 @@ class TestBpic:
             report = audit_bpic(mech, [sc], GRID)
             assert report.verdict == "PASS" and report.max_regret == 0
 
-    def test_jobs_do_not_change_the_report(self):
-        sc = scenario([(1, 3, 3), (1, 2, 2)], bp=AdditiveValuation({0: 4}))
-        a = audit_bpic(Mechanism.eip1559(2), [sc], GRID, jobs=1)
-        b = audit_bpic(Mechanism.eip1559(2), [sc], GRID, jobs=3)
-        assert a == b
-
 
 def oracle_bpic(mech, scenarios, grid, rule=recommended_block):
     """audit_bpic recomputed cell by cell: one rule call and one
@@ -499,14 +594,13 @@ class TestBpicAgainstCells:
         mech, sc = case
         want = oracle_bpic(mech, [sc], GridSpec(1, 2))
         assert audit_bpic(mech, [sc], GridSpec(1, 2)) == want
-        assert audit_bpic(mech, [sc], GridSpec(1, 2), jobs=3) == want
 
     def test_revenue_max_witnesses_on_orderings(self):
         # the producer values one ordering; revenue_max names the other
         txs = (Transaction(0, 1, 0), Transaction(1, 1, 0))
         bp = TableValuation({Block((1, 0)): 2})
         sc = Scenario(txs, bp, KnapsackBlockset(2, enumerate_permutations=True))
-        report = audit_bpic(Mechanism.fpa(), [sc], GridSpec(1, 2), jobs=3)
+        report = audit_bpic(Mechanism.fpa(), [sc], GridSpec(1, 2))
         assert report == oracle_bpic(Mechanism.fpa(), [sc], GridSpec(1, 2))
         assert report.verdict == "FAIL" and report.max_regret == 2
 
@@ -518,8 +612,7 @@ class TestBpicAgainstCells:
         monkeypatch.setattr(auditors, "recommended_block", rotating_rule)
         want = oracle_bpic(mech, [sc], GRID, rule=rotating_rule)
         assert want.tie_conflicts
-        for jobs in (1, 3):
-            assert audit_bpic(mech, [sc], GRID, jobs=jobs) == want
+        assert audit_bpic(mech, [sc], GRID) == want
 
 
 class TestNoEligibleBlock:
@@ -600,6 +693,24 @@ class TestApproxBound:
         report = audit_approx_dsic_bound(mech, [sc], GRID)
         assert report.verdict == "PASS"
         assert all(c.within_bound for c in report.bound_checks)
+
+    @pytest.mark.parametrize(
+        "mech",
+        [
+            Mechanism.tipless(2, Eligibility.FREE, Allocation.CONSONANT),
+            Mechanism.eip1559(1, Eligibility.FREE, Allocation.CONSONANT),
+        ],
+        ids=lambda m: m.preset,
+    )
+    def test_matches_nested_loop_oracle(self, mech):
+        # a scenario repeated back to back keeps one bound check per
+        # transaction per copy
+        knife = scenario([(2, 4, 4)], cap=2)
+        staked = scenario([(2, 3, 3), (2, 2, 2)], cap=4, bp=AdditiveValuation({0: 3, 1: 1}))
+        scenarios = [knife, knife, staked]
+        report = audit_approx_dsic_bound(mech, scenarios, GRID)
+        assert report == oracle_approx_dsic(mech, scenarios, GRID)
+        assert [c.tx_id for c in report.bound_checks] == [0, 0, 0, 1]
 
     def test_eip1559_consonant_knife_edge_is_reported(self):
         # at the capped bid the producer surplus ties and the fixed order

@@ -102,6 +102,35 @@ class TestExitCodes:
         assert code == 3
         assert "budget" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [("--samples", "0"), ("--samples", "-2"), ("--max-witnesses", "-1"), ("--budget", "0")],
+        ids=lambda f: " ".join(f),
+    )
+    def test_usage_error_for_out_of_range_numbers(self, tmp_path, capsys, flags):
+        path = gen_file(tmp_path, capsys, "s.json")
+        code, out, err = run(
+            capsys,
+            "audit", "dsic", str(path),
+            "--mech", "fpa", "--allocation", "consonant", "--grid-max", "3", *flags,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_usage_error_for_bad_budget_variable(self, tmp_path, capsys, monkeypatch):
+        path = gen_file(tmp_path, capsys, "s.json")
+        monkeypatch.setenv("TFMLAB_BUDGET", "abc")
+        code, _, err = run(capsys, "audit", "bpic", str(path), "--mech", "fpa")
+        assert code == 2
+        assert err.startswith("error: TFMLAB_BUDGET must be an integer")
+
+    def test_jobs_flag_is_gone(self, tmp_path, capsys):
+        path = gen_file(tmp_path, capsys, "s.json")
+        with pytest.raises(SystemExit) as info:
+            main(["audit", "bpic", str(path), "--mech", "fpa", "--jobs", "2"])
+        assert info.value.code == 2
+
     def test_fail_exit_carries_a_report(self, tmp_path, capsys):
         path = gen_file(tmp_path, capsys, "s.json", "--all-fit")
         code, out, _ = run(
@@ -189,20 +218,6 @@ class TestAudit:
         )
         assert code == 0
         assert parse_audit_report(out)["verdict"] == "PASS"
-
-    def test_jobs_do_not_change_bytes(self, tmp_path, capsys):
-        path = gen_file(tmp_path, capsys, "s.json", "--bp", "additive", "--all-fit")
-        outs = []
-        for jobs, name in (("1", "j1.csv"), ("8", "j8.csv")):
-            out_path = tmp_path / name
-            run(
-                capsys,
-                "audit", "bpic", str(path),
-                "--mech", "eip1559", "--base-fee", "2",
-                "--grid-max", "4", "--jobs", jobs, "--out", str(out_path),
-            )
-            outs.append(out_path.read_bytes())
-        assert outs[0] == outs[1]
 
     def test_timings_change_only_wall_time(self, tmp_path, capsys):
         path = gen_file(tmp_path, capsys, "s.json")

@@ -40,9 +40,11 @@ from tfm_lab import (
     enumerate_blocks,
     max_marginal_value,
     max_revenue_block,
+    own_payment,
     payment,
     recommended_block,
 )
+from tfm_lab.solver import _per_tx_contribution
 
 
 def knapsack_scenario(specs, cap, bp=None, permutations=False):
@@ -173,6 +175,33 @@ class TestSplitArgmax:
         sc = knapsack_scenario([(1, 0, 1)], cap=1)
         with pytest.raises(UnsupportedInstanceError):
             bps_split_argmax(sc.submitted_bids(), sc, Mechanism.tipless(1), 0)
+
+
+class TestFeeRule:
+    """The contribution the argmax adds per member and the burn both follow
+    from own_payment and the reserve, for every preset."""
+
+    @pytest.mark.parametrize(
+        "mech",
+        [Mechanism.fpa(), Mechanism.eip1559(2), Mechanism.tipless(2), Mechanism.trivial()],
+        ids=lambda m: m.preset,
+    )
+    def test_contribution_and_burn(self, mech):
+        for size, bid, other in product((1, 2, 3), range(9), range(3)):
+            sc = knapsack_scenario([(size, 0, 0), (1, 0, 0)], cap=size + 1)
+            bids = {0: bid, 1: other}
+            contrib = _per_tx_contribution(mech, bids, sc)
+            r = mech.reserve(sc.tx(0))
+            want = {
+                "fpa": bid,
+                "eip1559": bid - r,
+                "tipless": min(bid, r) - r,
+                "trivial": 0,
+            }[mech.preset]
+            assert contrib[0] == own_payment(mech, sc.tx(0), bid) - r == want
+            reserves = [mech.reserve(tx) for tx in sc.transactions]
+            assert burn(mech, Block((0, 1)), bids, sc) == sum(reserves)
+            assert burn(mech, Block((0,)), bids, sc) == r
 
 
 class TestDynamicProgram:
