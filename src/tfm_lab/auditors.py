@@ -18,7 +18,6 @@ from .core import Block, Money, Scenario, bp_value, welfare
 from .mechanisms import (
     EIP1559,
     TIPLESS,
-    TRIVIAL,
     Allocation,
     BiddingStrategy,
     CappedAtReserve,
@@ -41,11 +40,14 @@ from .solver import (
     bps_split_argmax,
     canonical_key,
     enumerate_blocks,
+    max_block,
     max_marginal_value,
 )
 
 PASS = "PASS"
 FAIL = "FAIL"
+# largest transaction count an exhaustive user-deviation sweep accepts
+EXHAUSTIVE_LIMIT = 5
 
 
 class ProfileSpaceError(ValueError):
@@ -193,12 +195,12 @@ def audit_bpic(
     the tie-breaking between surplus-tied blocks must be explainable by some
     fixed order on blocks (checked as acyclicity of observed preferences).
 
-    Cost: one bps_argmax_detail call per cell; argmax rules (consonant, or
-    the trivial preset) recommend its best block, and the other rules add
-    one recommended_block call.
+    Cost: one bps_argmax_detail call per cell; the consonant rule (which
+    the trivial preset always uses) recommends its best block, and the
+    other rules add one recommended_block call.
     """
     points = bid_grid.points()
-    argmax_rule = mech.preset == TRIVIAL or mech.allocation is Allocation.CONSONANT
+    argmax_rule = mech.allocation is Allocation.CONSONANT
     witnesses = []
     conflicts = []
     cells = 0
@@ -302,7 +304,7 @@ def _deviation_table(mech, scenario, tx, base_bids, points, budget):
     return table, look
 
 
-def _sweep(mech, scenarios, grid, budget, profile_samples, sampling_seed, exhaustive_limit):
+def _sweep(mech, scenarios, grid, budget, profile_samples, sampling_seed):
     """Yield (position, digest, tx, base, dev, look) once per other-bid
     profile of every transaction of every scenario, in input order.
 
@@ -320,8 +322,8 @@ def _sweep(mech, scenarios, grid, budget, profile_samples, sampling_seed, exhaus
         raise ValueError(f"profile_samples must be >= 1, got {profile_samples}")
     for scenario in scenarios:
         n = len(scenario.ids())
-        if n > exhaustive_limit and not sampled:
-            raise ProfileSpaceError(n, exhaustive_limit)
+        if n > EXHAUSTIVE_LIMIT and not sampled:
+            raise ProfileSpaceError(n, EXHAUSTIVE_LIMIT)
 
     points = grid.points()
     for pos, scenario in enumerate(scenarios):
@@ -356,7 +358,6 @@ def audit_dsic(
     profile_samples: int | None = None,
     sampling_seed: int = 0,
     max_witnesses: int = 1000,
-    exhaustive_limit: int = 5,
 ) -> AuditReport:
     """Hunt for a profitable unilateral bid deviation from the strategy.
 
@@ -379,7 +380,7 @@ def audit_dsic(
     sampled = profile_samples is not None
 
     for _, digest, tx, base, dev, look in _sweep(
-        mech, scenarios, grid, budget, profile_samples, sampling_seed, exhaustive_limit
+        mech, scenarios, grid, budget, profile_samples, sampling_seed
     ):
         for v in points:
             sb = strategy_bid(strategy, v, tx)
@@ -428,7 +429,6 @@ def audit_approx_dsic_bound(
     profile_samples: int | None = None,
     sampling_seed: int = 0,
     max_witnesses: int = 1000,
-    exhaustive_limit: int = 5,
 ) -> AuditReport:
     """Verify the bounded-regret guarantees of reserve-capped bidding.
 
@@ -464,9 +464,7 @@ def audit_approx_dsic_bound(
     cells = 0
     sampled = profile_samples is not None
 
-    sweep = _sweep(
-        mech, scenarios, grid, budget, profile_samples, sampling_seed, exhaustive_limit
-    )
+    sweep = _sweep(mech, scenarios, grid, budget, profile_samples, sampling_seed)
     for (pos, t), profiles in groupby(sweep, key=lambda p: (p[0], p[2].tx_id)):
         try:
             nu = max_marginal_value(t, scenarios[pos], budget=budget)
@@ -551,15 +549,8 @@ class WelfareReport:
 
 def welfare_argmax(scenario: Scenario, *, budget: int | None = None) -> Block:
     """The feasible block with maximum welfare, canonical-first on ties."""
-    best = None
-    best_w = None
-    best_key = None
-    for b in enumerate_blocks(scenario, budget=budget):
-        w = welfare(b, scenario)
-        k = canonical_key(b)
-        if best is None or w > best_w or (w == best_w and k < best_key):
-            best, best_w, best_key = b, w, k
-    return best
+    values = {tx.tx_id: tx.valuation for tx in scenario.transactions}
+    return max_block(scenario, values, valued=True, budget=budget)
 
 
 def audit_welfare_ratio(

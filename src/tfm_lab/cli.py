@@ -36,6 +36,7 @@ from .counterexamples import (
 )
 from .generator import MAX_RANDOM_TXS, random_scenario
 from .mechanisms import (
+    DEFAULT_ALLOCATION,
     Allocation,
     CappedAtReserve,
     Eligibility,
@@ -135,24 +136,11 @@ def _mech_from_flags(args) -> Mechanism | None:
                 raise CliUsageError(f"--{flag.replace('_', '-')} requires --mech")
         return None
     eligibility = Eligibility.BASE_FEE_GATED if args.eligibility == "gated" else Eligibility.FREE
-    if args.mech in ("eip1559", "tipless"):
-        if args.base_fee is None:
-            raise CliUsageError(f"--mech {args.mech} requires --base-fee")
-        factory = Mechanism.eip1559 if args.mech == "eip1559" else Mechanism.tipless
-        if args.allocation is None:
-            return factory(args.base_fee, eligibility)
-        return factory(args.base_fee, eligibility, Allocation(args.allocation))
-    if args.base_fee is not None:
-        raise CliUsageError(f"--base-fee does not apply to --mech {args.mech}")
-    if args.eligibility == "gated":
-        raise CliUsageError(f"--eligibility gated does not apply to --mech {args.mech}")
-    if args.mech == "fpa":
-        if args.allocation is None:
-            return Mechanism.fpa()
-        return Mechanism.fpa(Allocation(args.allocation))
-    if args.allocation not in (None, "consonant"):
-        raise CliUsageError("the trivial mechanism only supports the consonant allocation")
-    return Mechanism.trivial()
+    allocation = Allocation(args.allocation or DEFAULT_ALLOCATION[args.mech])
+    try:
+        return Mechanism(args.mech, args.base_fee, eligibility, allocation)
+    except ValueError as exc:
+        raise CliUsageError(str(exc)) from None
 
 
 def _strategy_from_spec(spec: str, mech: Mechanism):
@@ -383,13 +371,16 @@ def _cmd_counterexample(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    doc = random_scenario(
-        args.seed,
-        n_txs=args.n_tx,
-        grid=GridSpec(args.grid_step, args.grid_max),
-        bp=args.bp,
-        all_fit=args.all_fit,
-    )
+    try:
+        doc = random_scenario(
+            args.seed,
+            n_txs=args.n_tx,
+            grid=GridSpec(args.grid_step, args.grid_max),
+            bp=args.bp,
+            all_fit=args.all_fit,
+        )
+    except ValueError as exc:
+        raise CliUsageError(str(exc)) from None
     mech = _mech_from_flags(args)
     if mech is not None:
         doc = ScenarioDoc(doc.scenario, mech, doc.grid, doc.generator)

@@ -214,9 +214,6 @@ class Scenario:
     def ids(self) -> tuple[int, ...]:
         return tuple(sorted(self._by_id))
 
-    def has_tx(self, tx_id) -> bool:
-        return tx_id in self._by_id
-
     def submitted_bids(self) -> dict[int, Money]:
         return {tx.tx_id: tx.bid for tx in self.transactions}
 

@@ -44,6 +44,15 @@ class Allocation(Enum):
     CONSONANT = "consonant"
 
 
+# the allocation a preset gets when none is named
+DEFAULT_ALLOCATION = {
+    FPA: Allocation.REVENUE_MAX,
+    EIP1559: Allocation.STANDARD,
+    TIPLESS: Allocation.STANDARD,
+    TRIVIAL: Allocation.CONSONANT,
+}
+
+
 class ExcessivelyLowBaseFeeError(ValueError):
     """The reserve is so low that every clearing transaction cannot fit in
     one feasible block; the standard allocation is undefined there."""
@@ -231,7 +240,7 @@ def recommended_block(
     """
     from . import solver
 
-    if mech.preset == TRIVIAL or mech.allocation is Allocation.CONSONANT:
+    if mech.allocation is Allocation.CONSONANT:
         return solver.bps_argmax(bids, scenario, mech, budget=budget)
 
     if mech.preset == FPA:
@@ -257,20 +266,20 @@ def recommended_block(
         return Block(tuple(sorted(clearing)))
 
     # tipless standard: among feasible blocks whose members all clear the
-    # reserve, take the one with the largest total size.
-    elig = _eligible_ids(mech, bids, scenario)
-    blocks = solver.enumerate_blocks(scenario, eligible=elig, budget=budget)
-    best = None
-    best_sz = None
-    for b in blocks:
-        if any(
-            _require_bid(bids, t) < mech.reserve(scenario.tx(t)) for t in b.txs
-        ):
-            continue
-        sz = sum(scenario.tx(t).size for t in b.txs)
-        key = solver.canonical_key(b)
-        if best is None or sz > best_sz or (sz == best_sz and key < solver.canonical_key(best)):
-            best, best_sz = b, sz
+    # reserve, take the one with the largest total size.  Enumerating the
+    # feasible blocks first keeps the budget errors of a scan over them.
+    solver.enumerate_blocks(
+        scenario, eligible=_eligible_ids(mech, bids, scenario), budget=budget
+    )
+    clearing = frozenset(
+        tx.tx_id
+        for tx in scenario.transactions
+        if _require_bid(bids, tx.tx_id) >= mech.reserve(tx)
+    )
+    sizes = {tx.tx_id: tx.size for tx in scenario.transactions}
+    best = solver.max_block(
+        scenario, sizes, valued=False, eligible=clearing, budget=budget
+    )
     if best is None:
         raise NoEligibleBlockError(bids)
     return best

@@ -26,7 +26,7 @@ from .core import (
     TableValuation,
     Transaction,
 )
-from .mechanisms import Allocation, Eligibility, Mechanism
+from .mechanisms import DEFAULT_ALLOCATION, Allocation, Eligibility, Mechanism
 
 SCHEMA_VERSION = 1
 
@@ -191,13 +191,15 @@ def _parse_blockset(obj) -> Blockset:
 def _parse_mechanism(obj) -> Mechanism:
     _expect_keys(obj, "mechanism", {"preset"}, {"base_fee", "eligibility", "allocation"})
     preset = obj["preset"]
+    if not isinstance(preset, str):
+        raise ScenarioFormatError(f"mechanism preset must be a string, got {preset!r}")
     base_fee = obj.get("base_fee")
     if base_fee is not None:
         base_fee = _expect_int(base_fee, "base_fee")
     try:
         eligibility = Eligibility(obj.get("eligibility", "free"))
-        defaults = {"fpa": "revenue_max", "eip1559": "standard", "tipless": "standard"}
-        allocation = Allocation(obj.get("allocation", defaults.get(preset, "consonant")))
+        default = DEFAULT_ALLOCATION.get(preset, Allocation.CONSONANT)
+        allocation = Allocation(obj.get("allocation", default))
         return Mechanism(preset, base_fee, eligibility, allocation)
     except ValueError as exc:
         raise ScenarioFormatError(str(exc)) from None

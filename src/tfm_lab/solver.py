@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, repeat
+from operator import attrgetter
 from typing import Mapping, NamedTuple
 
 from .core import (
@@ -224,81 +225,47 @@ def _plan(scenario: Scenario, eligible, blocks) -> tuple[_Group, ...]:
     return plan
 
 
-def _block_scorer(valuation, contrib):
-    """score(item): the producer's value plus its members' contributions.
-
-    Additive and passive producers are summed inline instead of through
-    bp_value; valuation None scores plan groups by their cached value;
-    every other valuation goes through bp_value.
-    """
-    if isinstance(valuation, AdditiveValuation):
-        mu = valuation.values
-        weight = {t: c + mu.get(t, 0) for t, c in contrib.items()}
-
-        def score(b):
-            total = 0
-            for t in b.txs:
-                total += weight[t]
-            return total
-
-    elif isinstance(valuation, PassiveValuation):
-        const = valuation.constant
-
-        def score(b):
-            total = const
-            for t in b.txs:
-                total += contrib[t]
-            return total
-
-    elif valuation is None:
-
-        def score(g):
-            total = g.value
-            for t in g.txs:
-                total += contrib[t]
-            return total
-
-    else:
-
-        def score(b):
-            total = bp_value(b, valuation)
-            for t in b.txs:
-                total += contrib[t]
-            return total
-
-    return score
-
-
-def _argmax_pass(scenario, eligible, budget, contrib, valued, tx_id=None):
-    """The one scoring kernel behind every argmax reader.
+def _argmax_pass(scenario, eligible, budget, weights, valued, tx_id=None):
+    """The one scoring loop behind every block chosen by a score.
 
     A block scores the producer's value for it (0 when not `valued`) plus
-    its members' contributions.  Returns two sides, the blocks lacking
-    tx_id and those holding it (every block lacks a tx_id of None), each
-    as (maximum score, the blocks attaining it in enumeration order); an
-    empty side reads (None, ()).
+    its members' weights.  Returns two sides, the blocks lacking tx_id and
+    those holding it (every block lacks a tx_id of None), each as (maximum
+    score, the blocks attaining it in enumeration order); an empty side
+    reads (None, ()).
 
     Ordered blocksets (explicit, or knapsack permutations) can list several
     orderings of one member set, so there the pass scores the cached plan's
     groups: a tied group stands for its top orderings, or, when not
     `valued`, for its canonical-first ordering alone.  A plain knapsack has
-    one block per member set and scores its blocks directly.
+    one block per member set and scores its blocks directly; additive
+    stakes are folded into the weights and passive constants into the base.
     """
     blocks = enumerate_blocks(scenario, eligible=eligible, budget=budget)
     blockset = scenario.blockset
     grouped = isinstance(blockset, ExplicitBlockset) or blockset.enumerate_permutations
     if grouped:
         items = _plan(scenario, eligible, blocks)
-        valuation = None if valued else PassiveValuation()
+        bases = map(attrgetter("value"), items) if valued else repeat(0)
     else:
         items = blocks
-        valuation = scenario.bp_valuation if valued else PassiveValuation()
-    score = _block_scorer(valuation, contrib)
+        valuation = scenario.bp_valuation
+        if not valued:
+            bases = repeat(0)
+        elif isinstance(valuation, PassiveValuation):
+            bases = repeat(valuation.constant)
+        elif isinstance(valuation, AdditiveValuation):
+            mu = valuation.values
+            weights = {t: w + mu.get(t, 0) for t, w in weights.items()}
+            bases = repeat(0)
+        else:
+            bases = map(bp_value, blocks, repeat(valuation))
 
     lacking = holding = None
     lacking_tied = holding_tied = ()
-    for it in items:
-        s = score(it)
+    for it, s in zip(items, bases):
+        for t in it.txs:
+            s += weights[t]
         if tx_id is not None and tx_id in it.txs:
             if holding is None or s > holding:
                 holding, holding_tied = s, [it]
@@ -350,14 +317,29 @@ def bps_argmax_detail(
     return _canonical_first(tied), best_score, tuple(tied)
 
 
+def max_block(
+    scenario: Scenario,
+    weights: Mapping[int, Money],
+    *,
+    valued: bool,
+    eligible: frozenset[int] | None = None,
+    budget: int | None = None,
+) -> Block | None:
+    """The enumerated block with the largest total of its members' weights,
+    plus the producer's value for it when `valued`, canonical-first on ties;
+    None when no block is enumerated.  weights must cover every
+    transaction."""
+    (_, tied), _ = _argmax_pass(scenario, eligible, budget, weights, valued)
+    return _canonical_first(tied)
+
+
 def max_revenue_block(
     bids: Mapping[int, Money], scenario: Scenario, *, budget: int | None = None
 ) -> Block:
     """The feasible block with the largest total of its members' bids,
     canonical-first on ties: fpa's revenue_max allocation."""
-    contrib = {tx.tx_id: _require_bid(bids, tx.tx_id) for tx in scenario.transactions}
-    (_, tied), _ = _argmax_pass(scenario, None, budget, contrib, False)
-    return _canonical_first(tied)
+    weights = {tx.tx_id: _require_bid(bids, tx.tx_id) for tx in scenario.transactions}
+    return max_block(scenario, weights, valued=False, budget=budget)
 
 
 @dataclass(frozen=True, slots=True)

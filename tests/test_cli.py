@@ -118,6 +118,31 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("audit", "dsic", "F", "--mech", "fpa", "--allocation", "standard"),
+            ("audit", "bpic", "F", "--mech", "eip1559", "--base-fee", "-1"),
+            (
+                "welfare", "F",
+                "--mech", "tipless", "--base-fee", "2", "--allocation", "revenue_max",
+            ),
+            ("gen", "--seed", "1", "--n-tx", "0"),
+            ("gen", "--seed", "1", "--grid-max", "0"),
+        ],
+        ids=lambda a: " ".join(a),
+    )
+    def test_usage_error_for_rejected_mechanism_or_generator_flags(
+        self, tmp_path, capsys, argv
+    ):
+        path = gen_file(tmp_path, capsys, "s.json")
+        code, out, err = run(
+            capsys, *(str(path) if a == "F" else a for a in argv)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_usage_error_for_bad_budget_variable(self, tmp_path, capsys, monkeypatch):
         path = gen_file(tmp_path, capsys, "s.json")
         monkeypatch.setenv("TFMLAB_BUDGET", "abc")

@@ -144,6 +144,12 @@ class TestParsing:
         with pytest.raises(ScenarioFormatError):
             parse_scenario_text(as_text(raw))
 
+    def test_non_string_preset_rejected(self):
+        raw = dict(MINIMAL)
+        raw["mechanism"] = {"preset": ["fpa"]}
+        with pytest.raises(ScenarioFormatError):
+            parse_scenario_text(as_text(raw))
+
     def test_grid_parses(self):
         raw = dict(MINIMAL)
         raw["grid"] = {"step": 2, "max_value": 8}

@@ -43,6 +43,8 @@ from tfm_lab import (
     own_payment,
     payment,
     recommended_block,
+    welfare,
+    welfare_argmax,
 )
 from tfm_lab.solver import _per_tx_contribution
 
@@ -377,6 +379,36 @@ def scan_revenue(bids, sc):
     return best
 
 
+def scan_tipless_standard(bids, sc, mech):
+    """The per-block tipless standard loop: among feasible blocks whose
+    members all clear the reserve, the largest total size."""
+    elig = None
+    if mech.eligibility is not Eligibility.FREE:
+        elig = frozenset(t for t in sc.ids() if eligible(mech, sc.tx(t), bids[t]))
+    best = None
+    for b in enumerate_blocks(sc, eligible=elig):
+        if any(bids[t] < mech.reserve(sc.tx(t)) for t in b.txs):
+            continue
+        sz = sum(sc.tx(t).size for t in b.txs)
+        if best is None or sz > best_sz or (
+            sz == best_sz and canonical_key(b) < canonical_key(best)
+        ):
+            best, best_sz = b, sz
+    return NoEligibleBlockError if best is None else best
+
+
+def scan_welfare(sc):
+    """The per-block welfare loop: the largest producer plus user value."""
+    best = None
+    for b in enumerate_blocks(sc):
+        w = welfare(b, sc)
+        if best is None or w > best_w or (
+            w == best_w and canonical_key(b) < canonical_key(best)
+        ):
+            best, best_w = b, w
+    return best
+
+
 def scan_split(bids, sc, mech, t):
     """(without, its score, holding, its score less t's own contribution)."""
     blocks = scan_blocks(bids, sc, mech)
@@ -426,7 +458,9 @@ def ordered_cases(draw):
     a mechanism."""
     n = draw(st.integers(1, 4))
     sizes = [draw(st.integers(1, 2)) for _ in range(n)]
-    txs = tuple(Transaction(i, size, 0) for i, size in enumerate(sizes))
+    txs = tuple(
+        Transaction(i, size, draw(st.integers(0, 2))) for i, size in enumerate(sizes)
+    )
     shape = draw(st.sampled_from(("explicit", "permutations", "knapsack")))
     if shape == "explicit":
         sets = [c for k in range(1, n + 1) for c in combinations(range(n), k)]
@@ -462,9 +496,9 @@ def ordered_cases(draw):
 
 
 class TestPlanAgainstScan:
-    """bps_argmax_detail, bps_split_argmax and the revenue_max rule read the
-    grouped plan on ordered blocksets; each must agree with a per-block
-    scan, tie order included."""
+    """bps_argmax_detail, bps_split_argmax, the revenue_max and tipless
+    standard rules and welfare_argmax read the grouped plan on ordered
+    blocksets; each must agree with a per-block scan, tie order included."""
 
     @given(ordered_cases())
     @settings(max_examples=400, deadline=None)
@@ -482,6 +516,14 @@ class TestPlanAgainstScan:
         assert max_revenue_block(bids, sc) == scan_revenue(bids, sc)
         if mech.preset == "fpa" and mech.allocation is Allocation.REVENUE_MAX:
             assert recommended_block(mech, bids, sc) == scan_revenue(bids, sc)
+        if mech.preset == "tipless" and mech.allocation is Allocation.STANDARD:
+            want = scan_tipless_standard(bids, sc, mech)
+            if want is NoEligibleBlockError:
+                with pytest.raises(NoEligibleBlockError):
+                    recommended_block(mech, bids, sc)
+            else:
+                assert recommended_block(mech, bids, sc) == want
+        assert welfare_argmax(sc) == scan_welfare(sc)
         if mech.allocation is Allocation.STANDARD:
             return
         for t in sc.ids():
@@ -493,6 +535,16 @@ class TestPlanAgainstScan:
             split = bps_split_argmax(bids, sc, mech, t)
             got = (split.without, split.without_score, split.holding, split.holding_score)
             assert got == want
+
+    def test_tipless_standard_keeps_the_budget_of_a_full_scan(self):
+        # only tx 0 clears the reserve of 2, but the rule still enumerates
+        # all 8 feasible blocks, as the per-block scan does
+        sc = knapsack_scenario([(1, 0, 0)] * 3, 3)
+        bids = {0: 5, 1: 0, 2: 0}
+        mech = Mechanism.tipless(2)
+        with pytest.raises(EnumerationBudgetError):
+            recommended_block(mech, bids, sc, budget=4)
+        assert recommended_block(mech, bids, sc, budget=8) == Block((0,))
 
     def tie_scenario(self, values, blocks):
         txs = tuple(Transaction(i, 1, 0) for i in range(3))
