@@ -72,6 +72,7 @@ from .mechanisms import (
     bps,
     burn,
     eligible,
+    fee_class,
     is_base_fee_excessively_low,
     own_payment,
     payment,

@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby, product
+from operator import getitem
 from typing import Mapping, Sequence
 
 from .core import Block, Money, Scenario, bp_value, welfare
@@ -26,6 +27,7 @@ from .mechanisms import (
     UnsupportedInstanceError,
     apply_strategy,
     bps,
+    fee_class,
     is_base_fee_excessively_low,
     own_payment,
     payment,
@@ -42,6 +44,7 @@ from .solver import (
     enumerate_blocks,
     max_block,
     max_marginal_value,
+    resolve_budget,
 )
 
 PASS = "PASS"
@@ -180,6 +183,16 @@ def _detect_cycle(edges):
     return None
 
 
+def _class_memo(mech, scenario, ids, points, classify):
+    """Each listed user's grid bids mapped to their classes, and an empty
+    memo for results keyed on the tuple of those classes, or None when no
+    memo can pay: every map is injective, so every bid profile is its own
+    key."""
+    maps = [{b: classify(mech, scenario.tx(t), b) for b in points} for t in ids]
+    repeats = any(len(set(m.values())) < len(m) for m in maps)
+    return maps, {} if repeats else None
+
+
 def audit_bpic(
     mech: Mechanism,
     scenarios: Sequence[Scenario],
@@ -195,10 +208,17 @@ def audit_bpic(
     the tie-breaking between surplus-tied blocks must be explainable by some
     fixed order on blocks (checked as acyclicity of observed preferences).
 
-    Cost: one bps_argmax_detail call per cell; the consonant rule (which
-    the trivial preset always uses) recommends its best block, and the
-    other rules add one recommended_block call.
+    Cost: one table/argmax per class; cells and witnesses per raw profile.
+    The producer's argmax reads a cell only through its fee classes
+    (mechanisms.fee_class), so bps_argmax_detail runs once per distinct
+    class tuple of a scenario, unless every user's classes are distinct
+    bids anyway.  The consonant rule (which the trivial preset always uses)
+    recommends that argmax, so a repeated class tuple adds no tie edge and
+    no witness.  The other rules add one recommended_block call per cell,
+    and add tie edges only for a recommendation that is new among its
+    class tuple's ties.
     """
+    budget = resolve_budget(budget)
     points = bid_grid.points()
     argmax_rule = mech.allocation is Allocation.CONSONANT
     witnesses = []
@@ -210,18 +230,30 @@ def audit_bpic(
         _precheck_standard_eip1559(mech, scenario, bid_grid)
         digest = scenario_digest(scenario)
         ids = scenario.ids()
+        maps, memo = _class_memo(mech, scenario, ids, points, fee_class)
         edges = {}
         for combo in product(points, repeat=len(ids)):
+            cells += 1
+            entry = None
+            if memo is not None:
+                key = tuple(map(getitem, maps, combo))
+                entry = memo.get(key)
+                if entry is not None and argmax_rule:
+                    continue  # its argmax is the recommendation, edges added
             bids = dict(zip(ids, combo))
-            best, best_score, tied = bps_argmax_detail(
-                bids, scenario, mech, budget=budget
-            )
+            if entry is None:
+                entry = bps_argmax_detail(bids, scenario, mech, budget=budget), set()
+                if memo is not None:
+                    memo[key] = entry
+            (best, best_score, tied), settled = entry
             if argmax_rule:
                 rec = best
             else:
                 rec = recommended_block(mech, bids, scenario, budget=budget)
-            cells += 1
+            if settled and rec in settled:
+                continue  # already found among this key's ties, edges added
             if any(rec == b for b in tied):
+                settled.add(rec)
                 for b in tied:
                     if b != rec:
                         edges.setdefault(rec, set()).add(b)
@@ -304,18 +336,34 @@ def _deviation_table(mech, scenario, tx, base_bids, points, budget):
     return table, look
 
 
-def _sweep(mech, scenarios, grid, budget, profile_samples, sampling_seed):
-    """Yield (position, digest, tx, base, dev, look) once per other-bid
+def _clears(mech, tx, bid):
+    """The class of a bid as the standard rules read it: whether it clears
+    the reserve, which under gated eligibility is also its eligibility."""
+    return bid >= mech.reserve(tx)
+
+
+def _sweep(mech, scenarios, grid, budget, profile_samples, sampling_seed, settle):
+    """Yield (position, digest, tx, cell_bids, outcome) once per other-bid
     profile of every transaction of every scenario, in input order.
 
     position is the scenario's index in `scenarios`, which keeps a repeated
-    scenario apart from its copy.  base maps the other users to their bids;
-    dev pairs each grid bid with its (included, own payment) entry, and
-    look(bid) answers any own bid.  Exhaustive sweeps walk the profiles in
-    product order.  Sampled sweeps draw profile_samples profiles per
-    transaction with replacement from a seeded stream and audit each
-    distinct one once.  A sample count below 1 and an oversized exhaustive
-    profile space are refused before any scenario is swept.
+    scenario apart from its copy; cell_bids holds the other users' (id,
+    bid) pairs.  outcome is settle(position, tx, dev, look) on the
+    profile's deviation table: dev pairs each grid bid with its (included,
+    own payment) entry, and look(bid) answers any own bid.
+
+    The table reads the other users' bids only through their classes (the
+    clearing status under a standard allocation, mechanisms.fee_class
+    otherwise), so profiles with one class tuple share one table and one
+    outcome.  Each tuple is settled at its first profile, the first to
+    reach its eligibility set, which keeps budget, base-fee and
+    no-eligible-block errors at the same cell.  The memo lives for one
+    (position, tx) and is skipped when every other user's classes are
+    distinct bids.  Exhaustive sweeps walk the profiles in product order.
+    Sampled sweeps draw profile_samples profiles per transaction with
+    replacement from a seeded stream and audit each distinct one once.  A
+    sample count below 1 and an oversized exhaustive profile space are
+    refused before any scenario is swept.
     """
     sampled = profile_samples is not None
     if sampled and profile_samples < 1:
@@ -324,8 +372,10 @@ def _sweep(mech, scenarios, grid, budget, profile_samples, sampling_seed):
         n = len(scenario.ids())
         if n > EXHAUSTIVE_LIMIT and not sampled:
             raise ProfileSpaceError(n, EXHAUSTIVE_LIMIT)
+    budget = resolve_budget(budget)
 
     points = grid.points()
+    classify = _clears if mech.allocation is Allocation.STANDARD else fee_class
     for pos, scenario in enumerate(scenarios):
         _precheck_standard_eip1559(mech, scenario, grid)
         digest = scenario_digest(scenario)
@@ -333,6 +383,7 @@ def _sweep(mech, scenarios, grid, budget, profile_samples, sampling_seed):
         for t in ids:
             tx = scenario.tx(t)
             others = tuple(i for i in ids if i != t)
+            maps, memo = _class_memo(mech, scenario, others, points, classify)
             if sampled:
                 rng = random.Random(f"{sampling_seed}:{digest}:{t}")
                 drawn = [
@@ -343,9 +394,17 @@ def _sweep(mech, scenarios, grid, budget, profile_samples, sampling_seed):
             else:
                 profiles = product(points, repeat=len(others))
             for profile in profiles:
-                base = dict(zip(others, profile))
-                table, look = _deviation_table(mech, scenario, tx, base, points, budget)
-                yield pos, digest, tx, base, [(b, table[b]) for b in points], look
+                outcome = None
+                if memo is not None:
+                    key = tuple(map(getitem, maps, profile))
+                    outcome = memo.get(key)
+                if outcome is None:
+                    base = dict(zip(others, profile))
+                    table, look = _deviation_table(mech, scenario, tx, base, points, budget)
+                    outcome = settle(pos, tx, [(b, table[b]) for b in points], look)
+                    if memo is not None:
+                        memo[key] = outcome
+                yield pos, digest, tx, tuple(zip(others, profile)), outcome
 
 
 def audit_dsic(
@@ -366,22 +425,24 @@ def audit_dsic(
     every grid deviation, with the producer following the allocation rule
     throughout.  Zero-gain deviations are not violations.
 
-    Cost model: per other-bid profile, the own-bid table is settled by at
-    most one block pass (or one standard-rule allocation) on each side of
-    the transaction's reserve, not by one allocation per grid bid; every
-    (valuation, deviation) cell then reads that table.  Sampled profiles
-    are drawn with replacement and repeats are audited once.  A
-    profile_samples below 1 or a negative max_witnesses raises ValueError.
+    Cost model: one table/argmax per class; cells and witnesses per raw
+    profile.  Other-bid profiles whose bids fall in the same classes (see
+    _sweep) share one own-bid table, settled by at most one block pass (or
+    one standard-rule allocation) on each side of the transaction's
+    reserve, not by one allocation per grid bid, and one scan of its
+    (valuation, deviation) cells for the first strictly best deviation.
+    Every raw profile still counts its cells and emits its own witness
+    rows.  Sampled profiles are drawn with replacement and repeats are
+    audited once.  A profile_samples below 1 or a negative max_witnesses
+    raises ValueError.
     """
     points = grid.points()
-    witnesses = []
-    cells = 0
-    max_regret = 0
     sampled = profile_samples is not None
 
-    for _, digest, tx, base, dev, look in _sweep(
-        mech, scenarios, grid, budget, profile_samples, sampling_seed
-    ):
+    def settle(pos, tx, dev, look):
+        # (valuation, strategy bid, first strictly best bid, its gain) of
+        # every valuation with a profitable deviation
+        rows = []
         for v in points:
             sb = strategy_bid(strategy, v, tx)
             inc0, pay0 = look(sb)
@@ -393,20 +454,20 @@ def audit_dsic(
                 if u - u0 > best_gain:
                     best_gain = u - u0
                     best_bid = b
-            cells += 1
             if best_gain > 0:
-                max_regret = max(max_regret, best_gain)
-                witnesses.append(
-                    Witness(
-                        scenario_digest=digest,
-                        tx_id=tx.tx_id,
-                        valuation=v,
-                        recommended_bid=sb,
-                        deviation_bid=best_bid,
-                        utility_gain=best_gain,
-                        cell_bids=tuple(sorted(base.items())),
-                    )
-                )
+                rows.append((v, sb, best_bid, best_gain))
+        return rows
+
+    witnesses = []
+    cells = 0
+    max_regret = 0
+    for _, digest, tx, cell_bids, rows in _sweep(
+        mech, scenarios, grid, budget, profile_samples, sampling_seed, settle
+    ):
+        cells += len(points)
+        for v, sb, b, gain in rows:
+            max_regret = max(max_regret, gain)
+            witnesses.append(Witness(digest, tx.tx_id, v, sb, b, gain, cell_bids))
 
     verdict = PASS if max_regret == 0 else FAIL
     return AuditReport(
@@ -441,6 +502,11 @@ def audit_approx_dsic_bound(
     regret is reported but is not a violation.  Profiles are swept as in
     audit_dsic, and the bound checks keep one entry per (scenario,
     transaction) in input order, a repeated scenario included.
+
+    Cost model: one table/argmax per class; cells and witnesses per raw
+    profile.  Each class tuple's table is scanned once for its overbid,
+    below-range and over-bound rows and counts, which every raw profile of
+    that tuple then adds with its own cell bids.
     """
     if mech.preset not in (TIPLESS, EIP1559) or mech.allocation is not Allocation.CONSONANT:
         raise UnsupportedInstanceError(
@@ -457,58 +523,70 @@ def audit_approx_dsic_bound(
                     "clearing set on the grid"
                 )
 
+    budget = resolve_budget(budget)
     strategy = CappedAtReserve(mech.base_fee)
     points = grid.points()
+    nus = {}
+
+    def settle(pos, tx, dev, look):
+        # (witness rows, overbids, below-range bids, largest cell gain)
+        t = tx.tx_id
+        if (pos, t) not in nus:
+            try:
+                nus[pos, t] = max_marginal_value(t, scenarios[pos], budget=budget)
+            except NoFeasibleBlockError:
+                nus[pos, t] = 0  # never includable, so deviations never matter
+        nu = nus[pos, t]
+        rows = []
+        overbid = below = regret = 0
+        for v in points:
+            sb = strategy_bid(strategy, v, tx)
+            inc0, pay0 = look(sb)
+            u0 = (v - pay0) if inc0 else 0
+            cell_best = 0
+            cell_bid = None
+            for b, (inc, pay) in dev:
+                u = (v - pay) if inc else 0
+                gain = u - u0
+                if gain > 0:
+                    if b > sb:
+                        overbid += 1
+                        rows.append((v, sb, b, gain))
+                    if b < sb - nu:
+                        below += 1
+                        rows.append((v, sb, b, gain))
+                    if gain > cell_best:
+                        cell_best = gain
+                        cell_bid = b
+            regret = max(regret, cell_best)
+            if cell_best > nu:
+                rows.append((v, sb, cell_bid, cell_best))
+        return rows, overbid, below, regret
+
     witnesses = []
     bound_checks = []
     cells = 0
     sampled = profile_samples is not None
 
-    sweep = _sweep(mech, scenarios, grid, budget, profile_samples, sampling_seed)
+    sweep = _sweep(mech, scenarios, grid, budget, profile_samples, sampling_seed, settle)
     for (pos, t), profiles in groupby(sweep, key=lambda p: (p[0], p[2].tx_id)):
-        try:
-            nu = max_marginal_value(t, scenarios[pos], budget=budget)
-        except NoFeasibleBlockError:
-            nu = 0  # never includable, so deviations never matter
         tx_regret = 0
         overbid = 0
         below = 0
-        bound_ok = True
-        for _, digest, tx, base, dev, look in profiles:
-            cell_bids = tuple(sorted(base.items()))
-            for v in points:
-                sb = strategy_bid(strategy, v, tx)
-                inc0, pay0 = look(sb)
-                u0 = (v - pay0) if inc0 else 0
-                cell_best = 0
-                cell_bid = None
-                for b, (inc, pay) in dev:
-                    u = (v - pay) if inc else 0
-                    gain = u - u0
-                    if gain > 0:
-                        if b > sb:
-                            overbid += 1
-                            witnesses.append(Witness(digest, t, v, sb, b, gain, cell_bids))
-                        if b < sb - nu:
-                            below += 1
-                            witnesses.append(Witness(digest, t, v, sb, b, gain, cell_bids))
-                        if gain > cell_best:
-                            cell_best = gain
-                            cell_bid = b
-                cells += 1
-                tx_regret = max(tx_regret, cell_best)
-                if cell_best > nu:
-                    bound_ok = False
-                    witnesses.append(
-                        Witness(digest, t, v, sb, cell_bid, cell_best, cell_bids)
-                    )
+        for _, digest, _, cell_bids, (rows, n_over, n_below, regret) in profiles:
+            cells += len(points)
+            overbid += n_over
+            below += n_below
+            tx_regret = max(tx_regret, regret)
+            witnesses += (Witness(digest, t, *row, cell_bids) for row in rows)
+        nu = nus[pos, t]
         bound_checks.append(
             BoundCheck(
                 scenario_digest=digest,
                 tx_id=t,
                 nu=nu,
                 max_regret=tx_regret,
-                within_bound=bound_ok,
+                within_bound=tx_regret <= nu,
                 overbid_violations=overbid,
                 below_range_violations=below,
             )
@@ -566,6 +644,7 @@ def audit_welfare_ratio(
     exact rationals; a zero-welfare optimum yields ratio 1 when the
     recommendation matches it and a degenerate flag otherwise.
     """
+    budget = resolve_budget(budget)
     entries = []
     min_ratio = None
     for scenario in scenarios:

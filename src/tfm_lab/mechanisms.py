@@ -118,14 +118,14 @@ class Mechanism:
                 raise ValueError("trivial always lets the producer pick its argmax")
 
     @staticmethod
-    def fpa(allocation: Allocation = Allocation.REVENUE_MAX) -> "Mechanism":
+    def fpa(allocation: Allocation = DEFAULT_ALLOCATION[FPA]) -> "Mechanism":
         return Mechanism(FPA, None, Eligibility.FREE, allocation)
 
     @staticmethod
     def eip1559(
         base_fee: Money,
         eligibility: Eligibility = Eligibility.FREE,
-        allocation: Allocation = Allocation.STANDARD,
+        allocation: Allocation = DEFAULT_ALLOCATION[EIP1559],
     ) -> "Mechanism":
         return Mechanism(EIP1559, base_fee, eligibility, allocation)
 
@@ -133,13 +133,13 @@ class Mechanism:
     def tipless(
         base_fee: Money,
         eligibility: Eligibility = Eligibility.FREE,
-        allocation: Allocation = Allocation.STANDARD,
+        allocation: Allocation = DEFAULT_ALLOCATION[TIPLESS],
     ) -> "Mechanism":
         return Mechanism(TIPLESS, base_fee, eligibility, allocation)
 
     @staticmethod
     def trivial() -> "Mechanism":
-        return Mechanism(TRIVIAL, None, Eligibility.FREE, Allocation.CONSONANT)
+        return Mechanism(TRIVIAL, None, Eligibility.FREE, DEFAULT_ALLOCATION[TRIVIAL])
 
     def reserve(self, tx: Transaction) -> Money:
         """Reserve price for one transaction: base fee times its size."""
@@ -167,6 +167,21 @@ def own_payment(mech: Mechanism, tx: Transaction, bid: Money) -> Money:
     if mech.preset == TRIVIAL:
         return 0
     return bid
+
+
+def fee_class(mech: Mechanism, tx: Transaction, bid: Money) -> Money | None:
+    """All that an allocation or argmax reads of one bid: None when the
+    producer may not include it (gated and below the reserve), else its
+    contribution own_payment - reserve.
+
+    Bids of one class get the same eligibility and contribution, and the
+    same clearing status, since a contribution is >= 0 exactly when the bid
+    clears the reserve.  Under tipless every eligible bid at or above the
+    reserve is one class; under trivial every bid is.
+    """
+    if not eligible(mech, tx, bid):
+        return None
+    return own_payment(mech, tx, bid) - mech.reserve(tx)
 
 
 def payment(mech: Mechanism, block: Block, bids: Mapping[int, Money], scenario: Scenario) -> dict[int, Money]:

@@ -5,11 +5,13 @@ nested-loop oracle that recomputes every cell the slow way, so the audited
 results never rest on the auditors' own shortcuts.
 """
 
+import os
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tfm_lab import (
@@ -47,6 +49,7 @@ from tfm_lab import (
     bps_argmax_detail,
     check_beta_commensurate,
     enumerate_blocks,
+    is_base_fee_excessively_low,
     max_marginal_value,
     own_payment,
     payment,
@@ -60,6 +63,7 @@ from tfm_lab import (
 )
 from tfm_lab import auditors
 from tfm_lab.auditors import _deviation_table, _detect_cycle
+from tfm_lab.solver import BUDGET_ENV_VAR
 
 
 def scenario(specs, cap=None, bp=None):
@@ -71,14 +75,21 @@ def scenario(specs, cap=None, bp=None):
 GRID = GridSpec(1, 4)
 
 
-def oracle_cells(sc, grid):
+def oracle_cells(sc, grid, samples=None, seed=0):
     """Every (tx id, other users' bids, valuation) cell of an exhaustive
-    user-deviation sweep, in sweep order."""
+    user-deviation sweep, in sweep order; with samples, the cells of the
+    distinct profiles of the documented seeded draw instead."""
     points = grid.points()
     ids = sc.ids()
     for t in ids:
         others = [i for i in ids if i != t]
-        for profile in product(points, repeat=len(others)):
+        profiles = product(points, repeat=len(others))
+        if samples is not None:
+            rng = random.Random(f"{seed}:{scenario_digest(sc)}:{t}")
+            profiles = dict.fromkeys(
+                tuple(rng.choice(points) for _ in others) for _ in range(samples)
+            )
+        for profile in profiles:
             base = dict(zip(others, profile))
             for v in points:
                 yield t, base, v
@@ -100,13 +111,13 @@ def oracle_gains(mech, sc, t, base, v, sb, points):
     return [utility(b) - stay for b in points]
 
 
-def oracle_dsic(mech, strategy, scenarios, grid):
+def oracle_dsic(mech, strategy, scenarios, grid, samples=None, seed=0):
     """audit_dsic recomputed cell by cell."""
     points = grid.points()
     witnesses = []
     cells = 0
     for sc in scenarios:
-        for t, base, v in oracle_cells(sc, grid):
+        for t, base, v in oracle_cells(sc, grid, samples, seed):
             sb = strategy_bid(strategy, v, sc.tx(t))
             gains = oracle_gains(mech, sc, t, base, v, sb, points)
             best = max(gains)
@@ -122,10 +133,12 @@ def oracle_dsic(mech, strategy, scenarios, grid):
         max_regret=max((w.utility_gain for w in witnesses), default=0),
         witnesses=tuple(sorted(witnesses, key=witness_sort_key)[:1000]),
         cells_checked=cells,
+        mode="exhaustive" if samples is None else "sampled",
+        sampling_seed=None if samples is None else seed,
     )
 
 
-def oracle_approx_dsic(mech, scenarios, grid):
+def oracle_approx_dsic(mech, scenarios, grid, samples=None, seed=0):
     """audit_approx_dsic_bound recomputed cell by cell, one bound check per
     (scenario, transaction) in input order."""
     points = grid.points()
@@ -140,7 +153,7 @@ def oracle_approx_dsic(mech, scenarios, grid):
         regret = dict.fromkeys(ids, 0)
         overbid = dict.fromkeys(ids, 0)
         below = dict.fromkeys(ids, 0)
-        for t, base, v in oracle_cells(sc, grid):
+        for t, base, v in oracle_cells(sc, grid, samples, seed):
             cell = tuple(sorted(base.items()))
             sb = strategy_bid(strategy, v, sc.tx(t))
             gains = oracle_gains(mech, sc, t, base, v, sb, points)
@@ -173,6 +186,8 @@ def oracle_approx_dsic(mech, scenarios, grid):
         witnesses=tuple(sorted(witnesses, key=witness_sort_key)[:1000]),
         cells_checked=cells,
         bound_checks=tuple(checks),
+        mode="exhaustive" if samples is None else "sampled",
+        sampling_seed=None if samples is None else seed,
     )
 
 
@@ -613,6 +628,154 @@ class TestBpicAgainstCells:
         want = oracle_bpic(mech, [sc], GRID, rule=rotating_rule)
         assert want.tie_conflicts
         assert audit_bpic(mech, [sc], GRID) == want
+
+
+APPROX_MECHANISMS = tuple(
+    m for m in MECHANISMS
+    if m.preset in ("tipless", "eip1559") and m.allocation is Allocation.CONSONANT
+)
+
+
+@st.composite
+def memo_cases(draw, approx=False):
+    """A mechanism, one or two small scenarios with the first one repeated
+    at the end, a grid of step 1 or 2, a strategy, and a sample count or
+    None for an exhaustive sweep.
+
+    Every case is defined on its whole grid: the blockset holds the empty
+    block, standard eip1559 (and the bounded-regret audit of eip1559) gets
+    room for every clearing set, and the bounded-regret audit gets a plain
+    knapsack that every transaction fits, with a producer that never
+    loses by adding a transaction."""
+    if approx:
+        mech = draw(st.sampled_from(APPROX_MECHANISMS))
+    else:
+        preset = draw(st.sampled_from(("fpa", "eip1559", "tipless", "trivial")))
+        mech = draw(st.sampled_from([m for m in MECHANISMS if m.preset == preset]))
+    step = draw(st.integers(1, 2))
+    grid = GridSpec(step, step * draw(st.integers(1, 3)))
+    scenarios = []
+    for k in range(draw(st.integers(1, 2))):
+        # a first scenario of one transaction would have no other users
+        n = draw(st.integers(2 if k == 0 else 1, 3))
+        sizes = [draw(st.integers(1, 2)) for _ in range(n)]
+        txs = tuple(Transaction(i, size, draw(st.integers(0, 4))) for i, size in enumerate(sizes))
+        cap = draw(st.integers(max(sizes) if approx else 0, sum(sizes)))
+        standard_eip = mech.preset == "eip1559" and (
+            approx or mech.allocation is Allocation.STANDARD
+        )
+        shape = "knapsack" if approx or standard_eip else draw(
+            st.sampled_from(("knapsack", "permutations", "explicit"))
+        )
+        if shape == "explicit":
+            fits = [
+                c
+                for k in range(1, n + 1)
+                for c in combinations(range(n), k)
+                if sum(sizes[i] for i in c) <= cap
+            ]
+            listed = draw(st.lists(st.sampled_from(fits), unique=True)) if fits else []
+            blockset = ExplicitBlockset(
+                (EMPTY_BLOCK,) + tuple(Block(tuple(draw(st.permutations(c)))) for c in listed)
+            )
+        else:
+            blockset = KnapsackBlockset(cap, enumerate_permutations=shape == "permutations")
+        bp = draw(
+            st.one_of(
+                st.builds(PassiveValuation, st.integers(0, 2)),
+                st.dictionaries(st.integers(0, n - 1), st.integers(0, 3)).map(
+                    AdditiveValuation
+                ),
+                st.dictionaries(
+                    st.sampled_from(enumerate_blocks(Scenario(txs, PassiveValuation(), blockset))),
+                    st.integers(0, 3),
+                ).map(TableValuation),
+            )
+        )
+        sc = Scenario(txs, bp, blockset)
+        top = {t: grid.max_value for t in sc.ids()}
+        if standard_eip and is_base_fee_excessively_low(mech.base_fee, sc, top):
+            sc = Scenario(txs, bp, KnapsackBlockset(sum(sizes)))
+        if approx:
+            # a negative marginal value fails the bound at zero gain, with a
+            # witness that names no deviation bid, which the oracle cannot
+            assume(all(max_marginal_value(t, sc) >= 0 for t in sc.ids()))
+        scenarios.append(sc)
+    scenarios.append(scenarios[0])
+    strategy = draw(
+        st.sampled_from((Truthful(), CappedAtReserve(1), CappedAtReserve(2), FixedOffset(-2), FixedOffset(1)))
+    )
+    samples = draw(st.none() | st.integers(1, 6))
+    return mech, scenarios, grid, strategy, samples
+
+
+TIPLESS_TIE_CASE = (
+    Mechanism.tipless(1),
+    [scenario([(1, 3, 3), (1, 1, 1)]), scenario([(2, 2, 2)]), scenario([(1, 3, 3), (1, 1, 1)])],
+    GridSpec(1, 3),
+    FixedOffset(-2),
+    None,
+)
+
+
+def outcome(fn, *args, **kwargs):
+    """fn's result, or the type of the table error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except TABLE_ERRORS as e:
+        return type(e)
+
+
+class TestMemoAgainstCells:
+    """The audits settle each fee-class tuple once and replay it for every
+    raw profile or cell; the per-cell oracles above settle every cell.  A
+    strategy bid off the grid can still make the base fee excessively low,
+    which both sides must then report."""
+
+    @given(memo_cases())
+    @example(TIPLESS_TIE_CASE)
+    @settings(max_examples=150, deadline=None)
+    def test_dsic(self, case):
+        mech, scenarios, grid, strategy, samples = case
+        report = outcome(audit_dsic, mech, strategy, scenarios, grid, profile_samples=samples)
+        assert report == outcome(oracle_dsic, mech, strategy, scenarios, grid, samples)
+
+    @given(memo_cases(approx=True))
+    @settings(max_examples=100, deadline=None)
+    def test_approx_dsic(self, case):
+        mech, scenarios, grid, _, samples = case
+        report = audit_approx_dsic_bound(mech, scenarios, grid, profile_samples=samples)
+        assert report == oracle_approx_dsic(mech, scenarios, grid, samples)
+
+    @given(memo_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_bpic(self, case):
+        mech, scenarios, grid, _, _ = case
+        assert audit_bpic(mech, scenarios, grid) == oracle_bpic(mech, scenarios, grid)
+
+
+class TestBudgetResolution:
+    def test_one_environment_read_per_audit(self, monkeypatch):
+        reads = []
+
+        class Environ(dict):
+            def get(self, key, default=None):
+                if key == BUDGET_ENV_VAR:
+                    reads.append(key)
+                return super().get(key, default)
+
+        monkeypatch.setattr(os, "environ", Environ(os.environ))
+        sc = scenario([(1, 3, 3), (1, 2, 2), (2, 1, 1)], cap=2, bp=AdditiveValuation({0: 1}))
+        mech = Mechanism.tipless(2, Eligibility.FREE, Allocation.CONSONANT)
+        for audit in (
+            lambda: audit_dsic(mech, Truthful(), [sc], GRID),
+            lambda: audit_bpic(mech, [sc], GRID),
+            lambda: audit_approx_dsic_bound(mech, [sc], GRID),
+            lambda: audit_welfare_ratio(mech, Truthful(), [sc, sc]),
+        ):
+            reads.clear()
+            audit()
+            assert len(reads) <= 1
 
 
 class TestNoEligibleBlock:

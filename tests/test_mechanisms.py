@@ -28,11 +28,14 @@ from tfm_lab import (
     bps_argmax,
     burn,
     eligible,
+    enumerate_blocks,
+    fee_class,
     is_base_fee_excessively_low,
     payment,
     recommended_block,
     strategy_bid,
 )
+from tfm_lab.mechanisms import DEFAULT_ALLOCATION, EIP1559, FPA, TIPLESS, TRIVIAL
 
 
 def scenario_with(txs, bp=None, cap=None):
@@ -126,6 +129,21 @@ class TestEligibility:
         assert recommended_block(mech, sc.submitted_bids(), sc) == Block((0,))
 
 
+class TestFeeClass:
+    def test_tipless_merges_every_bid_from_the_reserve_up(self):
+        tx = Transaction(0, 2, 0)
+        free = Mechanism.tipless(2, Eligibility.FREE, Allocation.CONSONANT)
+        gated = Mechanism.tipless(2, Eligibility.BASE_FEE_GATED, Allocation.CONSONANT)
+        assert [fee_class(free, tx, b) for b in range(7)] == [-4, -3, -2, -1, 0, 0, 0]
+        assert [fee_class(gated, tx, b) for b in range(7)] == [None] * 4 + [0] * 3
+
+    def test_fpa_and_eip1559_classes_are_the_bids_less_the_reserve(self):
+        tx = Transaction(0, 1, 0)
+        assert [fee_class(Mechanism.fpa(), tx, b) for b in range(4)] == [0, 1, 2, 3]
+        assert [fee_class(Mechanism.eip1559(2), tx, b) for b in range(4)] == [-2, -1, 0, 1]
+        assert {fee_class(Mechanism.trivial(), tx, b) for b in range(4)} == {0}
+
+
 class TestExcessivelyLowBaseFee:
     def test_detects_oversubscribed_clearing_set(self):
         txs = (Transaction(0, 2, 9, 9), Transaction(1, 2, 9, 9))
@@ -144,6 +162,35 @@ class TestExcessivelyLowBaseFee:
         sc = Scenario(txs, PassiveValuation(0), KnapsackBlockset(3))
         with pytest.raises(ExcessivelyLowBaseFeeError):
             recommended_block(Mechanism.eip1559(1), sc.submitted_bids(), sc)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_knife_edge_against_brute_force(self, data):
+        # capacity is drawn at the clearing sizes' total and one either side
+        n = data.draw(st.integers(1, 5))
+        sizes = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+        bids = {t: data.draw(st.integers(0, 8)) for t in range(n)}
+        base_fee = data.draw(st.integers(0, 3))
+        candidates = data.draw(
+            st.none() | st.lists(st.integers(0, n - 1), unique=True).map(tuple)
+        )
+        listed = range(n) if candidates is None else candidates
+        clearing = [t for t in listed if bids[t] >= base_fee * sizes[t]]
+        total = sum(sizes[t] for t in clearing)
+        cap = max(total + data.draw(st.sampled_from((-1, 0, 1))), 0)
+        txs = tuple(Transaction(t, sizes[t], 0) for t in range(n))
+        sc = Scenario(txs, PassiveValuation(0), KnapsackBlockset(cap, candidates))
+        low = is_base_fee_excessively_low(base_fee, sc, bids)
+        assert low == (total > cap)
+        # the same verdict from the enumeration: the clearing set is not a
+        # feasible block
+        assert low == (Block(tuple(sorted(clearing))) not in enumerate_blocks(sc))
+        mech = Mechanism.eip1559(base_fee)
+        if low:
+            with pytest.raises(ExcessivelyLowBaseFeeError):
+                recommended_block(mech, bids, sc)
+        else:
+            assert recommended_block(mech, bids, sc) == Block(tuple(sorted(clearing)))
 
 
 class TestRecommendedBlock:
@@ -261,6 +308,12 @@ class TestMechanismValidation:
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError):
             Mechanism("vcg", None, Eligibility.FREE, Allocation.CONSONANT)
+
+    def test_factory_defaults_come_from_the_table(self):
+        assert Mechanism.fpa().allocation is DEFAULT_ALLOCATION[FPA]
+        assert Mechanism.eip1559(1).allocation is DEFAULT_ALLOCATION[EIP1559]
+        assert Mechanism.tipless(1).allocation is DEFAULT_ALLOCATION[TIPLESS]
+        assert Mechanism.trivial().allocation is DEFAULT_ALLOCATION[TRIVIAL]
 
     def test_reserve_scales_with_size(self):
         mech = Mechanism.tipless(3)
