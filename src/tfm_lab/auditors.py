@@ -136,17 +136,31 @@ def _finalize_witnesses(witnesses, max_witnesses):
     return tuple(witnesses[:max_witnesses])
 
 
-def _precheck_standard_eip1559(mech, scenario, grid):
+def _precheck_standard_eip1559(mech, scenario, grid, strategy=None):
     """Standard eip1559 allocation errors on excessively low base fees; make
-    sure no cell of this grid can reach one before sweeping."""
-    if mech.preset == EIP1559 and mech.allocation is Allocation.STANDARD:
-        top = {t: grid.max_value for t in scenario.ids()}
-        if is_base_fee_excessively_low(mech.base_fee, scenario, top):
-            raise UnsupportedInstanceError(
-                "some grid cell makes the base fee excessively low for the "
-                "standard eip1559 allocation; enlarge capacity or audit the "
-                "consonant variant"
-            )
+    sure no cell of this grid can reach one before sweeping.
+
+    A user-deviation sweep also looks up each user's own strategy bids,
+    which can lie above the grid while the others bid on it.  The clearing
+    set only grows with the bids, so it suffices to check every user at the
+    grid max and, for each user, its largest own bid against the others at
+    the grid max.
+    """
+    if mech.preset != EIP1559 or mech.allocation is not Allocation.STANDARD:
+        return
+    top = {t: grid.max_value for t in scenario.ids()}
+    cells = [top]
+    if strategy is not None:
+        for tx in scenario.transactions:
+            own = max(strategy_bid(strategy, v, tx) for v in grid.points())
+            if own > grid.max_value:
+                cells.append({**top, tx.tx_id: own})
+    if any(is_base_fee_excessively_low(mech.base_fee, scenario, c) for c in cells):
+        raise UnsupportedInstanceError(
+            "some grid cell or strategy bid makes the base fee excessively "
+            "low for the standard eip1559 allocation; enlarge capacity or "
+            "audit the consonant variant"
+        )
 
 
 def _detect_cycle(edges):
@@ -342,7 +356,9 @@ def _clears(mech, tx, bid):
     return bid >= mech.reserve(tx)
 
 
-def _sweep(mech, scenarios, grid, budget, profile_samples, sampling_seed, settle):
+def _sweep(
+    mech, strategy, scenarios, grid, budget, profile_samples, sampling_seed, settle
+):
     """Yield (position, digest, tx, cell_bids, outcome) once per other-bid
     profile of every transaction of every scenario, in input order.
 
@@ -356,13 +372,14 @@ def _sweep(mech, scenarios, grid, budget, profile_samples, sampling_seed, settle
     clearing status under a standard allocation, mechanisms.fee_class
     otherwise), so profiles with one class tuple share one table and one
     outcome.  Each tuple is settled at its first profile, the first to
-    reach its eligibility set, which keeps budget, base-fee and
-    no-eligible-block errors at the same cell.  The memo lives for one
-    (position, tx) and is skipped when every other user's classes are
-    distinct bids.  Exhaustive sweeps walk the profiles in product order.
-    Sampled sweeps draw profile_samples profiles per transaction with
-    replacement from a seeded stream and audit each distinct one once.  A
-    sample count below 1 and an oversized exhaustive profile space are
+    reach its eligibility set, which keeps budget and no-eligible-block
+    errors at the same cell.  The memo lives for one (position, tx) and is
+    skipped when every other user's classes are distinct bids.  Exhaustive
+    sweeps walk the profiles in product order.  Sampled sweeps draw
+    profile_samples profiles per transaction with replacement from a
+    seeded stream and audit each distinct one once.  A sample count below
+    1, an oversized exhaustive profile space and a standard eip1559 cell,
+    the strategy's own bids included, with an excessively low base fee are
     refused before any scenario is swept.
     """
     sampled = profile_samples is not None
@@ -372,12 +389,13 @@ def _sweep(mech, scenarios, grid, budget, profile_samples, sampling_seed, settle
         n = len(scenario.ids())
         if n > EXHAUSTIVE_LIMIT and not sampled:
             raise ProfileSpaceError(n, EXHAUSTIVE_LIMIT)
+    for scenario in scenarios:
+        _precheck_standard_eip1559(mech, scenario, grid, strategy)
     budget = resolve_budget(budget)
 
     points = grid.points()
     classify = _clears if mech.allocation is Allocation.STANDARD else fee_class
     for pos, scenario in enumerate(scenarios):
-        _precheck_standard_eip1559(mech, scenario, grid)
         digest = scenario_digest(scenario)
         ids = scenario.ids()
         for t in ids:
@@ -462,7 +480,7 @@ def audit_dsic(
     cells = 0
     max_regret = 0
     for _, digest, tx, cell_bids, rows in _sweep(
-        mech, scenarios, grid, budget, profile_samples, sampling_seed, settle
+        mech, strategy, scenarios, grid, budget, profile_samples, sampling_seed, settle
     ):
         cells += len(points)
         for v, sb, b, gain in rows:
@@ -498,8 +516,10 @@ def audit_approx_dsic_bound(
     value capped at the reserve: overbids never strictly help, bids more
     than the transaction's maximum marginal producer value below the capped
     bid never strictly help, and no deviation gains more than that marginal
-    value.  Violations of any of the three are witnessed; lawful bounded
-    regret is reported but is not a violation.  Profiles are swept as in
+    value.  A negative marginal value counts as 0 in both checks, since a
+    regret of 0 never breaks the bound; the bound checks report it as is.
+    Violations of any of the three are witnessed; lawful bounded regret is
+    reported but is not a violation.  Profiles are swept as in
     audit_dsic, and the bound checks keep one entry per (scenario,
     transaction) in input order, a repeated scenario included.
 
@@ -536,7 +556,8 @@ def audit_approx_dsic_bound(
                 nus[pos, t] = max_marginal_value(t, scenarios[pos], budget=budget)
             except NoFeasibleBlockError:
                 nus[pos, t] = 0  # never includable, so deviations never matter
-        nu = nus[pos, t]
+        # a regret of 0 never breaks the bound, whatever the sign of nu
+        bound = max(nus[pos, t], 0)
         rows = []
         overbid = below = regret = 0
         for v in points:
@@ -552,14 +573,14 @@ def audit_approx_dsic_bound(
                     if b > sb:
                         overbid += 1
                         rows.append((v, sb, b, gain))
-                    if b < sb - nu:
+                    if b < sb - bound:
                         below += 1
                         rows.append((v, sb, b, gain))
                     if gain > cell_best:
                         cell_best = gain
                         cell_bid = b
             regret = max(regret, cell_best)
-            if cell_best > nu:
+            if cell_best > bound:
                 rows.append((v, sb, cell_bid, cell_best))
         return rows, overbid, below, regret
 
@@ -568,7 +589,9 @@ def audit_approx_dsic_bound(
     cells = 0
     sampled = profile_samples is not None
 
-    sweep = _sweep(mech, scenarios, grid, budget, profile_samples, sampling_seed, settle)
+    sweep = _sweep(
+        mech, strategy, scenarios, grid, budget, profile_samples, sampling_seed, settle
+    )
     for (pos, t), profiles in groupby(sweep, key=lambda p: (p[0], p[2].tx_id)):
         tx_regret = 0
         overbid = 0
@@ -586,7 +609,7 @@ def audit_approx_dsic_bound(
                 tx_id=t,
                 nu=nu,
                 max_regret=tx_regret,
-                within_bound=tx_regret <= nu,
+                within_bound=tx_regret <= max(nu, 0),
                 overbid_violations=overbid,
                 below_range_violations=below,
             )
@@ -676,6 +699,7 @@ def check_beta_commensurate(
     """Whether the producer's best private value covers beta times the best
     total user value over feasible blocks (exact rational comparison)."""
     beta = Fraction(beta)
+    budget = resolve_budget(budget)
     best_bp = None
     best_users = None
     for b in enumerate_blocks(scenario, budget=budget):

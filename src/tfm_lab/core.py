@@ -8,7 +8,7 @@ micro-units; nothing here ever touches floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Union
 
 Money = int
@@ -181,7 +181,13 @@ BpValuation = Union[
 @dataclass(frozen=True)
 class Scenario:
     """A complete pricing instance: transactions, producer valuation, and
-    the feasible blockset."""
+    the feasible blockset.
+
+    A world caches what it computes about itself: its feasible blocks per
+    eligibility filter (solver.enumerate_blocks), their producer values
+    grouped by member set (the solver's plans) and its digest
+    (scenario_io.scenario_digest).  with_valuation worlds share the first
+    and recompute the other two."""
 
     transactions: tuple[Transaction, ...]
     bp_valuation: BpValuation
@@ -204,6 +210,19 @@ class Scenario:
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_enum_cache", {})
         object.__setattr__(self, "_plan_cache", {})
+        object.__setattr__(self, "_digest", None)
+
+    def with_valuation(self, valuation: BpValuation) -> "Scenario":
+        """The same transactions, blockset and seed under another producer
+        valuation.
+
+        Feasibility never reads the valuation, so the new world shares this
+        one's enumeration cache; its plans hold producer values and its
+        digest covers the valuation, so both start empty.
+        """
+        world = replace(self, bp_valuation=valuation)
+        object.__setattr__(world, "_enum_cache", self._enum_cache)
+        return world
 
     def tx(self, tx_id) -> Transaction:
         try:

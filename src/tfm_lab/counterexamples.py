@@ -12,7 +12,7 @@ for that instance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
@@ -44,7 +44,7 @@ from .mechanisms import (
     recommended_block,
     strategy_bid,
 )
-from .solver import bps_argmax_detail, enumerate_blocks
+from .solver import bps_argmax_detail, enumerate_blocks, resolve_budget
 
 
 class AlreadyTrivialError(ValueError):
@@ -91,6 +91,7 @@ class ZeroBidWitness:
 
 
 def _shared_zero_bid(mech, scenario, bids, budget, variant):
+    budget = resolve_budget(budget)
     bids = {t: bids[t] for t in scenario.ids()}
     block = recommended_block(mech, bids, scenario, budget=budget)
     pays = payment(mech, block, bids, scenario)
@@ -126,7 +127,7 @@ def _shared_zero_bid(mech, scenario, bids, budget, variant):
             frozenset({block}), spread + total_bids + burn_q + 1
         )
 
-    modified = replace(scenario, bp_valuation=modified_valuation)
+    modified = scenario.with_valuation(modified_valuation)
 
     best0, _, tied0 = bps_argmax_detail(zero_bids, modified, mech, budget=budget)
     members = set(block.txs)
@@ -235,6 +236,7 @@ def construct_welfare_gap(
     rho = Fraction(rho)
     if not 0 < rho <= 1:
         raise ValueError(f"rho must be a rational in (0, 1], got {rho}")
+    budget = resolve_budget(budget)
 
     y, z = 0, 1
     block_y, block_z = Block((y,)), Block((z,))

@@ -328,10 +328,16 @@ def serialize_scenario(doc: ScenarioDoc) -> str:
 
 
 def scenario_digest(scenario: Scenario) -> str:
-    """Short stable fingerprint of the world itself (no mechanism, no grid)."""
-    doc = ScenarioDoc(scenario)
-    text = serialize_scenario(doc)
-    return hashlib.sha256(text.encode()).hexdigest()[:12]
+    """Short stable fingerprint of the world itself (no mechanism, no grid).
+
+    Computed once per world and kept on the frozen scenario.
+    """
+    digest = scenario._digest
+    if digest is None:
+        text = serialize_scenario(ScenarioDoc(scenario))
+        digest = hashlib.sha256(text.encode()).hexdigest()[:12]
+        object.__setattr__(scenario, "_digest", digest)
+    return digest
 
 
 def load_scenario_file(path) -> ScenarioDoc:

@@ -93,7 +93,11 @@ def enumerate_blocks(
     """All feasible blocks, optionally restricted to eligible transactions.
 
     Results are cached on the scenario per eligibility filter; the budget is
-    re-checked on cache hits so a tighter limit still errors.
+    re-checked on cache hits so a tighter limit still errors.  Feasibility
+    reads only the transactions and the blockset, so a world derived by
+    Scenario.with_valuation shares this cache with its parent and its
+    siblings: each filter is enumerated once for all valuation variants.
+    The plans built on these blocks hold producer values and stay per world.
     """
     budget = resolve_budget(budget)
     cache = scenario._enum_cache

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tfm_lab import (
@@ -48,12 +48,17 @@ from tfm_lab import (
     bps,
     bps_argmax_detail,
     check_beta_commensurate,
+    construct_welfare_gap,
+    construct_zero_bid,
+    construct_zero_bid_single_minded,
     enumerate_blocks,
     is_base_fee_excessively_low,
     max_marginal_value,
     own_payment,
+    parse_audit_report,
     payment,
     recommended_block,
+    render_audit_report,
     replay_bpic_witness,
     replay_dsic_witness,
     scenario_digest,
@@ -111,8 +116,28 @@ def oracle_gains(mech, sc, t, base, v, sb, points):
     return [utility(b) - stay for b in points]
 
 
+def oracle_base_fee_refusal(mech, strategy, scenarios, grid):
+    """Standard eip1559 refuses a sweep in which some looked-up cell, any
+    own grid or strategy bid against any grid profile of the others, makes
+    the base fee excessively low."""
+    if mech.preset != "eip1559" or mech.allocation is not Allocation.STANDARD:
+        return
+    points = grid.points()
+    for sc in scenarios:
+        ids = sc.ids()
+        for t in ids:
+            others = [i for i in ids if i != t]
+            own = set(points) | {strategy_bid(strategy, v, sc.tx(t)) for v in points}
+            for bid, profile in product(own, product(points, repeat=len(others))):
+                bids = dict(zip(others, profile))
+                bids[t] = bid
+                if is_base_fee_excessively_low(mech.base_fee, sc, bids):
+                    raise UnsupportedInstanceError("excessively low base fee")
+
+
 def oracle_dsic(mech, strategy, scenarios, grid, samples=None, seed=0):
     """audit_dsic recomputed cell by cell."""
+    oracle_base_fee_refusal(mech, strategy, scenarios, grid)
     points = grid.points()
     witnesses = []
     cells = 0
@@ -140,7 +165,8 @@ def oracle_dsic(mech, strategy, scenarios, grid, samples=None, seed=0):
 
 def oracle_approx_dsic(mech, scenarios, grid, samples=None, seed=0):
     """audit_approx_dsic_bound recomputed cell by cell, one bound check per
-    (scenario, transaction) in input order."""
+    (scenario, transaction) in input order.  A deviation can always gain 0,
+    so a negative marginal value bounds the regret at 0."""
     points = grid.points()
     strategy = CappedAtReserve(mech.base_fee)
     witnesses = []
@@ -150,6 +176,7 @@ def oracle_approx_dsic(mech, scenarios, grid, samples=None, seed=0):
         digest = scenario_digest(sc)
         ids = sc.ids()
         nu = {t: max_marginal_value(t, sc) for t in ids}
+        bound = {t: max(nu[t], 0) for t in ids}
         regret = dict.fromkeys(ids, 0)
         overbid = dict.fromkeys(ids, 0)
         below = dict.fromkeys(ids, 0)
@@ -161,18 +188,18 @@ def oracle_approx_dsic(mech, scenarios, grid, samples=None, seed=0):
                 if gain > 0 and b > sb:
                     overbid[t] += 1
                     witnesses.append(Witness(digest, t, v, sb, b, gain, cell))
-                if gain > 0 and b < sb - nu[t]:
+                if gain > 0 and b < sb - bound[t]:
                     below[t] += 1
                     witnesses.append(Witness(digest, t, v, sb, b, gain, cell))
             best = max(0, *gains)
             regret[t] = max(regret[t], best)
             cells += 1
-            if best > nu[t]:
+            if best > bound[t]:
                 witnesses.append(
                     Witness(digest, t, v, sb, points[gains.index(best)], best, cell)
                 )
         checks += [
-            BoundCheck(digest, t, nu[t], regret[t], regret[t] <= nu[t], overbid[t], below[t])
+            BoundCheck(digest, t, nu[t], regret[t], regret[t] <= bound[t], overbid[t], below[t])
             for t in ids
         ]
     failed = any(
@@ -321,6 +348,23 @@ class TestDsic:
         assert sampled.cells_checked == exhaustive.cells_checked
         assert sampled.witnesses == exhaustive.witnesses
         assert sampled.bound_checks == exhaustive.bound_checks
+
+    def test_standard_eip1559_refuses_off_grid_strategy_bids(self, monkeypatch):
+        # all at the grid max only tx 0 clears, but tx 1's strategy bid at
+        # value 3 is 4, its reserve, and the two no longer fit together
+        sc = scenario([(1, 0, 0), (2, 0, 0)], cap=1)
+        mech, strategy, grid = Mechanism.eip1559(2), FixedOffset(1), GridSpec(1, 3)
+        with pytest.raises(UnsupportedInstanceError, match="strategy bid"):
+            audit_dsic(mech, strategy, [sc], grid)
+        # refused before the sweep reaches even a scenario that is fine
+        fine = scenario([(1, 0, 0)], cap=1)
+        calls = []
+        monkeypatch.setattr(
+            auditors, "recommended_block", lambda *a, **k: calls.append(a) or EMPTY_BLOCK
+        )
+        with pytest.raises(UnsupportedInstanceError, match="strategy bid"):
+            audit_dsic(mech, strategy, [fine, sc], grid)
+        assert calls == []
 
 
 MECHANISMS = (
@@ -645,8 +689,7 @@ def memo_cases(draw, approx=False):
     Every case is defined on its whole grid: the blockset holds the empty
     block, standard eip1559 (and the bounded-regret audit of eip1559) gets
     room for every clearing set, and the bounded-regret audit gets a plain
-    knapsack that every transaction fits, with a producer that never
-    loses by adding a transaction."""
+    knapsack that every transaction fits."""
     if approx:
         mech = draw(st.sampled_from(APPROX_MECHANISMS))
     else:
@@ -696,10 +739,6 @@ def memo_cases(draw, approx=False):
         top = {t: grid.max_value for t in sc.ids()}
         if standard_eip and is_base_fee_excessively_low(mech.base_fee, sc, top):
             sc = Scenario(txs, bp, KnapsackBlockset(sum(sizes)))
-        if approx:
-            # a negative marginal value fails the bound at zero gain, with a
-            # witness that names no deviation bid, which the oracle cannot
-            assume(all(max_marginal_value(t, sc) >= 0 for t in sc.ids()))
         scenarios.append(sc)
     scenarios.append(scenarios[0])
     strategy = draw(
@@ -717,6 +756,15 @@ TIPLESS_TIE_CASE = (
     None,
 )
 
+# the grid max clears only tx 0, but the strategy bid 4 of tx 1 clears it too
+OFF_GRID_STRATEGY_CASE = (
+    Mechanism.eip1559(2),
+    [scenario([(1, 0, 0), (2, 0, 0)], cap=1)] * 2,
+    GridSpec(1, 3),
+    FixedOffset(1),
+    None,
+)
+
 
 def outcome(fn, *args, **kwargs):
     """fn's result, or the type of the table error it raised."""
@@ -730,10 +778,11 @@ class TestMemoAgainstCells:
     """The audits settle each fee-class tuple once and replay it for every
     raw profile or cell; the per-cell oracles above settle every cell.  A
     strategy bid off the grid can still make the base fee excessively low,
-    which both sides must then report."""
+    which both sides must then refuse before sweeping."""
 
     @given(memo_cases())
     @example(TIPLESS_TIE_CASE)
+    @example(OFF_GRID_STRATEGY_CASE)
     @settings(max_examples=150, deadline=None)
     def test_dsic(self, case):
         mech, scenarios, grid, strategy, samples = case
@@ -755,7 +804,9 @@ class TestMemoAgainstCells:
 
 
 class TestBudgetResolution:
-    def test_one_environment_read_per_audit(self, monkeypatch):
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """Every read of the budget environment variable, in order."""
         reads = []
 
         class Environ(dict):
@@ -765,6 +816,9 @@ class TestBudgetResolution:
                 return super().get(key, default)
 
         monkeypatch.setattr(os, "environ", Environ(os.environ))
+        return reads
+
+    def test_one_environment_read_per_audit(self, reads):
         sc = scenario([(1, 3, 3), (1, 2, 2), (2, 1, 1)], cap=2, bp=AdditiveValuation({0: 1}))
         mech = Mechanism.tipless(2, Eligibility.FREE, Allocation.CONSONANT)
         for audit in (
@@ -775,6 +829,20 @@ class TestBudgetResolution:
         ):
             reads.clear()
             audit()
+            assert len(reads) <= 1
+
+    def test_one_environment_read_per_construction(self, reads):
+        sc = scenario([(1, 3, 3), (1, 2, 2), (2, 1, 1)], cap=2, bp=AdditiveValuation({0: 1}))
+        mech = Mechanism.eip1559(2, Eligibility.FREE, Allocation.CONSONANT)
+        bids = sc.submitted_bids()
+        for construct in (
+            lambda: construct_zero_bid(mech, sc, bids),
+            lambda: construct_zero_bid_single_minded(mech, sc, bids),
+            lambda: construct_welfare_gap(Mechanism.trivial(), Fraction(1, 10)),
+            lambda: check_beta_commensurate(sc, Fraction(1, 2)),
+        ):
+            reads.clear()
+            construct()
             assert len(reads) <= 1
 
 
@@ -886,6 +954,23 @@ class TestApproxBound:
         check = report.bound_checks[0]
         assert check.overbid_violations > 0
         assert not check.within_bound
+
+    def test_negative_marginal_value_bounds_regret_at_zero(self):
+        # the producer loses 3 by including the transaction, so nu = -3,
+        # yet no deviation gains anything: zero regret keeps the bound
+        sc = Scenario(
+            (Transaction(0, 1, 0),),
+            TableValuation({EMPTY_BLOCK: 3, Block((0,)): 0}),
+            KnapsackBlockset(1),
+        )
+        mech = Mechanism.eip1559(0, Eligibility.FREE, Allocation.CONSONANT)
+        report = audit_approx_dsic_bound(mech, [sc], GridSpec(1, 1))
+        assert report.verdict == "PASS" and report.witnesses == ()
+        check = report.bound_checks[0]
+        assert check.nu == -3 and check.max_regret == 0 and check.within_bound
+        parsed = parse_audit_report(render_audit_report(report))
+        assert parsed["verdict"] == "PASS"
+        assert parsed["bound_checks"] == report.bound_checks
 
 
 class TestWelfare:

@@ -20,8 +20,11 @@ from tfm_lab import (
     UnknownTransactionError,
     bp_value,
     bps,
+    bps_argmax,
     burn,
+    enumerate_blocks,
     payment,
+    scenario_digest,
     user_utility,
     welfare,
 )
@@ -131,6 +134,50 @@ class TestScenario:
     def test_submitted_bids(self):
         sc = make_scenario(n=2)
         assert sc.submitted_bids() == {0: 5, 1: 6}
+
+
+class TestWithValuation:
+    """A valuation variant keeps its parent's transactions, blockset and
+    seed, shares its feasible blocks and recomputes what the valuation
+    enters: the producer values of its plans and its digest."""
+
+    def ordered(self, favored):
+        txs = (Transaction(0, 1, 5, 5), Transaction(1, 1, 6, 6))
+        blockset = KnapsackBlockset(2, enumerate_permutations=True)
+        return Scenario(txs, TableValuation({Block(favored): 9}), blockset, rng_seed=7)
+
+    def test_same_world_under_the_new_valuation(self):
+        parent = self.ordered((1, 0))
+        valuation = TableValuation({Block((0, 1)): 9})
+        child = parent.with_valuation(valuation)
+        assert child == self.ordered((0, 1))
+        assert child.bp_valuation is valuation
+        assert child.tx(1) == parent.tx(1)
+
+    def test_shares_the_enumeration(self):
+        parent = make_scenario()
+        child = parent.with_valuation(AdditiveValuation({0: 4}))
+        assert enumerate_blocks(child) is enumerate_blocks(parent)
+        grandchild = child.with_valuation(PassiveValuation(1))
+        gated = frozenset({0, 2})
+        assert enumerate_blocks(grandchild, eligible=gated) is enumerate_blocks(
+            parent, eligible=gated
+        )
+
+    def test_own_plan_on_an_ordered_blockset(self):
+        parent = self.ordered((1, 0))
+        bids = parent.submitted_bids()
+        assert bps_argmax(bids, parent, Mechanism.fpa()) == Block((1, 0))
+        child = parent.with_valuation(TableValuation({Block((0, 1)): 9}))
+        assert bps_argmax(bids, child, Mechanism.fpa()) == Block((0, 1))
+        assert bps_argmax(bids, parent, Mechanism.fpa()) == Block((1, 0))
+
+    def test_own_digest(self):
+        parent = self.ordered((1, 0))
+        before = scenario_digest(parent)
+        child = parent.with_valuation(TableValuation({Block((0, 1)): 9}))
+        assert scenario_digest(child) == scenario_digest(self.ordered((0, 1)))
+        assert scenario_digest(child) != before == scenario_digest(parent)
 
 
 class TestWelfareAndUtility:

@@ -1,31 +1,42 @@
 """Unit tests for the counterexample constructions, pinned to hand-derived
 expected values so the builders cannot drift."""
 
+from dataclasses import fields, replace
 from fractions import Fraction
+from itertools import combinations
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tfm_lab import (
+    EMPTY_BLOCK,
     AdditiveValuation,
     AlreadyTrivialError,
     Allocation,
     Block,
     ConstructionReplayError,
     Eligibility,
+    ExplicitBlockset,
     FixedOffset,
     KnapsackBlockset,
     Mechanism,
     PassiveValuation,
     Scenario,
     SingleMindedValuation,
+    TableValuation,
     Transaction,
     Truthful,
     UnsupportedInstanceError,
+    ZeroBidWitness,
     bps_argmax,
     construct_welfare_gap,
     construct_zero_bid,
     construct_zero_bid_single_minded,
     eip1559_underbid_demo,
+    enumerate_blocks,
+    scenario_digest,
     welfare,
 )
 
@@ -138,6 +149,98 @@ class TestZeroBidSingleMinded:
         w = construct_zero_bid_single_minded(Mechanism.fpa(), sc, sc.submitted_bids())
         # spread 9 plus bids 11 plus burn 0 plus 1
         assert w.modified_scenario.bp_valuation.value == 21
+
+
+@st.composite
+def zero_bid_cases(draw):
+    """A consonant fpa, eip1559 or tipless mechanism, a small world on a
+    knapsack, permutation or explicit blockset under any producer
+    valuation, and bids."""
+    n = draw(st.integers(1, 4))
+    sizes = [draw(st.integers(1, 3)) for _ in range(n)]
+    txs = tuple(
+        Transaction(i, size, draw(st.integers(0, 6)), draw(st.integers(0, 9)))
+        for i, size in enumerate(sizes)
+    )
+    cap = draw(st.integers(min(sizes), sum(sizes)))
+    fits = [
+        c
+        for k in range(1, n + 1)
+        for c in combinations(range(n), k)
+        if sum(sizes[i] for i in c) <= cap
+    ]
+    shape = draw(st.sampled_from(("knapsack", "permutations", "explicit")))
+    if shape == "explicit":
+        listed = draw(st.lists(st.sampled_from(fits), min_size=1, unique=True))
+        blocks = tuple(Block(tuple(draw(st.permutations(c)))) for c in listed)
+        blockset = ExplicitBlockset((EMPTY_BLOCK,) + blocks)
+    else:
+        blockset = KnapsackBlockset(cap, enumerate_permutations=shape == "permutations")
+    feasible = enumerate_blocks(Scenario(txs, PassiveValuation(0), blockset))
+    some_blocks = st.sampled_from(feasible)
+    bp = draw(
+        st.one_of(
+            st.builds(PassiveValuation, st.integers(0, 2)),
+            st.dictionaries(st.integers(0, n - 1), st.integers(0, 4)).map(
+                AdditiveValuation
+            ),
+            st.dictionaries(some_blocks, st.integers(0, 4)).map(TableValuation),
+            st.builds(
+                SingleMindedValuation,
+                st.frozensets(some_blocks, min_size=1, max_size=2),
+                st.integers(0, 4),
+            ),
+        )
+    )
+    mech = draw(
+        st.sampled_from(
+            [Mechanism.fpa(Allocation.CONSONANT)]
+            + [
+                factory(fee, Eligibility.FREE, Allocation.CONSONANT)
+                for factory in (Mechanism.eip1559, Mechanism.tipless)
+                for fee in range(3)
+            ]
+        )
+    )
+    return mech, (txs, bp, blockset)
+
+
+def construction_outcome(build, mech, world):
+    """Every witness field, plus the modified world's digest, or the error
+    the construction raised.  Each call builds its own Scenario, so no
+    cache carries over from another call; the input world's digest is
+    taken first, as a report on it would."""
+    sc = Scenario(*world)
+    scenario_digest(sc)
+    try:
+        w = build(mech, sc, sc.submitted_bids())
+    except (AlreadyTrivialError, ConstructionReplayError, UnsupportedInstanceError) as e:
+        return type(e), str(e)
+    got = {f.name: getattr(w, f.name) for f in fields(ZeroBidWitness)}
+    return got, scenario_digest(w.modified_scenario)
+
+
+class TestSharedEnumeration:
+    """The constructions derive the modified world with with_valuation,
+    sharing the enumeration of the input world; an oracle that builds it
+    with dataclasses.replace, and so from empty caches, must get the same
+    witness."""
+
+    @given(zero_bid_cases(), st.sampled_from((construct_zero_bid, construct_zero_bid_single_minded)))
+    @settings(max_examples=150, deadline=None)
+    def test_witness_matches_a_fresh_world(self, case, build):
+        mech, world = case
+        fresh = lambda sc, valuation: replace(sc, bp_valuation=valuation)  # noqa: E731
+        with mock.patch.object(Scenario, "with_valuation", fresh):
+            want = construction_outcome(build, mech, world)
+        assert construction_outcome(build, mech, world) == want
+
+    def test_modified_world_reuses_the_enumeration(self):
+        txs = (Transaction(0, 1, 4, 4), Transaction(1, 2, 7, 7))
+        sc = Scenario(txs, PassiveValuation(0), KnapsackBlockset(3, enumerate_permutations=True))
+        mech = Mechanism.eip1559(2, Eligibility.FREE, Allocation.CONSONANT)
+        w = construct_zero_bid_single_minded(mech, sc, sc.submitted_bids())
+        assert enumerate_blocks(w.modified_scenario) is enumerate_blocks(sc)
 
 
 class TestWelfareGap:
