@@ -8,6 +8,7 @@ a witness cell that reproduces the gain exactly when re-simulated.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,6 +42,7 @@ from .solver import (
     bps_argmax_detail,
     bps_split_argmax,
     canonical_key,
+    cut_includes,
     enumerate_blocks,
     max_block,
     max_marginal_value,
@@ -129,11 +131,18 @@ class AuditReport:
     sampling_seed: int | None = None
 
 
-def _finalize_witnesses(witnesses, max_witnesses):
+def _finalize_witnesses(rows, max_witnesses):
+    """The first max_witnesses witnesses in witness_sort_key order.
+
+    Audits collect each witness as its sort key, a (digest, tx_id, -gain,
+    valuation, recommended_bid, deviation_bid, cell_bids) row, and only the
+    emitted rows become Witness objects."""
     if max_witnesses < 0:
         raise ValueError(f"max_witnesses must be >= 0, got {max_witnesses}")
-    witnesses.sort(key=witness_sort_key)
-    return tuple(witnesses[:max_witnesses])
+    return tuple(
+        Witness(digest, t, v, rec, dev, -neg_gain, cell)
+        for digest, t, neg_gain, v, rec, dev, cell in heapq.nsmallest(max_witnesses, rows)
+    )
 
 
 def _precheck_standard_eip1559(mech, scenario, grid, strategy=None):
@@ -278,17 +287,11 @@ def audit_bpic(
                 set(rec.txs) - set(best.txs)
             )
             tx_id = diff[0] if diff else (best.txs or rec.txs)[0]
-            witnesses.append(
-                Witness(
-                    scenario_digest=digest,
-                    tx_id=tx_id,
-                    valuation=scenario.tx(tx_id).valuation,
-                    recommended_bid=bids[tx_id],
-                    deviation_bid=bids[tx_id],
-                    utility_gain=gain,
-                    cell_bids=tuple(sorted(bids.items())),
-                )
-            )
+            bid = bids[tx_id]
+            witnesses.append((
+                digest, tx_id, -gain, scenario.tx(tx_id).valuation, bid, bid,
+                tuple(sorted(bids.items())),
+            ))
         cycle = _detect_cycle(edges)
         if cycle is not None:
             conflicts.append(TieConflict(digest, tuple(b.txs for b in cycle)))
@@ -304,45 +307,75 @@ def audit_bpic(
     )
 
 
+def _side(mech, tx, bid):
+    """The side of the reserve a deviation table settles an own bid on.
+
+    The own bid moves the recommendation only through whether it clears
+    the reserve, and on argmax allocations through one contribution,
+    shared by every block that holds the transaction, that never decreases
+    in it.  A free-eligibility argmax enumerates the same blocks at every
+    bid, so it has one side."""
+    two_sides = (
+        mech.allocation is Allocation.STANDARD
+        or mech.eligibility is not Eligibility.FREE
+    )
+    return bid >= mech.reserve(tx) if two_sides else True
+
+
+def _touched_sides(mech, tx, points, strategy_bids):
+    """(side, first bid) of every side of the reserve that the grid points
+    or the strategy bids reach, in that lookup order."""
+    sides = {}
+    for bid in (*points, *strategy_bids):
+        sides.setdefault(_side(mech, tx, bid), bid)
+    return tuple(sides.items())
+
+
+def _side_cut(mech, scenario, tx, base_bids, bid, budget):
+    """One side of a deviation table solved at the own bid `bid` on it and
+    reduced to its cut (see solver.cut_includes): by one recommended_block
+    call under a standard allocation, which reads the own bid only as
+    clearing the reserve, or else by one split argmax pass.  Either
+    enumerates the eligibility set that a call at any bid of the side
+    would, so budget, base-fee and no-eligible-block errors are the same."""
+    bids = dict(base_bids)
+    bids[tx.tx_id] = bid
+    if mech.allocation is Allocation.STANDARD:
+        return tx.tx_id in recommended_block(mech, bids, scenario, budget=budget)
+    return bps_split_argmax(bids, scenario, mech, tx.tx_id, budget=budget).cut()
+
+
+def _cut(mech, scenario, tx, base_bids, sides, budget):
+    """The deviation table of one other-bid profile as the tuple of its
+    sides' cuts, solved in the order of `sides`: own bids with one
+    contribution on one side of the reserve get the same inclusion, so
+    profiles with one cut share one table."""
+    return tuple(
+        _side_cut(mech, scenario, tx, base_bids, bid, budget) for _, bid in sides
+    )
+
+
 def _deviation_table(mech, scenario, tx, base_bids, points, budget):
     """Map each candidate own-bid to (included, own payment) given the other
     users' bids.
 
-    The own bid x moves the recommendation only through whether it clears
-    the reserve r, and on argmax allocations through one contribution,
-    shared by every block that holds the transaction, that never decreases
-    in x.  So each side of r is solved at most once, when a bid on it is
-    first looked up: by one split argmax pass over the blocks, or by one
-    recommended_block call under a standard allocation, which depends on x
-    only through x >= r.  Every side enumerates the eligibility set that a
-    call at one of its bids would, so budget, base-fee and no-eligible-block
-    errors are the same.  look(bid) also answers bids that are not on the
-    grid.
+    Each side of the reserve (see _side) is solved at most once, when a bid
+    on it is first looked up.  look(bid) also answers bids that are not on
+    the grid.
     """
-    t = tx.tx_id
     reserve = mech.reserve(tx)
-    standard = mech.allocation is Allocation.STANDARD
-    # free-eligibility argmax rules enumerate the same blocks at every x
-    two_sides = standard or mech.eligibility is not Eligibility.FREE
-    sides = {}
+    cuts = {}
     table = {}
 
     def look(bid):
         got = table.get(bid)
         if got is None:
-            side = bid >= reserve if two_sides else True
-            rule = sides.get(side)
-            if rule is None:
-                bids = dict(base_bids)
-                bids[t] = bid
-                if standard:
-                    rule = t in recommended_block(mech, bids, scenario, budget=budget)
-                else:
-                    rule = bps_split_argmax(bids, scenario, mech, t, budget=budget)
-                sides[side] = rule
-            included = rule if standard else rule.includes(bid)
-            got = (True, own_payment(mech, tx, bid)) if included else (False, 0)
-            table[bid] = got
+            side = _side(mech, tx, bid)
+            cut = cuts.get(side)
+            if cut is None:
+                cut = cuts[side] = _side_cut(mech, scenario, tx, base_bids, bid, budget)
+            pay = own_payment(mech, tx, bid)
+            got = table[bid] = (True, pay) if cut_includes(cut, pay - reserve) else (False, 0)
         return got
 
     for b in points:
@@ -366,17 +399,23 @@ def _sweep(
     scenario apart from its copy; cell_bids holds the other users' (id,
     bid) pairs.  outcome is settle(position, tx, dev, look) on the
     profile's deviation table: dev pairs each grid bid with its (included,
-    own payment) entry, and look(bid) answers any own bid.
+    own payment) entry, and look(bid) answers the strategy's own bids.
 
-    The table reads the other users' bids only through their classes (the
-    clearing status under a standard allocation, mechanisms.fee_class
-    otherwise), so profiles with one class tuple share one table and one
-    outcome.  Each tuple is settled at its first profile, the first to
-    reach its eligibility set, which keeps budget and no-eligible-block
-    errors at the same cell.  The memo lives for one (position, tx) and is
-    skipped when every other user's classes are distinct bids.  Exhaustive
-    sweeps walk the profiles in product order.  Sampled sweeps draw
-    profile_samples profiles per transaction with replacement from a
+    Cost: one settle per distinct cut.  The own bids a table is looked up
+    at (the grid, then the strategy bids in valuation order) and their
+    payments are fixed per (position, tx).  The table reads the other
+    users' bids only through their classes (the clearing status under a
+    standard allocation, mechanisms.fee_class otherwise), so profiles with
+    one class tuple share one outcome; the memo is skipped when every
+    other user's classes are distinct bids.  A new class tuple solves each
+    side of the reserve that the looked-up bids reach, in lookup order
+    (the first profile to reach an eligibility set does, which keeps
+    budget and no-eligible-block errors at the same cell), and reduces it
+    to its cut (see _cut).  Tuples with one cut share one table, so settle
+    runs once per distinct cut of a (position, tx).
+
+    Exhaustive sweeps walk the profiles in product order.  Sampled sweeps
+    draw profile_samples profiles per transaction with replacement from a
     seeded stream and audit each distinct one once.  A sample count below
     1, an oversized exhaustive profile space and a standard eip1559 cell,
     the strategy's own bids included, with an excessively low base fee are
@@ -402,6 +441,16 @@ def _sweep(
             tx = scenario.tx(t)
             others = tuple(i for i in ids if i != t)
             maps, memo = _class_memo(mech, scenario, others, points, classify)
+            strategy_bids = [strategy_bid(strategy, v, tx) for v in points]
+            sides = _touched_sides(mech, tx, points, strategy_bids)
+            at = {side: i for i, (side, _) in enumerate(sides)}
+            reserve = mech.reserve(tx)
+            # (bid, index of its side's cut, contribution, own payment)
+            spots = []
+            for b in dict.fromkeys((*points, *strategy_bids)):
+                pay = own_payment(mech, tx, b)
+                spots.append((b, at[_side(mech, tx, b)], pay - reserve, pay))
+            settled = {}
             if sampled:
                 rng = random.Random(f"{sampling_seed}:{digest}:{t}")
                 drawn = [
@@ -418,8 +467,15 @@ def _sweep(
                     outcome = memo.get(key)
                 if outcome is None:
                     base = dict(zip(others, profile))
-                    table, look = _deviation_table(mech, scenario, tx, base, points, budget)
-                    outcome = settle(pos, tx, [(b, table[b]) for b in points], look)
+                    cut = _cut(mech, scenario, tx, base, sides, budget)
+                    outcome = settled.get(cut)
+                    if outcome is None:
+                        table = {
+                            b: (True, pay) if cut_includes(cut[i], c) else (False, 0)
+                            for b, i, c, pay in spots
+                        }
+                        dev = [(b, table[b]) for b in points]
+                        outcome = settled[cut] = settle(pos, tx, dev, table.__getitem__)
                     if memo is not None:
                         memo[key] = outcome
                 yield pos, digest, tx, tuple(zip(others, profile)), outcome
@@ -443,23 +499,23 @@ def audit_dsic(
     every grid deviation, with the producer following the allocation rule
     throughout.  Zero-gain deviations are not violations.
 
-    Cost model: one table/argmax per class; cells and witnesses per raw
-    profile.  Other-bid profiles whose bids fall in the same classes (see
-    _sweep) share one own-bid table, settled by at most one block pass (or
-    one standard-rule allocation) on each side of the transaction's
-    reserve, not by one allocation per grid bid, and one scan of its
-    (valuation, deviation) cells for the first strictly best deviation.
-    Every raw profile still counts its cells and emits its own witness
-    rows.  Sampled profiles are drawn with replacement and repeats are
-    audited once.  A profile_samples below 1 or a negative max_witnesses
-    raises ValueError.
+    Cost model: one table/argmax per class, one settle per distinct cut;
+    cells and witnesses per raw profile.  Other-bid profiles whose bids
+    fall in the same classes (see _sweep) share one own-bid table, solved
+    by at most one block pass (or one standard-rule allocation) on each
+    side of the transaction's reserve, not by one allocation per grid bid.
+    Class tuples with one cut share one scan of the (valuation, deviation)
+    cells for the first strictly best deviation.  Every raw profile still
+    counts its cells and emits its own witness rows.  Sampled profiles are
+    drawn with replacement and repeats are audited once.  A
+    profile_samples below 1 or a negative max_witnesses raises ValueError.
     """
     points = grid.points()
     sampled = profile_samples is not None
 
     def settle(pos, tx, dev, look):
-        # (valuation, strategy bid, first strictly best bid, its gain) of
-        # every valuation with a profitable deviation
+        # (-gain, valuation, strategy bid, first strictly best bid) of every
+        # valuation with a profitable deviation
         rows = []
         for v in points:
             sb = strategy_bid(strategy, v, tx)
@@ -473,20 +529,20 @@ def audit_dsic(
                     best_gain = u - u0
                     best_bid = b
             if best_gain > 0:
-                rows.append((v, sb, best_bid, best_gain))
+                rows.append((-best_gain, v, sb, best_bid))
         return rows
 
     witnesses = []
     cells = 0
-    max_regret = 0
     for _, digest, tx, cell_bids, rows in _sweep(
         mech, strategy, scenarios, grid, budget, profile_samples, sampling_seed, settle
     ):
         cells += len(points)
-        for v, sb, b, gain in rows:
-            max_regret = max(max_regret, gain)
-            witnesses.append(Witness(digest, tx.tx_id, v, sb, b, gain, cell_bids))
+        if rows:
+            t = tx.tx_id
+            witnesses += [(digest, t, *row, cell_bids) for row in rows]
 
+    max_regret = -min((row[2] for row in witnesses), default=0)
     verdict = PASS if max_regret == 0 else FAIL
     return AuditReport(
         kind="dsic",
@@ -523,10 +579,11 @@ def audit_approx_dsic_bound(
     audit_dsic, and the bound checks keep one entry per (scenario,
     transaction) in input order, a repeated scenario included.
 
-    Cost model: one table/argmax per class; cells and witnesses per raw
-    profile.  Each class tuple's table is scanned once for its overbid,
-    below-range and over-bound rows and counts, which every raw profile of
-    that tuple then adds with its own cell bids.
+    Cost model: one table/argmax per class, one settle per distinct cut;
+    cells and witnesses per raw profile.  Each distinct cut's table is
+    scanned once for its overbid, below-range and over-bound rows and
+    counts, which every raw profile with that cut then adds with its own
+    cell bids.
     """
     if mech.preset not in (TIPLESS, EIP1559) or mech.allocation is not Allocation.CONSONANT:
         raise UnsupportedInstanceError(
@@ -549,7 +606,8 @@ def audit_approx_dsic_bound(
     nus = {}
 
     def settle(pos, tx, dev, look):
-        # (witness rows, overbids, below-range bids, largest cell gain)
+        # ((-gain, valuation, strategy bid, deviation bid) witness rows,
+        # overbids, below-range bids, largest cell gain)
         t = tx.tx_id
         if (pos, t) not in nus:
             try:
@@ -572,16 +630,16 @@ def audit_approx_dsic_bound(
                 if gain > 0:
                     if b > sb:
                         overbid += 1
-                        rows.append((v, sb, b, gain))
+                        rows.append((-gain, v, sb, b))
                     if b < sb - bound:
                         below += 1
-                        rows.append((v, sb, b, gain))
+                        rows.append((-gain, v, sb, b))
                     if gain > cell_best:
                         cell_best = gain
                         cell_bid = b
             regret = max(regret, cell_best)
             if cell_best > bound:
-                rows.append((v, sb, cell_bid, cell_best))
+                rows.append((-cell_best, v, sb, cell_bid))
         return rows, overbid, below, regret
 
     witnesses = []
@@ -601,7 +659,7 @@ def audit_approx_dsic_bound(
             overbid += n_over
             below += n_below
             tx_regret = max(tx_regret, regret)
-            witnesses += (Witness(digest, t, *row, cell_bids) for row in rows)
+            witnesses += [(digest, t, *row, cell_bids) for row in rows]
         nu = nus[pos, t]
         bound_checks.append(
             BoundCheck(

@@ -44,7 +44,7 @@ from .mechanisms import (
     recommended_block,
     strategy_bid,
 )
-from .solver import bps_argmax_detail, enumerate_blocks, resolve_budget
+from .solver import bps_argmax_detail, canonical_key, enumerate_blocks, resolve_budget
 
 
 class AlreadyTrivialError(ValueError):
@@ -107,6 +107,22 @@ def _shared_zero_bid(mech, scenario, bids, budget, variant):
     burn_q = burn(mech, block, zero_bids, scenario)
 
     if variant == "additive":
+        # Additive stakes value every ordering of the members alike, so the
+        # modified world's argmax takes the canonical-first one.
+        blockset = scenario.blockset
+        if isinstance(blockset, ExplicitBlockset) or blockset.enumerate_permutations:
+            members = set(block.txs)
+            first = min(
+                (b for b in enumerate_blocks(scenario, budget=budget) if set(b.txs) == members),
+                key=canonical_key,
+            )
+            if first != block:
+                raise UnsupportedInstanceError(
+                    f"the recommended block {block.txs} is not the canonical-first "
+                    f"ordering {first.txs} of its members, and additive stakes "
+                    f"cannot tell orderings apart; use "
+                    f"construct_zero_bid_single_minded (zero-bid-sm)"
+                )
         # Boost the producer's per-transaction stake in the chosen block so
         # far past every fee and burn that dropping any member costs more
         # than fees could ever recoup.
@@ -187,6 +203,11 @@ def construct_zero_bid(
 
     The bids should be the ones the mechanism's own strategy recommends; the
     charged user then gains its whole payment by bidding zero instead.
+    On an ordered blockset, a recommended block that is not the
+    canonical-first ordering of its members is refused with
+    UnsupportedInstanceError before the modified world is built: additive
+    stakes cannot make the producer prefer it over that ordering.  The
+    single-minded variant certifies such blocks.
     """
     return _shared_zero_bid(mech, scenario, bids, budget, "additive")
 

@@ -365,6 +365,20 @@ class SplitArgmax:
     holding: Block | None
     holding_score: Money | None
 
+    def cut(self):
+        """The split reduced to all that decides inclusion: False when no
+        block holds the transaction, True when no block lacks it, else
+        (without_score - holding_score, whether holding comes first on the
+        canonical key).  Splits with one cut include the same own bids."""
+        if self.holding is None:
+            return False
+        if self.without is None:
+            return True
+        return (
+            self.without_score - self.holding_score,
+            canonical_key(self.holding) < canonical_key(self.without),
+        )
+
     def includes(self, bid: Money) -> bool:
         """Whether the argmax holds the transaction when it bids `bid`.
 
@@ -372,15 +386,17 @@ class SplitArgmax:
         profile the split was computed from.  The contribution never
         decreases in the bid, so inclusion is a threshold: the critical bid.
         """
-        if self.holding is None:
-            return False
-        if self.without is None:
-            return True
         tx = self.tx
-        s = self.holding_score + own_payment(self.mech, tx, bid) - self.mech.reserve(tx)
-        if s != self.without_score:
-            return s > self.without_score
-        return canonical_key(self.holding) < canonical_key(self.without)
+        return cut_includes(self.cut(), own_payment(self.mech, tx, bid) - self.mech.reserve(tx))
+
+
+def cut_includes(cut, contribution: Money) -> bool:
+    """Whether an own bid of this contribution (own payment - reserve) is
+    included under a SplitArgmax.cut, or under a bare inclusion flag."""
+    if cut is True or cut is False:
+        return cut
+    gap, wins_tie = cut
+    return contribution > gap or (contribution == gap and wins_tie)
 
 
 def bps_split_argmax(

@@ -67,7 +67,7 @@ from tfm_lab import (
     witness_sort_key,
 )
 from tfm_lab import auditors
-from tfm_lab.auditors import _deviation_table, _detect_cycle
+from tfm_lab.auditors import _cut, _deviation_table, _detect_cycle, _touched_sides
 from tfm_lab.solver import BUDGET_ENV_VAR
 
 
@@ -439,6 +439,17 @@ def deviation_cases(draw):
     return mech, sc, t, base, points, sorted(extras), budget
 
 
+def oracle_included(mech, sc, t, base, bid, budget):
+    """(included, own payment) of tx t bidding `bid`: one recommended_block
+    and one payment() call."""
+    bids = dict(base)
+    bids[t] = bid
+    block = recommended_block(mech, bids, sc, budget=budget)
+    if t not in block:
+        return False, 0
+    return True, payment(mech, block, bids, sc)[t]
+
+
 class TestDeviationTable:
     """The split-argmax deviation table against one recommended_block call
     and one payment() per own bid."""
@@ -450,12 +461,7 @@ class TestDeviationTable:
         tx = sc.tx(t)
 
         def oracle(bid):
-            bids = dict(base)
-            bids[t] = bid
-            block = recommended_block(mech, bids, sc, budget=budget)
-            if t not in block:
-                return False, 0
-            return True, payment(mech, block, bids, sc)[t]
+            return oracle_included(mech, sc, t, base, bid, budget)
 
         def outcome(fn, bid):
             try:
@@ -508,6 +514,87 @@ class TestDeviationTable:
             bids = {0: other, 1: own}
             want = payment(mech, block, bids, sc)[1]
             assert own_payment(mech, sc.tx(1), own) == want
+
+
+# one slot, a passive producer and tx 1 deviating: against {0: 0, 2: 2} and
+# {0: 2, 2: 0} the best block without tx 1 scores 2 either way, so own bid 2
+# ties it and only the canonical key decides, for (1,) before (2,) but not
+# before (0,)
+CANONICAL_TIE_CASE = (
+    Mechanism.fpa(Allocation.CONSONANT),
+    [scenario([(1, 0, 0), (1, 0, 0), (1, 0, 0)], cap=1)],
+    GridSpec(1, 3),
+    Truthful(),
+    None,
+)
+
+
+class TestCut:
+    """Profiles of one transaction with one cut share one deviation table."""
+
+    def test_canonical_tie_is_part_of_the_cut(self):
+        mech, (sc,), grid, strategy, _ = CANONICAL_TIE_CASE
+        tx = sc.tx(1)
+        points = grid.points()
+        sides = _touched_sides(mech, tx, points, [strategy_bid(strategy, v, tx) for v in points])
+        assert _cut(mech, sc, tx, {0: 0, 2: 2}, sides, None) == ((2, True),)
+        assert _cut(mech, sc, tx, {0: 2, 2: 0}, sides, None) == ((2, False),)
+        report = audit_dsic(mech, strategy, [sc], grid)
+        assert report == oracle_dsic(mech, strategy, [sc], grid)
+
+    @given(deviation_cases())
+    @example((CANONICAL_TIE_CASE[0], CANONICAL_TIE_CASE[1][0], 1, {}, (0, 1, 2, 3), [], None))
+    @settings(max_examples=250, deadline=None)
+    def test_equal_cuts_give_equal_tables(self, case):
+        """Over every profile of the other users' bids in 0..3, the
+        profiles of one cut get the same (included, payment) at every grid
+        point and every extra own bid."""
+        mech, sc, t, _, points, extras, budget = case
+        tx = sc.tx(t)
+        others = [i for i in sc.ids() if i != t]
+        sides = _touched_sides(mech, tx, points, extras)
+        tables = {}
+        for profile in product(range(4), repeat=len(others)):
+            base = dict(zip(others, profile))
+            cut = outcome(_cut, mech, sc, tx, base, sides, budget)
+            if isinstance(cut, type):
+                continue
+            table = [
+                outcome(oracle_included, mech, sc, t, base, b, budget)
+                for b in (*points, *extras)
+            ]
+            assert tables.setdefault(cut, table) == table
+
+
+class TestFinalizeWitnesses:
+    """Audits collect witnesses as sort-key rows and build only the
+    emitted ones."""
+
+    ROWS = st.lists(
+        st.tuples(
+            st.sampled_from(("a" * 64, "b" * 64)),
+            st.integers(0, 2),
+            st.integers(-3, -1),
+            st.integers(0, 2),
+            st.integers(0, 2),
+            st.integers(0, 2),
+            st.sampled_from((((0, 1),), ((0, 2),), ((0, 1), (2, 0)))),
+        ),
+        max_size=40,
+    )
+
+    @given(ROWS, st.integers(0, 50))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_a_full_sort(self, rows, max_witnesses):
+        witnesses = [Witness(d, t, v, rec, dev, -neg, cell) for d, t, neg, v, rec, dev, cell in rows]
+        want = sorted(witnesses, key=witness_sort_key)[:max_witnesses]
+        assert auditors._finalize_witnesses(rows, max_witnesses) == tuple(want)
+
+    def test_zero_emits_nothing_and_negative_raises(self):
+        rows = [("a" * 64, 0, -1, 1, 1, 2, ((1, 0),))]
+        assert auditors._finalize_witnesses(rows, 0) == ()
+        with pytest.raises(ValueError, match="max_witnesses"):
+            auditors._finalize_witnesses(rows, -1)
 
 
 class TestBpic:
@@ -783,6 +870,7 @@ class TestMemoAgainstCells:
     @given(memo_cases())
     @example(TIPLESS_TIE_CASE)
     @example(OFF_GRID_STRATEGY_CASE)
+    @example(CANONICAL_TIE_CASE)
     @settings(max_examples=150, deadline=None)
     def test_dsic(self, case):
         mech, scenarios, grid, strategy, samples = case

@@ -46,6 +46,14 @@ def one_tx_scenario(bid=5):
     return Scenario(txs, PassiveValuation(0), KnapsackBlockset(1))
 
 
+def ordering_scenario():
+    """Two unit transactions bidding 5 on a permutation knapsack of
+    capacity 2, and a producer that values only the ordering (1, 0)."""
+    txs = (Transaction(0, 1, 5, 5), Transaction(1, 1, 5, 5))
+    blockset = KnapsackBlockset(2, enumerate_permutations=True)
+    return Scenario(txs, TableValuation({Block((1, 0)): 9}), blockset)
+
+
 class TestZeroBid:
     def test_fpa_frozen_values(self):
         sc = one_tx_scenario()
@@ -114,6 +122,18 @@ class TestZeroBid:
         mech = Mechanism.eip1559(2, Eligibility.BASE_FEE_GATED, Allocation.CONSONANT)
         with pytest.raises(ConstructionReplayError):
             construct_zero_bid(mech, sc, sc.submitted_bids())
+
+    def test_refuses_a_later_ordering_of_the_members(self):
+        # the producer recommends (1, 0), but additive stakes value (0, 1)
+        # alike and the canonical key prefers it; the single-minded
+        # variant names the block itself and certifies it
+        sc = ordering_scenario()
+        mech = Mechanism.fpa(Allocation.CONSONANT)
+        with pytest.raises(UnsupportedInstanceError, match="construct_zero_bid_single_minded"):
+            construct_zero_bid(mech, sc, sc.submitted_bids())
+        w = construct_zero_bid_single_minded(mech, sc, sc.submitted_bids())
+        assert w.original_block == w.zero_bid_block == Block((1, 0))
+        assert w.utility_gain == 5
 
     def test_preserves_original_scenario(self):
         sc = one_tx_scenario()
