@@ -40,13 +40,15 @@ from .scenario_io import scenario_digest
 from .solver import (
     NoFeasibleBlockError,
     bps_argmax_detail,
-    bps_split_argmax,
     canonical_key,
     cut_includes,
     enumerate_blocks,
+    fold_split,
     max_block,
     max_marginal_value,
     resolve_budget,
+    split_cut,
+    split_pass,
 )
 
 PASS = "PASS"
@@ -216,6 +218,16 @@ def _class_memo(mech, scenario, ids, points, classify):
     return maps, {} if repeats else None
 
 
+def _at_class(entries, c):
+    """split_pass entries of the blocks lacking one user and, when it is
+    eligible, of those holding it, read at its fee class c (see
+    solver.fold_split); None, for a user that is not eligible or absent,
+    reads the blocks lacking it."""
+    if c is None:
+        return entries[0]
+    return fold_split(entries[0], entries[1], c)
+
+
 def audit_bpic(
     mech: Mechanism,
     scenarios: Sequence[Scenario],
@@ -231,19 +243,26 @@ def audit_bpic(
     the tie-breaking between surplus-tied blocks must be explainable by some
     fixed order on blocks (checked as acyclicity of observed preferences).
 
-    Cost: one table/argmax per class; cells and witnesses per raw profile.
-    The producer's argmax reads a cell only through its fee classes
-    (mechanisms.fee_class), so bps_argmax_detail runs once per distinct
-    class tuple of a scenario, unless every user's classes are distinct
-    bids anyway.  The consonant rule (which the trivial preset always uses)
-    recommends that argmax, so a repeated class tuple adds no tie edge and
-    no witness.  The other rules add one recommended_block call per cell,
-    and add tie edges only for a recommendation that is new among its
-    class tuple's ties.
+    Cost: one block pass per prefix, O(1) per cell; cells and witnesses per
+    raw profile.  The producer's argmax reads a cell only through its fee
+    classes (mechanisms.fee_class), the last user's only as a contribution
+    added to the blocks that hold it.  So one split_pass on the last user
+    per prefix (the classes of the users before it) and eligibility of the
+    last user, solved at the first cell that reaches it, gives the argmax
+    of every grid bid of the last user by fold_split; errors are raised at
+    the cell, and with the message, of a per-cell pass.  fpa's revenue_max
+    recommendation is read the same way off one unvalued split pass.  The
+    consonant rule (which the trivial preset always uses) recommends the
+    argmax, so a repeated class tuple adds no tie edge and no witness; the
+    memo is skipped when every class map is injective on the grid.  The
+    standard rules add one recommended_block call per cell, and add tie
+    edges only for a recommendation that is new among its class tuple's
+    ties.
     """
     budget = resolve_budget(budget)
     points = bid_grid.points()
     argmax_rule = mech.allocation is Allocation.CONSONANT
+    revenue_rule = mech.allocation is Allocation.REVENUE_MAX
     witnesses = []
     conflicts = []
     cells = 0
@@ -253,24 +272,39 @@ def audit_bpic(
         _precheck_standard_eip1559(mech, scenario, bid_grid)
         digest = scenario_digest(scenario)
         ids = scenario.ids()
+        split = ids[-1:]
         maps, memo = _class_memo(mech, scenario, ids, points, fee_class)
+        # (prefix, last user eligible) -> the producer's split_pass
+        # entries, then revenue_max's unvalued ones
+        passes = {}
         edges = {}
         for combo in product(points, repeat=len(ids)):
             cells += 1
+            key = tuple(map(getitem, maps, combo))
             entry = None
             if memo is not None:
-                key = tuple(map(getitem, maps, combo))
                 entry = memo.get(key)
                 if entry is not None and argmax_rule:
                     continue  # its argmax is the recommendation, edges added
             bids = dict(zip(ids, combo))
+            prefix, c = (key[:-1], key[-1]) if split else (key, None)
+            if entry is None or revenue_rule:
+                solved = passes.get((prefix, c is not None))
+                if solved is None:
+                    solved = passes[prefix, c is not None] = [
+                        split_pass(bids, scenario, mech, split, valued=v, budget=budget)
+                        for v in ((True, False) if revenue_rule else (True,))
+                    ]
+                producer, revenue = solved[0], solved[-1]
             if entry is None:
-                entry = bps_argmax_detail(bids, scenario, mech, budget=budget), set()
+                entry = _at_class(producer, c), set()
                 if memo is not None:
                     memo[key] = entry
-            (best, best_score, tied), settled = entry
+            (best_score, best, tied, _), settled = entry
             if argmax_rule:
                 rec = best
+            elif revenue_rule:
+                rec = _at_class(revenue, c)[1]
             else:
                 rec = recommended_block(mech, bids, scenario, budget=budget)
             if settled and rec in settled:
@@ -322,71 +356,89 @@ def _side(mech, tx, bid):
     return bid >= mech.reserve(tx) if two_sides else True
 
 
-def _touched_sides(mech, tx, points, strategy_bids):
-    """(side, first bid) of every side of the reserve that the grid points
-    or the strategy bids reach, in that lookup order."""
-    sides = {}
-    for bid in (*points, *strategy_bids):
-        sides.setdefault(_side(mech, tx, bid), bid)
-    return tuple(sides.items())
-
-
-def _side_cut(mech, scenario, tx, base_bids, bid, budget):
-    """One side of a deviation table solved at the own bid `bid` on it and
-    reduced to its cut (see solver.cut_includes): by one recommended_block
-    call under a standard allocation, which reads the own bid only as
-    clearing the reserve, or else by one split argmax pass.  Either
-    enumerates the eligibility set that a call at any bid of the side
-    would, so budget, base-fee and no-eligible-block errors are the same."""
-    bids = dict(base_bids)
-    bids[tx.tx_id] = bid
-    if mech.allocation is Allocation.STANDARD:
-        return tx.tx_id in recommended_block(mech, bids, scenario, budget=budget)
-    return bps_split_argmax(bids, scenario, mech, tx.tx_id, budget=budget).cut()
-
-
-def _cut(mech, scenario, tx, base_bids, sides, budget):
-    """The deviation table of one other-bid profile as the tuple of its
-    sides' cuts, solved in the order of `sides`: own bids with one
-    contribution on one side of the reserve get the same inclusion, so
-    profiles with one cut share one table."""
-    return tuple(
-        _side_cut(mech, scenario, tx, base_bids, bid, budget) for _, bid in sides
-    )
-
-
-def _deviation_table(mech, scenario, tx, base_bids, points, budget):
-    """Map each candidate own-bid to (included, own payment) given the other
-    users' bids.
-
-    Each side of the reserve (see _side) is solved at most once, when a bid
-    on it is first looked up.  look(bid) also answers bids that are not on
-    the grid.
-    """
-    reserve = mech.reserve(tx)
-    cuts = {}
-    table = {}
-
-    def look(bid):
-        got = table.get(bid)
-        if got is None:
-            side = _side(mech, tx, bid)
-            cut = cuts.get(side)
-            if cut is None:
-                cut = cuts[side] = _side_cut(mech, scenario, tx, base_bids, bid, budget)
-            pay = own_payment(mech, tx, bid)
-            got = table[bid] = (True, pay) if cut_includes(cut, pay - reserve) else (False, 0)
-        return got
-
-    for b in points:
-        look(b)
-    return table, look
-
-
 def _clears(mech, tx, bid):
     """The class of a bid as the standard rules read it: whether it clears
     the reserve, which under gated eligibility is also its eligibility."""
     return bid >= mech.reserve(tx)
+
+
+class _DeviationTables:
+    """The deviation tables of one transaction of one scenario, each
+    reduced to its cut.
+
+    A table maps every own bid an audit looks up (the grid, then the
+    strategy bids in valuation order) to (included, own payment) against
+    one profile of the other users' bids.  The own bid moves the
+    recommendation only through its side of the reserve (see _side) and,
+    under an argmax allocation, through one contribution, so one cut per
+    side fixes the table (see solver.cut_includes).  A standard cut is the
+    inclusion flag of one recommended_block call, which reads the other
+    bids only as clearing the reserve (classify is _clears).  An argmax
+    cut is a solver.split_cut, which reads them only through their fee
+    classes (classify is mechanisms.fee_class), the last user's too as a
+    contribution: one split_pass on (this transaction, last other user)
+    per (class tuple of the users before it, side, last user eligible)
+    settles every class of the last user by fold_split.  Each pass is
+    solved when a cut first needs it, at that profile and the side's first
+    looked-up bid, so budget, base-fee and no-eligible-block errors are
+    raised at the profile, and with the message, of a per-profile solve.
+    """
+
+    def __init__(self, mech, scenario, tx, points, strategy_bids, budget):
+        self.mech, self.scenario, self.tx, self.budget = mech, scenario, tx, budget
+        self.others = tuple(i for i in scenario.ids() if i != tx.tx_id)
+        self.classify = _clears if mech.allocation is Allocation.STANDARD else fee_class
+        looked_up = dict.fromkeys((*points, *strategy_bids))
+        first_bids = {}  # side -> its first looked-up bid, in lookup order
+        for b in looked_up:
+            first_bids.setdefault(_side(mech, tx, b), b)
+        self.sides = tuple(first_bids.values())
+        at = {side: i for i, side in enumerate(first_bids)}
+        reserve = mech.reserve(tx)
+        # (bid, index of its side's cut, contribution, own payment)
+        self.spots = []
+        for b in looked_up:
+            pay = own_payment(mech, tx, b)
+            self.spots.append((b, at[_side(mech, tx, b)], pay - reserve, pay))
+        self.split = (tx.tx_id, *self.others[-1:])
+        self.passes = {}
+
+    def cut(self, profile, classes):
+        """The tuple of per-side cuts, in lookup order, of the table
+        against the other users' bids `profile` (in the order of
+        self.others), whose classes under self.classify are `classes`."""
+        mech, scenario, tx = self.mech, self.scenario, self.tx
+        cuts = []
+        if mech.allocation is Allocation.STANDARD:
+            bids = dict(zip(self.others, profile))
+            for bid in self.sides:
+                bids[tx.tx_id] = bid
+                block = recommended_block(mech, bids, scenario, budget=self.budget)
+                cuts.append(tx.tx_id in block)
+            return tuple(cuts)
+        prefix, c = (classes[:-1], classes[-1]) if classes else ((), None)
+        for i, bid in enumerate(self.sides):
+            key = prefix, i, c is not None
+            entries = self.passes.get(key)
+            if entries is None:
+                bids = dict(zip(self.others, profile))
+                bids[tx.tx_id] = bid
+                # revenue_max is the argmax of a producer valuing nothing
+                valued = mech.allocation is not Allocation.REVENUE_MAX
+                entries = self.passes[key] = split_pass(
+                    bids, scenario, mech, self.split, valued=valued, budget=self.budget
+                )
+            # bit 0 of a pattern is this transaction, bit 1 the last user
+            cuts.append(split_cut(_at_class(entries[0::2], c), _at_class(entries[1::2], c)))
+        return tuple(cuts)
+
+    def table(self, cut):
+        """{own bid: (included, own payment)} of every looked-up bid under
+        a cut tuple."""
+        return {
+            b: (True, pay) if cut_includes(cut[i], c) else (False, 0)
+            for b, i, c, pay in self.spots
+        }
 
 
 def _sweep(
@@ -401,18 +453,18 @@ def _sweep(
     profile's deviation table: dev pairs each grid bid with its (included,
     own payment) entry, and look(bid) answers the strategy's own bids.
 
-    Cost: one settle per distinct cut.  The own bids a table is looked up
-    at (the grid, then the strategy bids in valuation order) and their
-    payments are fixed per (position, tx).  The table reads the other
-    users' bids only through their classes (the clearing status under a
-    standard allocation, mechanisms.fee_class otherwise), so profiles with
-    one class tuple share one outcome; the memo is skipped when every
-    other user's classes are distinct bids.  A new class tuple solves each
-    side of the reserve that the looked-up bids reach, in lookup order
-    (the first profile to reach an eligibility set does, which keeps
-    budget and no-eligible-block errors at the same cell), and reduces it
-    to its cut (see _cut).  Tuples with one cut share one table, so settle
-    runs once per distinct cut of a (position, tx).
+    Cost: one block pass per (prefix, side) under an argmax allocation,
+    one allocation per (class tuple, side) under a standard one, and one
+    settle per distinct cut.  The table reads the other users' bids only through their classes (the
+    clearing status under a standard allocation, mechanisms.fee_class
+    otherwise), so profiles with one class tuple share one outcome; the
+    memo is skipped when every other user's classes are distinct bids.  A
+    new class tuple reduces its table to its cut (see _DeviationTables):
+    under an argmax allocation from one split pass per class tuple of the
+    other users but the last (the prefix) and side of the reserve, shared
+    by every bid of the last user; under a standard allocation from one
+    recommended_block call per side.  Tuples with one cut share one table,
+    so settle runs once per distinct cut of a (position, tx).
 
     Exhaustive sweeps walk the profiles in product order.  Sampled sweeps
     draw profile_samples profiles per transaction with replacement from a
@@ -433,23 +485,14 @@ def _sweep(
     budget = resolve_budget(budget)
 
     points = grid.points()
-    classify = _clears if mech.allocation is Allocation.STANDARD else fee_class
     for pos, scenario in enumerate(scenarios):
         digest = scenario_digest(scenario)
-        ids = scenario.ids()
-        for t in ids:
+        for t in scenario.ids():
             tx = scenario.tx(t)
-            others = tuple(i for i in ids if i != t)
-            maps, memo = _class_memo(mech, scenario, others, points, classify)
             strategy_bids = [strategy_bid(strategy, v, tx) for v in points]
-            sides = _touched_sides(mech, tx, points, strategy_bids)
-            at = {side: i for i, (side, _) in enumerate(sides)}
-            reserve = mech.reserve(tx)
-            # (bid, index of its side's cut, contribution, own payment)
-            spots = []
-            for b in dict.fromkeys((*points, *strategy_bids)):
-                pay = own_payment(mech, tx, b)
-                spots.append((b, at[_side(mech, tx, b)], pay - reserve, pay))
+            tables = _DeviationTables(mech, scenario, tx, points, strategy_bids, budget)
+            others = tables.others
+            maps, memo = _class_memo(mech, scenario, others, points, tables.classify)
             settled = {}
             if sampled:
                 rng = random.Random(f"{sampling_seed}:{digest}:{t}")
@@ -461,19 +504,13 @@ def _sweep(
             else:
                 profiles = product(points, repeat=len(others))
             for profile in profiles:
-                outcome = None
-                if memo is not None:
-                    key = tuple(map(getitem, maps, profile))
-                    outcome = memo.get(key)
+                key = tuple(map(getitem, maps, profile))
+                outcome = None if memo is None else memo.get(key)
                 if outcome is None:
-                    base = dict(zip(others, profile))
-                    cut = _cut(mech, scenario, tx, base, sides, budget)
+                    cut = tables.cut(profile, key)
                     outcome = settled.get(cut)
                     if outcome is None:
-                        table = {
-                            b: (True, pay) if cut_includes(cut[i], c) else (False, 0)
-                            for b, i, c, pay in spots
-                        }
+                        table = tables.table(cut)
                         dev = [(b, table[b]) for b in points]
                         outcome = settled[cut] = settle(pos, tx, dev, table.__getitem__)
                     if memo is not None:
@@ -499,11 +536,14 @@ def audit_dsic(
     every grid deviation, with the producer following the allocation rule
     throughout.  Zero-gain deviations are not violations.
 
-    Cost model: one table/argmax per class, one settle per distinct cut;
-    cells and witnesses per raw profile.  Other-bid profiles whose bids
-    fall in the same classes (see _sweep) share one own-bid table, solved
-    by at most one block pass (or one standard-rule allocation) on each
-    side of the transaction's reserve, not by one allocation per grid bid.
+    Cost model: one block pass per (prefix, side), O(1) per class tuple,
+    one settle per distinct cut; cells and witnesses per raw profile (see
+    _sweep).  Other-bid profiles whose bids fall in the same classes share
+    one own-bid table, reduced to one cut per side of the transaction's
+    reserve.  Under an argmax allocation one pass split on the transaction
+    and on the last other user serves every class of that user, so a
+    prefix (the classes of the users before it) costs one pass per side;
+    a standard allocation costs one allocation per side and class tuple.
     Class tuples with one cut share one scan of the (valuation, deviation)
     cells for the first strictly best deviation.  Every raw profile still
     counts its cells and emits its own witness rows.  Sampled profiles are
@@ -579,8 +619,9 @@ def audit_approx_dsic_bound(
     audit_dsic, and the bound checks keep one entry per (scenario,
     transaction) in input order, a repeated scenario included.
 
-    Cost model: one table/argmax per class, one settle per distinct cut;
-    cells and witnesses per raw profile.  Each distinct cut's table is
+    Cost model: as audit_dsic's, one block pass per (prefix, side) and one
+    settle per distinct cut; cells and witnesses per raw profile.  Each
+    distinct cut's table is
     scanned once for its overbid, below-range and over-bound rows and
     counts, which every raw profile with that cut then adds with its own
     cell bids.

@@ -181,112 +181,137 @@ class _Group(NamedTuple):
     Fee contributions depend on the members only, so every ordering of a
     group scores its producer value plus one shared contribution sum.
 
-    txs    the members, as ordered in `first`
-    value  the highest producer value among the orderings
-    top    (enumeration index, ordering) of every ordering worth value,
-           in enumeration order
-    first  the canonical-first ordering of the group
+    txs    the members, in the order of one of the orderings
+    value  the highest producer value among the orderings, 0 in an
+           unvalued plan
+    top    (enumeration index, ordering) of every ordering worth value, in
+           enumeration order; in an unvalued plan, of the canonical-first
+           ordering alone
     """
 
     txs: tuple[int, ...]
     value: Money
     top: tuple[tuple[int, Block], ...]
-    first: Block
 
 
-def _plan(scenario: Scenario, eligible, blocks) -> tuple[_Group, ...]:
+def _plan(scenario: Scenario, eligible, blocks, valued) -> tuple[_Group, ...]:
     """The enumerated blocks grouped by member set, in order of first
-    appearance, cached on the scenario per eligibility filter.
+    appearance, cached on the scenario per (eligibility filter, valued).
 
-    Private values never depend on the bids, so each block's bp_value is
-    computed once per (scenario, eligibility).  The build touches only
-    locals and stores a finished tuple, so concurrent builds of one key
-    are harmless and store equal plans.
+    Private values never depend on the bids, so a valued plan computes each
+    block's bp_value once per (scenario, eligibility).  An unvalued plan
+    computes none: without the producer's value every ordering of a member
+    set scores alike, and its canonical-first ordering is the one a tie
+    goes to.  The build touches only locals and stores a finished tuple, so
+    concurrent builds of one key are harmless and store equal plans.
     """
+    key = eligible, valued
     cache = scenario._plan_cache
-    plan = cache.get(eligible)
+    plan = cache.get(key)
     if plan is not None:
         return plan
     valuation = scenario.bp_valuation
     acc = {}
     for i, b in enumerate(blocks):
-        v = bp_value(b, valuation)
-        key = frozenset(b.txs)
-        g = acc.get(key)
-        if g is None:
-            acc[key] = [v, [(i, b)], b]
+        members = frozenset(b.txs)
+        g = acc.get(members)
+        if not valued:
+            if g is None or canonical_key(b) < canonical_key(g[1]):
+                acc[members] = i, b
             continue
-        if v > g[0]:
+        v = bp_value(b, valuation)
+        if g is None:
+            acc[members] = [v, [(i, b)]]
+        elif v > g[0]:
             g[0], g[1] = v, [(i, b)]
         elif v == g[0]:
             g[1].append((i, b))
-        if canonical_key(b) < canonical_key(g[2]):
-            g[2] = b
-    plan = tuple(
-        _Group(first.txs, v, tuple(top), first) for v, top, first in acc.values()
-    )
-    cache[eligible] = plan
+    if valued:
+        plan = tuple(_Group(top[0][1].txs, v, tuple(top)) for v, top in acc.values())
+    else:
+        plan = tuple(_Group(b.txs, 0, ((i, b),)) for i, b in acc.values())
+    cache[key] = plan
     return plan
 
 
-def _argmax_pass(scenario, eligible, budget, weights, valued, tx_id=None):
+def _partition(scenario, eligible, valued, items, split):
+    """The pass items split by membership pattern of `split`: pattern k
+    holds, in order, the items that hold split[j] exactly when bit j of k
+    is set.  Cached on the scenario per (eligibility filter, valued,
+    split), since a sweep splits many passes on one pair."""
+    key = eligible, valued, split
+    cache = scenario._plan_cache
+    parts = cache.get(key)
+    if parts is None:
+        acc = [[] for _ in range(1 << len(split))]
+        for it in items:
+            acc[sum(1 << j for j, t in enumerate(split) if t in it.txs)].append(it)
+        parts = cache[key] = tuple(map(tuple, acc))
+    return parts
+
+
+def _argmax_pass(scenario, eligible, budget, weights, valued, split=()):
     """The one scoring loop behind every block chosen by a score.
 
     A block scores the producer's value for it (0 when not `valued`) plus
-    its members' weights.  Returns two sides, the blocks lacking tx_id and
-    those holding it (every block lacks a tx_id of None), each as (maximum
-    score, the blocks attaining it in enumeration order); an empty side
-    reads (None, ()).
+    its members' weights.  The blocks are split by which of the (at most
+    two) transactions in `split` they hold: entry k of the returned list
+    covers the blocks that hold split[j] exactly when bit j of k is set,
+    as (maximum score, canonical-first block attaining it, all blocks
+    attaining it in enumeration order, the same as (enumeration index,
+    block) pairs); an empty entry has score and block None.  A plain
+    knapsack gives None for the pairs: its depth-first enumeration lists
+    its member tuples in lexicographic order, so they order its blocks.
 
     Ordered blocksets (explicit, or knapsack permutations) can list several
     orderings of one member set, so there the pass scores the cached plan's
-    groups: a tied group stands for its top orderings, or, when not
-    `valued`, for its canonical-first ordering alone.  A plain knapsack has
-    one block per member set and scores its blocks directly; additive
+    groups and a tied group stands for its top orderings.  A plain knapsack
+    has one block per member set and scores its blocks directly; additive
     stakes are folded into the weights and passive constants into the base.
     """
     blocks = enumerate_blocks(scenario, eligible=eligible, budget=budget)
     blockset = scenario.blockset
     grouped = isinstance(blockset, ExplicitBlockset) or blockset.enumerate_permutations
+    valuation = scenario.bp_valuation
+    base = None  # else per item: the group's value, or bp_value of the block
     if grouped:
-        items = _plan(scenario, eligible, blocks)
-        bases = map(attrgetter("value"), items) if valued else repeat(0)
+        items = _plan(scenario, eligible, blocks, valued)
     else:
         items = blocks
-        valuation = scenario.bp_valuation
         if not valued:
-            bases = repeat(0)
+            base = 0
         elif isinstance(valuation, PassiveValuation):
-            bases = repeat(valuation.constant)
+            base = valuation.constant
         elif isinstance(valuation, AdditiveValuation):
             mu = valuation.values
             weights = {t: w + mu.get(t, 0) for t, w in weights.items()}
-            bases = repeat(0)
-        else:
-            bases = map(bp_value, blocks, repeat(valuation))
+            base = 0
 
-    lacking = holding = None
-    lacking_tied = holding_tied = ()
-    for it, s in zip(items, bases):
-        for t in it.txs:
-            s += weights[t]
-        if tx_id is not None and tx_id in it.txs:
-            if holding is None or s > holding:
-                holding, holding_tied = s, [it]
-            elif s == holding:
-                holding_tied.append(it)
-        elif lacking is None or s > lacking:
-            lacking, lacking_tied = s, [it]
-        elif s == lacking:
-            lacking_tied.append(it)
-    sides = (lacking, lacking_tied), (holding, holding_tied)
-    if not grouped:
-        return sides
-    if valued:
-        return tuple(
-            (s, [b for _, b in sorted(p for g in t for p in g.top)]) for s, t in sides
-        )
-    return tuple((s, [g.first for g in t]) for s, t in sides)
+    entries = []
+    for part in _partition(scenario, eligible, valued, items, split) if split else (items,):
+        if base is not None:
+            bases = repeat(base)
+        elif grouped:
+            bases = map(attrgetter("value"), part)
+        else:
+            bases = map(bp_value, part, repeat(valuation))
+        best = None
+        tied = []
+        for it, s in zip(part, bases):
+            for t in it.txs:
+                s += weights[t]
+            if best is None or s > best:
+                best, tied = s, [it]
+            elif s == best:
+                tied.append(it)
+        if grouped:
+            # a group's top orderings are already in enumeration order
+            pairs = list(tied[0].top) if len(tied) == 1 else sorted(p for g in tied for p in g.top)
+            tied = [b for _, b in pairs]
+        else:
+            pairs = None
+        entries.append((best, _canonical_first(tied), tied, pairs))
+    return entries
 
 
 def _canonical_first(blocks):
@@ -294,6 +319,66 @@ def _canonical_first(blocks):
     if len(blocks) < 2:
         return blocks[0] if blocks else None
     return min(blocks, key=canonical_key)
+
+
+def split_pass(
+    bids: Mapping[int, Money],
+    scenario: Scenario,
+    mech: Mechanism,
+    split: tuple,
+    *,
+    valued: bool,
+    budget: int | None = None,
+):
+    """One pass over the blocks eligible under the bids, split on up to two
+    transactions: the (score, canonical-first block, tied blocks, indexed
+    ties) entry of each membership pattern of `split` (see _argmax_pass).
+
+    A block scores its members' contributions (own payment minus reserve)
+    plus, when `valued`, the producer's value for it: producer surplus, or
+    with `valued` False the fee revenue net of burn, which under fpa is
+    the sum of the member bids (revenue_max).  The contributions of the
+    transactions in `split` are zeroed, and fold_split reads off any
+    contribution of one of them.  On ordered blocksets an unvalued entry
+    lists each tied member set by its canonical-first ordering alone.
+    Raises NoEligibleBlockError when no enumerated block is eligible under
+    the bids.
+    """
+    elig = _eligible_ids(mech, bids, scenario)
+    contrib = _per_tx_contribution(mech, bids, scenario)
+    for t in split:
+        contrib[t] = 0
+    entries = _argmax_pass(scenario, elig, budget, contrib, valued, split)
+    if all(entry[0] is None for entry in entries):
+        raise NoEligibleBlockError(bids)
+    return entries
+
+
+def fold_split(lacking, holding, contribution: Money):
+    """Two split_pass entries of one transaction read at one of its
+    contributions: the better of `lacking` (blocks without it) and
+    `holding` (blocks with it, scored without it) once the contribution is
+    added to the latter, in the entry format.
+
+    On equal scores the tied lists are merged in enumeration order and the
+    canonical key picks the block, exactly as one pass at that bid would.
+    An argmax allocation reads a bid only through this contribution, which
+    never decreases in the bid, so one split pass settles every bid of the
+    transaction at O(1) each.
+    """
+    score = holding[0]
+    if score is None:
+        return lacking
+    score += contribution
+    if lacking[0] is None or score > lacking[0]:
+        return score, *holding[1:]
+    if score < lacking[0]:
+        return lacking
+    first = min(lacking[1], holding[1], key=canonical_key)
+    if lacking[3] is None:  # a plain knapsack: member tuples order its blocks
+        return score, first, sorted(lacking[2] + holding[2], key=attrgetter("txs")), None
+    pairs = sorted(lacking[3] + holding[3])
+    return score, first, [b for _, b in pairs], pairs
 
 
 def bps_argmax_detail(
@@ -307,18 +392,15 @@ def bps_argmax_detail(
 
     The argmax is the canonical-first block among the exact-integer maximum;
     the tied tuple preserves enumeration order.  Raises NoEligibleBlockError
-    when no enumerated block is eligible under the bids.
-
-    Cost: on ordered blocksets one pass over the member-set groups of a
-    plan whose private values are computed once per (scenario,
-    eligibility); plain knapsacks are scanned block by block.
+    when no enumerated block is eligible under the bids.  One unsplit
+    scoring pass.
     """
     elig = _eligible_ids(mech, bids, scenario)
     contrib = _per_tx_contribution(mech, bids, scenario)
-    (best_score, tied), _ = _argmax_pass(scenario, elig, budget, contrib, True)
+    ((best_score, best, tied, _),) = _argmax_pass(scenario, elig, budget, contrib, True)
     if best_score is None:
         raise NoEligibleBlockError(bids)
-    return _canonical_first(tied), best_score, tuple(tied)
+    return best, best_score, tuple(tied)
 
 
 def max_block(
@@ -333,8 +415,8 @@ def max_block(
     plus the producer's value for it when `valued`, canonical-first on ties;
     None when no block is enumerated.  weights must cover every
     transaction."""
-    (_, tied), _ = _argmax_pass(scenario, eligible, budget, weights, valued)
-    return _canonical_first(tied)
+    ((_, best, _, _),) = _argmax_pass(scenario, eligible, budget, weights, valued)
+    return best
 
 
 def max_revenue_block(
@@ -366,17 +448,10 @@ class SplitArgmax:
     holding_score: Money | None
 
     def cut(self):
-        """The split reduced to all that decides inclusion: False when no
-        block holds the transaction, True when no block lacks it, else
-        (without_score - holding_score, whether holding comes first on the
-        canonical key).  Splits with one cut include the same own bids."""
-        if self.holding is None:
-            return False
-        if self.without is None:
-            return True
-        return (
-            self.without_score - self.holding_score,
-            canonical_key(self.holding) < canonical_key(self.without),
+        """The split reduced to all that decides inclusion (see split_cut).
+        Splits with one cut include the same own bids."""
+        return split_cut(
+            (self.without_score, self.without), (self.holding_score, self.holding)
         )
 
     def includes(self, bid: Money) -> bool:
@@ -388,6 +463,19 @@ class SplitArgmax:
         """
         tx = self.tx
         return cut_includes(self.cut(), own_payment(self.mech, tx, bid) - self.mech.reserve(tx))
+
+
+def split_cut(lacking, holding):
+    """The cut of an argmax split on one transaction, from the (score,
+    canonical-first block, ...) entries of the blocks lacking it and of
+    those holding it (scored without it): False when no block holds the
+    transaction, True when no block lacks it, else (lacking score - holding
+    score, whether the holding block comes first on the canonical key)."""
+    if holding[1] is None:
+        return False
+    if lacking[1] is None:
+        return True
+    return lacking[0] - holding[0], canonical_key(holding[1]) < canonical_key(lacking[1])
 
 
 def cut_includes(cut, contribution: Money) -> bool:
@@ -416,9 +504,7 @@ def bps_split_argmax(
     and trivial allocations maximize producer surplus; fpa's revenue_max
     maximizes the sum of member bids.  Standard allocations are not block
     score maxima and are refused.  Raises NoEligibleBlockError when no
-    enumerated block is eligible under the bids.  The pass has the cost of
-    one bps_argmax_detail call: plan groups on ordered blocksets, blocks on
-    plain knapsacks.
+    enumerated block is eligible under the bids.  One split_pass on tx_id.
     """
     if mech.allocation is Allocation.STANDARD:
         raise UnsupportedInstanceError(
@@ -426,25 +512,13 @@ def bps_split_argmax(
             "allocations"
         )
     tx = scenario.tx(tx_id)
-    elig = _eligible_ids(mech, bids, scenario)
-    contrib = _per_tx_contribution(mech, bids, scenario)
-    contrib[tx_id] = 0
     # fpa contributions are the bids, so revenue is the surplus of a
     # producer that values every block at 0
     valued = mech.allocation is not Allocation.REVENUE_MAX
-    (without_score, without), (holding_score, holding) = _argmax_pass(
-        scenario, elig, budget, contrib, valued, tx_id
+    (without_score, without, *_), (holding_score, holding, *_) = split_pass(
+        bids, scenario, mech, (tx_id,), valued=valued, budget=budget
     )
-    if without_score is None and holding_score is None:
-        raise NoEligibleBlockError(bids)
-    return SplitArgmax(
-        mech,
-        tx,
-        _canonical_first(without),
-        without_score,
-        _canonical_first(holding),
-        holding_score,
-    )
+    return SplitArgmax(mech, tx, without, without_score, holding, holding_score)
 
 
 def bps_argmax(

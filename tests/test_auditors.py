@@ -66,8 +66,8 @@ from tfm_lab import (
     welfare_argmax,
     witness_sort_key,
 )
-from tfm_lab import auditors
-from tfm_lab.auditors import _cut, _deviation_table, _detect_cycle, _touched_sides
+from tfm_lab import auditors, solver
+from tfm_lab.auditors import _DeviationTables, _detect_cycle
 from tfm_lab.solver import BUDGET_ENV_VAR
 
 
@@ -450,38 +450,40 @@ def oracle_included(mech, sc, t, base, bid, budget):
     return True, payment(mech, block, bids, sc)[t]
 
 
+def sweep_cut(tables, profile):
+    """The cut _sweep takes of one profile of the other users' bids, with
+    the class tuple it keys its memo on."""
+    mech, sc = tables.mech, tables.scenario
+    classes = tuple(tables.classify(mech, sc.tx(i), b) for i, b in zip(tables.others, profile))
+    return tables.cut(profile, classes)
+
+
+def deviation_table(mech, sc, t, base, points, extras, budget):
+    """The table _sweep builds for tx t against the other users' bids
+    `base`: {own bid: (included, own payment)} at every grid point and
+    extra own bid, read off the cut of one _DeviationTables."""
+    tables = _DeviationTables(mech, sc, sc.tx(t), points, extras, budget)
+    return tables.table(sweep_cut(tables, tuple(base[i] for i in tables.others)))
+
+
 class TestDeviationTable:
-    """The split-argmax deviation table against one recommended_block call
-    and one payment() per own bid."""
+    """The deviation table that _sweep reads off its cut against one
+    recommended_block call and one payment() per own bid."""
 
     @given(deviation_cases())
     @settings(max_examples=400, deadline=None)
     def test_matches_per_point_oracle(self, case):
         mech, sc, t, base, points, extras, budget = case
-        tx = sc.tx(t)
-
-        def oracle(bid):
-            return oracle_included(mech, sc, t, base, bid, budget)
-
-        def outcome(fn, bid):
-            try:
-                return fn(bid)
-            except TABLE_ERRORS as e:
-                return type(e)
-
         want = {}
-        for b in points:
-            want[b] = outcome(oracle, b)
+        for b in (*points, *extras):
+            want[b] = outcome(oracle_included, mech, sc, t, base, b, budget)
             if isinstance(want[b], type):
-                # the table is built in grid order and stops at the first error
-                with pytest.raises(TABLE_ERRORS) as info:
-                    _deviation_table(mech, sc, tx, base, points, budget)
-                assert type(info.value) is want[b]
+                # the cut solves the sides of the looked-up bids in lookup
+                # order and stops at the first error
+                got = outcome(deviation_table, mech, sc, t, base, points, extras, budget)
+                assert got is want[b]
                 return
-        table, look = _deviation_table(mech, sc, tx, base, points, budget)
-        assert table == want
-        for b in extras:
-            assert outcome(look, b) == outcome(oracle, b)
+        assert deviation_table(mech, sc, t, base, points, extras, budget) == want
 
     def test_exact_ties_go_to_the_canonical_block(self):
         # one slot and a passive producer: at equal bids the blocks (0,) and
@@ -489,8 +491,8 @@ class TestDeviationTable:
         sc = scenario([(1, 0, 0), (1, 0, 0)], cap=1)
         mech = Mechanism.fpa(Allocation.CONSONANT)
         points = (0, 1, 2, 3)
-        first, _ = _deviation_table(mech, sc, sc.tx(0), {1: 2}, points, None)
-        second, _ = _deviation_table(mech, sc, sc.tx(1), {0: 2}, points, None)
+        first = deviation_table(mech, sc, 0, {1: 2}, points, (), None)
+        second = deviation_table(mech, sc, 1, {0: 2}, points, (), None)
         assert first == {0: (False, 0), 1: (False, 0), 2: (True, 2), 3: (True, 3)}
         assert second == {0: (False, 0), 1: (False, 0), 2: (False, 0), 3: (True, 3)}
 
@@ -499,7 +501,7 @@ class TestDeviationTable:
         # must stand for the blocks holding tx 0, or (1,) would win the key
         sc = scenario([(1, 0, 0), (2, 0, 0), (1, 0, 0)], cap=2)
         mech = Mechanism.fpa(Allocation.CONSONANT)
-        table, _ = _deviation_table(mech, sc, sc.tx(0), {1: 1, 2: 0}, (0, 1, 2), None)
+        table = deviation_table(mech, sc, 0, {1: 1, 2: 0}, (0, 1, 2), (), None)
         assert table == {0: (False, 0), 1: (True, 1), 2: (True, 2)}
 
     @pytest.mark.parametrize(
@@ -529,6 +531,17 @@ CANONICAL_TIE_CASE = (
 )
 
 
+# two unit transactions, two of size 2 and room for 2: tx 3's best rival
+# block lacking tx 2 is (0, 1), and the one holding it is (2,)
+LAST_CLASS_TIE_CASE = (
+    Mechanism.fpa(Allocation.CONSONANT),
+    [scenario([(1, 0, 0), (1, 0, 0), (2, 0, 0), (2, 0, 0)], cap=2)],
+    GridSpec(1, 3),
+    Truthful(),
+    None,
+)
+
+
 class TestCut:
     """Profiles of one transaction with one cut share one deviation table."""
 
@@ -536,9 +549,27 @@ class TestCut:
         mech, (sc,), grid, strategy, _ = CANONICAL_TIE_CASE
         tx = sc.tx(1)
         points = grid.points()
-        sides = _touched_sides(mech, tx, points, [strategy_bid(strategy, v, tx) for v in points])
-        assert _cut(mech, sc, tx, {0: 0, 2: 2}, sides, None) == ((2, True),)
-        assert _cut(mech, sc, tx, {0: 2, 2: 0}, sides, None) == ((2, False),)
+        strategy_bids = [strategy_bid(strategy, v, tx) for v in points]
+        tables = _DeviationTables(mech, sc, tx, points, strategy_bids, None)
+        assert tables.others == (0, 2)
+        assert sweep_cut(tables, (0, 2)) == ((2, True),)
+        assert sweep_cut(tables, (2, 0)) == ((2, False),)
+        report = audit_dsic(mech, strategy, [sc], grid)
+        assert report == oracle_dsic(mech, strategy, [sc], grid)
+
+    def test_last_class_decides_the_tie_bit(self):
+        # tx 3 deviates against (0, 1), worth 2 at bids 1 and 1, and (2,),
+        # which holds the last other user and is scored 0 before its bid is
+        # added.  At its bid 1 the gap is 2 and (3,) comes before (0, 1);
+        # at its bid 2 the gap is still 2, but (2,) ties (0, 1) and comes
+        # before (3,), so own bid 2 is no longer included
+        mech, (sc,), grid, strategy, _ = LAST_CLASS_TIE_CASE
+        tables = _DeviationTables(mech, sc, sc.tx(3), grid.points(), [], None)
+        assert tables.others == (0, 1, 2)
+        assert sweep_cut(tables, (1, 1, 1)) == ((2, True),)
+        assert sweep_cut(tables, (1, 1, 2)) == ((2, False),)
+        assert tables.table(((2, True),))[2] == (True, 2)
+        assert tables.table(((2, False),))[2] == (False, 0)
         report = audit_dsic(mech, strategy, [sc], grid)
         assert report == oracle_dsic(mech, strategy, [sc], grid)
 
@@ -546,24 +577,23 @@ class TestCut:
     @example((CANONICAL_TIE_CASE[0], CANONICAL_TIE_CASE[1][0], 1, {}, (0, 1, 2, 3), [], None))
     @settings(max_examples=250, deadline=None)
     def test_equal_cuts_give_equal_tables(self, case):
-        """Over every profile of the other users' bids in 0..3, the
-        profiles of one cut get the same (included, payment) at every grid
-        point and every extra own bid."""
+        """Over every profile of the other users' bids in 0..3, swept by
+        one _DeviationTables as _sweep does, the profiles of one cut get
+        the same (included, payment) at every grid point and every extra
+        own bid."""
         mech, sc, t, _, points, extras, budget = case
-        tx = sc.tx(t)
-        others = [i for i in sc.ids() if i != t]
-        sides = _touched_sides(mech, tx, points, extras)
-        tables = {}
-        for profile in product(range(4), repeat=len(others)):
-            base = dict(zip(others, profile))
-            cut = outcome(_cut, mech, sc, tx, base, sides, budget)
+        tables = _DeviationTables(mech, sc, sc.tx(t), points, extras, budget)
+        seen = {}
+        for profile in product(range(4), repeat=len(tables.others)):
+            base = dict(zip(tables.others, profile))
+            cut = outcome(sweep_cut, tables, profile)
             if isinstance(cut, type):
                 continue
             table = [
                 outcome(oracle_included, mech, sc, t, base, b, budget)
                 for b in (*points, *extras)
             ]
-            assert tables.setdefault(cut, table) == table
+            assert seen.setdefault(cut, table) == table
 
 
 class TestFinalizeWitnesses:
@@ -693,22 +723,40 @@ BPIC_RULES = (
 
 @st.composite
 def ordered_bpic_cases(draw):
-    """Two or three transactions, an ordered blockset that holds the empty
-    block, and a table or single-minded producer over its orderings."""
+    """Two or three transactions, a blockset that holds the empty block and
+    a producer: an ordered blockset (explicit, possibly listing one
+    ordering twice, or a permutation knapsack) with a table or
+    single-minded producer over its orderings, or a plain knapsack with an
+    additive or passive producer."""
     n = draw(st.integers(2, 3))
     txs = tuple(Transaction(i, draw(st.integers(1, 2)), 0) for i in range(n))
     mech = draw(st.sampled_from(BPIC_RULES))
-    explicit = draw(st.booleans()) and mech != Mechanism.eip1559(1)
-    if explicit:
+    shapes = ("permutations", "plain")
+    if mech != Mechanism.eip1559(1):
+        shapes += ("explicit",)
+    shape = draw(st.sampled_from(shapes))
+    if shape == "explicit":
         sets = [c for k in range(1, n + 1) for c in combinations(range(n), k)]
         listed = [EMPTY_BLOCK]
         for c in draw(st.lists(st.sampled_from(sets), min_size=1, unique=True)):
             orders = st.permutations(c).map(lambda p: Block(tuple(p)))
-            listed += draw(st.lists(orders, min_size=1, max_size=3, unique=True))
+            listed += draw(st.lists(orders, min_size=1, max_size=3))
         blockset = ExplicitBlockset(tuple(listed))
     else:
         # every transaction fits, so standard eip1559 is defined on the grid
-        blockset = KnapsackBlockset(sum(t.size for t in txs), enumerate_permutations=True)
+        blockset = KnapsackBlockset(
+            sum(t.size for t in txs), enumerate_permutations=shape == "permutations"
+        )
+    if shape == "plain":
+        bp = draw(
+            st.one_of(
+                st.builds(PassiveValuation, st.integers(0, 2)),
+                st.dictionaries(st.integers(0, n - 1), st.integers(0, 2)).map(
+                    AdditiveValuation
+                ),
+            )
+        )
+        return mech, Scenario(txs, bp, blockset)
     blocks = st.sampled_from(enumerate_blocks(Scenario(txs, PassiveValuation(), blockset)))
     bp = draw(
         st.one_of(
@@ -740,6 +788,21 @@ class TestBpicAgainstCells:
         mech, sc = case
         want = oracle_bpic(mech, [sc], GridSpec(1, 2))
         assert audit_bpic(mech, [sc], GridSpec(1, 2)) == want
+
+    def test_cross_side_tie_goes_to_the_canonical_block(self):
+        # at bids {0: 2, 1: 0, 2: 0} the producer's best block lacking the
+        # last bidder, (0, 1), ties with (2,), which holds it, at 3; the
+        # canonical key picks (2,), so the witness against revenue_max's
+        # (0,) names tx 2, not tx 1
+        txs = tuple(Transaction(i, 1, 0) for i in range(3))
+        blocks = ExplicitBlockset(tuple(Block(b) for b in [(), (0,), (0, 1), (2,)]))
+        sc = Scenario(txs, TableValuation({Block((0, 1)): 1, Block((2,)): 3}), blocks)
+        grid = GridSpec(1, 2)
+        for mech in (Mechanism.fpa(), Mechanism.fpa(Allocation.CONSONANT)):
+            assert audit_bpic(mech, [sc], grid) == oracle_bpic(mech, [sc], grid)
+        report = audit_bpic(Mechanism.fpa(), [sc], grid)
+        named = {w.cell_bids: w.tx_id for w in report.witnesses}
+        assert named[((0, 2), (1, 0), (2, 0))] == 2
 
     def test_revenue_max_witnesses_on_orderings(self):
         # the producer values one ordering; revenue_max names the other
@@ -871,6 +934,7 @@ class TestMemoAgainstCells:
     @example(TIPLESS_TIE_CASE)
     @example(OFF_GRID_STRATEGY_CASE)
     @example(CANONICAL_TIE_CASE)
+    @example(LAST_CLASS_TIE_CASE)
     @settings(max_examples=150, deadline=None)
     def test_dsic(self, case):
         mech, scenarios, grid, strategy, samples = case
@@ -962,6 +1026,84 @@ class TestNoEligibleBlock:
             replay_bpic_witness(self.mech, self.sc, cell)
         with pytest.raises(NoEligibleBlockError):
             replay_dsic_witness(self.mech, Truthful(), self.sc, cell)
+
+
+class TestErrorParity:
+    """Under gated eligibility the audits solve each (prefix, side, last
+    user's eligibility) pass when a cell first needs it, so they raise the
+    per-cell oracles' errors, with the same message, at the same cell.  A
+    cell's eligible set only grows with its bids and every grid starts at
+    0, so an exhaustive sweep meets an empty eligible set at the first cell
+    of a scenario; a sampled sweep meets it where its draw does.  The cell
+    an error is raised at is read off the last eligibility filter computed
+    before it."""
+
+    mech = Mechanism.tipless(1, Eligibility.BASE_FEE_GATED, Allocation.CONSONANT)
+    # every listed block holds tx 2, and no block is empty
+    held = Scenario(
+        tuple(Transaction(i, 1, 0) for i in range(3)),
+        PassiveValuation(0),
+        ExplicitBlockset(tuple(Block(b) for b in [(2,), (0, 2), (1, 2)])),
+    )
+    plain = scenario([(1, 0, 0)] * 3)
+
+    def raised_at(self, monkeypatch, fn, *args, **kwargs):
+        """(type, message) of fn's error and the bids it was raised at."""
+        cells = []
+        filter_of = solver._eligible_ids
+
+        def recording(mech, bids, sc):
+            cells.append(dict(bids))
+            return filter_of(mech, bids, sc)
+
+        monkeypatch.setattr(solver, "_eligible_ids", recording)
+        with pytest.raises(TABLE_ERRORS) as info:
+            fn(*args, **kwargs)
+        monkeypatch.setattr(solver, "_eligible_ids", filter_of)
+        return type(info.value), str(info.value), cells[-1]
+
+    def test_bpic_no_eligible_block(self, monkeypatch):
+        grid = GridSpec(1, 2)
+        got = self.raised_at(monkeypatch, audit_bpic, self.mech, [self.plain, self.held], grid)
+        want = self.raised_at(monkeypatch, oracle_bpic, self.mech, [self.plain, self.held], grid)
+        assert got == want
+        assert got[0] is NoEligibleBlockError
+
+    def test_dsic_no_eligible_block_later_in_a_prefix(self, monkeypatch):
+        # seed 0 draws tx 0's profiles of (tx 1, tx 2) as (1, 1), (1, 2),
+        # (2, 2), (1, 0): the first without an eligible block comes after
+        # another profile of its prefix class, whose passes had tx 2 eligible
+        grid = GridSpec(1, 2)
+        draws = list(oracle_cells(self.held, grid, samples=4, seed=0))
+        assert [tuple(base.values()) for t, base, v in draws if t == 0][::3] == [
+            (1, 1), (1, 2), (2, 2), (1, 0),
+        ]
+        args = self.mech, Truthful(), [self.held], grid
+        got = self.raised_at(monkeypatch, audit_dsic, *args, profile_samples=4)
+        want = self.raised_at(monkeypatch, oracle_dsic, *args, samples=4)
+        assert got == want
+        assert got[0] is NoEligibleBlockError and got[2] == {0: 0, 1: 1, 2: 0}
+        exhaustive = self.raised_at(monkeypatch, audit_dsic, *args)
+        assert exhaustive == self.raised_at(monkeypatch, oracle_dsic, *args)
+
+    @pytest.mark.parametrize("kind", ["bpic", "dsic"])
+    def test_budget_between_the_last_users_sides(self, monkeypatch, kind):
+        # a budget of 3 lies between the 2 blocks of a pass with one
+        # eligible transaction and the 4 of a pass with two: the first pass
+        # over it has the last user, tx 2, clear its reserve, at a later
+        # cell of its prefix than the first
+        grid = GridSpec(1, 2)
+        if kind == "bpic":
+            audit, oracle = audit_bpic, oracle_bpic
+            args = self.mech, [self.plain], grid
+        else:
+            audit, oracle = audit_dsic, oracle_dsic
+            args = self.mech, Truthful(), [self.plain], grid
+        monkeypatch.setenv(BUDGET_ENV_VAR, "3")
+        got = self.raised_at(monkeypatch, audit, *args)
+        assert got == self.raised_at(monkeypatch, oracle, *args)
+        assert got[0] is EnumerationBudgetError and got[2][2] == 1
+        assert got[2][0] == (0 if kind == "bpic" else 1)
 
 
 class TestApproxBound:

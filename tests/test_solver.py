@@ -7,7 +7,7 @@ from dataclasses import replace
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tfm_lab import (
@@ -46,7 +46,14 @@ from tfm_lab import (
     welfare,
     welfare_argmax,
 )
-from tfm_lab.solver import _per_tx_contribution
+from tfm_lab import solver
+from tfm_lab.mechanisms import fee_class
+from tfm_lab.solver import (
+    _per_tx_contribution,
+    fold_split,
+    split_cut,
+    split_pass,
+)
 
 
 def knapsack_scenario(specs, cap, bp=None, permutations=False):
@@ -610,6 +617,140 @@ class TestPlanAgainstScan:
                 assert got == [w for w in want for _ in range(8)]
         finally:
             sys.setswitchinterval(interval)
+
+
+def read_at(entries, contribution):
+    """A split_pass on at most one transaction read at one of its fee
+    classes, as audit_bpic reads it."""
+    if contribution is None:
+        return entries[0]
+    return fold_split(entries[0], entries[1], contribution)
+
+
+def raised(fn, *args, **kwargs):
+    """fn's result, or the type and message of its NoEligibleBlockError."""
+    try:
+        return fn(*args, **kwargs)
+    except NoEligibleBlockError as e:
+        return NoEligibleBlockError, str(e)
+
+
+# tied at 3 with tx 2 bidding 2: the member set {0, 1} lacks tx 2 and lists
+# (1, 0) and (0, 1), while (2,) and (0, 2) hold it, so only a merge by
+# enumeration index gives the order of one pass
+CROSS_TIE_CASE = (
+    Scenario(
+        tuple(Transaction(i, 1, 0) for i in range(3)),
+        TableValuation({Block((1, 0)): 1, Block((0, 1)): 1, Block((2,)): 1}),
+        ExplicitBlockset(tuple(Block(b) for b in [(), (1, 0), (2,), (0, 1), (0, 2)])),
+    ),
+    {0: 1, 1: 1, 2: 0},
+    Mechanism.fpa(Allocation.CONSONANT),
+)
+
+
+# on a plain knapsack with tx 2 bidding 1, (0, 2), which holds it, ties
+# (1,), which lacks it, and comes first in the depth-first enumeration
+PLAIN_CROSS_TIE_CASE = (
+    knapsack_scenario([(1, 0, 1), (2, 0, 2), (1, 0, 0)], 2),
+    {0: 1, 1: 2, 2: 0},
+    Mechanism.fpa(Allocation.CONSONANT),
+)
+
+
+class TestSplitPass:
+    """One split_pass per eligibility of the split transaction, read at
+    each of its bids by fold_split, against one pass per bid; tie order
+    included."""
+
+    @given(ordered_cases())
+    @example(CROSS_TIE_CASE)
+    @example(PLAIN_CROSS_TIE_CASE)
+    @settings(max_examples=300, deadline=None)
+    def test_folds_match_a_pass_per_bid(self, case):
+        sc, bids, mech = case
+        ids = sc.ids()
+        last = ids[-1]
+        first = ids[0]
+        passes = {}
+        for x in range(4):
+            cell = {**bids, last: x}
+            c = fee_class(mech, sc.tx(last), x)
+            key = c is not None
+            if key not in passes:
+                # solved at the first bid of each eligibility, as the audits do
+                passes[key] = raised(
+                    lambda: [split_pass(cell, sc, mech, (last,), valued=v) for v in (True, False)]
+                )
+                if len(ids) > 1 and mech.allocation is not Allocation.STANDARD:
+                    valued = mech.allocation is not Allocation.REVENUE_MAX
+                    passes[key, "pair"] = raised(
+                        split_pass, cell, sc, mech, (first, last), valued=valued
+                    )
+            got = passes[key]
+            want = raised(bps_argmax_detail, cell, sc, mech)
+            if want[0] is NoEligibleBlockError:
+                # raised where the pass was solved, which ends a sweep
+                assert got == want
+                break
+            score, best, tied, _ = read_at(got[0], c)
+            assert (best, score, tuple(tied)) == want
+            if mech.preset == "fpa":
+                assert read_at(got[1], c)[1] == max_revenue_block(cell, sc)
+            if len(ids) == 1 or mech.allocation is Allocation.STANDARD:
+                continue
+            entries = passes[key, "pair"]
+            lacking, holding = entries[0], entries[1]
+            if c is not None:
+                lacking = fold_split(lacking, entries[2], c)
+                holding = fold_split(holding, entries[3], c)
+            split = bps_split_argmax(cell, sc, mech, first)
+            assert (lacking[1], lacking[0]) == (split.without, split.without_score)
+            assert (holding[1], holding[0]) == (split.holding, split.holding_score)
+            assert split_cut(lacking, holding) == split.cut()
+
+    @given(st.lists(st.integers(1, 3), min_size=1, max_size=6), st.integers(0, 8), st.randoms())
+    def test_plain_knapsacks_enumerate_member_tuples_in_order(self, sizes, cap, rnd):
+        # a plain knapsack's member tuples order its ties
+        ids = list(range(len(sizes)))
+        rnd.shuffle(ids)
+        txs = tuple(Transaction(i, size, 0) for i, size in enumerate(sizes))
+        sc = Scenario(txs, PassiveValuation(), KnapsackBlockset(cap, tuple(ids)))
+        members = [b.txs for b in enumerate_blocks(sc)]
+        assert members == sorted(members)
+
+    def test_cross_tie_merges_by_enumeration_index(self):
+        sc, bids, mech = CROSS_TIE_CASE
+        lacking, holding = split_pass(bids, sc, mech, (2,), valued=True)
+        assert lacking[0] == holding[0] + 2
+        score, best, tied, at = fold_split(lacking, holding, 2)
+        assert [b.txs for b in tied] == [(1, 0), (2,), (0, 1), (0, 2)]
+        assert [i for i, _ in at] == [1, 2, 3, 4]
+        assert (best, score) == (Block((2,)), 3)
+
+
+class TestUnvaluedPlan:
+    def test_unvalued_passes_compute_no_values(self, monkeypatch):
+        # revenue_max and the tipless standard rule ignore the producer's
+        # values, so only the valued pass on the same plan key scores them
+        calls = []
+
+        def counting(block, valuation):
+            calls.append(block)
+            return bp_value(block, valuation)
+
+        monkeypatch.setattr(solver, "bp_value", counting)
+        sc = knapsack_scenario([(1, 0, 1)] * 3, 2, TableValuation({Block((1, 0)): 2}), True)
+        bids = sc.submitted_bids()
+        max_revenue_block(bids, sc)
+        recommended_block(Mechanism.tipless(1), bids, sc)
+        assert calls == []
+        valued = bps_argmax_detail(bids, sc, Mechanism.trivial())
+        assert valued[0] == Block((1, 0))
+        assert len(calls) == len(enumerate_blocks(sc))
+        bps_argmax_detail(bids, sc, Mechanism.trivial())
+        max_revenue_block(bids, sc)
+        assert len(calls) == len(enumerate_blocks(sc))
 
 
 class TestNoEligibleBlock:
