@@ -18,16 +18,17 @@ from typing import Mapping, Sequence
 
 from .core import Block, Money, Scenario, bp_value, welfare
 from .mechanisms import (
-    EIP1559,
-    TIPLESS,
-    Allocation,
+    RULES,
     BiddingStrategy,
     CappedAtReserve,
     Eligibility,
     Mechanism,
     UnsupportedInstanceError,
+    _clearing_set,
     apply_strategy,
+    argmax_valued,
     bps,
+    contribution,
     fee_class,
     is_base_fee_excessively_low,
     own_payment,
@@ -147,9 +148,17 @@ def _finalize_witnesses(rows, max_witnesses):
     )
 
 
-def _precheck_standard_eip1559(mech, scenario, grid, strategy=None):
-    """Standard eip1559 allocation errors on excessively low base fees; make
-    sure no cell of this grid can reach one before sweeping.
+_STANDARD_TOO_LOW = (
+    "some grid cell or strategy bid makes the base fee excessively low for "
+    "the standard eip1559 allocation; enlarge capacity or audit the "
+    "consonant variant"
+)
+
+
+def _refuse_excessively_low(mech, scenarios, grid, message, strategy=None):
+    """Raise UnsupportedInstanceError(message) before any sweep when the
+    preset's standard rule is the eip1559 clearing set and some cell the
+    sweep looks up makes its base fee excessively low.
 
     A user-deviation sweep also looks up each user's own strategy bids,
     which can lie above the grid while the others bid on it.  The clearing
@@ -157,21 +166,18 @@ def _precheck_standard_eip1559(mech, scenario, grid, strategy=None):
     grid max and, for each user, its largest own bid against the others at
     the grid max.
     """
-    if mech.preset != EIP1559 or mech.allocation is not Allocation.STANDARD:
+    if RULES[mech.preset].standard is not _clearing_set:
         return
-    top = {t: grid.max_value for t in scenario.ids()}
-    cells = [top]
-    if strategy is not None:
-        for tx in scenario.transactions:
-            own = max(strategy_bid(strategy, v, tx) for v in grid.points())
-            if own > grid.max_value:
-                cells.append({**top, tx.tx_id: own})
-    if any(is_base_fee_excessively_low(mech.base_fee, scenario, c) for c in cells):
-        raise UnsupportedInstanceError(
-            "some grid cell or strategy bid makes the base fee excessively "
-            "low for the standard eip1559 allocation; enlarge capacity or "
-            "audit the consonant variant"
-        )
+    for scenario in scenarios:
+        top = {t: grid.max_value for t in scenario.ids()}
+        cells = [top]
+        if strategy is not None:
+            for tx in scenario.transactions:
+                own = max(strategy_bid(strategy, v, tx) for v in grid.points())
+                if own > grid.max_value:
+                    cells.append({**top, tx.tx_id: own})
+        if any(is_base_fee_excessively_low(mech.base_fee, scenario, c) for c in cells):
+            raise UnsupportedInstanceError(message)
 
 
 def _detect_cycle(edges):
@@ -260,16 +266,16 @@ def audit_bpic(
     ties.
     """
     budget = resolve_budget(budget)
+    valued = argmax_valued(mech)
+    if valued is None:
+        _refuse_excessively_low(mech, scenarios, bid_grid, _STANDARD_TOO_LOW)
     points = bid_grid.points()
-    argmax_rule = mech.allocation is Allocation.CONSONANT
-    revenue_rule = mech.allocation is Allocation.REVENUE_MAX
     witnesses = []
     conflicts = []
     cells = 0
     max_gain = 0
 
     for scenario in scenarios:
-        _precheck_standard_eip1559(mech, scenario, bid_grid)
         digest = scenario_digest(scenario)
         ids = scenario.ids()
         split = ids[-1:]
@@ -284,16 +290,16 @@ def audit_bpic(
             entry = None
             if memo is not None:
                 entry = memo.get(key)
-                if entry is not None and argmax_rule:
+                if entry is not None and valued:
                     continue  # its argmax is the recommendation, edges added
             bids = dict(zip(ids, combo))
             prefix, c = (key[:-1], key[-1]) if split else (key, None)
-            if entry is None or revenue_rule:
+            if entry is None or valued is False:
                 solved = passes.get((prefix, c is not None))
                 if solved is None:
                     solved = passes[prefix, c is not None] = [
                         split_pass(bids, scenario, mech, split, valued=v, budget=budget)
-                        for v in ((True, False) if revenue_rule else (True,))
+                        for v in ((True, False) if valued is False else (True,))
                     ]
                 producer, revenue = solved[0], solved[-1]
             if entry is None:
@@ -301,9 +307,9 @@ def audit_bpic(
                 if memo is not None:
                     memo[key] = entry
             (best_score, best, tied, _), settled = entry
-            if argmax_rule:
+            if valued:
                 rec = best
-            elif revenue_rule:
+            elif valued is False:
                 rec = _at_class(revenue, c)[1]
             else:
                 rec = recommended_block(mech, bids, scenario, budget=budget)
@@ -341,21 +347,6 @@ def audit_bpic(
     )
 
 
-def _side(mech, tx, bid):
-    """The side of the reserve a deviation table settles an own bid on.
-
-    The own bid moves the recommendation only through whether it clears
-    the reserve, and on argmax allocations through one contribution,
-    shared by every block that holds the transaction, that never decreases
-    in it.  A free-eligibility argmax enumerates the same blocks at every
-    bid, so it has one side."""
-    two_sides = (
-        mech.allocation is Allocation.STANDARD
-        or mech.eligibility is not Eligibility.FREE
-    )
-    return bid >= mech.reserve(tx) if two_sides else True
-
-
 def _clears(mech, tx, bid):
     """The class of a bid as the standard rules read it: whether it clears
     the reserve, which under gated eligibility is also its eligibility."""
@@ -369,13 +360,13 @@ class _DeviationTables:
     A table maps every own bid an audit looks up (the grid, then the
     strategy bids in valuation order) to (included, own payment) against
     one profile of the other users' bids.  The own bid moves the
-    recommendation only through its side of the reserve (see _side) and,
-    under an argmax allocation, through one contribution, so one cut per
-    side fixes the table (see solver.cut_includes).  A standard cut is the
-    inclusion flag of one recommended_block call, which reads the other
-    bids only as clearing the reserve (classify is _clears).  An argmax
-    cut is a solver.split_cut, which reads them only through their fee
-    classes (classify is mechanisms.fee_class), the last user's too as a
+    recommendation only through whether it clears the reserve (its side)
+    and, under an argmax allocation, through its contribution, so one cut
+    per side fixes the table (see solver.cut_includes).  A standard cut is
+    the inclusion flag of one recommended_block call, which reads the other
+    bids only as clearing the reserve (classify is _clears).  An argmax cut
+    is a solver.split_cut, which reads them only through their fee classes
+    (classify is mechanisms.fee_class), the last user's too as a
     contribution: one split_pass on (this transaction, last other user)
     per (class tuple of the users before it, side, last user eligible)
     settles every class of the last user by fold_split.  Each pass is
@@ -387,19 +378,22 @@ class _DeviationTables:
     def __init__(self, mech, scenario, tx, points, strategy_bids, budget):
         self.mech, self.scenario, self.tx, self.budget = mech, scenario, tx, budget
         self.others = tuple(i for i in scenario.ids() if i != tx.tx_id)
-        self.classify = _clears if mech.allocation is Allocation.STANDARD else fee_class
-        looked_up = dict.fromkeys((*points, *strategy_bids))
+        self.valued = argmax_valued(mech)
+        self.classify = _clears if self.valued is None else fee_class
+        # a free-eligibility argmax enumerates the same blocks at every own
+        # bid, so it has one side
+        one_side = self.valued is not None and mech.eligibility is Eligibility.FREE
+        looked_up = {b: one_side or _clears(mech, tx, b) for b in (*points, *strategy_bids)}
         first_bids = {}  # side -> its first looked-up bid, in lookup order
-        for b in looked_up:
-            first_bids.setdefault(_side(mech, tx, b), b)
+        for b, side in looked_up.items():
+            first_bids.setdefault(side, b)
         self.sides = tuple(first_bids.values())
         at = {side: i for i, side in enumerate(first_bids)}
-        reserve = mech.reserve(tx)
         # (bid, index of its side's cut, contribution, own payment)
-        self.spots = []
-        for b in looked_up:
-            pay = own_payment(mech, tx, b)
-            self.spots.append((b, at[_side(mech, tx, b)], pay - reserve, pay))
+        self.spots = [
+            (b, at[side], contribution(mech, tx, b), own_payment(mech, tx, b))
+            for b, side in looked_up.items()
+        ]
         self.split = (tx.tx_id, *self.others[-1:])
         self.passes = {}
 
@@ -409,7 +403,7 @@ class _DeviationTables:
         self.others), whose classes under self.classify are `classes`."""
         mech, scenario, tx = self.mech, self.scenario, self.tx
         cuts = []
-        if mech.allocation is Allocation.STANDARD:
+        if self.valued is None:
             bids = dict(zip(self.others, profile))
             for bid in self.sides:
                 bids[tx.tx_id] = bid
@@ -423,10 +417,8 @@ class _DeviationTables:
             if entries is None:
                 bids = dict(zip(self.others, profile))
                 bids[tx.tx_id] = bid
-                # revenue_max is the argmax of a producer valuing nothing
-                valued = mech.allocation is not Allocation.REVENUE_MAX
                 entries = self.passes[key] = split_pass(
-                    bids, scenario, mech, self.split, valued=valued, budget=self.budget
+                    bids, scenario, mech, self.split, valued=self.valued, budget=self.budget
                 )
             # bit 0 of a pattern is this transaction, bit 1 the last user
             cuts.append(split_cut(_at_class(entries[0::2], c), _at_class(entries[1::2], c)))
@@ -453,18 +445,14 @@ def _sweep(
     profile's deviation table: dev pairs each grid bid with its (included,
     own payment) entry, and look(bid) answers the strategy's own bids.
 
-    Cost: one block pass per (prefix, side) under an argmax allocation,
-    one allocation per (class tuple, side) under a standard one, and one
-    settle per distinct cut.  The table reads the other users' bids only through their classes (the
-    clearing status under a standard allocation, mechanisms.fee_class
-    otherwise), so profiles with one class tuple share one outcome; the
-    memo is skipped when every other user's classes are distinct bids.  A
-    new class tuple reduces its table to its cut (see _DeviationTables):
-    under an argmax allocation from one split pass per class tuple of the
-    other users but the last (the prefix) and side of the reserve, shared
-    by every bid of the last user; under a standard allocation from one
-    recommended_block call per side.  Tuples with one cut share one table,
-    so settle runs once per distinct cut of a (position, tx).
+    Cost: the table reads the other users' bids only through their
+    classes (_DeviationTables.classify), so profiles with one class tuple
+    share one outcome; the memo is skipped when every other user's classes
+    are distinct bids.  A new class tuple reduces its table to its cut
+    (_DeviationTables.cut): one split pass per (prefix, side) under an
+    argmax allocation, one recommended_block call per side under a standard
+    one.  Tuples with one cut share one table, so settle runs once per
+    distinct cut of a (position, tx).
 
     Exhaustive sweeps walk the profiles in product order.  Sampled sweeps
     draw profile_samples profiles per transaction with replacement from a
@@ -480,8 +468,8 @@ def _sweep(
         n = len(scenario.ids())
         if n > EXHAUSTIVE_LIMIT and not sampled:
             raise ProfileSpaceError(n, EXHAUSTIVE_LIMIT)
-    for scenario in scenarios:
-        _precheck_standard_eip1559(mech, scenario, grid, strategy)
+    if argmax_valued(mech) is None:
+        _refuse_excessively_low(mech, scenarios, grid, _STANDARD_TOO_LOW, strategy)
     budget = resolve_budget(budget)
 
     points = grid.points()
@@ -536,18 +524,11 @@ def audit_dsic(
     every grid deviation, with the producer following the allocation rule
     throughout.  Zero-gain deviations are not violations.
 
-    Cost model: one block pass per (prefix, side), O(1) per class tuple,
-    one settle per distinct cut; cells and witnesses per raw profile (see
-    _sweep).  Other-bid profiles whose bids fall in the same classes share
-    one own-bid table, reduced to one cut per side of the transaction's
-    reserve.  Under an argmax allocation one pass split on the transaction
-    and on the last other user serves every class of that user, so a
-    prefix (the classes of the users before it) costs one pass per side;
-    a standard allocation costs one allocation per side and class tuple.
-    Class tuples with one cut share one scan of the (valuation, deviation)
-    cells for the first strictly best deviation.  Every raw profile still
-    counts its cells and emits its own witness rows.  Sampled profiles are
-    drawn with replacement and repeats are audited once.  A
+    Cost model (see _sweep): one block pass per (prefix, side) under an
+    argmax allocation, one allocation per (class tuple, side) under a
+    standard one, and one scan of the (valuation, deviation) cells per
+    distinct cut; cells and witnesses per raw profile.  Sampled profiles
+    are drawn with replacement and repeats are audited once.  A
     profile_samples below 1 or a negative max_witnesses raises ValueError.
     """
     points = grid.points()
@@ -619,27 +600,23 @@ def audit_approx_dsic_bound(
     audit_dsic, and the bound checks keep one entry per (scenario,
     transaction) in input order, a repeated scenario included.
 
-    Cost model: as audit_dsic's, one block pass per (prefix, side) and one
-    settle per distinct cut; cells and witnesses per raw profile.  Each
-    distinct cut's table is
-    scanned once for its overbid, below-range and over-bound rows and
-    counts, which every raw profile with that cut then adds with its own
-    cell bids.
+    Cost model: as audit_dsic's; cells and witnesses per raw profile.  Each
+    distinct cut's table is scanned once for its overbid, below-range and
+    over-bound rows and counts, which every raw profile with that cut then
+    adds with its own cell bids.
     """
-    if mech.preset not in (TIPLESS, EIP1559) or mech.allocation is not Allocation.CONSONANT:
+    if not (RULES[mech.preset].base_fee and argmax_valued(mech)):
         raise UnsupportedInstanceError(
             "the bounded-regret audit covers the consonant tipless and "
             "consonant eip1559 presets"
         )
-    if mech.preset == EIP1559:
-        for scenario in scenarios:
-            top = {t: grid.max_value for t in scenario.ids()}
-            if is_base_fee_excessively_low(mech.base_fee, scenario, top):
-                raise UnsupportedInstanceError(
-                    "a grid cell can make the base fee excessively low; the "
-                    "bounded-regret guarantee needs capacity for every "
-                    "clearing set on the grid"
-                )
+    _refuse_excessively_low(
+        mech,
+        scenarios,
+        grid,
+        "a grid cell can make the base fee excessively low; the bounded-regret "
+        "guarantee needs capacity for every clearing set on the grid",
+    )
 
     budget = resolve_budget(budget)
     strategy = CappedAtReserve(mech.base_fee)

@@ -36,7 +36,7 @@ from .counterexamples import (
 )
 from .generator import MAX_RANDOM_TXS, random_scenario
 from .mechanisms import (
-    DEFAULT_ALLOCATION,
+    RULES,
     Allocation,
     CappedAtReserve,
     Eligibility,
@@ -76,11 +76,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_mech_flags(p):
-        p.add_argument("--mech", choices=("fpa", "eip1559", "tipless", "trivial"))
+        p.add_argument("--mech", choices=tuple(RULES))
         p.add_argument("--base-fee", type=int)
-        p.add_argument(
-            "--allocation", choices=("revenue_max", "standard", "consonant")
-        )
+        p.add_argument("--allocation", choices=tuple(a.value for a in Allocation))
         p.add_argument("--eligibility", choices=("free", "gated"))
 
     def add_common(p):
@@ -136,7 +134,7 @@ def _mech_from_flags(args) -> Mechanism | None:
                 raise CliUsageError(f"--{flag.replace('_', '-')} requires --mech")
         return None
     eligibility = Eligibility.BASE_FEE_GATED if args.eligibility == "gated" else Eligibility.FREE
-    allocation = Allocation(args.allocation or DEFAULT_ALLOCATION[args.mech])
+    allocation = None if args.allocation is None else Allocation(args.allocation)
     try:
         return Mechanism(args.mech, args.base_fee, eligibility, allocation)
     except ValueError as exc:

@@ -3,15 +3,17 @@
 A mechanism is a triple of allocation, payment, and burning rules.  Four
 presets are shipped: first-price auctions, EIP-1559, the tipless variant of
 EIP-1559, and the no-fee mechanism that just lets the producer pick its
-favourite block.  Payment and burning always see the full bid vector, so
-rules that depend on losing bids stay expressible.
+favourite block.  Each preset's rules are one Rule record in RULES; every
+other module reads a preset only through that table.  Payment and burning
+always see the full bid vector, so rules that depend on losing bids stay
+expressible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .core import (
     Block,
@@ -28,8 +30,6 @@ EIP1559 = "eip1559"
 TIPLESS = "tipless"
 TRIVIAL = "trivial"
 
-_PRESETS = (FPA, EIP1559, TIPLESS, TRIVIAL)
-
 
 class Eligibility(Enum):
     """Which transactions the producer may place in a block at all."""
@@ -44,13 +44,21 @@ class Allocation(Enum):
     CONSONANT = "consonant"
 
 
-# the allocation a preset gets when none is named
-DEFAULT_ALLOCATION = {
-    FPA: Allocation.REVENUE_MAX,
-    EIP1559: Allocation.STANDARD,
-    TIPLESS: Allocation.STANDARD,
-    TRIVIAL: Allocation.CONSONANT,
-}
+@dataclass(frozen=True, slots=True)
+class Rule:
+    """All that one preset defines.
+
+    pay          pay(bid, reserve), the charge of an included transaction
+    base_fee     whether the preset takes a base fee, and so has reserves
+    allocations  the allocations it supports, its default first
+    standard     standard(mech, bids, scenario, budget), the block its
+                 standard allocation names, or None when it has none
+    """
+
+    pay: Callable[[Money, Money], Money]
+    base_fee: bool
+    allocations: tuple[Allocation, ...]
+    standard: Callable | None = None
 
 
 class ExcessivelyLowBaseFeeError(ValueError):
@@ -86,46 +94,50 @@ class NoEligibleBlockError(UnsupportedInstanceError):
 class Mechanism:
     """One of the shipped fee mechanism presets.
 
-    preset       one of "fpa", "eip1559", "tipless", "trivial"
-    base_fee     per-size-unit reserve, required by eip1559/tipless
+    preset       a key of RULES: "fpa", "eip1559", "tipless" or "trivial"
+    base_fee     per-size-unit reserve, required by the presets with one
     eligibility  whether below-reserve transactions may be included at all
-    allocation   which block the mechanism tells the producer to build
+    allocation   which block the mechanism tells the producer to build;
+                 None takes the preset's default
     """
 
     preset: str
     base_fee: Money | None = None
     eligibility: Eligibility = Eligibility.FREE
-    allocation: Allocation = Allocation.CONSONANT
+    allocation: Allocation | None = None
 
     def __post_init__(self):
-        if self.preset not in _PRESETS:
+        rule = RULES.get(self.preset) if isinstance(self.preset, str) else None
+        if rule is None:
             raise ValueError(f"unknown preset {self.preset!r}")
-        if self.preset in (EIP1559, TIPLESS):
+        if not isinstance(self.eligibility, Eligibility):
+            raise ValueError(f"eligibility must be an Eligibility, got {self.eligibility!r}")
+        if self.allocation is None:
+            object.__setattr__(self, "allocation", rule.allocations[0])
+        elif not isinstance(self.allocation, Allocation):
+            raise ValueError(f"allocation must be an Allocation, got {self.allocation!r}")
+        if rule.base_fee:
             if not isinstance(self.base_fee, int) or isinstance(self.base_fee, bool):
                 raise ValueError(f"{self.preset} needs an integer base fee")
             if self.base_fee < 0:
                 raise ValueError("base fee must be >= 0")
-            if self.allocation is Allocation.REVENUE_MAX:
-                raise ValueError(f"{self.preset} supports standard or consonant allocation")
-        else:
-            if self.base_fee is not None:
-                raise ValueError(f"{self.preset} takes no base fee")
-            if self.eligibility is not Eligibility.FREE:
-                raise ValueError(f"{self.preset} has no reserve to gate on")
-            if self.preset == FPA and self.allocation is Allocation.STANDARD:
-                raise ValueError("fpa supports revenue_max or consonant allocation")
-            if self.preset == TRIVIAL and self.allocation is not Allocation.CONSONANT:
-                raise ValueError("trivial always lets the producer pick its argmax")
+        elif self.base_fee is not None:
+            raise ValueError(f"{self.preset} takes no base fee")
+        elif self.eligibility is not Eligibility.FREE:
+            raise ValueError(f"{self.preset} has no reserve to gate on")
+        if self.allocation not in rule.allocations:
+            names = " or ".join(a.value for a in rule.allocations)
+            raise ValueError(f"{self.preset} supports {names} allocation")
 
     @staticmethod
-    def fpa(allocation: Allocation = DEFAULT_ALLOCATION[FPA]) -> "Mechanism":
+    def fpa(allocation: Allocation | None = None) -> "Mechanism":
         return Mechanism(FPA, None, Eligibility.FREE, allocation)
 
     @staticmethod
     def eip1559(
         base_fee: Money,
         eligibility: Eligibility = Eligibility.FREE,
-        allocation: Allocation = DEFAULT_ALLOCATION[EIP1559],
+        allocation: Allocation | None = None,
     ) -> "Mechanism":
         return Mechanism(EIP1559, base_fee, eligibility, allocation)
 
@@ -133,13 +145,13 @@ class Mechanism:
     def tipless(
         base_fee: Money,
         eligibility: Eligibility = Eligibility.FREE,
-        allocation: Allocation = DEFAULT_ALLOCATION[TIPLESS],
+        allocation: Allocation | None = None,
     ) -> "Mechanism":
         return Mechanism(TIPLESS, base_fee, eligibility, allocation)
 
     @staticmethod
     def trivial() -> "Mechanism":
-        return Mechanism(TRIVIAL, None, Eligibility.FREE, DEFAULT_ALLOCATION[TRIVIAL])
+        return Mechanism(TRIVIAL)
 
     def reserve(self, tx: Transaction) -> Money:
         """Reserve price for one transaction: base fee times its size."""
@@ -159,20 +171,33 @@ def _require_bid(bids: Mapping[int, Money], tx_id) -> Money:
 
 
 def own_payment(mech: Mechanism, tx: Transaction, bid: Money) -> Money:
-    """What an included transaction is charged at its own bid: the bid
-    under fpa and eip1559, the bid capped at the reserve under tipless,
-    nothing under trivial."""
-    if mech.preset == TIPLESS:
-        return min(bid, mech.reserve(tx))
-    if mech.preset == TRIVIAL:
-        return 0
-    return bid
+    """What an included transaction is charged at its own bid."""
+    return RULES[mech.preset].pay(bid, mech.reserve(tx))
+
+
+def contribution(mech: Mechanism, tx: Transaction, bid: Money) -> Money:
+    """What an included transaction adds to the producer's fee income net
+    of burn at its own bid: own_payment - reserve.  It never decreases in
+    the bid and is >= 0 exactly when the bid clears the reserve."""
+    reserve = mech.reserve(tx)
+    return RULES[mech.preset].pay(bid, reserve) - reserve
+
+
+def argmax_valued(mech: Mechanism) -> bool | None:
+    """The kind of the mechanism's allocation: None for a standard rule,
+    True for consonant, the argmax of producer surplus (the producer's value
+    plus the members' contributions), False for revenue_max, the argmax of
+    the contributions alone: fee revenue under fpa, which pays the bid and
+    has no reserve."""
+    if mech.allocation is Allocation.STANDARD:
+        return None
+    return mech.allocation is Allocation.CONSONANT
 
 
 def fee_class(mech: Mechanism, tx: Transaction, bid: Money) -> Money | None:
     """All that an allocation or argmax reads of one bid: None when the
     producer may not include it (gated and below the reserve), else its
-    contribution own_payment - reserve.
+    contribution.
 
     Bids of one class get the same eligibility and contribution, and the
     same clearing status, since a contribution is >= 0 exactly when the bid
@@ -181,7 +206,7 @@ def fee_class(mech: Mechanism, tx: Transaction, bid: Money) -> Money | None:
     """
     if not eligible(mech, tx, bid):
         return None
-    return own_payment(mech, tx, bid) - mech.reserve(tx)
+    return contribution(mech, tx, bid)
 
 
 def payment(mech: Mechanism, block: Block, bids: Mapping[int, Money], scenario: Scenario) -> dict[int, Money]:
@@ -214,9 +239,7 @@ def bps(block: Block, bids: Mapping[int, Money], scenario: Scenario, mech: Mecha
 
 def eligible(mech: Mechanism, tx: Transaction, bid: Money) -> bool:
     """Whether the producer is allowed to include the transaction at all."""
-    if mech.eligibility is Eligibility.FREE:
-        return True
-    return bid >= mech.reserve(tx)
+    return mech.eligibility is Eligibility.FREE or bid >= mech.reserve(tx)
 
 
 def is_base_fee_excessively_low(
@@ -227,19 +250,23 @@ def is_base_fee_excessively_low(
     Defined for knapsack blocksets: compares the total size of transactions
     bidding at least their reserve against the capacity.
     """
-    blockset = scenario.blockset
-    if not isinstance(blockset, KnapsackBlockset):
+    if not isinstance(scenario.blockset, KnapsackBlockset):
         raise UnsupportedInstanceError(
             "excessively-low test needs a knapsack blockset with a size cap"
         )
-    candidates = blockset.candidate_ids
-    ids = candidates if candidates is not None else scenario.ids()
-    total = 0
-    for t in ids:
-        tx = scenario.tx(t)
-        if _require_bid(bids, t) >= base_fee * tx.size:
-            total += tx.size
-    return total > blockset.max_total_size
+    clearing = _clearing(base_fee, bids, _candidates(scenario))
+    return sum(tx.size for tx in clearing) > scenario.blockset.max_total_size
+
+
+def _candidates(scenario):
+    """The transactions a knapsack blockset may hold, in id order."""
+    ids = scenario.blockset.candidate_ids
+    return [scenario.tx(t) for t in (ids if ids is not None else scenario.ids())]
+
+
+def _clearing(base_fee, bids, txs):
+    """The transactions among txs whose bids clear base fee times size."""
+    return [tx for tx in txs if _require_bid(bids, tx.tx_id) >= base_fee * tx.size]
 
 
 def recommended_block(
@@ -255,41 +282,40 @@ def recommended_block(
     """
     from . import solver
 
-    if mech.allocation is Allocation.CONSONANT:
+    valued = argmax_valued(mech)
+    if valued is None:
+        return RULES[mech.preset].standard(mech, bids, scenario, budget)
+    if valued:
         return solver.bps_argmax(bids, scenario, mech, budget=budget)
+    return solver.max_revenue_block(bids, scenario, budget=budget)
 
-    if mech.preset == FPA:
-        return solver.max_revenue_block(bids, scenario, budget=budget)
 
-    if mech.preset == EIP1559:
-        blockset = scenario.blockset
-        if not isinstance(blockset, KnapsackBlockset):
-            raise UnsupportedInstanceError(
-                "standard eip1559 allocation needs a knapsack blockset; "
-                "use the consonant allocation for explicit blocksets"
-            )
-        candidates = blockset.candidate_ids
-        ids = candidates if candidates is not None else scenario.ids()
-        clearing = [
-            t for t in ids if _require_bid(bids, t) >= mech.reserve(scenario.tx(t))
-        ]
-        total = sum(scenario.tx(t).size for t in clearing)
-        if total > blockset.max_total_size:
-            raise ExcessivelyLowBaseFeeError(
-                mech.base_fee, total, blockset.max_total_size
-            )
-        return Block(tuple(sorted(clearing)))
+def _clearing_set(mech, bids, scenario, budget):
+    """eip1559's standard block: every transaction that clears the reserve."""
+    blockset = scenario.blockset
+    if not isinstance(blockset, KnapsackBlockset):
+        raise UnsupportedInstanceError(
+            "standard eip1559 allocation needs a knapsack blockset; "
+            "use the consonant allocation for explicit blocksets"
+        )
+    clearing = _clearing(mech.base_fee, bids, _candidates(scenario))
+    total = sum(tx.size for tx in clearing)
+    if total > blockset.max_total_size:
+        raise ExcessivelyLowBaseFeeError(mech.base_fee, total, blockset.max_total_size)
+    return Block(tuple(sorted(tx.tx_id for tx in clearing)))
 
-    # tipless standard: among feasible blocks whose members all clear the
-    # reserve, take the one with the largest total size.  Enumerating the
-    # feasible blocks first keeps the budget errors of a scan over them.
+
+def _largest_clearing_block(mech, bids, scenario, budget):
+    """tipless's standard block: among feasible blocks whose members all
+    clear the reserve, the one with the largest total size.  Enumerating the
+    feasible blocks first keeps the budget errors of a scan over them."""
+    from . import solver
+
     solver.enumerate_blocks(
         scenario, eligible=_eligible_ids(mech, bids, scenario), budget=budget
     )
     clearing = frozenset(
-        tx.tx_id
-        for tx in scenario.transactions
-        if _require_bid(bids, tx.tx_id) >= mech.reserve(tx)
+        tx.tx_id for tx in _clearing(mech.base_fee, bids, scenario.transactions)
     )
     sizes = {tx.tx_id: tx.size for tx in scenario.transactions}
     best = solver.max_block(
@@ -300,14 +326,22 @@ def recommended_block(
     return best
 
 
+RULES = {
+    FPA: Rule(lambda b, r: b, False, (Allocation.REVENUE_MAX, Allocation.CONSONANT)),
+    EIP1559: Rule(lambda b, r: b, True, (Allocation.STANDARD, Allocation.CONSONANT), _clearing_set),
+    TIPLESS: Rule(min, True, (Allocation.STANDARD, Allocation.CONSONANT), _largest_clearing_block),
+    TRIVIAL: Rule(lambda b, r: 0, False, (Allocation.CONSONANT,)),
+}
+# the allocation each preset gets when none is named
+DEFAULT_ALLOCATION = {preset: rule.allocations[0] for preset, rule in RULES.items()}
+
+
 def _eligible_ids(mech, bids, scenario):
     """Eligibility filter for enumeration, or None when everything goes."""
     if mech.eligibility is Eligibility.FREE:
         return None
     return frozenset(
-        tx.tx_id
-        for tx in scenario.transactions
-        if eligible(mech, tx, _require_bid(bids, tx.tx_id))
+        tx.tx_id for tx in _clearing(mech.base_fee, bids, scenario.transactions)
     )
 
 

@@ -26,7 +26,7 @@ from .core import (
     TableValuation,
     Transaction,
 )
-from .mechanisms import DEFAULT_ALLOCATION, Allocation, Eligibility, Mechanism
+from .mechanisms import Allocation, Eligibility, Mechanism
 
 SCHEMA_VERSION = 1
 
@@ -198,8 +198,7 @@ def _parse_mechanism(obj) -> Mechanism:
         base_fee = _expect_int(base_fee, "base_fee")
     try:
         eligibility = Eligibility(obj.get("eligibility", "free"))
-        default = DEFAULT_ALLOCATION.get(preset, Allocation.CONSONANT)
-        allocation = Allocation(obj.get("allocation", default))
+        allocation = Allocation(obj["allocation"]) if "allocation" in obj else None
         return Mechanism(preset, base_fee, eligibility, allocation)
     except ValueError as exc:
         raise ScenarioFormatError(str(exc)) from None

@@ -28,13 +28,13 @@ from .core import (
     bp_value,
 )
 from .mechanisms import (
-    Allocation,
     Mechanism,
     NoEligibleBlockError,
     UnsupportedInstanceError,
     _eligible_ids,
     _require_bid,
-    own_payment,
+    argmax_valued,
+    contribution,
 )
 
 DEFAULT_BUDGET = 1 << 20
@@ -165,12 +165,9 @@ def _enumerate_knapsack(scenario, blockset, eligible, budget):
 def _per_tx_contribution(
     mech: Mechanism, bids: Mapping[int, Money], scenario: Scenario
 ) -> dict[int, Money]:
-    """Every transaction's contribution at its bid: the fee income minus
-    burn that it brings the producer when included, which never decreases
-    in the bid."""
+    """Every transaction's contribution (mechanisms.contribution)."""
     return {
-        tx.tx_id: own_payment(mech, tx, _require_bid(bids, tx.tx_id))
-        - mech.reserve(tx)
+        tx.tx_id: contribution(mech, tx, _require_bid(bids, tx.tx_id))
         for tx in scenario.transactions
     }
 
@@ -334,12 +331,10 @@ def split_pass(
     transactions: the (score, canonical-first block, tied blocks, indexed
     ties) entry of each membership pattern of `split` (see _argmax_pass).
 
-    A block scores its members' contributions (own payment minus reserve)
-    plus, when `valued`, the producer's value for it: producer surplus, or
-    with `valued` False the fee revenue net of burn, which under fpa is
-    the sum of the member bids (revenue_max).  The contributions of the
-    transactions in `split` are zeroed, and fold_split reads off any
-    contribution of one of them.  On ordered blocksets an unvalued entry
+    A block scores its members' contributions plus, when `valued`, the
+    producer's value for it (see mechanisms.argmax_valued).  The
+    contributions of the transactions in `split` are zeroed, and fold_split
+    reads off any contribution of one of them.  On ordered blocksets an unvalued entry
     lists each tied member set by its canonical-first ordering alone.
     Raises NoEligibleBlockError when no enumerated block is eligible under
     the bids.
@@ -461,8 +456,7 @@ class SplitArgmax:
         profile the split was computed from.  The contribution never
         decreases in the bid, so inclusion is a threshold: the critical bid.
         """
-        tx = self.tx
-        return cut_includes(self.cut(), own_payment(self.mech, tx, bid) - self.mech.reserve(tx))
+        return cut_includes(self.cut(), contribution(self.mech, self.tx, bid))
 
 
 def split_cut(lacking, holding):
@@ -500,21 +494,18 @@ def bps_split_argmax(
 
     The own bid enters the score only through one contribution shared by
     every block that holds tx_id, so the argmax is either the best block
-    without tx_id or the best block with it, whatever that bid.  Consonant
-    and trivial allocations maximize producer surplus; fpa's revenue_max
-    maximizes the sum of member bids.  Standard allocations are not block
-    score maxima and are refused.  Raises NoEligibleBlockError when no
-    enumerated block is eligible under the bids.  One split_pass on tx_id.
+    without tx_id or the best block with it, whatever that bid.  Standard
+    allocations are not block score maxima (see mechanisms.argmax_valued)
+    and are refused.  Raises NoEligibleBlockError when no enumerated block
+    is eligible under the bids.  One split_pass on tx_id.
     """
-    if mech.allocation is Allocation.STANDARD:
+    valued = argmax_valued(mech)
+    if valued is None:
         raise UnsupportedInstanceError(
             "the split argmax covers consonant, trivial and revenue_max "
             "allocations"
         )
     tx = scenario.tx(tx_id)
-    # fpa contributions are the bids, so revenue is the surplus of a
-    # producer that values every block at 0
-    valued = mech.allocation is not Allocation.REVENUE_MAX
     (without_score, without, *_), (holding_score, holding, *_) = split_pass(
         bids, scenario, mech, (tx_id,), valued=valued, budget=budget
     )

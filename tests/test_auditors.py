@@ -366,6 +366,19 @@ class TestDsic:
             audit_dsic(mech, strategy, [fine, sc], grid)
         assert calls == []
 
+    def test_standard_eip1559_bpic_refuses_before_any_scenario(self, monkeypatch):
+        # at the grid max both txs of `refused` clear, and only one fits
+        fine = scenario([(1, 0, 0), (1, 0, 0)], cap=2)
+        refused = scenario([(1, 0, 0), (1, 0, 0)], cap=1)
+        mech, grid = Mechanism.eip1559(1), GridSpec(1, 3)
+        calls = []
+        monkeypatch.setattr(
+            auditors, "recommended_block", lambda *a, **k: calls.append(a) or EMPTY_BLOCK
+        )
+        with pytest.raises(UnsupportedInstanceError, match="grid cell"):
+            audit_bpic(mech, [fine, refused], grid)
+        assert calls == []
+
 
 MECHANISMS = (
     Mechanism.fpa(),

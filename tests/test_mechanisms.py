@@ -1,6 +1,8 @@
 """Unit tests for the mechanism presets: payments, burn, allocation rules,
 eligibility, and bidding strategies."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from tfm_lab import (
     Mechanism,
     PassiveValuation,
     Scenario,
+    ScenarioFormatError,
     Transaction,
     Truthful,
     UnknownTransactionError,
@@ -31,11 +34,21 @@ from tfm_lab import (
     enumerate_blocks,
     fee_class,
     is_base_fee_excessively_low,
+    parse_scenario_text,
     payment,
     recommended_block,
     strategy_bid,
 )
-from tfm_lab.mechanisms import DEFAULT_ALLOCATION, EIP1559, FPA, TIPLESS, TRIVIAL
+from tfm_lab.mechanisms import (
+    DEFAULT_ALLOCATION,
+    EIP1559,
+    FPA,
+    RULES,
+    TIPLESS,
+    TRIVIAL,
+    contribution,
+)
+from tfm_lab import cli
 
 
 def scenario_with(txs, bp=None, cap=None):
@@ -309,6 +322,14 @@ class TestMechanismValidation:
         with pytest.raises(ValueError):
             Mechanism("vcg", None, Eligibility.FREE, Allocation.CONSONANT)
 
+    def test_enum_fields_reject_raw_strings(self):
+        # a raw string is no Eligibility or Allocation member, so it would
+        # fail every identity test against one
+        with pytest.raises(ValueError, match="eligibility"):
+            Mechanism("eip1559", 2, "free", Allocation.CONSONANT)
+        with pytest.raises(ValueError, match="allocation"):
+            Mechanism("fpa", None, Eligibility.FREE, "consonant")
+
     def test_factory_defaults_come_from_the_table(self):
         assert Mechanism.fpa().allocation is DEFAULT_ALLOCATION[FPA]
         assert Mechanism.eip1559(1).allocation is DEFAULT_ALLOCATION[EIP1559]
@@ -319,3 +340,73 @@ class TestMechanismValidation:
         mech = Mechanism.tipless(3)
         assert mech.reserve(Transaction(0, 2, 5)) == 6
         assert Mechanism.fpa().reserve(Transaction(0, 2, 5)) == 0
+
+
+def scenario_text(mechanism):
+    return json.dumps({
+        "schema_version": 1,
+        "transactions": [{"id": 0, "size": 1, "valuation": 5}],
+        "bp_valuation": {"kind": "passive"},
+        "blockset": {"kind": "knapsack", "max_total_size": 1},
+        "mechanism": mechanism,
+    })
+
+
+@pytest.mark.parametrize("preset", sorted(RULES))
+class TestRuleTable:
+    """Every record of mechanisms.RULES against the properties that the fee
+    classes, the critical-cut tables and the allocation kinds rely on."""
+
+    def fee(self, preset):
+        return 1 if RULES[preset].base_fee else None
+
+    def test_payment_is_bounded_monotone_and_clears_at_the_reserve(self, preset):
+        rule = RULES[preset]
+        bids = range(7)
+        for r in bids if rule.base_fee else (0,):
+            pays = [rule.pay(b, r) for b in bids]
+            assert all(0 <= p <= b for b, p in zip(bids, pays))
+            assert pays == sorted(pays)
+            mech = Mechanism(preset, r if rule.base_fee else None)
+            tx = Transaction(0, 1, 0)
+            assert mech.reserve(tx) == r
+            assert [contribution(mech, tx, b) >= 0 for b in bids] == [b >= r for b in bids]
+
+    def test_revenue_max_needs_the_bid_as_payment_and_no_base_fee(self, preset):
+        rule = RULES[preset]
+        if Allocation.REVENUE_MAX in rule.allocations:
+            assert not rule.base_fee
+            assert all(rule.pay(b, 0) == b for b in range(7))
+
+    def test_exactly_the_listed_allocations_build(self, preset):
+        fee = self.fee(preset)
+        for allocation in Allocation:
+            if allocation in RULES[preset].allocations:
+                assert Mechanism(preset, fee, Eligibility.FREE, allocation).allocation is allocation
+            else:
+                with pytest.raises(ValueError, match="supports"):
+                    Mechanism(preset, fee, Eligibility.FREE, allocation)
+
+    def test_every_route_gets_one_default_allocation(self, preset):
+        fee = self.fee(preset)
+        factory = getattr(Mechanism, preset)
+        flags = ["gen", "--seed", "0", "--mech", preset]
+        named = {"preset": preset}
+        if fee is not None:
+            flags += ["--base-fee", str(fee)]
+            named["base_fee"] = fee
+        routes = [
+            Mechanism(preset, fee),
+            factory() if fee is None else factory(fee),
+            cli._mech_from_flags(cli._build_parser().parse_args(flags)),
+            parse_scenario_text(scenario_text(named)).mechanism,
+        ]
+        assert [m.allocation for m in routes] == [DEFAULT_ALLOCATION[preset]] * 4
+        assert DEFAULT_ALLOCATION[preset] is RULES[preset].allocations[0]
+
+    def test_null_allocation_in_a_file_is_an_error(self, preset):
+        named = {"preset": preset, "allocation": None}
+        if self.fee(preset) is not None:
+            named["base_fee"] = self.fee(preset)
+        with pytest.raises(ScenarioFormatError):
+            parse_scenario_text(scenario_text(named))
