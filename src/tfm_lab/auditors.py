@@ -8,13 +8,12 @@ a witness cell that reproduces the gain exactly when re-simulated.
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby, product
+from itertools import chain, groupby, product
 from operator import getitem
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .core import Block, Money, Scenario, bp_value, welfare
 from .mechanisms import (
@@ -69,8 +68,7 @@ class ProfileSpaceError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """One profitable deviation found by an audit.
 
     For user-deviation audits, cell_bids holds the other users' bids and the
@@ -134,18 +132,74 @@ class AuditReport:
     sampling_seed: int | None = None
 
 
-def _finalize_witnesses(rows, max_witnesses):
-    """The first max_witnesses witnesses in witness_sort_key order.
+class _Found:
+    """The witnesses an audit found, kept per settled outcome.
 
-    Audits collect each witness as its sort key, a (digest, tx_id, -gain,
-    valuation, recommended_bid, deviation_bid, cell_bids) row, and only the
-    emitted rows become Witness objects."""
+    Every raw profile that reaches one outcome shares its witness rows,
+    (-gain, valuation, recommended_bid, deviation_bid) tuples, so each
+    outcome keeps its rows once, with the profiles (bids of its ids, in
+    order) that reach it; the same rows object is one outcome, of one
+    (digest, tx).  Every outcome of a (digest, tx) has the same ids, so
+    profiles sort as their (id, bid) cells do.  Only the emitted witnesses
+    are expanded (see _finalize_witnesses).  len() is the number of
+    witnesses found: each row once per profile.
+    """
+
+    def __init__(self):
+        # id(rows) -> (digest, tx, ids, rows, profiles); rows stays
+        # referenced, so its id names it for the whole audit
+        self.outcomes = {}
+
+    def add(self, digest, t, ids, rows, profile):
+        """Record that profile, the bids of ids, reaches the outcome whose
+        witness rows are rows (a non-empty list)."""
+        entry = self.outcomes.get(id(rows))
+        if entry is None:
+            entry = self.outcomes[id(rows)] = digest, t, ids, rows, []
+        entry[4].append(profile)
+
+    def __len__(self):
+        return sum(
+            len(rows) * len(profiles) for *_, rows, profiles in self.outcomes.values()
+        )
+
+    def max_gain(self):
+        """The largest gain of any witness, 0 when none was found."""
+        return max(
+            (-row[0] for *_, rows, _ in self.outcomes.values() for row in rows), default=0
+        )
+
+
+def _finalize_witnesses(found, max_witnesses):
+    """The first max_witnesses witnesses of a _Found in witness_sort_key
+    order.
+
+    Walks (digest, tx) in order, then each distinct row in order, merged
+    across the outcomes that hold it and once per copy within one, then
+    that row's cells in order, and builds only the emitted Witnesses."""
     if max_witnesses < 0:
         raise ValueError(f"max_witnesses must be >= 0, got {max_witnesses}")
-    return tuple(
-        Witness(digest, t, v, rec, dev, -neg_gain, cell)
-        for digest, t, neg_gain, v, rec, dev, cell in heapq.nsmallest(max_witnesses, rows)
-    )
+    # (digest, tx) -> (ids, {row: the profile lists that hold it, once per copy})
+    by_tx = {}
+    for digest, t, ids, rows, profiles in found.outcomes.values():
+        sources = by_tx.setdefault((digest, t), (ids, {}))[1]
+        for row in rows:
+            sources.setdefault(row, []).append(profiles)
+    emitted = []
+    for digest, t in sorted(by_tx):
+        ids, sources = by_tx[digest, t]
+        cells = {}  # profile -> its (id, bid) cell, shared by the rows that emit it
+        for row in sorted(sources):
+            take = max_witnesses - len(emitted)
+            if take <= 0:
+                return tuple(emitted)
+            neg_gain, v, rec, dev = row
+            for p in sorted(chain.from_iterable(sources[row]))[:take]:
+                cell = cells.get(p)
+                if cell is None:
+                    cell = cells[p] = tuple(zip(ids, p))
+                emitted.append(Witness(digest, t, v, rec, dev, -neg_gain, cell))
+    return tuple(emitted)
 
 
 _STANDARD_TOO_LOW = (
@@ -249,40 +303,46 @@ def audit_bpic(
     the tie-breaking between surplus-tied blocks must be explainable by some
     fixed order on blocks (checked as acyclicity of observed preferences).
 
-    Cost: one block pass per prefix, O(1) per cell; cells and witnesses per
-    raw profile.  The producer's argmax reads a cell only through its fee
-    classes (mechanisms.fee_class), the last user's only as a contribution
-    added to the blocks that hold it.  So one split_pass on the last user
-    per prefix (the classes of the users before it) and eligibility of the
-    last user, solved at the first cell that reaches it, gives the argmax
-    of every grid bid of the last user by fold_split; errors are raised at
-    the cell, and with the message, of a per-cell pass.  fpa's revenue_max
-    recommendation is read the same way off one unvalued split pass.  The
-    consonant rule (which the trivial preset always uses) recommends the
-    argmax, so a repeated class tuple adds no tie edge and no witness; the
-    memo is skipped when every class map is injective on the grid.  The
-    standard rules add one recommended_block call per cell, and add tie
-    edges only for a recommendation that is new among its class tuple's
-    ties.
+    Cost: one block pass per prefix, O(1) per cell.  The producer's argmax
+    reads a cell only through its fee classes (mechanisms.fee_class), the
+    last user's only as a contribution added to the blocks that hold it.
+    So one split_pass on the last user per prefix (the classes of the users
+    before it) and eligibility of the last user, solved at the first cell
+    that reaches it, gives the argmax of every grid bid of the last user by
+    fold_split; errors are raised at the cell, and with the message, of a
+    per-cell pass.  A last user with fewer than two eligible classes is not
+    split off: one unsplit pass per class tuple is as few.  fpa's
+    revenue_max recommendation is read the same way off one unvalued split
+    pass.  The consonant rule (which the trivial preset always uses)
+    recommends the argmax, so a repeated class tuple adds no tie edge and
+    no witness; the memo is skipped when every class map is injective on
+    the grid.  The standard rules add one recommended_block call per cell,
+    which the scenario answers from its memo of one allocation per clearing
+    set, and add tie edges only for a recommendation that is new among its
+    class tuple's ties.  The witness cells of one row share one outcome of
+    the witness collector (_Found), which builds only the emitted
+    Witnesses.
     """
     budget = resolve_budget(budget)
     valued = argmax_valued(mech)
     if valued is None:
         _refuse_excessively_low(mech, scenarios, bid_grid, _STANDARD_TOO_LOW)
     points = bid_grid.points()
-    witnesses = []
+    found = _Found()
     conflicts = []
     cells = 0
-    max_gain = 0
 
     for scenario in scenarios:
         digest = scenario_digest(scenario)
         ids = scenario.ids()
-        split = ids[-1:]
         maps, memo = _class_memo(mech, scenario, ids, points, fee_class)
+        # a last user with fewer than two eligible classes gets one pass
+        # per class either way, so it is not split off
+        split = ids[-1:] if maps and len(set(maps[-1].values()) - {None}) >= 2 else ()
         # (prefix, last user eligible) -> the producer's split_pass
         # entries, then revenue_max's unvalued ones
         passes = {}
+        witness_rows = {}  # (tx, gain, bid) -> the one-row outcome its cells share
         edges = {}
         for combo in product(points, repeat=len(ids)):
             cells += 1
@@ -322,26 +382,26 @@ def audit_bpic(
                         edges.setdefault(rec, set()).add(b)
                 continue
             gain = best_score - bps(rec, bids, scenario, mech)
-            max_gain = max(max_gain, gain)
             diff = sorted(set(best.txs) - set(rec.txs)) or sorted(
                 set(rec.txs) - set(best.txs)
             )
             tx_id = diff[0] if diff else (best.txs or rec.txs)[0]
             bid = bids[tx_id]
-            witnesses.append((
-                digest, tx_id, -gain, scenario.tx(tx_id).valuation, bid, bid,
-                tuple(sorted(bids.items())),
-            ))
+            rows = witness_rows.get((tx_id, gain, bid))
+            if rows is None:
+                row = -gain, scenario.tx(tx_id).valuation, bid, bid
+                rows = witness_rows[tx_id, gain, bid] = [row]
+            found.add(digest, tx_id, ids, rows, combo)
         cycle = _detect_cycle(edges)
         if cycle is not None:
             conflicts.append(TieConflict(digest, tuple(b.txs for b in cycle)))
 
-    verdict = PASS if not witnesses and not conflicts else FAIL
+    verdict = PASS if not found.outcomes and not conflicts else FAIL
     return AuditReport(
         kind="bpic",
         verdict=verdict,
-        max_regret=max_gain,
-        witnesses=_finalize_witnesses(witnesses, max_witnesses),
+        max_regret=found.max_gain(),
+        witnesses=_finalize_witnesses(found, max_witnesses),
         cells_checked=cells,
         tie_conflicts=tuple(conflicts),
     )
@@ -436,13 +496,14 @@ class _DeviationTables:
 def _sweep(
     mech, strategy, scenarios, grid, budget, profile_samples, sampling_seed, settle
 ):
-    """Yield (position, digest, tx, cell_bids, outcome) once per other-bid
-    profile of every transaction of every scenario, in input order.
+    """Yield (position, digest, tx, others, profile, outcome) once per
+    other-bid profile of every transaction of every scenario, in input
+    order.
 
     position is the scenario's index in `scenarios`, which keeps a repeated
-    scenario apart from its copy; cell_bids holds the other users' (id,
-    bid) pairs.  outcome is settle(position, tx, dev, look) on the
-    profile's deviation table: dev pairs each grid bid with its (included,
+    scenario apart from its copy; profile holds the bids of the other users
+    `others`, in that order.  outcome is settle(position, tx, dev, look) on
+    the profile's deviation table: dev pairs each grid bid with its (included,
     own payment) entry, and look(bid) answers the strategy's own bids.
 
     Cost: the table reads the other users' bids only through their
@@ -503,7 +564,7 @@ def _sweep(
                         outcome = settled[cut] = settle(pos, tx, dev, table.__getitem__)
                     if memo is not None:
                         memo[key] = outcome
-                yield pos, digest, tx, tuple(zip(others, profile)), outcome
+                yield pos, digest, tx, others, profile, outcome
 
 
 def audit_dsic(
@@ -527,9 +588,11 @@ def audit_dsic(
     Cost model (see _sweep): one block pass per (prefix, side) under an
     argmax allocation, one allocation per (class tuple, side) under a
     standard one, and one scan of the (valuation, deviation) cells per
-    distinct cut; cells and witnesses per raw profile.  Sampled profiles
-    are drawn with replacement and repeats are audited once.  A
-    profile_samples below 1 or a negative max_witnesses raises ValueError.
+    distinct cut.  Each distinct cut's witness rows are kept once with the
+    raw profiles that reach it (_Found), and only the emitted Witnesses
+    are built.  Sampled profiles are drawn with replacement and repeats are
+    audited once.  A profile_samples below 1 or a negative max_witnesses
+    raises ValueError.
     """
     points = grid.points()
     sampled = profile_samples is not None
@@ -553,23 +616,21 @@ def audit_dsic(
                 rows.append((-best_gain, v, sb, best_bid))
         return rows
 
-    witnesses = []
+    found = _Found()
     cells = 0
-    for _, digest, tx, cell_bids, rows in _sweep(
+    for _, digest, tx, others, profile, rows in _sweep(
         mech, strategy, scenarios, grid, budget, profile_samples, sampling_seed, settle
     ):
         cells += len(points)
         if rows:
-            t = tx.tx_id
-            witnesses += [(digest, t, *row, cell_bids) for row in rows]
+            found.add(digest, tx.tx_id, others, rows, profile)
 
-    max_regret = -min((row[2] for row in witnesses), default=0)
-    verdict = PASS if max_regret == 0 else FAIL
+    max_regret = found.max_gain()
     return AuditReport(
         kind="dsic",
-        verdict=verdict,
+        verdict=PASS if max_regret == 0 else FAIL,
         max_regret=max_regret,
-        witnesses=_finalize_witnesses(witnesses, max_witnesses),
+        witnesses=_finalize_witnesses(found, max_witnesses),
         cells_checked=cells,
         mode="sampled" if sampled else "exhaustive",
         sampling_seed=sampling_seed if sampled else None,
@@ -600,10 +661,10 @@ def audit_approx_dsic_bound(
     audit_dsic, and the bound checks keep one entry per (scenario,
     transaction) in input order, a repeated scenario included.
 
-    Cost model: as audit_dsic's; cells and witnesses per raw profile.  Each
-    distinct cut's table is scanned once for its overbid, below-range and
-    over-bound rows and counts, which every raw profile with that cut then
-    adds with its own cell bids.
+    Cost model: as audit_dsic's.  Each distinct cut's table is scanned once
+    for its overbid, below-range and over-bound rows and counts; every raw
+    profile with that cut adds the counts, and the rows are kept once with
+    the profiles that reach them (_Found).
     """
     if not (RULES[mech.preset].base_fee and argmax_valued(mech)):
         raise UnsupportedInstanceError(
@@ -660,7 +721,7 @@ def audit_approx_dsic_bound(
                 rows.append((-cell_best, v, sb, cell_bid))
         return rows, overbid, below, regret
 
-    witnesses = []
+    found = _Found()
     bound_checks = []
     cells = 0
     sampled = profile_samples is not None
@@ -672,12 +733,13 @@ def audit_approx_dsic_bound(
         tx_regret = 0
         overbid = 0
         below = 0
-        for _, digest, _, cell_bids, (rows, n_over, n_below, regret) in profiles:
+        for _, digest, _, others, profile, (rows, n_over, n_below, regret) in profiles:
             cells += len(points)
             overbid += n_over
             below += n_below
             tx_regret = max(tx_regret, regret)
-            witnesses += [(digest, t, *row, cell_bids) for row in rows]
+            if rows:
+                found.add(digest, t, others, rows, profile)
         nu = nus[pos, t]
         bound_checks.append(
             BoundCheck(
@@ -699,7 +761,7 @@ def audit_approx_dsic_bound(
         kind="approx-dsic",
         verdict=PASS if violations == 0 else FAIL,
         max_regret=max((c.max_regret for c in bound_checks), default=0),
-        witnesses=_finalize_witnesses(witnesses, max_witnesses),
+        witnesses=_finalize_witnesses(found, max_witnesses),
         cells_checked=cells,
         bound_checks=tuple(bound_checks),
         mode="sampled" if sampled else "exhaustive",

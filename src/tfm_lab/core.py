@@ -185,9 +185,10 @@ class Scenario:
 
     A world caches what it computes about itself: its feasible blocks per
     eligibility filter (solver.enumerate_blocks), their producer values
-    grouped by member set (the solver's plans) and its digest
+    grouped by member set (the solver's plans), its standard-rule blocks
+    per clearing set (mechanisms.recommended_block) and its digest
     (scenario_io.scenario_digest).  with_valuation worlds share the first
-    and recompute the other two."""
+    and recompute the others."""
 
     transactions: tuple[Transaction, ...]
     bp_valuation: BpValuation
@@ -210,6 +211,7 @@ class Scenario:
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_enum_cache", {})
         object.__setattr__(self, "_plan_cache", {})
+        object.__setattr__(self, "_rule_cache", {})
         object.__setattr__(self, "_digest", None)
 
     def with_valuation(self, valuation: BpValuation) -> "Scenario":

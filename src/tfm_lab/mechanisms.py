@@ -280,14 +280,39 @@ def recommended_block(
 
     Raises NoEligibleBlockError when the rule has no block to name.
     """
-    from . import solver
-
     valued = argmax_valued(mech)
     if valued is None:
-        return RULES[mech.preset].standard(mech, bids, scenario, budget)
+        return _standard_block(mech, bids, scenario, budget)
+    from . import solver
+
     if valued:
         return solver.bps_argmax(bids, scenario, mech, budget=budget)
     return solver.max_revenue_block(bids, scenario, budget=budget)
+
+
+def _standard_block(mech, bids, scenario, budget):
+    """The preset's standard block, memoized on the scenario.
+
+    Both standard rules read the bids only as clearing the reserve (see
+    _clearing), so a scenario has at most 2^n standard blocks per
+    mechanism and budget, keyed here by the clearing ids.  Only blocks are
+    stored, so an error is raised again by every call that meets it.  Bids
+    with a missing or invalid entry, and a budget of None (read from the
+    environment at each call), go to the rule unmemoized, so the rule
+    raises its own errors in its own order.
+    """
+    rule = RULES[mech.preset].standard
+    if budget is None:
+        return rule(mech, bids, scenario, budget)
+    try:
+        clearing = _clearing(mech.base_fee, bids, scenario.transactions)
+    except (LookupError, ValueError):
+        return rule(mech, bids, scenario, budget)
+    key = mech, budget, tuple(tx.tx_id for tx in clearing)
+    block = scenario._rule_cache.get(key)
+    if block is None:
+        block = scenario._rule_cache[key] = rule(mech, bids, scenario, budget)
+    return block
 
 
 def _clearing_set(mech, bids, scenario, budget):

@@ -99,7 +99,11 @@ def render_audit_report(report: AuditReport, *, wall_time_ms: int = 0) -> str:
     )
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(WITNESS_HEADER)
+    cell_text = {}  # the witnesses of one profile share its cell's text
     for w in report.witnesses:
+        text = cell_text.get(w.cell_bids)
+        if text is None:
+            text = cell_text[w.cell_bids] = cell_bids_to_str(w.cell_bids)
         writer.writerow(
             (
                 w.scenario_digest,
@@ -108,7 +112,7 @@ def render_audit_report(report: AuditReport, *, wall_time_ms: int = 0) -> str:
                 w.recommended_bid,
                 w.deviation_bid,
                 w.utility_gain,
-                cell_bids_to_str(w.cell_bids),
+                text,
             )
         )
     if report.bound_checks is not None:

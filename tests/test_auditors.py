@@ -7,6 +7,7 @@ results never rest on the auditors' own shortcuts.
 
 import os
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -68,6 +69,7 @@ from tfm_lab import (
 )
 from tfm_lab import auditors, solver
 from tfm_lab.auditors import _DeviationTables, _detect_cycle
+from tfm_lab.mechanisms import RULES, TIPLESS
 from tfm_lab.solver import BUDGET_ENV_VAR
 
 
@@ -609,9 +611,82 @@ class TestCut:
             assert seen.setdefault(cut, table) == table
 
 
+def found_of(rows):
+    """A witness collector holding each sort-key row (digest, tx_id, -gain,
+    valuation, recommended_bid, deviation_bid, cell_bids) as an outcome of
+    its own.  Every cell's ids are a prefix of (0, 2), which zip cuts to
+    the cell's length."""
+    found = auditors._Found()
+    for d, t, neg, v, rec, dev, cell in rows:
+        found.add(d, t, (0, 2), [(neg, v, rec, dev)], tuple(b for _, b in cell))
+    return found
+
+
+@st.composite
+def collector_feeds(draw):
+    """Passes of a sweep over (digest, tx) pairs, fed to a witness
+    collector as the audits feed it: each pass settles a few outcomes whose
+    rows come from a small pool (so rows repeat within an outcome and
+    across outcomes) and sends each profile it visits to one of them.  A
+    pair can be swept twice, as a repeated scenario is, and a pass visits
+    its profiles in product order or, as a sampled sweep does, in draw
+    order.  Returns the passes as (digest, tx, ids, [(rows, profile)])."""
+    pool = draw(st.lists(
+        st.tuples(st.integers(-3, -1), st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+        min_size=1, max_size=4,
+    ))
+    passes = []
+    for digest, t in draw(st.lists(st.sampled_from([("a" * 64, 0), ("a" * 64, 1), ("b" * 64, 0)]), max_size=4)):
+        ids = tuple(i for i in range(3) if i != t)
+        outcomes = draw(st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=3), min_size=1, max_size=3))
+        profiles = list(product(range(3), repeat=len(ids)))
+        if draw(st.booleans()):
+            profiles = draw(st.permutations(profiles))
+        profiles = profiles[:draw(st.integers(0, len(profiles)))]
+        feeds = [(outcomes[draw(st.integers(0, len(outcomes) - 1))], p) for p in profiles]
+        passes.append((digest, t, ids, feeds))
+    return passes
+
+
 class TestFinalizeWitnesses:
-    """Audits collect witnesses as sort-key rows and build only the
+    """Audits collect witnesses per settled outcome and build only the
     emitted ones."""
+
+    @given(collector_feeds(), st.integers(0, 60))
+    @settings(max_examples=200, deadline=None)
+    def test_collector_matches_a_full_sort_of_expanded_rows(self, passes, cap):
+        found = auditors._Found()
+        expanded = []
+        for digest, t, ids, feeds in passes:
+            for rows, profile in feeds:
+                found.add(digest, t, ids, rows, profile)
+                cell = tuple(zip(ids, profile))
+                expanded += [Witness(digest, t, v, rec, dev, -neg, cell) for neg, v, rec, dev in rows]
+        assert len(found) == len(expanded)
+        assert found.max_gain() == max((w.utility_gain for w in expanded), default=0)
+        want = sorted(expanded, key=witness_sort_key)
+        for n in {0, cap, len(expanded), len(expanded) + 5}:
+            assert auditors._finalize_witnesses(found, n) == tuple(want[:n])
+
+    def test_collector_merges_rows_and_keeps_copies(self):
+        # one outcome holds row r twice and one profile; a second outcome
+        # of the same pair, from a repeated scenario, holds r once and
+        # reaches the same profile and an earlier one, in draw order
+        r, s = (-2, 1, 1, 0), (-1, 1, 1, 2)
+        first, second = [r, s, r], [r]
+        found = auditors._Found()
+        found.add("a" * 64, 0, (1, 2), first, (2, 0))
+        found.add("a" * 64, 0, (1, 2), second, (2, 0))
+        found.add("a" * 64, 0, (1, 2), second, (0, 1))
+        assert len(found) == 5
+        got = auditors._finalize_witnesses(found, 4)
+        assert [(w.utility_gain, w.deviation_bid, w.cell_bids) for w in got] == [
+            (2, 0, ((1, 0), (2, 1))),
+            (2, 0, ((1, 2), (2, 0))),
+            (2, 0, ((1, 2), (2, 0))),
+            (2, 0, ((1, 2), (2, 0))),
+        ]
+        assert auditors._finalize_witnesses(found, 9)[-1].utility_gain == 1
 
     ROWS = st.lists(
         st.tuples(
@@ -631,13 +706,13 @@ class TestFinalizeWitnesses:
     def test_matches_a_full_sort(self, rows, max_witnesses):
         witnesses = [Witness(d, t, v, rec, dev, -neg, cell) for d, t, neg, v, rec, dev, cell in rows]
         want = sorted(witnesses, key=witness_sort_key)[:max_witnesses]
-        assert auditors._finalize_witnesses(rows, max_witnesses) == tuple(want)
+        assert auditors._finalize_witnesses(found_of(rows), max_witnesses) == tuple(want)
 
     def test_zero_emits_nothing_and_negative_raises(self):
-        rows = [("a" * 64, 0, -1, 1, 1, 2, ((1, 0),))]
-        assert auditors._finalize_witnesses(rows, 0) == ()
+        found = found_of([("a" * 64, 0, -1, 1, 1, 2, ((1, 0),))])
+        assert auditors._finalize_witnesses(found, 0) == ()
         with pytest.raises(ValueError, match="max_witnesses"):
-            auditors._finalize_witnesses(rows, -1)
+            auditors._finalize_witnesses(found, -1)
 
 
 class TestBpic:
@@ -663,6 +738,27 @@ class TestBpic:
         sc = scenario([(1, 0, 0), (1, 0, 0)], cap=1, bp=AdditiveValuation({1: 2}))
         report = audit_bpic(Mechanism.fpa(), [sc], GridSpec(1, 2))
         assert report.verdict == "FAIL"
+
+    def test_standard_rule_allocates_once_per_clearing_set(self, monkeypatch):
+        # the tipless fixtures of acceptance criterion 1: 204,183 cells
+        # over at most 2^n clearing sets of the n transactions
+        fixtures = [
+            scenario([(2, 7, 7), (2, 9, 9)], cap=2),
+            scenario([(1, 4, 4), (2, 10, 10), (1, 13, 13)], cap=3),
+            scenario([(1, 6, 6), (2, 9, 9), (1, 12, 12), (2, 15, 15)], cap=6),
+        ]
+        rule = RULES[TIPLESS]
+        allocated = []
+
+        def counting(mech, bids, sc, budget):
+            allocated.append(sc)
+            return rule.standard(mech, bids, sc, budget)
+
+        monkeypatch.setitem(RULES, TIPLESS, replace(rule, standard=counting))
+        report = audit_bpic(Mechanism.tipless(2), fixtures, GridSpec(1, 20))
+        assert report.cells_checked == 204_183 and report.verdict == "PASS"
+        for sc in fixtures:
+            assert 0 < sum(a is sc for a in allocated) <= 2 ** len(sc.ids()) <= 16
 
     def test_consonant_rules_always_pass(self):
         sc = scenario([(1, 3, 3), (2, 2, 2)], bp=AdditiveValuation({0: 2}))

@@ -14,6 +14,7 @@ from tfm_lab import (
     Block,
     CappedAtReserve,
     Eligibility,
+    EnumerationBudgetError,
     ExcessivelyLowBaseFeeError,
     ExplicitBlockset,
     FixedOffset,
@@ -251,6 +252,77 @@ class TestRecommendedBlock:
         ):
             bids = sc.submitted_bids()
             assert recommended_block(mech, bids, sc) == bps_argmax(bids, sc, mech)
+
+
+@st.composite
+def standard_memo_cases(draw):
+    """A small scenario on a knapsack or an explicit blockset and a run of
+    calls on it, each with a standard-rule mechanism, a budget that some
+    enumerations exceed and a bid profile, a few with an invalid bid."""
+    n = draw(st.integers(1, 4))
+    txs = tuple(Transaction(i, draw(st.integers(1, 2)), 0) for i in range(n))
+    if draw(st.booleans()):
+        blocks = draw(st.lists(st.permutations(range(n)).map(lambda p: p[:2]), max_size=4))
+        blockset = ExplicitBlockset((EMPTY_BLOCK, *dict.fromkeys(Block(b) for b in blocks if b)))
+    else:
+        blockset = KnapsackBlockset(draw(st.integers(1, 2 * n)), enumerate_permutations=draw(st.booleans()))
+    # few mechanisms of one preset and few budgets, so that calls meet
+    # each other's keys
+    make = draw(st.sampled_from((Mechanism.tipless, Mechanism.eip1559)))
+    mech = st.builds(make, st.integers(0, 2), st.sampled_from(Eligibility))
+    mechs = draw(st.lists(mech, min_size=1, max_size=2))
+    budgets = draw(st.lists(st.integers(1, 16), min_size=1, max_size=2))
+    bid = st.integers(-1, 5)
+    calls = draw(st.lists(
+        st.tuples(st.sampled_from(mechs), st.sampled_from(budgets), st.tuples(*[bid] * n)),
+        min_size=1, max_size=24,
+    ))
+    return Scenario(txs, PassiveValuation(0), blockset), calls
+
+
+class TestStandardMemo:
+    """recommended_block answers the standard rules from a per-scenario
+    memo keyed by the clearing set; it must return the rule's own block, or
+    raise its error, on every call."""
+
+    @staticmethod
+    def outcome(fn, *args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except (EnumerationBudgetError, UnknownTransactionError, ValueError) as e:
+            return type(e), str(e)
+
+    @given(standard_memo_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_rule_on_every_call(self, case):
+        sc, calls = case
+        for mech, budget, profile in calls:
+            bids = dict(enumerate(profile))
+            got = self.outcome(recommended_block, mech, bids, sc, budget=budget)
+            rule = RULES[mech.preset].standard
+            assert got == self.outcome(rule, mech, bids, sc, budget)
+
+    def test_keys_hold_the_mechanism_and_the_budget(self):
+        # one clearing set, {0}: free eligibility enumerates all 4 blocks,
+        # gated eligibility only the 2 that lack tx 1, so a budget of 2
+        # fits the gated enumeration alone
+        sc = scenario_with([Transaction(0, 1, 5, 5), Transaction(1, 1, 0, 0)])
+        bids = sc.submitted_bids()
+        gated = Mechanism.tipless(1, Eligibility.BASE_FEE_GATED)
+        free = Mechanism.tipless(1, Eligibility.FREE)
+        assert recommended_block(gated, bids, sc, budget=2) == Block((0,))
+        assert recommended_block(free, bids, sc, budget=4) == Block((0,))
+        with pytest.raises(EnumerationBudgetError):
+            recommended_block(free, bids, sc, budget=2)
+
+    def test_unset_budget_is_read_at_every_call(self, monkeypatch):
+        sc = scenario_with([Transaction(i, 1, 3, 3) for i in range(3)], cap=3)
+        mech = Mechanism.tipless(1)
+        bids = sc.submitted_bids()
+        assert recommended_block(mech, bids, sc) == Block((0, 1, 2))
+        monkeypatch.setenv("TFMLAB_BUDGET", "2")
+        with pytest.raises(EnumerationBudgetError):
+            recommended_block(mech, bids, sc)
 
 
 @st.composite
