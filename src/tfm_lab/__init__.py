@@ -105,11 +105,9 @@ from .solver import (
     DEFAULT_BUDGET,
     EnumerationBudgetError,
     NoFeasibleBlockError,
-    SplitArgmax,
     bps_argmax,
     bps_argmax_additive_dp,
     bps_argmax_detail,
-    bps_split_argmax,
     canonical_key,
     enumerate_blocks,
     max_marginal_value,

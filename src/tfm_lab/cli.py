@@ -13,6 +13,7 @@ import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from .auditors import (
@@ -68,7 +69,10 @@ class CliUsageError(Exception):
     """Bad flag combination or unusable input file."""
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing reads it and
+    never changes it, and every default is immutable."""
     parser = argparse.ArgumentParser(
         prog="tfm-lab",
         description="Audit fee mechanisms and build counterexample worlds.",

@@ -357,8 +357,6 @@ RULES = {
     TIPLESS: Rule(min, True, (Allocation.STANDARD, Allocation.CONSONANT), _largest_clearing_block),
     TRIVIAL: Rule(lambda b, r: 0, False, (Allocation.CONSONANT,)),
 }
-# the allocation each preset gets when none is named
-DEFAULT_ALLOCATION = {preset: rule.allocations[0] for preset, rule in RULES.items()}
 
 
 def _eligible_ids(mech, bids, scenario):

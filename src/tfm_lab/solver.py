@@ -11,7 +11,6 @@ the same block for separable instances.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from itertools import permutations, repeat
 from operator import attrgetter
 from typing import Mapping, NamedTuple
@@ -24,7 +23,6 @@ from .core import (
     Money,
     PassiveValuation,
     Scenario,
-    Transaction,
     bp_value,
 )
 from .mechanisms import (
@@ -33,7 +31,6 @@ from .mechanisms import (
     UnsupportedInstanceError,
     _eligible_ids,
     _require_bid,
-    argmax_valued,
     contribution,
 )
 
@@ -423,48 +420,13 @@ def max_revenue_block(
     return max_block(scenario, weights, valued=False, budget=budget)
 
 
-@dataclass(frozen=True, slots=True)
-class SplitArgmax:
-    """An argmax allocation for one bid profile, split on one transaction.
-
-    mech, tx       the mechanism and the transaction split on
-    without        canonical-first best block that lacks the transaction
-    without_score  its score
-    holding        canonical-first best block that holds the transaction
-    holding_score  its score minus the transaction's own contribution
-    Either block is None when no enumerated block falls on its side.
-    """
-
-    mech: Mechanism
-    tx: Transaction
-    without: Block | None
-    without_score: Money | None
-    holding: Block | None
-    holding_score: Money | None
-
-    def cut(self):
-        """The split reduced to all that decides inclusion (see split_cut).
-        Splits with one cut include the same own bids."""
-        return split_cut(
-            (self.without_score, self.without), (self.holding_score, self.holding)
-        )
-
-    def includes(self, bid: Money) -> bool:
-        """Whether the argmax holds the transaction when it bids `bid`.
-
-        Valid for bids on the same eligibility side of the reserve as the
-        profile the split was computed from.  The contribution never
-        decreases in the bid, so inclusion is a threshold: the critical bid.
-        """
-        return cut_includes(self.cut(), contribution(self.mech, self.tx, bid))
-
-
 def split_cut(lacking, holding):
     """The cut of an argmax split on one transaction, from the (score,
     canonical-first block, ...) entries of the blocks lacking it and of
     those holding it (scored without it): False when no block holds the
     transaction, True when no block lacks it, else (lacking score - holding
-    score, whether the holding block comes first on the canonical key)."""
+    score, whether the holding block comes first on the canonical key).
+    Splits with one cut include the same own bids."""
     if holding[1] is None:
         return False
     if lacking[1] is None:
@@ -474,42 +436,16 @@ def split_cut(lacking, holding):
 
 def cut_includes(cut, contribution: Money) -> bool:
     """Whether an own bid of this contribution (own payment - reserve) is
-    included under a SplitArgmax.cut, or under a bare inclusion flag."""
+    included under a split_cut cut, or under a bare inclusion flag.
+
+    Valid for bids on the same eligibility side of the reserve as the
+    profile the split pass was computed from.  The contribution never
+    decreases in the bid, so inclusion is a threshold: the critical bid.
+    """
     if cut is True or cut is False:
         return cut
     gap, wins_tie = cut
     return contribution > gap or (contribution == gap and wins_tie)
-
-
-def bps_split_argmax(
-    bids: Mapping[int, Money],
-    scenario: Scenario,
-    mech: Mechanism,
-    tx_id,
-    *,
-    budget: int | None = None,
-) -> SplitArgmax:
-    """One pass over the blocks that settles the argmax allocation for every
-    own bid of tx_id on the eligibility side of bids[tx_id].
-
-    The own bid enters the score only through one contribution shared by
-    every block that holds tx_id, so the argmax is either the best block
-    without tx_id or the best block with it, whatever that bid.  Standard
-    allocations are not block score maxima (see mechanisms.argmax_valued)
-    and are refused.  Raises NoEligibleBlockError when no enumerated block
-    is eligible under the bids.  One split_pass on tx_id.
-    """
-    valued = argmax_valued(mech)
-    if valued is None:
-        raise UnsupportedInstanceError(
-            "the split argmax covers consonant, trivial and revenue_max "
-            "allocations"
-        )
-    tx = scenario.tx(tx_id)
-    (without_score, without, *_), (holding_score, holding, *_) = split_pass(
-        bids, scenario, mech, (tx_id,), valued=valued, budget=budget
-    )
-    return SplitArgmax(mech, tx, without, without_score, holding, holding_score)
 
 
 def bps_argmax(

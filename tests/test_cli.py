@@ -23,7 +23,7 @@ from tfm_lab import (
     replay_dsic_witness,
     write_scenario_file,
 )
-from tfm_lab.cli import main
+from tfm_lab.cli import _build_parser, main
 
 
 def run(capsys, *argv):
@@ -61,6 +61,18 @@ class TestGen:
             tmp_path, capsys, "m.json", "--mech", "tipless", "--base-fee", "2"
         )
         assert load_scenario_file(path).mechanism == Mechanism.tipless(2)
+
+
+class TestParser:
+    def test_built_once_and_no_flag_leaks_into_the_next_call(self, tmp_path, capsys):
+        assert _build_parser() is _build_parser()
+        path = gen_file(tmp_path, capsys, "s.json", "--grid-max", "4")
+        args = ("audit", "dsic", str(path), "--mech", "tipless", "--base-fee", "2")
+        _, capped, _ = run(capsys, *args, "--grid-max", "3")
+        _, own, _ = run(capsys, *args)
+        _, named, _ = run(capsys, *args, "--grid-max", "4")
+        cells = lambda text: parse_audit_report(text)["cells_checked"]
+        assert cells(own) == cells(named) != cells(capped)
 
 
 class TestExitCodes:

@@ -41,7 +41,6 @@ from tfm_lab import (
     strategy_bid,
 )
 from tfm_lab.mechanisms import (
-    DEFAULT_ALLOCATION,
     EIP1559,
     FPA,
     RULES,
@@ -403,10 +402,10 @@ class TestMechanismValidation:
             Mechanism("fpa", None, Eligibility.FREE, "consonant")
 
     def test_factory_defaults_come_from_the_table(self):
-        assert Mechanism.fpa().allocation is DEFAULT_ALLOCATION[FPA]
-        assert Mechanism.eip1559(1).allocation is DEFAULT_ALLOCATION[EIP1559]
-        assert Mechanism.tipless(1).allocation is DEFAULT_ALLOCATION[TIPLESS]
-        assert Mechanism.trivial().allocation is DEFAULT_ALLOCATION[TRIVIAL]
+        assert Mechanism.fpa().allocation is RULES[FPA].allocations[0]
+        assert Mechanism.eip1559(1).allocation is RULES[EIP1559].allocations[0]
+        assert Mechanism.tipless(1).allocation is RULES[TIPLESS].allocations[0]
+        assert Mechanism.trivial().allocation is RULES[TRIVIAL].allocations[0]
 
     def test_reserve_scales_with_size(self):
         mech = Mechanism.tipless(3)
@@ -473,8 +472,7 @@ class TestRuleTable:
             cli._mech_from_flags(cli._build_parser().parse_args(flags)),
             parse_scenario_text(scenario_text(named)).mechanism,
         ]
-        assert [m.allocation for m in routes] == [DEFAULT_ALLOCATION[preset]] * 4
-        assert DEFAULT_ALLOCATION[preset] is RULES[preset].allocations[0]
+        assert [m.allocation for m in routes] == [RULES[preset].allocations[0]] * 4
 
     def test_null_allocation_in_a_file_is_an_error(self, preset):
         named = {"preset": preset, "allocation": None}

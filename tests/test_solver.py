@@ -33,7 +33,6 @@ from tfm_lab import (
     bps_argmax_additive_dp,
     bps,
     bps_argmax_detail,
-    bps_split_argmax,
     burn,
     canonical_key,
     eligible,
@@ -47,9 +46,10 @@ from tfm_lab import (
     welfare_argmax,
 )
 from tfm_lab import solver
-from tfm_lab.mechanisms import fee_class
+from tfm_lab.mechanisms import argmax_valued, contribution, fee_class
 from tfm_lab.solver import (
     _per_tx_contribution,
+    cut_includes,
     fold_split,
     split_cut,
     split_pass,
@@ -170,20 +170,18 @@ class TestArgmax:
         assert bps_argmax(sc.submitted_bids(), sc, Mechanism.fpa()) == Block((1,))
 
 
-class TestSplitArgmax:
+class TestSplitCut:
     def test_critical_bid_of_the_tie_rule(self):
         # tx0 bids 1, tx1 bids 2, one slot: tx0 holds the slot from bid 2
         # on, where the tie with tx1 goes to the canonical-first block (0,)
         sc = knapsack_scenario([(1, 0, 1), (1, 0, 2)], cap=1)
-        split = bps_split_argmax(sc.submitted_bids(), sc, Mechanism.fpa(), 0)
-        assert split.without == Block((1,)) and split.without_score == 2
-        assert split.holding == Block((0,)) and split.holding_score == 0
-        assert [split.includes(x) for x in range(4)] == [False, False, True, True]
-
-    def test_refuses_standard_allocations(self):
-        sc = knapsack_scenario([(1, 0, 1)], cap=1)
-        with pytest.raises(UnsupportedInstanceError):
-            bps_split_argmax(sc.submitted_bids(), sc, Mechanism.tipless(1), 0)
+        mech = Mechanism.fpa()
+        lacking, holding = split_pass(sc.submitted_bids(), sc, mech, (0,), valued=False)
+        assert lacking[:2] == (2, Block((1,))) and holding[:2] == (0, Block((0,)))
+        cut = split_cut(lacking, holding)
+        assert cut == (2, True)
+        included = [cut_includes(cut, contribution(mech, sc.tx(0), x)) for x in range(4)]
+        assert included == [False, False, True, True]
 
 
 class TestFeeRule:
@@ -416,6 +414,14 @@ def scan_welfare(sc):
     return best
 
 
+def split_of(bids, sc, mech, t):
+    """split_pass on t alone, as a scan_split tuple."""
+    (without_score, without, *_), (holding_score, holding, *_) = split_pass(
+        bids, sc, mech, (t,), valued=argmax_valued(mech)
+    )
+    return without, without_score, holding, holding_score
+
+
 def scan_split(bids, sc, mech, t):
     """(without, its score, holding, its score less t's own contribution)."""
     blocks = scan_blocks(bids, sc, mech)
@@ -503,7 +509,7 @@ def ordered_cases(draw):
 
 
 class TestPlanAgainstScan:
-    """bps_argmax_detail, bps_split_argmax, the revenue_max and tipless
+    """bps_argmax_detail, split_pass, the revenue_max and tipless
     standard rules and welfare_argmax read the grouped plan on ordered
     blocksets; each must agree with a per-block scan, tie order included."""
 
@@ -537,11 +543,9 @@ class TestPlanAgainstScan:
             want = scan_split(bids, sc, mech, t)
             if want is NoEligibleBlockError:
                 with pytest.raises(NoEligibleBlockError):
-                    bps_split_argmax(bids, sc, mech, t)
+                    split_of(bids, sc, mech, t)
                 continue
-            split = bps_split_argmax(bids, sc, mech, t)
-            got = (split.without, split.without_score, split.holding, split.holding_score)
-            assert got == want
+            assert split_of(bids, sc, mech, t) == want
 
     def test_tipless_standard_keeps_the_budget_of_a_full_scan(self):
         # only tx 0 clears the reserve of 2, but the rule still enumerates
@@ -570,9 +574,8 @@ class TestPlanAgainstScan:
         assert score == 3
         assert tied == tuple(Block(b) for b in [(1, 0), (2,), (0, 1), (0, 2)])
         assert best == Block((2,))
-        split = bps_split_argmax(bids, sc, Mechanism.fpa(Allocation.CONSONANT), 0)
-        assert (split.without, split.without_score) == (Block((2,)), 3)
-        assert (split.holding, split.holding_score) == (Block((0, 1)), 2)
+        split = split_of(bids, sc, Mechanism.fpa(Allocation.CONSONANT), 0)
+        assert split == (Block((2,)), 3, Block((0, 1)), 2)
 
     def test_only_the_top_orderings_of_a_group_tie(self):
         sc = self.tie_scenario({(1, 0): 2, (0, 1): 1}, [(), (1, 0), (0, 1)])
@@ -586,8 +589,7 @@ class TestPlanAgainstScan:
         sc = self.tie_scenario({(1, 0): 5}, [(), (1, 0), (2,), (0, 1)])
         bids = {0: 2, 1: 1, 2: 2}
         assert recommended_block(Mechanism.fpa(), bids, sc) == Block((0, 1))
-        split = bps_split_argmax(bids, sc, Mechanism.fpa(), 2)
-        assert (split.without, split.without_score) == (Block((0, 1)), 3)
+        assert split_of(bids, sc, Mechanism.fpa(), 2)[:2] == (Block((0, 1)), 3)
 
 
     def test_plan_cache_is_safe_under_threads(self):
@@ -660,8 +662,8 @@ PLAIN_CROSS_TIE_CASE = (
 
 class TestSplitPass:
     """One split_pass per eligibility of the split transaction, read at
-    each of its bids by fold_split, against one pass per bid; tie order
-    included."""
+    each of its bids by fold_split, against one pass per bid and the
+    per-block scan; tie order included."""
 
     @given(ordered_cases())
     @example(CROSS_TIE_CASE)
@@ -704,10 +706,12 @@ class TestSplitPass:
             if c is not None:
                 lacking = fold_split(lacking, entries[2], c)
                 holding = fold_split(holding, entries[3], c)
-            split = bps_split_argmax(cell, sc, mech, first)
-            assert (lacking[1], lacking[0]) == (split.without, split.without_score)
-            assert (holding[1], holding[0]) == (split.holding, split.holding_score)
-            assert split_cut(lacking, holding) == split.cut()
+            without, without_score, held, held_score = scan_split(cell, sc, mech, first)
+            assert (lacking[1], lacking[0]) == (without, without_score)
+            assert (holding[1], holding[0]) == (held, held_score)
+            assert split_cut(lacking, holding) == split_cut(
+                (without_score, without), (held_score, held)
+            )
 
     @given(st.lists(st.integers(1, 3), min_size=1, max_size=6), st.integers(0, 8), st.randoms())
     def test_plain_knapsacks_enumerate_member_tuples_in_order(self, sizes, cap, rnd):
@@ -771,8 +775,9 @@ class TestNoEligibleBlock:
         with pytest.raises(NoEligibleBlockError):
             bps_argmax_detail(self.bids, self.sc, mech)
         if allocation is Allocation.CONSONANT:
+            assert scan_split(self.bids, self.sc, mech, 1) is NoEligibleBlockError
             with pytest.raises(NoEligibleBlockError):
-                bps_split_argmax(self.bids, self.sc, mech, 1)
+                split_of(self.bids, self.sc, mech, 1)
 
     def test_is_an_unsupported_instance(self):
         assert issubclass(NoEligibleBlockError, UnsupportedInstanceError)
