@@ -2,9 +2,14 @@
 
 A scenario file bundles one complete world: transactions, the producer's
 valuation, the feasible blockset, and optionally the mechanism and audit
-grid to run against it.  The format is strict JSON with integer money only;
-serialization is canonical (sorted keys, fixed indent), so parse/serialize
-round-trips are byte-stable and files can be diffed and digested.
+grid to run against it.  The format is strict JSON with integer money only.
+
+The canonical text of a document is exactly the standard library's
+rendering of its JSON value, json.dumps(value, sort_keys=True, indent=2),
+plus one trailing newline.  serialize_scenario writes those bytes directly,
+one emitter per schema node, and refuses what the reader would reject, so
+parse/serialize round-trips are byte-stable and files can be diffed and
+digested.
 """
 
 from __future__ import annotations
@@ -80,6 +85,10 @@ def _reject_float(text):
     raise ScenarioFormatError(
         f"money and counts must be integers; found fractional literal {text!r}"
     )
+
+
+def _reject_constant(text):
+    raise ScenarioFormatError(f"strict JSON has no {text}")
 
 
 def _expect_int(value, what):
@@ -206,8 +215,8 @@ def _parse_mechanism(obj) -> Mechanism:
 
 def parse_scenario_text(text: str) -> ScenarioDoc:
     try:
-        raw = json.loads(text, parse_float=_reject_float)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(text, parse_float=_reject_float, parse_constant=_reject_constant)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ScenarioFormatError(f"not valid JSON: {exc}") from None
     _expect_keys(raw, "scenario file", {"schema_version", "transactions", "bp_valuation", "blockset"}, _TOP_KEYS)
     version = _expect_int(raw["schema_version"], "schema_version")
@@ -256,74 +265,183 @@ def parse_scenario_text(text: str) -> ScenarioDoc:
     return ScenarioDoc(scenario, mechanism, grid, generator)
 
 
-def _valuation_to_json(valuation: BpValuation):
+# -- canonical writer ----------------------------------------------------------
+#
+# One emitter per schema node, each returning the node's text as json.dumps
+# lays it out at that depth: `pad` is the indent of the line that holds the
+# node's closing bracket.  Fixed-shape nodes are preformatted templates whose
+# integer fields were validated when the core objects were built, so "%d"
+# renders them; fields that no constructor checks go through _int or _ids.
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+_TX = '{\n      "bid": %d,\n      "id": %d,\n      "size": %d,\n      "valuation": %d\n    }'
+_PASSIVE = '{\n    "constant": %d,\n    "kind": "passive"\n  }'
+_ADDITIVE = '{\n    "kind": "additive",\n    "values": %s\n  }'
+_SINGLE_MINDED = '{\n    "kind": "single_minded",\n    "target_blocks": %s,\n    "value": %d\n  }'
+_TABLE = '{\n    "entries": %s,\n    "kind": "table"\n  }'
+_TABLE_ENTRY = '{\n        "block": %s,\n        "value": %d\n      }'
+_EXPLICIT = '{\n    "blocks": %s,\n    "kind": "explicit"\n  }'
+_KNAPSACK = '{\n    %s"enumerate_permutations": %s,\n    "kind": "knapsack",\n    "max_total_size": %d\n  }'
+_CANDIDATES = '"candidate_ids": %s,\n    '
+_MECHANISM = '{\n    "allocation": "%s",\n    %s"preset": %s\n  }'
+_BASE_FEE = '"base_fee": %d,\n    "eligibility": "%s",\n    '
+_GRID = '{\n    "max_value": %s,\n    "step": %s\n  }'
+
+# exact classes only; subclasses take the isinstance path of _metadata_text
+_SCALAR_TEXT = {
+    str: _encode_str,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _wrap(items, pad, brackets="[]"):
+    """A JSON array (or object) of already rendered items, one per line."""
+    if not items:
+        return brackets
+    inner = "\n" + pad + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + pad + brackets[1]
+
+
+def _int(value, what):
+    return int.__repr__(_expect_int(value, what))
+
+
+def _ids(ids, pad, what):
+    for t in ids:
+        if t.__class__ is not int:
+            _expect_int(t, what)
+    return _wrap(list(map(int.__repr__, ids)), pad)
+
+
+def _by_block(rendered):
+    """Texts of (block, text) pairs in (length, ids) block order."""
+    rendered.sort(key=lambda pair: (len(pair[0].txs), pair[0].txs))
+    return [text for _, text in rendered]
+
+
+def _valuation_text(valuation: BpValuation) -> str:
     match valuation:
         case PassiveValuation(constant=c):
-            return {"kind": "passive", "constant": c}
+            return _PASSIVE % c
         case AdditiveValuation(values=vals):
-            return {"kind": "additive", "values": {str(k): vals[k] for k in sorted(vals)}}
+            # The file's keys are strings and sort as strings ("10" < "2").
+            # Sorting whole '"key": value' lines gives the same order: keys
+            # are distinct and the closing quote sorts below '-' and digits.
+            lines = sorted(['"%d": %d' % kv for kv in vals.items()])
+            return _ADDITIVE % _wrap(lines, "    ", "{}")
         case SingleMindedValuation(targets=targets, value=v):
-            blocks = sorted(targets, key=lambda b: (len(b.txs), b.txs))
-            return {
-                "kind": "single_minded",
-                "target_blocks": [list(b.txs) for b in blocks],
-                "value": v,
-            }
+            blocks = [(b, _ids(b.txs, "      ", "single_minded target id")) for b in targets]
+            return _SINGLE_MINDED % (_wrap(_by_block(blocks), "    "), v)
         case TableValuation(entries=entries):
-            blocks = sorted(entries, key=lambda b: (len(b.txs), b.txs))
-            return {
-                "kind": "table",
-                "entries": [{"block": list(b.txs), "value": entries[b]} for b in blocks],
-            }
+            rows = [
+                (b, _TABLE_ENTRY % (_ids(b.txs, "        ", "table block id"), v))
+                for b, v in entries.items()
+            ]
+            return _TABLE % _wrap(_by_block(rows), "    ")
     raise TypeError(f"unsupported valuation {valuation!r}")
 
 
-def _blockset_to_json(blockset: Blockset):
+def _blockset_text(blockset: Blockset) -> str:
     if isinstance(blockset, ExplicitBlockset):
-        return {"kind": "explicit", "blocks": [list(b.txs) for b in blockset.blocks]}
-    out = {
-        "kind": "knapsack",
-        "max_total_size": blockset.max_total_size,
-        "enumerate_permutations": blockset.enumerate_permutations,
-    }
+        blocks = [_ids(b.txs, "      ", "blockset block id") for b in blockset.blocks]
+        return _EXPLICIT % _wrap(blocks, "    ")
+    if not isinstance(blockset, KnapsackBlockset):
+        raise TypeError(f"unsupported blockset {blockset!r}")
+    perms = blockset.enumerate_permutations
+    if perms is not True and perms is not False:
+        raise ScenarioFormatError(f"enumerate_permutations must be true or false, got {perms!r}")
+    candidates = ""
     if blockset.candidate_ids is not None:
-        out["candidate_ids"] = list(blockset.candidate_ids)
-    return out
+        candidates = _CANDIDATES % _ids(blockset.candidate_ids, "    ", "candidate id")
+    return _KNAPSACK % (candidates, "true" if perms else "false", blockset.max_total_size)
 
 
-def _mechanism_to_json(mech: Mechanism):
-    out = {"preset": mech.preset, "allocation": mech.allocation.value}
-    if mech.base_fee is not None:
-        out["base_fee"] = mech.base_fee
-        out["eligibility"] = mech.eligibility.value
-    return out
+def _mechanism_text(mech: Mechanism) -> str:
+    fee = "" if mech.base_fee is None else _BASE_FEE % (mech.base_fee, mech.eligibility.value)
+    return _MECHANISM % (mech.allocation.value, fee, _encode_str(mech.preset))
 
 
-def _doc_to_json(doc: ScenarioDoc):
-    scenario = doc.scenario
-    raw = {
-        "schema_version": SCHEMA_VERSION,
-        "transactions": [
-            {"id": tx.tx_id, "size": tx.size, "valuation": tx.valuation, "bid": tx.bid}
-            for tx in scenario.transactions
-        ],
-        "bp_valuation": _valuation_to_json(scenario.bp_valuation),
-        "blockset": _blockset_to_json(scenario.blockset),
-    }
-    if scenario.rng_seed is not None:
-        raw["seed"] = scenario.rng_seed
-    if doc.mechanism is not None:
-        raw["mechanism"] = _mechanism_to_json(doc.mechanism)
-    if doc.grid is not None:
-        raw["grid"] = {"step": doc.grid.step, "max_value": doc.grid.max_value}
-    if doc.generator is not None:
-        raw["generator"] = doc.generator
-    return raw
+def _grid_text(grid: GridSpec) -> str:
+    return _GRID % (_int(grid.max_value, "grid max_value"), _int(grid.step, "grid step"))
+
+
+def _path_text(path):
+    return path[0] + "".join(f"[{key!r}]" for key in path[1:])
+
+
+def _metadata_text(value, pad, path) -> str:
+    """Free-form generator metadata: strings, integers, true/false, null,
+    lists (or tuples) and objects with string keys.  Anything else could not
+    be read back to the same text, so it is refused with its path."""
+    render = _SCALAR_TEXT.get(value.__class__)
+    if render is not None:
+        return render(value)
+    if isinstance(value, dict):
+        try:
+            keys = sorted(value)
+            heads = [_encode_str(k) + ": " for k in keys]
+        except TypeError:
+            raise ScenarioFormatError(
+                f"{_path_text(path)} has keys {list(value)!r}; object keys must be strings"
+            ) from None
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        keys = range(len(value))
+        heads = [""] * len(value)
+        brackets = "[]"
+    elif isinstance(value, str):
+        return _encode_str(value)
+    elif isinstance(value, int):
+        return int.__repr__(value)
+    else:
+        raise ScenarioFormatError(
+            f"{_path_text(path)} is {value!r}; metadata holds only strings, "
+            f"integers, true/false, null, lists and objects"
+        )
+    inner = pad + "  "
+    for i, key in enumerate(keys):
+        item = value[key]
+        render = _SCALAR_TEXT.get(item.__class__)
+        heads[i] += render(item) if render is not None else _metadata_text(item, inner, path + (key,))
+    return _wrap(heads, pad, brackets)
 
 
 def serialize_scenario(doc: ScenarioDoc) -> str:
-    """Canonical text form: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(_doc_to_json(doc), sort_keys=True, indent=2) + "\n"
+    """Canonical text form: the bytes of json.dumps(..., sort_keys=True,
+    indent=2) plus a trailing newline, written directly.
+
+    Raises ScenarioFormatError, naming the field, where the reader would
+    reject a value (a non-integer seed, grid field or block id, a float) or
+    read generator metadata back to other text (non-string keys).
+    """
+    scenario = doc.scenario
+    parts = [
+        '{\n  "blockset": ',
+        _blockset_text(scenario.blockset),
+        ',\n  "bp_valuation": ',
+        _valuation_text(scenario.bp_valuation),
+    ]
+    if doc.generator is not None:
+        if not isinstance(doc.generator, dict):
+            raise ScenarioFormatError("generator metadata must be an object")
+        try:
+            metadata = _metadata_text(doc.generator, "  ", ("generator",))
+        except RecursionError:
+            raise ScenarioFormatError("generator metadata contains itself or nests too deeply") from None
+        parts += (',\n  "generator": ', metadata)
+    if doc.grid is not None:
+        parts += (',\n  "grid": ', _grid_text(doc.grid))
+    if doc.mechanism is not None:
+        parts += (',\n  "mechanism": ', _mechanism_text(doc.mechanism))
+    parts.append(',\n  "schema_version": %d' % SCHEMA_VERSION)
+    if scenario.rng_seed is not None:
+        parts += (',\n  "seed": ', _int(scenario.rng_seed, "seed"))
+    txs = [_TX % (tx.bid, tx.tx_id, tx.size, tx.valuation) for tx in scenario.transactions]
+    parts += (',\n  "transactions": ', _wrap(txs, "  "), "\n}\n")
+    return "".join(parts)
 
 
 def scenario_digest(scenario: Scenario) -> str:
@@ -349,5 +467,7 @@ def load_scenario_file(path) -> ScenarioDoc:
 
 
 def write_scenario_file(path, doc: ScenarioDoc):
+    # serialize first: a document the writer refuses leaves the file as it was
+    text = serialize_scenario(doc)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_scenario(doc))
+        fh.write(text)

@@ -1,9 +1,12 @@
 """Unit tests for the scenario file format: strict parsing, stable
 serialization, and the content digest."""
 
+import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tfm_lab import (
     EMPTY_BLOCK,
@@ -28,6 +31,7 @@ from tfm_lab import (
     serialize_scenario,
     write_scenario_file,
 )
+from tfm_lab.mechanisms import RULES
 
 MINIMAL = {
     "schema_version": 1,
@@ -92,6 +96,16 @@ class TestParsing:
     def test_invalid_json_rejected(self):
         with pytest.raises(ScenarioFormatError):
             parse_scenario_text("{not json")
+
+    def test_non_finite_constants_rejected(self):
+        for constant in ("NaN", "Infinity", "-Infinity"):
+            raw = dict(MINIMAL, generator={"x": "placeholder"})
+            with pytest.raises(ScenarioFormatError):
+                parse_scenario_text(as_text(raw).replace('"placeholder"', constant))
+
+    def test_nesting_deeper_than_the_decoder_rejected(self):
+        with pytest.raises(ScenarioFormatError):
+            parse_scenario_text('{"generator": ' + "[" * 100_000 + "]" * 100_000 + "}")
 
     def test_additive_values_parse(self):
         raw = dict(MINIMAL)
@@ -222,13 +236,27 @@ class TestSerialization:
         doc = load_scenario_file(path)
         assert serialize_scenario(doc) == serialize_scenario(sample_doc())
 
+    def test_refused_document_leaves_the_file_alone(self, tmp_path):
+        path = tmp_path / "doc.json"
+        write_scenario_file(path, sample_doc())
+        before = path.read_bytes()
+        bad = ScenarioDoc(sample_doc().scenario, generator={"ratio": 0.5})
+        with pytest.raises(ScenarioFormatError):
+            write_scenario_file(path, bad)
+        assert path.read_bytes() == before
+
 
 class TestDigest:
     def test_digest_frozen_value(self):
         # pin the digest so accidental format changes are caught loudly
         doc = parse_scenario_text(as_text(MINIMAL))
-        assert scenario_digest(doc.scenario) == scenario_digest(doc.scenario)
-        assert len(scenario_digest(doc.scenario)) == 12
+        assert scenario_digest(doc.scenario) == "7efd4be159e7"
+
+    def test_full_document_frozen_bytes(self):
+        text = serialize_scenario(sample_doc())
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "17a5a114c52b5f92da752c02b622e12cc10b3b11d8c65413729a29d98c127769"
+        )
 
     def test_digest_ignores_mechanism_and_grid(self):
         raw = dict(MINIMAL)
@@ -245,3 +273,249 @@ class TestDigest:
         da = scenario_digest(parse_scenario_text(as_text(a)).scenario)
         db = scenario_digest(parse_scenario_text(as_text(b)).scenario)
         assert da != db
+
+
+def with_generator(generator):
+    return ScenarioDoc(sample_doc().scenario, generator=generator)
+
+
+class TestWriterRefusals:
+    """The writer refuses every document the reader would reject or read
+    back to other text, and names where the fault is."""
+
+    def refused(self, doc, *fragments):
+        with pytest.raises(ScenarioFormatError) as info:
+            serialize_scenario(doc)
+        for fragment in fragments:
+            assert fragment in str(info.value)
+
+    def test_float_in_generator(self):
+        self.refused(with_generator({"grid": {"step": 0.5}}), "generator['grid']['step']", "0.5")
+
+    def test_float_in_generator_list(self):
+        self.refused(with_generator({"sizes": [1, 2.0]}), "generator['sizes'][1]")
+
+    def test_int_keys_in_generator(self):
+        # {2: .., 10: ..} would come back as "10", "2" in another order
+        self.refused(with_generator({2: "a", 10: "b"}), "generator has keys", "strings")
+
+    def test_nested_int_key_in_generator(self):
+        self.refused(with_generator({"by_tx": {0: 1}}), "generator['by_tx'] has keys")
+
+    def test_mixed_keys_in_generator(self):
+        self.refused(with_generator({"a": 1, 2: 3}), "generator has keys")
+
+    def test_unknown_type_in_generator(self):
+        self.refused(with_generator({"ids": {1, 2}}), "generator['ids']")
+
+    def test_self_containing_generator(self):
+        generator = {"a": []}
+        generator["a"].append(generator)
+        self.refused(with_generator(generator), "contains itself")
+
+    def test_generator_must_be_an_object(self):
+        self.refused(with_generator(["a"]), "generator metadata must be an object")
+
+    def test_bool_seed(self):
+        scenario = Scenario(sample_doc().scenario.transactions, PassiveValuation(0), KnapsackBlockset(3), True)
+        self.refused(ScenarioDoc(scenario), "seed")
+
+    def test_non_int_seed(self):
+        scenario = Scenario(sample_doc().scenario.transactions, PassiveValuation(0), KnapsackBlockset(3), "7")
+        self.refused(ScenarioDoc(scenario), "seed")
+
+    def test_bool_grid_step(self):
+        self.refused(ScenarioDoc(sample_doc().scenario, grid=GridSpec(True, 4)), "grid step")
+
+    def test_float_grid_max_value(self):
+        self.refused(ScenarioDoc(sample_doc().scenario, grid=GridSpec(2, 4.0)), "grid max_value")
+
+    def test_non_int_block_id(self):
+        txs = (Transaction(0, 1, 5, 5),)
+        table = TableValuation({Block(("0",)): 1})
+        self.refused(ScenarioDoc(Scenario(txs, table, KnapsackBlockset(1))), "table block id")
+
+    def test_non_bool_enumerate_permutations(self):
+        txs = (Transaction(0, 1, 5, 5),)
+        blockset = KnapsackBlockset(1, None, 1)
+        self.refused(ScenarioDoc(Scenario(txs, PassiveValuation(0), blockset)), "enumerate_permutations")
+
+
+# -- differential test against the json.dumps rendering -------------------------
+#
+# The builders below map a document to the JSON value whose json.dumps
+# rendering defines the canonical text; they are the oracle.
+
+
+def oracle_valuation(valuation):
+    match valuation:
+        case PassiveValuation(constant=c):
+            return {"kind": "passive", "constant": c}
+        case AdditiveValuation(values=vals):
+            return {"kind": "additive", "values": {str(k): vals[k] for k in sorted(vals)}}
+        case SingleMindedValuation(targets=targets, value=v):
+            blocks = sorted(targets, key=lambda b: (len(b.txs), b.txs))
+            return {
+                "kind": "single_minded",
+                "target_blocks": [list(b.txs) for b in blocks],
+                "value": v,
+            }
+        case TableValuation(entries=entries):
+            blocks = sorted(entries, key=lambda b: (len(b.txs), b.txs))
+            return {
+                "kind": "table",
+                "entries": [{"block": list(b.txs), "value": entries[b]} for b in blocks],
+            }
+    raise TypeError(f"unsupported valuation {valuation!r}")
+
+
+def oracle_blockset(blockset):
+    if isinstance(blockset, ExplicitBlockset):
+        return {"kind": "explicit", "blocks": [list(b.txs) for b in blockset.blocks]}
+    out = {
+        "kind": "knapsack",
+        "max_total_size": blockset.max_total_size,
+        "enumerate_permutations": blockset.enumerate_permutations,
+    }
+    if blockset.candidate_ids is not None:
+        out["candidate_ids"] = list(blockset.candidate_ids)
+    return out
+
+
+def oracle_mechanism(mech):
+    out = {"preset": mech.preset, "allocation": mech.allocation.value}
+    if mech.base_fee is not None:
+        out["base_fee"] = mech.base_fee
+        out["eligibility"] = mech.eligibility.value
+    return out
+
+
+def oracle(doc):
+    scenario = doc.scenario
+    raw = {
+        "schema_version": 1,
+        "transactions": [
+            {"id": tx.tx_id, "size": tx.size, "valuation": tx.valuation, "bid": tx.bid}
+            for tx in scenario.transactions
+        ],
+        "bp_valuation": oracle_valuation(scenario.bp_valuation),
+        "blockset": oracle_blockset(scenario.blockset),
+    }
+    if scenario.rng_seed is not None:
+        raw["seed"] = scenario.rng_seed
+    if doc.mechanism is not None:
+        raw["mechanism"] = oracle_mechanism(doc.mechanism)
+    if doc.grid is not None:
+        raw["grid"] = {"step": doc.grid.step, "max_value": doc.grid.max_value}
+    if doc.generator is not None:
+        raw["generator"] = doc.generator
+    return raw
+
+
+def oracle_text(doc):
+    return json.dumps(oracle(doc), sort_keys=True, indent=2) + "\n"
+
+
+big_ints = st.integers() | st.integers(-(2**200), 2**200)
+amounts = st.integers(0, 10**6) | st.integers(0, 2**80)
+
+
+@st.composite
+def blocks_of(draw, ids):
+    """A block: any ordering of any subset of ids, the empty block included."""
+    if not ids:
+        return EMPTY_BLOCK
+    chosen = draw(st.lists(st.sampled_from(ids), unique=True, max_size=len(ids)))
+    return Block(tuple(chosen))
+
+
+@st.composite
+def valuations(draw, ids):
+    kind = draw(st.sampled_from(["passive", "additive", "single_minded", "table"]))
+    if kind == "passive":
+        return PassiveValuation(draw(big_ints))
+    if kind == "additive":
+        keys = st.sampled_from(ids) | big_ints if ids else big_ints
+        return AdditiveValuation(draw(st.dictionaries(keys, big_ints, max_size=8)))
+    some_blocks = st.lists(blocks_of(ids), max_size=6)
+    if kind == "single_minded":
+        return SingleMindedValuation(frozenset(draw(some_blocks)), draw(big_ints))
+    return TableValuation({b: draw(big_ints) for b in draw(some_blocks)})
+
+
+@st.composite
+def blocksets(draw, ids):
+    if draw(st.booleans()):
+        return ExplicitBlockset(tuple(draw(st.lists(blocks_of(ids), min_size=1, max_size=6))))
+    candidates = None
+    if draw(st.booleans()):
+        candidates = draw(st.permutations(ids).flatmap(lambda p: st.integers(0, len(p)).map(lambda k: tuple(p[:k]))))
+    return KnapsackBlockset(draw(amounts), candidates, draw(st.booleans()))
+
+
+@st.composite
+def mechanisms(draw):
+    preset = draw(st.sampled_from(sorted(RULES)))
+    rule = RULES[preset]
+    allocation = draw(st.sampled_from(rule.allocations))
+    if rule.base_fee:
+        return Mechanism(preset, draw(amounts), draw(st.sampled_from(Eligibility)), allocation)
+    return Mechanism(preset, None, Eligibility.FREE, allocation)
+
+
+metadata_values = st.recursive(
+    st.none() | st.booleans() | big_ints | st.text(),
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text(), inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+@st.composite
+def documents(draw):
+    ids = draw(st.lists(st.integers(-50, 10**9), unique=True, max_size=6))
+    txs = tuple(Transaction(t, draw(st.integers(1, 2**70)), draw(amounts), draw(amounts)) for t in ids)
+    scenario = Scenario(
+        txs,
+        draw(valuations(ids)),
+        draw(blocksets(ids)),
+        draw(st.none() | big_ints),
+    )
+    grid = None
+    if draw(st.booleans()):
+        step = draw(st.integers(1, 10**6))
+        grid = GridSpec(step, step * draw(st.integers(0, 1000)))
+    return ScenarioDoc(
+        scenario,
+        draw(st.none() | mechanisms()),
+        grid,
+        draw(st.none() | st.dictionaries(st.text(), metadata_values, max_size=6)),
+    )
+
+
+class TestAgainstJsonDumps:
+    @settings(max_examples=400, deadline=None)
+    @given(documents())
+    def test_same_bytes_as_the_oracle(self, doc):
+        assert serialize_scenario(doc) == oracle_text(doc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(documents())
+    def test_parse_then_serialize_is_the_same_text(self, doc):
+        text = serialize_scenario(doc)
+        assert serialize_scenario(parse_scenario_text(text)) == text
+
+    def test_additive_keys_sort_as_strings(self):
+        txs = tuple(Transaction(t, 1, 1, 1) for t in (2, 10, -1, 1))
+        doc = ScenarioDoc(Scenario(txs, AdditiveValuation({2: 1, 10: 2, -1: 3, 1: 4}), KnapsackBlockset(1)))
+        text = serialize_scenario(doc)
+        assert text == oracle_text(doc)
+        assert text.index('"-1"') < text.index('"1"') < text.index('"10"') < text.index('"2"')
+
+    def test_awkward_metadata_strings(self):
+        generator = {"q\"uote": ["\x00\n\t", "é☃𝄞", ("tuple", None, True, False)], "": {}, "e": []}
+        doc = with_generator(generator)
+        assert serialize_scenario(doc) == oracle_text(doc)
