@@ -22,9 +22,9 @@ class UnknownTransactionError(LookupError):
         self.tx_id = tx_id
 
 
-def _check_money(name, value, minimum=None):
+def _check_int(name, value, minimum=None):
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer amount, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
@@ -39,11 +39,10 @@ class Transaction:
     bid: Money = 0
 
     def __post_init__(self):
-        if not isinstance(self.tx_id, int) or isinstance(self.tx_id, bool):
-            raise ValueError(f"tx_id must be an integer, got {self.tx_id!r}")
-        _check_money("size", self.size, minimum=1)
-        _check_money("valuation", self.valuation, minimum=0)
-        _check_money("bid", self.bid, minimum=0)
+        _check_int("tx_id", self.tx_id)
+        _check_int("size", self.size, minimum=1)
+        _check_int("valuation", self.valuation, minimum=0)
+        _check_int("bid", self.bid, minimum=0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,6 +54,9 @@ class Block:
     def __post_init__(self):
         txs = tuple(self.txs)
         object.__setattr__(self, "txs", txs)
+        for t in txs:
+            if t.__class__ is not int:
+                _check_int("block id", t)
         if len(set(txs)) != len(txs):
             raise ValueError(f"block repeats a transaction id: {txs}")
 
@@ -84,9 +86,13 @@ class ExplicitBlockset:
     blocks: tuple[Block, ...]
 
     def __post_init__(self):
-        if not self.blocks:
+        blocks = tuple(self.blocks)
+        if not blocks:
             raise ValueError("a blockset must contain at least one block")
-        object.__setattr__(self, "blocks", tuple(self.blocks))
+        for b in blocks:
+            if not isinstance(b, Block):
+                raise ValueError(f"blockset block {b!r} is not a Block")
+        object.__setattr__(self, "blocks", blocks)
 
     def referenced_ids(self):
         return {t for b in self.blocks for t in b}
@@ -106,9 +112,14 @@ class KnapsackBlockset:
     enumerate_permutations: bool = False
 
     def __post_init__(self):
-        _check_money("max_total_size", self.max_total_size, minimum=0)
+        _check_int("max_total_size", self.max_total_size, minimum=0)
+        perms = self.enumerate_permutations
+        if not isinstance(perms, bool):
+            raise ValueError(f"enumerate_permutations must be True or False, got {perms!r}")
         if self.candidate_ids is not None:
             ids = tuple(self.candidate_ids)
+            for t in ids:
+                _check_int("candidate id", t)
             if len(set(ids)) != len(ids):
                 raise ValueError("candidate_ids repeats a transaction id")
             object.__setattr__(self, "candidate_ids", ids)
@@ -127,7 +138,7 @@ class PassiveValuation:
     constant: Money = 0
 
     def __post_init__(self):
-        _check_money("constant", self.constant)
+        _check_int("constant", self.constant)
 
 
 @dataclass(frozen=True)
@@ -142,7 +153,7 @@ class AdditiveValuation:
         for k, v in frozen.items():
             if not isinstance(k, int) or isinstance(k, bool):
                 raise ValueError(f"additive value keyed by non-id {k!r}")
-            _check_money(f"value for tx {k}", v)
+            _check_int(f"value for tx {k}", v)
         object.__setattr__(self, "values", frozen)
 
 
@@ -154,8 +165,12 @@ class SingleMindedValuation:
     value: Money
 
     def __post_init__(self):
-        object.__setattr__(self, "targets", frozenset(self.targets))
-        _check_money("value", self.value)
+        targets = frozenset(self.targets)
+        for b in targets:
+            if not isinstance(b, Block):
+                raise ValueError(f"single-minded target {b!r} is not a Block")
+        object.__setattr__(self, "targets", targets)
+        _check_int("value", self.value)
 
 
 @dataclass(frozen=True)
@@ -169,7 +184,7 @@ class TableValuation:
         for b, v in frozen.items():
             if not isinstance(b, Block):
                 raise ValueError(f"table keyed by non-block {b!r}")
-            _check_money(f"value for block {b.txs}", v)
+            _check_int(f"value for block {b.txs}", v)
         object.__setattr__(self, "entries", frozen)
 
 
@@ -196,6 +211,8 @@ class Scenario:
     rng_seed: int | None = None
 
     def __post_init__(self):
+        if self.rng_seed is not None:
+            _check_int("rng_seed", self.rng_seed)
         txs = tuple(self.transactions)
         object.__setattr__(self, "transactions", txs)
         by_id = {}

@@ -4,9 +4,9 @@ A mechanism is a triple of allocation, payment, and burning rules.  Four
 presets are shipped: first-price auctions, EIP-1559, the tipless variant of
 EIP-1559, and the no-fee mechanism that just lets the producer pick its
 favourite block.  Each preset's rules are one Rule record in RULES; every
-other module reads a preset only through that table.  Payment and burning
-always see the full bid vector, so rules that depend on losing bids stay
-expressible.
+other module reads a preset only through that table.  A member's payment
+is Rule.pay(bid, reserve), its own bid and reserve alone, and the burn is
+its reserves, so a rule that reads other users' bids needs a new record.
 """
 
 from __future__ import annotations

@@ -7,9 +7,10 @@ grid to run against it.  The format is strict JSON with integer money only.
 The canonical text of a document is exactly the standard library's
 rendering of its JSON value, json.dumps(value, sort_keys=True, indent=2),
 plus one trailing newline.  serialize_scenario writes those bytes directly,
-one emitter per schema node, and refuses what the reader would reject, so
-parse/serialize round-trips are byte-stable and files can be diffed and
-digested.
+one emitter per schema node, so parse/serialize round-trips are byte-stable
+and files can be diffed and digested.  Each field is checked once, by the
+constructor of the object that holds it; the reader checks the file's
+shape and the writer the free-form generator metadata.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .core import (
     SingleMindedValuation,
     TableValuation,
     Transaction,
+    UnknownTransactionError,
 )
 from .mechanisms import Allocation, Eligibility, Mechanism
 
@@ -59,6 +61,8 @@ class GridSpec:
     max_value: int
 
     def __post_init__(self):
+        _expect_int(self.step, "grid step")
+        _expect_int(self.max_value, "grid max_value")
         if self.step < 1:
             raise ScenarioFormatError(f"grid step must be >= 1, got {self.step}")
         if self.max_value < 0 or self.max_value % self.step != 0:
@@ -108,21 +112,17 @@ def _expect_keys(obj, what, required, optional=frozenset()):
         raise ScenarioFormatError(f"{what} has unknown keys {sorted(unknown)}")
 
 
-def _parse_block(value, what):
+def _expect_list(value, what):
     if not isinstance(value, list):
-        raise ScenarioFormatError(f"{what} must be a list of transaction ids")
-    ids = tuple(_expect_int(t, f"{what} entry") for t in value)
-    try:
-        return Block(ids)
-    except ValueError as exc:
-        raise ScenarioFormatError(f"{what}: {exc}") from None
+        raise ScenarioFormatError(f"{what} must be a list, got {value!r}")
+    return value
 
 
 def _parse_valuation(obj) -> BpValuation:
     _expect_keys(obj, "bp_valuation", {"kind"}, {"constant", "values", "target_blocks", "value", "entries"})
     kind = obj["kind"]
     if kind == "passive":
-        return PassiveValuation(_expect_int(obj.get("constant", 0), "passive constant"))
+        return PassiveValuation(obj.get("constant", 0))
     if kind == "additive":
         values = obj.get("values", {})
         if not isinstance(values, dict):
@@ -135,26 +135,23 @@ def _parse_valuation(obj) -> BpValuation:
                 raise ScenarioFormatError(f"additive value keyed by non-id {key!r}") from None
             if str(tx_id) != key:
                 raise ScenarioFormatError(f"additive value key {key!r} is not canonical")
-            parsed[tx_id] = _expect_int(amount, f"additive value for tx {key}")
+            parsed[tx_id] = amount
         return AdditiveValuation(parsed)
     if kind == "single_minded":
         if "target_blocks" not in obj or "value" not in obj:
             raise ScenarioFormatError("single_minded needs target_blocks and value")
-        targets = frozenset(
-            _parse_block(b, "single_minded target") for b in obj["target_blocks"]
+        targets = _expect_list(obj["target_blocks"], "single_minded target_blocks")
+        return SingleMindedValuation(
+            frozenset(Block(_expect_list(b, "single_minded target")) for b in targets), obj["value"]
         )
-        return SingleMindedValuation(targets, _expect_int(obj["value"], "single_minded value"))
     if kind == "table":
-        entries = obj.get("entries", [])
-        if not isinstance(entries, list):
-            raise ScenarioFormatError("table entries must be a list")
         parsed = {}
-        for entry in entries:
+        for entry in _expect_list(obj.get("entries", []), "table entries"):
             _expect_keys(entry, "table entry", {"block", "value"})
-            block = _parse_block(entry["block"], "table entry block")
+            block = Block(_expect_list(entry["block"], "table entry block"))
             if block in parsed:
                 raise ScenarioFormatError(f"table lists block {list(block.txs)} twice")
-            parsed[block] = _expect_int(entry["value"], "table entry value")
+            parsed[block] = entry["value"]
         return TableValuation(parsed)
     raise ScenarioFormatError(f"unknown bp_valuation kind {kind!r}")
 
@@ -170,84 +167,41 @@ def _parse_blockset(obj) -> Blockset:
     if kind == "explicit":
         if "blocks" not in obj:
             raise ScenarioFormatError("explicit blockset needs blocks")
-        blocks = tuple(_parse_block(b, "blockset block") for b in obj["blocks"])
-        try:
-            return ExplicitBlockset(blocks)
-        except ValueError as exc:
-            raise ScenarioFormatError(str(exc)) from None
+        blocks = _expect_list(obj["blocks"], "blockset blocks")
+        return ExplicitBlockset(tuple(Block(_expect_list(b, "blockset block")) for b in blocks))
     if kind == "knapsack":
         if "max_total_size" not in obj:
             raise ScenarioFormatError("knapsack blockset needs max_total_size")
         candidates = obj.get("candidate_ids")
         if candidates is not None:
-            candidates = tuple(
-                _expect_int(t, "candidate id") for t in candidates
-            )
+            _expect_list(candidates, "candidate_ids")
         perms = obj.get("enumerate_permutations", False)
-        if not isinstance(perms, bool):
-            raise ScenarioFormatError("enumerate_permutations must be true or false")
-        try:
-            return KnapsackBlockset(
-                _expect_int(obj["max_total_size"], "max_total_size"),
-                candidates,
-                perms,
-            )
-        except ValueError as exc:
-            raise ScenarioFormatError(str(exc)) from None
+        return KnapsackBlockset(obj["max_total_size"], candidates, perms)
     raise ScenarioFormatError(f"unknown blockset kind {kind!r}")
 
 
 def _parse_mechanism(obj) -> Mechanism:
     _expect_keys(obj, "mechanism", {"preset"}, {"base_fee", "eligibility", "allocation"})
-    preset = obj["preset"]
-    if not isinstance(preset, str):
-        raise ScenarioFormatError(f"mechanism preset must be a string, got {preset!r}")
-    base_fee = obj.get("base_fee")
-    if base_fee is not None:
-        base_fee = _expect_int(base_fee, "base_fee")
-    try:
-        eligibility = Eligibility(obj.get("eligibility", "free"))
-        allocation = Allocation(obj["allocation"]) if "allocation" in obj else None
-        return Mechanism(preset, base_fee, eligibility, allocation)
-    except ValueError as exc:
-        raise ScenarioFormatError(str(exc)) from None
+    eligibility = Eligibility(obj.get("eligibility", "free"))
+    allocation = Allocation(obj["allocation"]) if "allocation" in obj else None
+    return Mechanism(obj["preset"], obj.get("base_fee"), eligibility, allocation)
 
 
-def parse_scenario_text(text: str) -> ScenarioDoc:
-    try:
-        raw = json.loads(text, parse_float=_reject_float, parse_constant=_reject_constant)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ScenarioFormatError(f"not valid JSON: {exc}") from None
+def _parse_document(raw) -> ScenarioDoc:
     _expect_keys(raw, "scenario file", {"schema_version", "transactions", "bp_valuation", "blockset"}, _TOP_KEYS)
     version = _expect_int(raw["schema_version"], "schema_version")
     if version != SCHEMA_VERSION:
         raise ScenarioFormatError(
             f"unsupported schema_version {version}; this build reads {SCHEMA_VERSION}"
         )
-    if not isinstance(raw["transactions"], list):
-        raise ScenarioFormatError("transactions must be a list")
     txs = []
-    for entry in raw["transactions"]:
+    for entry in _expect_list(raw["transactions"], "transactions"):
         _expect_keys(entry, "transaction", {"id", "size", "valuation"}, {"bid"})
-        tx_id = _expect_int(entry["id"], "transaction id")
-        size = _expect_int(entry["size"], "transaction size")
-        valuation = _expect_int(entry["valuation"], "transaction valuation")
-        bid = entry.get("bid", valuation)
-        bid = _expect_int(bid, "transaction bid")
-        try:
-            txs.append(Transaction(tx_id, size, valuation, bid))
-        except ValueError as exc:
-            raise ScenarioFormatError(str(exc)) from None
-
+        valuation = entry["valuation"]
+        txs.append(Transaction(entry["id"], entry["size"], valuation, entry.get("bid", valuation)))
     valuation = _parse_valuation(raw["bp_valuation"])
     blockset = _parse_blockset(raw["blockset"])
-    seed = raw.get("seed")
-    if seed is not None:
-        seed = _expect_int(seed, "seed")
-    try:
-        scenario = Scenario(tuple(txs), valuation, blockset, seed)
-    except (ValueError, LookupError) as exc:
-        raise ScenarioFormatError(str(exc)) from None
+    scenario = Scenario(tuple(txs), valuation, blockset, raw.get("seed"))
 
     mechanism = None
     if "mechanism" in raw:
@@ -255,14 +209,27 @@ def parse_scenario_text(text: str) -> ScenarioDoc:
     grid = None
     if "grid" in raw:
         _expect_keys(raw["grid"], "grid", {"step", "max_value"})
-        grid = GridSpec(
-            _expect_int(raw["grid"]["step"], "grid step"),
-            _expect_int(raw["grid"]["max_value"], "grid max_value"),
-        )
+        grid = GridSpec(raw["grid"]["step"], raw["grid"]["max_value"])
     generator = raw.get("generator")
     if generator is not None and not isinstance(generator, dict):
         raise ScenarioFormatError("generator metadata must be an object")
     return ScenarioDoc(scenario, mechanism, grid, generator)
+
+
+def parse_scenario_text(text: str) -> ScenarioDoc:
+    """Read one scenario document.  Every field's type and range is checked
+    by the constructor of the object that holds it; the reader checks only
+    the file's shape, and raises any refusal as ScenarioFormatError."""
+    try:
+        raw = json.loads(text, parse_float=_reject_float, parse_constant=_reject_constant)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ScenarioFormatError(f"not valid JSON: {exc}") from None
+    try:
+        return _parse_document(raw)
+    except ScenarioFormatError:
+        raise
+    except (ValueError, UnknownTransactionError) as exc:
+        raise ScenarioFormatError(str(exc)) from None
 
 
 # -- canonical writer ----------------------------------------------------------
@@ -270,8 +237,8 @@ def parse_scenario_text(text: str) -> ScenarioDoc:
 # One emitter per schema node, each returning the node's text as json.dumps
 # lays it out at that depth: `pad` is the indent of the line that holds the
 # node's closing bracket.  Fixed-shape nodes are preformatted templates whose
-# integer fields were validated when the core objects were built, so "%d"
-# renders them; fields that no constructor checks go through _int or _ids.
+# fields were validated when the core objects and the GridSpec were built, so
+# "%d" renders them; only the free-form generator metadata is checked here.
 
 _encode_str = json.encoder.encode_basestring_ascii
 
@@ -286,7 +253,7 @@ _KNAPSACK = '{\n    %s"enumerate_permutations": %s,\n    "kind": "knapsack",\n  
 _CANDIDATES = '"candidate_ids": %s,\n    '
 _MECHANISM = '{\n    "allocation": "%s",\n    %s"preset": %s\n  }'
 _BASE_FEE = '"base_fee": %d,\n    "eligibility": "%s",\n    '
-_GRID = '{\n    "max_value": %s,\n    "step": %s\n  }'
+_GRID = '{\n    "max_value": %d,\n    "step": %d\n  }'
 
 # exact classes only; subclasses take the isinstance path of _metadata_text
 _SCALAR_TEXT = {
@@ -305,14 +272,7 @@ def _wrap(items, pad, brackets="[]"):
     return brackets[0] + inner + ("," + inner).join(items) + "\n" + pad + brackets[1]
 
 
-def _int(value, what):
-    return int.__repr__(_expect_int(value, what))
-
-
-def _ids(ids, pad, what):
-    for t in ids:
-        if t.__class__ is not int:
-            _expect_int(t, what)
+def _ids(ids, pad):
     return _wrap(list(map(int.__repr__, ids)), pad)
 
 
@@ -333,11 +293,11 @@ def _valuation_text(valuation: BpValuation) -> str:
             lines = sorted(['"%d": %d' % kv for kv in vals.items()])
             return _ADDITIVE % _wrap(lines, "    ", "{}")
         case SingleMindedValuation(targets=targets, value=v):
-            blocks = [(b, _ids(b.txs, "      ", "single_minded target id")) for b in targets]
+            blocks = [(b, _ids(b.txs, "      ")) for b in targets]
             return _SINGLE_MINDED % (_wrap(_by_block(blocks), "    "), v)
         case TableValuation(entries=entries):
             rows = [
-                (b, _TABLE_ENTRY % (_ids(b.txs, "        ", "table block id"), v))
+                (b, _TABLE_ENTRY % (_ids(b.txs, "        "), v))
                 for b, v in entries.items()
             ]
             return _TABLE % _wrap(_by_block(rows), "    ")
@@ -346,26 +306,20 @@ def _valuation_text(valuation: BpValuation) -> str:
 
 def _blockset_text(blockset: Blockset) -> str:
     if isinstance(blockset, ExplicitBlockset):
-        blocks = [_ids(b.txs, "      ", "blockset block id") for b in blockset.blocks]
+        blocks = [_ids(b.txs, "      ") for b in blockset.blocks]
         return _EXPLICIT % _wrap(blocks, "    ")
     if not isinstance(blockset, KnapsackBlockset):
         raise TypeError(f"unsupported blockset {blockset!r}")
-    perms = blockset.enumerate_permutations
-    if perms is not True and perms is not False:
-        raise ScenarioFormatError(f"enumerate_permutations must be true or false, got {perms!r}")
     candidates = ""
     if blockset.candidate_ids is not None:
-        candidates = _CANDIDATES % _ids(blockset.candidate_ids, "    ", "candidate id")
-    return _KNAPSACK % (candidates, "true" if perms else "false", blockset.max_total_size)
+        candidates = _CANDIDATES % _ids(blockset.candidate_ids, "    ")
+    perms = "true" if blockset.enumerate_permutations else "false"
+    return _KNAPSACK % (candidates, perms, blockset.max_total_size)
 
 
 def _mechanism_text(mech: Mechanism) -> str:
     fee = "" if mech.base_fee is None else _BASE_FEE % (mech.base_fee, mech.eligibility.value)
     return _MECHANISM % (mech.allocation.value, fee, _encode_str(mech.preset))
-
-
-def _grid_text(grid: GridSpec) -> str:
-    return _GRID % (_int(grid.max_value, "grid max_value"), _int(grid.step, "grid step"))
 
 
 def _path_text(path):
@@ -413,9 +367,10 @@ def serialize_scenario(doc: ScenarioDoc) -> str:
     """Canonical text form: the bytes of json.dumps(..., sort_keys=True,
     indent=2) plus a trailing newline, written directly.
 
-    Raises ScenarioFormatError, naming the field, where the reader would
-    reject a value (a non-integer seed, grid field or block id, a float) or
-    read generator metadata back to other text (non-string keys).
+    Every field but the generator metadata was checked when its object was
+    built.  Raises ScenarioFormatError, naming the path, where the reader
+    would reject that metadata (a float) or read it back to other text
+    (non-string keys).
     """
     scenario = doc.scenario
     parts = [
@@ -433,12 +388,12 @@ def serialize_scenario(doc: ScenarioDoc) -> str:
             raise ScenarioFormatError("generator metadata contains itself or nests too deeply") from None
         parts += (',\n  "generator": ', metadata)
     if doc.grid is not None:
-        parts += (',\n  "grid": ', _grid_text(doc.grid))
+        parts += (',\n  "grid": ', _GRID % (doc.grid.max_value, doc.grid.step))
     if doc.mechanism is not None:
         parts += (',\n  "mechanism": ', _mechanism_text(doc.mechanism))
     parts.append(',\n  "schema_version": %d' % SCHEMA_VERSION)
     if scenario.rng_seed is not None:
-        parts += (',\n  "seed": ', _int(scenario.rng_seed, "seed"))
+        parts.append(',\n  "seed": %d' % scenario.rng_seed)
     txs = [_TX % (tx.bid, tx.tx_id, tx.size, tx.valuation) for tx in scenario.transactions]
     parts += (',\n  "transactions": ', _wrap(txs, "  "), "\n}\n")
     return "".join(parts)
@@ -461,7 +416,7 @@ def load_scenario_file(path) -> ScenarioDoc:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioFormatError(f"cannot read {path}: {exc}") from None
     return parse_scenario_text(text)
 

@@ -262,6 +262,11 @@ def _argmax_pass(scenario, eligible, budget, weights, valued, split=()):
     groups and a tied group stands for its top orderings.  A plain knapsack
     has one block per member set and scores its blocks directly; additive
     stakes are folded into the weights and passive constants into the base.
+    Its blocks skip the plan because a cold world builds the plan once and
+    scores it only once or twice: routed through _plan, construct-cold kept
+    its report bytes but read wall_s +26% (medians 1.583 -> 1.997 s) and
+    task_s.tail +46% over 5 alternating 5 s pairs on seed 0 (2 cores,
+    Python 3.11.7); dsic-sweep read +5% and bpic-wide did not move.
     """
     blocks = enumerate_blocks(scenario, eligible=eligible, budget=budget)
     blockset = scenario.blockset

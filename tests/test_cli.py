@@ -104,6 +104,22 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"schema_version": 1, "transactions": [], "bp_valuation": {"kind": "passive"}, '
+            b'"blockset": {"kind": "explicit", "blocks": 5}}',
+            b'{"schema_version": 1, "generator": "caf\xe9"}',
+        ],
+        ids=["blocks-not-a-list", "not-utf8"],
+    )
+    def test_usage_error_for_malformed_file(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, _, err = run(capsys, "audit", "dsic", str(path), "--mech", "fpa")
+        assert code == 2
+        assert err.startswith("error: ")
+
     def test_budget_exit(self, tmp_path, capsys):
         path = gen_file(tmp_path, capsys, "s.json")
         code, _, err = run(

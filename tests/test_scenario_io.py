@@ -45,6 +45,70 @@ def as_text(obj):
     return json.dumps(obj)
 
 
+SINGLE_MINDED = {"kind": "single_minded", "target_blocks": [[0]], "value": 7}
+TABLE = {"kind": "table", "entries": [{"block": [0], "value": 1}]}
+EXPLICIT = {"kind": "explicit", "blocks": [[], [0]]}
+CANDIDATES = {"kind": "knapsack", "max_total_size": 2, "candidate_ids": [0]}
+
+# (overrides of MINIMAL, path to the field, what the refusal names): every
+# integer field of the schema, each checked by the constructor that holds it
+INTEGER_FIELDS = [
+    pytest.param({}, ("transactions", 0, "id"), "tx_id", id="tx-id"),
+    pytest.param({}, ("transactions", 0, "size"), "size", id="tx-size"),
+    pytest.param({}, ("transactions", 0, "valuation"), "valuation", id="tx-valuation"),
+    pytest.param(
+        {"transactions": [{"id": 0, "size": 1, "valuation": 5, "bid": 4}]},
+        ("transactions", 0, "bid"), "bid", id="tx-bid",
+    ),
+    pytest.param(
+        {"bp_valuation": {"kind": "passive", "constant": 0}},
+        ("bp_valuation", "constant"), "constant", id="passive-constant",
+    ),
+    pytest.param(
+        {"bp_valuation": {"kind": "additive", "values": {"0": 3}}},
+        ("bp_valuation", "values", "0"), "value for tx 0", id="additive-amount",
+    ),
+    pytest.param({"bp_valuation": SINGLE_MINDED}, ("bp_valuation", "value"), "value", id="single-minded-value"),
+    pytest.param(
+        {"bp_valuation": TABLE}, ("bp_valuation", "entries", 0, "value"), "value for block", id="table-value"
+    ),
+    pytest.param({}, ("blockset", "max_total_size"), "max_total_size", id="max-total-size"),
+    pytest.param({"blockset": CANDIDATES}, ("blockset", "candidate_ids", 0), "candidate id", id="candidate-id"),
+    pytest.param({"blockset": EXPLICIT}, ("blockset", "blocks", 1, 0), "block id", id="blockset-block-id"),
+    pytest.param(
+        {"bp_valuation": SINGLE_MINDED}, ("bp_valuation", "target_blocks", 0, 0), "block id", id="target-block-id"
+    ),
+    pytest.param(
+        {"bp_valuation": TABLE}, ("bp_valuation", "entries", 0, "block", 0), "block id", id="table-block-id"
+    ),
+    pytest.param(
+        {"mechanism": {"preset": "eip1559", "base_fee": 2}}, ("mechanism", "base_fee"), "base fee", id="base-fee"
+    ),
+    pytest.param({"seed": 3}, ("seed",), "seed", id="seed"),
+    pytest.param({"grid": {"step": 1, "max_value": 4}}, ("grid", "step"), "grid step", id="grid-step"),
+    pytest.param({"grid": {"step": 1, "max_value": 4}}, ("grid", "max_value"), "grid max_value", id="grid-max"),
+]
+
+def with_field(overrides, path, value):
+    """The text of MINIMAL with `overrides`, and `value` at `path`."""
+    raw = json.loads(as_text(dict(MINIMAL, **overrides)))
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return as_text(raw)
+
+
+# (overrides of MINIMAL, path to a field that must be a list)
+LIST_FIELDS = [
+    pytest.param({}, ("transactions",), id="transactions"),
+    pytest.param({"blockset": EXPLICIT}, ("blockset", "blocks"), id="blockset-blocks"),
+    pytest.param({"bp_valuation": SINGLE_MINDED}, ("bp_valuation", "target_blocks"), id="target-blocks"),
+    pytest.param({"blockset": CANDIDATES}, ("blockset", "candidate_ids"), id="candidate-ids"),
+    pytest.param({"bp_valuation": TABLE}, ("bp_valuation", "entries"), id="table-entries"),
+]
+
+
 class TestParsing:
     def test_minimal_document(self):
         doc = parse_scenario_text(as_text(MINIMAL))
@@ -176,6 +240,25 @@ class TestParsing:
     def test_grid_points(self):
         assert GridSpec(2, 6).points() == (0, 2, 4, 6)
 
+    @pytest.mark.parametrize("value", [True, "1"], ids=["true", "string"])
+    @pytest.mark.parametrize("overrides, path, names", INTEGER_FIELDS)
+    def test_every_integer_field_refuses_bool_and_string(self, overrides, path, names, value):
+        parse_scenario_text(as_text(dict(MINIMAL, **overrides)))
+        with pytest.raises(ScenarioFormatError, match=names):
+            parse_scenario_text(with_field(overrides, path, value))
+
+    @pytest.mark.parametrize("overrides, path", LIST_FIELDS)
+    def test_list_fields_must_be_lists(self, overrides, path):
+        with pytest.raises(ScenarioFormatError, match="must be a list"):
+            parse_scenario_text(with_field(overrides, path, 5))
+
+    def test_file_that_is_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        text = json.dumps(dict(MINIMAL, generator={"name": "caf\u00e9"}), ensure_ascii=False)
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(ScenarioFormatError, match="cannot read"):
+            load_scenario_file(path)
+
     def test_blockset_unknown_tx_rejected(self):
         raw = dict(MINIMAL)
         raw["blockset"] = {"kind": "explicit", "blocks": [[], [3]]}
@@ -280,8 +363,10 @@ def with_generator(generator):
 
 
 class TestWriterRefusals:
-    """The writer refuses every document the reader would reject or read
-    back to other text, and names where the fault is."""
+    """The writer refuses generator metadata the reader would reject or read
+    back to other text, and names where the fault is.  Every other field is
+    refused, naming it, when its object is built, so no such document
+    reaches the writer."""
 
     def refused(self, doc, *fragments):
         with pytest.raises(ScenarioFormatError) as info:
@@ -317,28 +402,40 @@ class TestWriterRefusals:
         self.refused(with_generator(["a"]), "generator metadata must be an object")
 
     def test_bool_seed(self):
-        scenario = Scenario(sample_doc().scenario.transactions, PassiveValuation(0), KnapsackBlockset(3), True)
-        self.refused(ScenarioDoc(scenario), "seed")
+        with pytest.raises(ValueError, match="seed"):
+            Scenario(sample_doc().scenario.transactions, PassiveValuation(0), KnapsackBlockset(3), True)
 
     def test_non_int_seed(self):
-        scenario = Scenario(sample_doc().scenario.transactions, PassiveValuation(0), KnapsackBlockset(3), "7")
-        self.refused(ScenarioDoc(scenario), "seed")
+        with pytest.raises(ValueError, match="seed"):
+            Scenario(sample_doc().scenario.transactions, PassiveValuation(0), KnapsackBlockset(3), "7")
 
     def test_bool_grid_step(self):
-        self.refused(ScenarioDoc(sample_doc().scenario, grid=GridSpec(True, 4)), "grid step")
+        with pytest.raises(ScenarioFormatError, match="grid step"):
+            GridSpec(True, 4)
+
+    def test_float_grid_step(self):
+        with pytest.raises(ScenarioFormatError, match="grid step"):
+            GridSpec(1.5, 3.0)
 
     def test_float_grid_max_value(self):
-        self.refused(ScenarioDoc(sample_doc().scenario, grid=GridSpec(2, 4.0)), "grid max_value")
+        with pytest.raises(ScenarioFormatError, match="grid max_value"):
+            GridSpec(2, 4.0)
 
     def test_non_int_block_id(self):
-        txs = (Transaction(0, 1, 5, 5),)
-        table = TableValuation({Block(("0",)): 1})
-        self.refused(ScenarioDoc(Scenario(txs, table, KnapsackBlockset(1))), "table block id")
+        with pytest.raises(ValueError, match="block id"):
+            Block(("0",))
+
+    def test_non_block_single_minded_target(self):
+        with pytest.raises(ValueError, match="target"):
+            SingleMindedValuation(frozenset({(0,)}), 3)
+
+    def test_non_block_explicit_block(self):
+        with pytest.raises(ValueError, match="blockset block"):
+            ExplicitBlockset((EMPTY_BLOCK, (0,)))
 
     def test_non_bool_enumerate_permutations(self):
-        txs = (Transaction(0, 1, 5, 5),)
-        blockset = KnapsackBlockset(1, None, 1)
-        self.refused(ScenarioDoc(Scenario(txs, PassiveValuation(0), blockset)), "enumerate_permutations")
+        with pytest.raises(ValueError, match="enumerate_permutations"):
+            KnapsackBlockset(1, None, 1)
 
 
 # -- differential test against the json.dumps rendering -------------------------
