@@ -112,6 +112,7 @@ from .solver import (
     enumerate_blocks,
     max_marginal_value,
     max_revenue_block,
+    value_range,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

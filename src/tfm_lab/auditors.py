@@ -15,7 +15,7 @@ from itertools import chain, groupby, product
 from operator import getitem
 from typing import Mapping, NamedTuple, Sequence
 
-from .core import Block, Money, Scenario, bp_value, welfare
+from .core import Block, Money, Scenario, welfare
 from .mechanisms import (
     RULES,
     BiddingStrategy,
@@ -49,6 +49,7 @@ from .solver import (
     resolve_budget,
     split_cut,
     split_pass,
+    value_range,
 )
 
 PASS = "PASS"
@@ -838,13 +839,11 @@ def check_beta_commensurate(
     total user value over feasible blocks (exact rational comparison)."""
     beta = Fraction(beta)
     budget = resolve_budget(budget)
-    best_bp = None
-    best_users = None
-    for b in enumerate_blocks(scenario, budget=budget):
-        pv = bp_value(b, scenario.bp_valuation)
-        uv = sum(scenario.tx(t).valuation for t in b.txs)
-        best_bp = pv if best_bp is None else max(best_bp, pv)
-        best_users = uv if best_users is None else max(best_users, uv)
+    _, best_bp = value_range(scenario, budget=budget)
+    best_users = max(
+        sum(scenario.tx(t).valuation for t in b.txs)
+        for b in enumerate_blocks(scenario, budget=budget)
+    )
     return Fraction(best_bp) >= beta * best_users
 
 

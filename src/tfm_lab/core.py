@@ -8,7 +8,7 @@ micro-units; nothing here ever touches floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Union
 
 Money = int
@@ -140,6 +140,9 @@ class PassiveValuation:
     def __post_init__(self):
         _check_int("constant", self.constant)
 
+    def of(self, block: Block) -> Money:
+        return self.constant
+
 
 @dataclass(frozen=True)
 class AdditiveValuation:
@@ -155,6 +158,10 @@ class AdditiveValuation:
                 raise ValueError(f"additive value keyed by non-id {k!r}")
             _check_int(f"value for tx {k}", v)
         object.__setattr__(self, "values", frozen)
+
+    def of(self, block: Block) -> Money:
+        vals = self.values
+        return sum(vals.get(t, 0) for t in block.txs)
 
 
 @dataclass(frozen=True)
@@ -172,6 +179,9 @@ class SingleMindedValuation:
         object.__setattr__(self, "targets", targets)
         _check_int("value", self.value)
 
+    def of(self, block: Block) -> Money:
+        return self.value if block in self.targets else 0
+
 
 @dataclass(frozen=True)
 class TableValuation:
@@ -187,10 +197,18 @@ class TableValuation:
             _check_int(f"value for block {b.txs}", v)
         object.__setattr__(self, "entries", frozen)
 
+    def of(self, block: Block) -> Money:
+        return self.entries.get(block, 0)
+
 
 BpValuation = Union[
     PassiveValuation, AdditiveValuation, SingleMindedValuation, TableValuation
 ]
+
+
+def _valued_caches():
+    """Empty copies of a world's caches that depend on its valuation."""
+    return {"_plan_cache": {}, "_rule_cache": {}, "_value_range": None, "_digest": None}
 
 
 @dataclass(frozen=True)
@@ -200,8 +218,10 @@ class Scenario:
 
     A world caches what it computes about itself: its feasible blocks per
     eligibility filter (solver.enumerate_blocks), their producer values
-    grouped by member set (the solver's plans), its standard-rule blocks
-    per clearing set (mechanisms.recommended_block) and its digest
+    grouped by member set (the solver's plans), the lowest and highest
+    producer value over its feasible blocks (solver.value_range), its
+    standard-rule blocks per clearing set and its argmax blocks per bid
+    vector (mechanisms.recommended_block) and its digest
     (scenario_io.scenario_digest).  with_valuation worlds share the first
     and recompute the others."""
 
@@ -225,22 +245,19 @@ class Scenario:
             missing = referenced - by_id.keys()
             if missing:
                 raise UnknownTransactionError(sorted(missing)[0])
-        object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_enum_cache", {})
-        object.__setattr__(self, "_plan_cache", {})
-        object.__setattr__(self, "_rule_cache", {})
-        object.__setattr__(self, "_digest", None)
+        vars(self).update(_by_id=by_id, _enum_cache={}, **_valued_caches())
 
     def with_valuation(self, valuation: BpValuation) -> "Scenario":
         """The same transactions, blockset and seed under another producer
         valuation.
 
-        Feasibility never reads the valuation, so the new world shares this
-        one's enumeration cache; its plans hold producer values and its
-        digest covers the valuation, so both start empty.
+        Nothing __post_init__ checks or derives reads the valuation, so the
+        new world is built without it and shares this one's transactions,
+        id map and enumeration cache; its plans, value range, rule memo and
+        digest hold or cover producer values, so they start empty.
         """
-        world = replace(self, bp_valuation=valuation)
-        object.__setattr__(world, "_enum_cache", self._enum_cache)
+        world = object.__new__(type(self))
+        vars(world).update(vars(self), bp_valuation=valuation, **_valued_caches())
         return world
 
     def tx(self, tx_id) -> Transaction:
@@ -257,17 +274,11 @@ class Scenario:
 
 
 def bp_value(block: Block, valuation: BpValuation) -> Money:
-    """The producer's private value for a block under the given valuation."""
-    match valuation:
-        case PassiveValuation(constant=c):
-            return c
-        case AdditiveValuation(values=vals):
-            return sum(vals.get(t, 0) for t in block.txs)
-        case SingleMindedValuation(targets=targets, value=v):
-            return v if block in targets else 0
-        case TableValuation(entries=entries):
-            return entries.get(block, 0)
-    raise TypeError(f"unsupported valuation {valuation!r}")
+    """The producer's private value for a block under the given valuation:
+    valuation.of(block), which the solver's scoring loops call directly."""
+    if not isinstance(valuation, BpValuation):
+        raise TypeError(f"unsupported valuation {valuation!r}")
+    return valuation.of(block)
 
 
 def welfare(block: Block, scenario: Scenario) -> Money:

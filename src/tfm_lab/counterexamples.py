@@ -38,13 +38,20 @@ from .mechanisms import (
     Mechanism,
     Truthful,
     UnsupportedInstanceError,
+    _require_bid,
     burn,
     bps,
     payment,
     recommended_block,
     strategy_bid,
 )
-from .solver import bps_argmax_detail, canonical_key, enumerate_blocks, resolve_budget
+from .solver import (
+    bps_argmax_detail,
+    canonical_key,
+    enumerate_blocks,
+    resolve_budget,
+    value_range,
+)
 
 
 class AlreadyTrivialError(ValueError):
@@ -92,7 +99,7 @@ class ZeroBidWitness:
 
 def _shared_zero_bid(mech, scenario, bids, budget, variant):
     budget = resolve_budget(budget)
-    bids = {t: bids[t] for t in scenario.ids()}
+    bids = {t: _require_bid(bids, t) for t in scenario.ids()}
     block = recommended_block(mech, bids, scenario, budget=budget)
     pays = payment(mech, block, bids, scenario)
     charged = sorted(t for t, p in pays.items() if p > 0)
@@ -133,11 +140,7 @@ def _shared_zero_bid(mech, scenario, bids, budget, variant):
         }
         modified_valuation = AdditiveValuation(values)
     else:
-        lows = highs = None
-        for b in enumerate_blocks(scenario, budget=budget):
-            v = bp_value(b, scenario.bp_valuation)
-            lows = v if lows is None else min(lows, v)
-            highs = v if highs is None else max(highs, v)
+        lows, highs = value_range(scenario, budget=budget)
         spread = highs - lows
         modified_valuation = SingleMindedValuation(
             frozenset({block}), spread + total_bids + burn_q + 1

@@ -279,40 +279,44 @@ def recommended_block(
     """The block the mechanism's allocation rule tells the producer to build.
 
     Raises NoEligibleBlockError when the rule has no block to name.
+
+    Memoized on the scenario per mechanism, budget and what the rule reads
+    of the bids.  Both standard rules read them only as clearing the
+    reserve (see _clearing), so a scenario has at most 2^n standard blocks
+    per mechanism and budget, keyed by the clearing ids.  An argmax
+    allocation is keyed by the whole bid vector, so calls that repeat one
+    (the two zero-bid constructions of one mechanism) share one scoring
+    pass.  Only blocks are stored, so an error is raised again by every
+    call that meets it.  Bids with a missing or invalid entry, and a budget
+    of None (read from the environment at each call), go to the rule
+    unmemoized, so the rule raises its own errors in its own order.
     """
     valued = argmax_valued(mech)
-    if valued is None:
-        return _standard_block(mech, bids, scenario, budget)
-    from . import solver
-
-    if valued:
-        return solver.bps_argmax(bids, scenario, mech, budget=budget)
-    return solver.max_revenue_block(bids, scenario, budget=budget)
-
-
-def _standard_block(mech, bids, scenario, budget):
-    """The preset's standard block, memoized on the scenario.
-
-    Both standard rules read the bids only as clearing the reserve (see
-    _clearing), so a scenario has at most 2^n standard blocks per
-    mechanism and budget, keyed here by the clearing ids.  Only blocks are
-    stored, so an error is raised again by every call that meets it.  Bids
-    with a missing or invalid entry, and a budget of None (read from the
-    environment at each call), go to the rule unmemoized, so the rule
-    raises its own errors in its own order.
-    """
-    rule = RULES[mech.preset].standard
+    rule = RULES[mech.preset].standard if valued is None else _argmax_block
     if budget is None:
         return rule(mech, bids, scenario, budget)
     try:
-        clearing = _clearing(mech.base_fee, bids, scenario.transactions)
+        if valued is None:
+            read = tuple(tx.tx_id for tx in _clearing(mech.base_fee, bids, scenario.transactions))
+        else:
+            read = tuple(_require_bid(bids, tx.tx_id) for tx in scenario.transactions)
     except (LookupError, ValueError):
         return rule(mech, bids, scenario, budget)
-    key = mech, budget, tuple(tx.tx_id for tx in clearing)
+    key = mech, budget, read
     block = scenario._rule_cache.get(key)
     if block is None:
         block = scenario._rule_cache[key] = rule(mech, bids, scenario, budget)
     return block
+
+
+def _argmax_block(mech, bids, scenario, budget):
+    """The block of an argmax allocation: the producer-surplus argmax under
+    consonant, the fee-revenue argmax under revenue_max."""
+    from . import solver
+
+    if argmax_valued(mech):
+        return solver.bps_argmax(bids, scenario, mech, budget=budget)
+    return solver.max_revenue_block(bids, scenario, budget=budget)
 
 
 def _clearing_set(mech, bids, scenario, budget):

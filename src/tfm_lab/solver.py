@@ -193,7 +193,7 @@ def _plan(scenario: Scenario, eligible, blocks, valued) -> tuple[_Group, ...]:
     appearance, cached on the scenario per (eligibility filter, valued).
 
     Private values never depend on the bids, so a valued plan computes each
-    block's bp_value once per (scenario, eligibility).  An unvalued plan
+    block's producer value once per (scenario, eligibility).  An unvalued plan
     computes none: without the producer's value every ordering of a member
     set scores alike, and its canonical-first ordering is the one a tie
     goes to.  The build touches only locals and stores a finished tuple, so
@@ -204,7 +204,7 @@ def _plan(scenario: Scenario, eligible, blocks, valued) -> tuple[_Group, ...]:
     plan = cache.get(key)
     if plan is not None:
         return plan
-    valuation = scenario.bp_valuation
+    value_of = scenario.bp_valuation.of
     acc = {}
     for i, b in enumerate(blocks):
         members = frozenset(b.txs)
@@ -213,7 +213,7 @@ def _plan(scenario: Scenario, eligible, blocks, valued) -> tuple[_Group, ...]:
             if g is None or canonical_key(b) < canonical_key(g[1]):
                 acc[members] = i, b
             continue
-        v = bp_value(b, valuation)
+        v = value_of(b)
         if g is None:
             acc[members] = [v, [(i, b)]]
         elif v > g[0]:
@@ -272,7 +272,7 @@ def _argmax_pass(scenario, eligible, budget, weights, valued, split=()):
     blockset = scenario.blockset
     grouped = isinstance(blockset, ExplicitBlockset) or blockset.enumerate_permutations
     valuation = scenario.bp_valuation
-    base = None  # else per item: the group's value, or bp_value of the block
+    base = None  # else per item: the group's value, or the block's value
     if grouped:
         items = _plan(scenario, eligible, blocks, valued)
     else:
@@ -293,7 +293,7 @@ def _argmax_pass(scenario, eligible, budget, weights, valued, split=()):
         elif grouped:
             bases = map(attrgetter("value"), part)
         else:
-            bases = map(bp_value, part, repeat(valuation))
+            bases = map(valuation.of, part)
         best = None
         tied = []
         for it, s in zip(part, bases):
@@ -513,6 +513,22 @@ def bps_argmax_additive_dp(
             if cand[0] > cur[0] or (cand[0] == cur[0] and cand[1] < cur[1]):
                 dp[c] = cand
     return Block(dp[cap][1][1])
+
+
+def value_range(scenario: Scenario, *, budget: int | None = None) -> tuple[Money, Money]:
+    """(lowest, highest) producer value over the feasible blocks.
+
+    Memoized on the world, not shared with its with_valuation worlds, since
+    the values are the valuation's.  The enumeration is read on every call,
+    so a budget tighter than the blockset still raises.
+    """
+    blocks = enumerate_blocks(scenario, budget=budget)
+    span = scenario._value_range
+    if span is None:
+        values = list(map(scenario.bp_valuation.of, blocks))
+        span = min(values), max(values)
+        object.__setattr__(scenario, "_value_range", span)
+    return span
 
 
 def max_marginal_value(

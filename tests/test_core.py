@@ -1,6 +1,8 @@
 """Unit tests for transactions, blocks, valuations, and the accounting
 identity that ties utilities, producer surplus, burn, and welfare together."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from tfm_lab import (
     EMPTY_BLOCK,
     AdditiveValuation,
+    Allocation,
     Block,
     ExplicitBlockset,
     KnapsackBlockset,
@@ -24,8 +27,10 @@ from tfm_lab import (
     burn,
     enumerate_blocks,
     payment,
+    recommended_block,
     scenario_digest,
     user_utility,
+    value_range,
     welfare,
 )
 
@@ -171,6 +176,24 @@ class TestWithValuation:
         child = parent.with_valuation(TableValuation({Block((0, 1)): 9}))
         assert bps_argmax(bids, child, Mechanism.fpa()) == Block((0, 1))
         assert bps_argmax(bids, parent, Mechanism.fpa()) == Block((1, 0))
+
+    def test_starts_with_empty_valued_caches(self):
+        parent = self.ordered((1, 0))
+        mech = Mechanism.fpa(Allocation.CONSONANT)
+        bids = parent.submitted_bids()
+        assert recommended_block(mech, bids, parent, budget=8) == Block((1, 0))
+        value_range(parent)
+        scenario_digest(parent)
+        valuation = TableValuation({Block((0, 1)): 9, EMPTY_BLOCK: -1})
+        child = parent.with_valuation(valuation)
+        assert child == replace(parent, bp_valuation=valuation)
+        assert (child._plan_cache, child._rule_cache, child._value_range, child._digest) == (
+            {}, {}, None, None,
+        )
+        assert child.transactions is parent.transactions
+        assert child._by_id is parent._by_id
+        assert recommended_block(mech, bids, child, budget=8) == Block((0, 1))
+        assert (value_range(child), value_range(parent)) == ((-1, 9), (0, 9))
 
     def test_own_digest(self):
         parent = self.ordered((1, 0))

@@ -28,6 +28,7 @@ from tfm_lab import (
     TableValuation,
     Transaction,
     Truthful,
+    UnknownTransactionError,
     UnsupportedInstanceError,
     ZeroBidWitness,
     bps_argmax,
@@ -36,6 +37,7 @@ from tfm_lab import (
     construct_zero_bid_single_minded,
     eip1559_underbid_demo,
     enumerate_blocks,
+    recommended_block,
     scenario_digest,
     welfare,
 )
@@ -140,6 +142,22 @@ class TestZeroBid:
         construct_zero_bid(Mechanism.fpa(), sc, sc.submitted_bids())
         assert sc.bp_valuation == PassiveValuation(0)
         assert sc.tx(0).bid == 5
+
+
+@pytest.mark.parametrize("build", [construct_zero_bid, construct_zero_bid_single_minded])
+@pytest.mark.parametrize(
+    "bids, error",
+    [({1: 7}, UnknownTransactionError), ({0: True, 1: 7}, ValueError), ({0: -1, 1: 7}, ValueError)],
+)
+def test_zero_bid_reads_bids_like_recommended_block(build, bids, error):
+    txs = (Transaction(0, 1, 4, 4), Transaction(1, 1, 7, 7))
+    sc = Scenario(txs, PassiveValuation(0), KnapsackBlockset(2))
+    mech = Mechanism.fpa(Allocation.CONSONANT)
+    with pytest.raises(error) as want:
+        recommended_block(mech, bids, sc)
+    with pytest.raises(error) as got:
+        build(mech, sc, bids)
+    assert str(got.value) == str(want.value)
 
 
 class TestZeroBidSingleMinded:

@@ -2,6 +2,7 @@
 eligibility, and bidding strategies."""
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -322,6 +323,79 @@ class TestStandardMemo:
         monkeypatch.setenv("TFMLAB_BUDGET", "2")
         with pytest.raises(EnumerationBudgetError):
             recommended_block(mech, bids, sc)
+
+
+ARGMAX_MECHS = (
+    Mechanism.fpa(),
+    Mechanism.fpa(Allocation.CONSONANT),
+    Mechanism.trivial(),
+    Mechanism.tipless(1, Eligibility.BASE_FEE_GATED, Allocation.CONSONANT),
+    Mechanism.eip1559(1, Eligibility.FREE, Allocation.CONSONANT),
+)
+
+
+@st.composite
+def argmax_memo_cases(draw):
+    """A small knapsack scenario with a producer valuation and a run of
+    argmax-allocation calls on it, each with a budget of None or one that
+    some enumerations exceed and a bid profile, a few with a negative,
+    True or missing (None) bid."""
+    n = draw(st.integers(1, 3))
+    txs = tuple(Transaction(i, draw(st.integers(1, 2)), 0) for i in range(n))
+    blockset = KnapsackBlockset(draw(st.integers(1, 2 * n)), enumerate_permutations=draw(st.booleans()))
+    bp = draw(st.dictionaries(st.integers(0, n - 1), st.integers(-2, 3)).map(AdditiveValuation))
+    mechs = draw(st.lists(st.sampled_from(ARGMAX_MECHS), min_size=1, max_size=2))
+    budgets = draw(st.lists(st.none() | st.integers(1, 16), min_size=1, max_size=2))
+    bid = st.integers(-1, 4) | st.just(True) | st.none()
+    calls = draw(st.lists(
+        st.tuples(st.sampled_from(mechs), st.sampled_from(budgets), st.tuples(*[bid] * n)),
+        min_size=1, max_size=24,
+    ))
+    return Scenario(txs, bp, blockset), calls
+
+
+class TestArgmaxMemo:
+    """recommended_block memoizes argmax blocks on the scenario per
+    (mechanism, budget, bid vector), for explicit budgets and valid bids
+    only; every call must match the same call on a cold copy of the world."""
+
+    outcome = staticmethod(TestStandardMemo.outcome)
+
+    @given(argmax_memo_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_a_cold_world_on_every_call(self, case):
+        sc, calls = case
+        for mech, budget, profile in calls:
+            bids = {t: b for t, b in enumerate(profile) if b is not None}
+            cold = replace(sc, bp_valuation=sc.bp_valuation)
+            got = self.outcome(recommended_block, mech, bids, sc, budget=budget)
+            assert got == self.outcome(recommended_block, mech, bids, cold, budget=budget)
+        for (mech, budget, read), block in sc._rule_cache.items():
+            assert budget is not None and isinstance(block, Block)
+            assert all(type(b) is int and b >= 0 for b in read)
+
+    def test_invalid_bids_after_a_cached_argmax(self):
+        sc = scenario_with(TWO_TXS, bp=AdditiveValuation({0: 1}))
+        mech = Mechanism.eip1559(1, Eligibility.FREE, Allocation.CONSONANT)
+        assert recommended_block(mech, {0: 1, 1: 7}, sc, budget=8) == Block((0, 1))
+        assert len(sc._rule_cache) == 1
+        for bids, error in (
+            ({0: True, 1: 7}, ValueError),
+            ({0: -1, 1: 7}, ValueError),
+            ({1: 7}, UnknownTransactionError),
+        ):
+            with pytest.raises(error) as want:
+                bps_argmax(bids, replace(sc), mech)
+            with pytest.raises(error) as got:
+                recommended_block(mech, bids, sc, budget=8)
+            assert str(got.value) == str(want.value)
+        assert len(sc._rule_cache) == 1
+
+    def test_unset_budget_is_never_memoized(self):
+        sc = scenario_with(TWO_TXS)
+        recommended_block(Mechanism.fpa(), sc.submitted_bids(), sc)
+        recommended_block(Mechanism.trivial(), sc.submitted_bids(), sc)
+        assert sc._rule_cache == {}
 
 
 @st.composite

@@ -4,6 +4,7 @@ independent dynamic-programming route that must agree with it exactly."""
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -35,6 +36,8 @@ from tfm_lab import (
     bps_argmax_detail,
     burn,
     canonical_key,
+    check_beta_commensurate,
+    construct_zero_bid_single_minded,
     eligible,
     enumerate_blocks,
     max_marginal_value,
@@ -42,6 +45,7 @@ from tfm_lab import (
     own_payment,
     payment,
     recommended_block,
+    value_range,
     welfare,
     welfare_argmax,
 )
@@ -508,6 +512,92 @@ def ordered_cases(draw):
     return sc, bids, draw(st.sampled_from(ALL_MECHANISMS))
 
 
+# -- producer values against the match-based oracle ---------------------------
+
+
+def oracle_bp_value(block, valuation):
+    """The producer's value for a block as one match over the four
+    valuation kinds, independent of their `of` methods."""
+    match valuation:
+        case PassiveValuation(constant=c):
+            return c
+        case AdditiveValuation(values=vals):
+            return sum(vals.get(t, 0) for t in block.txs)
+        case SingleMindedValuation(targets=targets, value=v):
+            return v if block in targets else 0
+        case TableValuation(entries=entries):
+            return entries.get(block, 0)
+    raise TypeError(f"unsupported valuation {valuation!r}")
+
+
+any_blocks = st.lists(st.integers(0, 3), unique=True, max_size=3).map(lambda t: Block(tuple(t)))
+signed = st.integers(-4, 4)
+any_valuations = st.one_of(
+    st.builds(PassiveValuation, signed),
+    st.dictionaries(st.integers(0, 4), signed).map(AdditiveValuation),
+    st.builds(SingleMindedValuation, st.frozensets(any_blocks, max_size=4), signed),
+    st.dictionaries(any_blocks, signed).map(TableValuation),
+)
+
+
+class TestValuesAgainstOracle:
+    """Every valuation scores its own blocks (`of`), which bp_value and the
+    solver's scoring loops call; each must agree with the match oracle,
+    and the per-world value range and the beta check with plain loops."""
+
+    @given(any_valuations, st.lists(any_blocks, max_size=6))
+    @example(AdditiveValuation({0: -3, 2: 1}), [Block((0, 2)), Block((1,))])
+    @example(TableValuation({Block((0, 1)): 2}), [Block((1, 0)), Block((0, 1))])
+    @example(
+        SingleMindedValuation(frozenset({Block((0,)), Block((1, 0)), EMPTY_BLOCK}), -2),
+        [Block((0, 1)), Block((1, 0)), Block((0,))],
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_methods_match_the_oracle(self, valuation, blocks):
+        for b in (EMPTY_BLOCK, *blocks):
+            assert valuation.of(b) == bp_value(b, valuation) == oracle_bp_value(b, valuation)
+
+    @pytest.mark.parametrize("other", [3, None, {0: 1}, Mechanism.trivial()])
+    def test_bp_value_refuses_other_objects(self, other):
+        with pytest.raises(TypeError, match="unsupported valuation"):
+            bp_value(EMPTY_BLOCK, other)
+
+    @given(ordered_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_range_and_beta_match_loops(self, case):
+        sc, _, _ = case
+        blocks = enumerate_blocks(sc)
+        values = [oracle_bp_value(b, sc.bp_valuation) for b in blocks]
+        users = max(sum(sc.tx(t).valuation for t in b.txs) for b in blocks)
+        assert value_range(sc) == (min(values), max(values))
+        assert value_range(sc, budget=len(blocks)) == (min(values), max(values))
+        for beta in (0, Fraction(1, 2), 1, Fraction(5, 2)):
+            assert check_beta_commensurate(sc, beta) == (max(values) >= beta * users)
+
+    def test_range_belongs_to_one_world(self):
+        sc = knapsack_scenario([(1, 0, 1)] * 2, 2, AdditiveValuation({0: 3}))
+        assert value_range(sc) == (0, 3)
+        child = sc.with_valuation(AdditiveValuation({1: -2}))
+        assert value_range(child) == (-2, 0)
+        assert value_range(sc) == (0, 3)
+
+    def test_tighter_budget_after_a_cached_range_raises(self):
+        # three unit transactions under capacity 3: all 8 subsets fit; tx 2
+        # bids below its reserve, so the gated recommendation enumerates
+        # the 4 blocks without it and the single-minded spread all 8
+        sc = knapsack_scenario([(1, 2, 2), (1, 2, 2), (1, 0, 0)], 3, AdditiveValuation({0: 1}))
+        assert value_range(sc, budget=8) == (0, 1)
+        mech = Mechanism.tipless(1, Eligibility.BASE_FEE_GATED, Allocation.CONSONANT)
+        assert recommended_block(mech, sc.submitted_bids(), sc, budget=7) == Block((0,))
+        for call in (
+            lambda: value_range(sc, budget=7),
+            lambda: check_beta_commensurate(sc, 1, budget=7),
+            lambda: construct_zero_bid_single_minded(mech, sc, sc.submitted_bids(), budget=7),
+        ):
+            with pytest.raises(EnumerationBudgetError):
+                call()
+
+
 class TestPlanAgainstScan:
     """bps_argmax_detail, split_pass, the revenue_max and tipless
     standard rules and welfare_argmax read the grouped plan on ordered
@@ -738,12 +828,13 @@ class TestUnvaluedPlan:
         # revenue_max and the tipless standard rule ignore the producer's
         # values, so only the valued pass on the same plan key scores them
         calls = []
+        value_of = TableValuation.of
 
-        def counting(block, valuation):
+        def counting(valuation, block):
             calls.append(block)
-            return bp_value(block, valuation)
+            return value_of(valuation, block)
 
-        monkeypatch.setattr(solver, "bp_value", counting)
+        monkeypatch.setattr(TableValuation, "of", counting)
         sc = knapsack_scenario([(1, 0, 1)] * 3, 2, TableValuation({Block((1, 0)): 2}), True)
         bids = sc.submitted_bids()
         max_revenue_block(bids, sc)
