@@ -39,7 +39,6 @@ from .core import (
     TableValuation,
     Transaction,
     UnknownTransactionError,
-    bp_value,
     user_utility,
     welfare,
 )

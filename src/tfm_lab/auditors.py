@@ -171,6 +171,11 @@ class _Found:
         )
 
 
+def _check_max_witnesses(max_witnesses):
+    if max_witnesses < 0:
+        raise ValueError(f"max_witnesses must be >= 0, got {max_witnesses}")
+
+
 def _finalize_witnesses(found, max_witnesses):
     """The first max_witnesses witnesses of a _Found in witness_sort_key
     order.
@@ -178,8 +183,7 @@ def _finalize_witnesses(found, max_witnesses):
     Walks (digest, tx) in order, then each distinct row in order, merged
     across the outcomes that hold it and once per copy within one, then
     that row's cells in order, and builds only the emitted Witnesses."""
-    if max_witnesses < 0:
-        raise ValueError(f"max_witnesses must be >= 0, got {max_witnesses}")
+    _check_max_witnesses(max_witnesses)
     # (digest, tx) -> (ids, {row: the profile lists that hold it, once per copy})
     by_tx = {}
     for digest, t, ids, rows, profiles in found.outcomes.values():
@@ -322,8 +326,10 @@ def audit_bpic(
     set, and add tie edges only for a recommendation that is new among its
     class tuple's ties.  The witness cells of one row share one outcome of
     the witness collector (_Found), which builds only the emitted
-    Witnesses.
+    Witnesses.  A negative max_witnesses raises ValueError before any cell
+    is swept.
     """
+    _check_max_witnesses(max_witnesses)
     budget = resolve_budget(budget)
     valued = argmax_valued(mech)
     if valued is None:
@@ -494,8 +500,43 @@ class _DeviationTables:
         }
 
 
+def _scan(strategy, tx, points, dev, look, bound=None):
+    """(rows, overbids, below_range, regret) of one deviation table: each
+    grid valuation v's strategy bid sb (read by look) against every
+    deviation in dev.  rows are (-gain, v, sb, bid); regret is the largest
+    gain.  A valuation whose best gain exceeds max(bound, 0) (0 for None)
+    adds the row of its first strictly best deviation, as DSIC asks.  With
+    a bound, every profitable deviation above sb, or more than max(bound, 0)
+    below it, is also an overbid or below-range row, and counted."""
+    ranged = bound is not None
+    bound = max(bound, 0) if ranged else 0
+    rows = []
+    overbids = below_range = regret = 0
+    for v in points:
+        sb = strategy_bid(strategy, v, tx)
+        inc0, pay0 = look(sb)
+        u0 = (v - pay0) if inc0 else 0
+        best_gain, best_bid = 0, None
+        for b, (inc, pay) in dev:
+            gain = ((v - pay) if inc else 0) - u0
+            if gain > 0:
+                if ranged:
+                    if b > sb:
+                        overbids += 1
+                        rows.append((-gain, v, sb, b))
+                    if b < sb - bound:
+                        below_range += 1
+                        rows.append((-gain, v, sb, b))
+                if gain > best_gain:
+                    best_gain, best_bid = gain, b
+        regret = max(regret, best_gain)
+        if best_gain > bound:
+            rows.append((-best_gain, v, sb, best_bid))
+    return rows, overbids, below_range, regret
+
+
 def _sweep(
-    mech, strategy, scenarios, grid, budget, profile_samples, sampling_seed, settle
+    mech, strategy, scenarios, grid, budget, profile_samples, sampling_seed, bound_of=None
 ):
     """Yield (position, digest, tx, others, profile, outcome) once per
     other-bid profile of every transaction of every scenario, in input
@@ -503,9 +544,9 @@ def _sweep(
 
     position is the scenario's index in `scenarios`, which keeps a repeated
     scenario apart from its copy; profile holds the bids of the other users
-    `others`, in that order.  outcome is settle(position, tx, dev, look) on
-    the profile's deviation table: dev pairs each grid bid with its (included,
-    own payment) entry, and look(bid) answers the strategy's own bids.
+    `others`, in that order.  outcome is the _scan of the profile's
+    deviation table, bounded by bound_of(position, tx) when bound_of is
+    given.
 
     Cost: the table reads the other users' bids only through their
     classes (_DeviationTables.classify), so profiles with one class tuple
@@ -513,7 +554,7 @@ def _sweep(
     are distinct bids.  A new class tuple reduces its table to its cut
     (_DeviationTables.cut): one split pass per (prefix, side) under an
     argmax allocation, one recommended_block call per side under a standard
-    one.  Tuples with one cut share one table, so settle runs once per
+    one.  Tuples with one cut share one table, so _scan runs once per
     distinct cut of a (position, tx).
 
     Exhaustive sweeps walk the profiles in product order.  Sampled sweeps
@@ -562,7 +603,10 @@ def _sweep(
                     if outcome is None:
                         table = tables.table(cut)
                         dev = [(b, table[b]) for b in points]
-                        outcome = settled[cut] = settle(pos, tx, dev, table.__getitem__)
+                        bound = None if bound_of is None else bound_of(pos, tx)
+                        outcome = settled[cut] = _scan(
+                            strategy, tx, points, dev, table.__getitem__, bound
+                        )
                     if memo is not None:
                         memo[key] = outcome
                 yield pos, digest, tx, others, profile, outcome
@@ -588,39 +632,20 @@ def audit_dsic(
 
     Cost model (see _sweep): one block pass per (prefix, side) under an
     argmax allocation, one allocation per (class tuple, side) under a
-    standard one, and one scan of the (valuation, deviation) cells per
-    distinct cut.  Each distinct cut's witness rows are kept once with the
-    raw profiles that reach it (_Found), and only the emitted Witnesses
-    are built.  Sampled profiles are drawn with replacement and repeats are
-    audited once.  A profile_samples below 1 or a negative max_witnesses
-    raises ValueError.
+    standard one, and one unbounded _scan per distinct cut.  Each distinct
+    cut's witness rows are kept once with the raw profiles that reach it
+    (_Found), and only the emitted Witnesses are built.  Sampled profiles
+    are drawn with replacement and repeats are audited once.  A
+    profile_samples below 1 or a negative max_witnesses raises ValueError
+    before any profile is swept.
     """
+    _check_max_witnesses(max_witnesses)
     points = grid.points()
     sampled = profile_samples is not None
-
-    def settle(pos, tx, dev, look):
-        # (-gain, valuation, strategy bid, first strictly best bid) of every
-        # valuation with a profitable deviation
-        rows = []
-        for v in points:
-            sb = strategy_bid(strategy, v, tx)
-            inc0, pay0 = look(sb)
-            u0 = (v - pay0) if inc0 else 0
-            best_gain = 0
-            best_bid = None
-            for b, (inc, pay) in dev:
-                u = (v - pay) if inc else 0
-                if u - u0 > best_gain:
-                    best_gain = u - u0
-                    best_bid = b
-            if best_gain > 0:
-                rows.append((-best_gain, v, sb, best_bid))
-        return rows
-
     found = _Found()
     cells = 0
-    for _, digest, tx, others, profile, rows in _sweep(
-        mech, strategy, scenarios, grid, budget, profile_samples, sampling_seed, settle
+    for _, digest, tx, others, profile, (rows, *_) in _sweep(
+        mech, strategy, scenarios, grid, budget, profile_samples, sampling_seed
     ):
         cells += len(points)
         if rows:
@@ -662,11 +687,12 @@ def audit_approx_dsic_bound(
     audit_dsic, and the bound checks keep one entry per (scenario,
     transaction) in input order, a repeated scenario included.
 
-    Cost model: as audit_dsic's.  Each distinct cut's table is scanned once
-    for its overbid, below-range and over-bound rows and counts; every raw
-    profile with that cut adds the counts, and the rows are kept once with
-    the profiles that reach them (_Found).
+    Cost model: as audit_dsic's, each _scan bounded by the transaction's
+    marginal value; every raw profile with a cut adds its scan's counts,
+    and the rows are kept once with the profiles that reach them (_Found).
+    A negative max_witnesses raises ValueError before any profile is swept.
     """
+    _check_max_witnesses(max_witnesses)
     if not (RULES[mech.preset].base_fee and argmax_valued(mech)):
         raise UnsupportedInstanceError(
             "the bounded-regret audit covers the consonant tipless and "
@@ -685,42 +711,15 @@ def audit_approx_dsic_bound(
     points = grid.points()
     nus = {}
 
-    def settle(pos, tx, dev, look):
-        # ((-gain, valuation, strategy bid, deviation bid) witness rows,
-        # overbids, below-range bids, largest cell gain)
+    def bound_of(pos, tx):
+        # _scan reads a negative nu as 0: a regret of 0 never breaks the bound
         t = tx.tx_id
         if (pos, t) not in nus:
             try:
                 nus[pos, t] = max_marginal_value(t, scenarios[pos], budget=budget)
             except NoFeasibleBlockError:
                 nus[pos, t] = 0  # never includable, so deviations never matter
-        # a regret of 0 never breaks the bound, whatever the sign of nu
-        bound = max(nus[pos, t], 0)
-        rows = []
-        overbid = below = regret = 0
-        for v in points:
-            sb = strategy_bid(strategy, v, tx)
-            inc0, pay0 = look(sb)
-            u0 = (v - pay0) if inc0 else 0
-            cell_best = 0
-            cell_bid = None
-            for b, (inc, pay) in dev:
-                u = (v - pay) if inc else 0
-                gain = u - u0
-                if gain > 0:
-                    if b > sb:
-                        overbid += 1
-                        rows.append((-gain, v, sb, b))
-                    if b < sb - bound:
-                        below += 1
-                        rows.append((-gain, v, sb, b))
-                    if gain > cell_best:
-                        cell_best = gain
-                        cell_bid = b
-            regret = max(regret, cell_best)
-            if cell_best > bound:
-                rows.append((-cell_best, v, sb, cell_bid))
-        return rows, overbid, below, regret
+        return nus[pos, t]
 
     found = _Found()
     bound_checks = []
@@ -728,12 +727,10 @@ def audit_approx_dsic_bound(
     sampled = profile_samples is not None
 
     sweep = _sweep(
-        mech, strategy, scenarios, grid, budget, profile_samples, sampling_seed, settle
+        mech, strategy, scenarios, grid, budget, profile_samples, sampling_seed, bound_of
     )
     for (pos, t), profiles in groupby(sweep, key=lambda p: (p[0], p[2].tx_id)):
-        tx_regret = 0
-        overbid = 0
-        below = 0
+        tx_regret = overbid = below = 0
         for _, digest, _, others, profile, (rows, n_over, n_below, regret) in profiles:
             cells += len(points)
             overbid += n_over

@@ -206,6 +206,11 @@ BpValuation = Union[
 ]
 
 
+def _check_valuation(valuation):
+    if not isinstance(valuation, BpValuation):
+        raise ValueError(f"bp_valuation must be a BpValuation, got {valuation!r}")
+
+
 def _valued_caches():
     """Empty copies of a world's caches that depend on its valuation."""
     return {"_plan_cache": {}, "_rule_cache": {}, "_value_range": None, "_digest": None}
@@ -215,6 +220,9 @@ def _valued_caches():
 class Scenario:
     """A complete pricing instance: transactions, producer valuation, and
     the feasible blockset.
+
+    Each field's type is checked once, here (each value type checks its own
+    fields), and ids must be distinct and cover the blockset's references.
 
     A world caches what it computes about itself: its feasible blocks per
     eligibility filter (solver.enumerate_blocks), their producer values
@@ -233,10 +241,15 @@ class Scenario:
     def __post_init__(self):
         if self.rng_seed is not None:
             _check_int("rng_seed", self.rng_seed)
+        _check_valuation(self.bp_valuation)
+        if not isinstance(self.blockset, Blockset):
+            raise ValueError(f"blockset must be a Blockset, got {self.blockset!r}")
         txs = tuple(self.transactions)
         object.__setattr__(self, "transactions", txs)
         by_id = {}
         for tx in txs:
+            if not isinstance(tx, Transaction):
+                raise ValueError(f"transactions entry {tx!r} is not a Transaction")
             if tx.tx_id in by_id:
                 raise ValueError(f"duplicate transaction id {tx.tx_id}")
             by_id[tx.tx_id] = tx
@@ -251,11 +264,13 @@ class Scenario:
         """The same transactions, blockset and seed under another producer
         valuation.
 
-        Nothing __post_init__ checks or derives reads the valuation, so the
-        new world is built without it and shares this one's transactions,
-        id map and enumeration cache; its plans, value range, rule memo and
-        digest hold or cover producer values, so they start empty.
+        Only __post_init__'s valuation check reads the valuation, so it is
+        made here and the new world skips __post_init__: it shares this
+        one's transactions, id map and enumeration cache; its plans, value
+        range, rule memo and digest hold or cover producer values, so they
+        start empty.
         """
+        _check_valuation(valuation)
         world = object.__new__(type(self))
         vars(world).update(vars(self), bp_valuation=valuation, **_valued_caches())
         return world
@@ -273,17 +288,9 @@ class Scenario:
         return {tx.tx_id: tx.bid for tx in self.transactions}
 
 
-def bp_value(block: Block, valuation: BpValuation) -> Money:
-    """The producer's private value for a block under the given valuation:
-    valuation.of(block), which the solver's scoring loops call directly."""
-    if not isinstance(valuation, BpValuation):
-        raise TypeError(f"unsupported valuation {valuation!r}")
-    return valuation.of(block)
-
-
 def welfare(block: Block, scenario: Scenario) -> Money:
     """Producer value of the block plus the private values of its users."""
-    return bp_value(block, scenario.bp_valuation) + sum(
+    return scenario.bp_valuation.of(block) + sum(
         scenario.tx(t).valuation for t in block.txs
     )
 

@@ -27,7 +27,6 @@ from .core import (
     SingleMindedValuation,
     TableValuation,
     Transaction,
-    bp_value,
     welfare,
 )
 from .auditors import welfare_argmax
@@ -135,7 +134,7 @@ def _shared_zero_bid(mech, scenario, bids, budget, variant):
         # than fees could ever recoup.
         boost = total_bids + burn_q + 1
         values = {
-            t: bp_value(Block((t,)), scenario.bp_valuation) + boost
+            t: scenario.bp_valuation.of(Block((t,))) + boost
             for t in block.txs
         }
         modified_valuation = AdditiveValuation(values)

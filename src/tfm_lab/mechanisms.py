@@ -22,7 +22,6 @@ from .core import (
     Scenario,
     Transaction,
     UnknownTransactionError,
-    bp_value,
 )
 
 FPA = "fpa"
@@ -231,7 +230,7 @@ def bps(block: Block, bids: Mapping[int, Money], scenario: Scenario, mech: Mecha
     """Block producer surplus: private value plus fee income minus burn."""
     pays = payment(mech, block, bids, scenario)
     return (
-        bp_value(block, scenario.bp_valuation)
+        scenario.bp_valuation.of(block)
         + sum(pays.values())
         - burn(mech, block, bids, scenario)
     )

@@ -301,15 +301,12 @@ def _valuation_text(valuation: BpValuation) -> str:
                 for b, v in entries.items()
             ]
             return _TABLE % _wrap(_by_block(rows), "    ")
-    raise TypeError(f"unsupported valuation {valuation!r}")
 
 
 def _blockset_text(blockset: Blockset) -> str:
     if isinstance(blockset, ExplicitBlockset):
         blocks = [_ids(b.txs, "      ") for b in blockset.blocks]
         return _EXPLICIT % _wrap(blocks, "    ")
-    if not isinstance(blockset, KnapsackBlockset):
-        raise TypeError(f"unsupported blockset {blockset!r}")
     candidates = ""
     if blockset.candidate_ids is not None:
         candidates = _CANDIDATES % _ids(blockset.candidate_ids, "    ")
@@ -368,9 +365,9 @@ def serialize_scenario(doc: ScenarioDoc) -> str:
     indent=2) plus a trailing newline, written directly.
 
     Every field but the generator metadata was checked when its object was
-    built.  Raises ScenarioFormatError, naming the path, where the reader
-    would reject that metadata (a float) or read it back to other text
-    (non-string keys).
+    built, so each valuation and blockset kind has one rendering.  Raises
+    ScenarioFormatError, naming the path, where the reader would reject
+    that metadata (a float) or read it back to other text (non-string keys).
     """
     scenario = doc.scenario
     parts = [

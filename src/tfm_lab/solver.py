@@ -23,7 +23,7 @@ from .core import (
     Money,
     PassiveValuation,
     Scenario,
-    bp_value,
+    _check_int,
 )
 from .mechanisms import (
     Mechanism,
@@ -59,10 +59,10 @@ class NoFeasibleBlockError(ValueError):
 
 
 def resolve_budget(budget: int | None) -> int:
-    """Explicit argument, else the TFMLAB_BUDGET env var, else the default."""
+    """Explicit int argument (>= 1), else the TFMLAB_BUDGET env var, else
+    the default."""
     if budget is not None:
-        if budget < 1:
-            raise ValueError("budget must be >= 1")
+        _check_int("budget", budget, minimum=1)
         return budget
     env = os.environ.get(BUDGET_ENV_VAR)
     if env:
@@ -557,7 +557,7 @@ def max_marginal_value(
                 f"marginal value needs a downward-closed blockset; deleting "
                 f"tx {tx_id} from {b.txs} leaves an infeasible block"
             )
-        gap = bp_value(b, valuation) - bp_value(rest, valuation)
+        gap = valuation.of(b) - valuation.of(rest)
         if best is None or gap > best:
             best = gap
     if best is None:

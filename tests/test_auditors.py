@@ -289,14 +289,26 @@ class TestDsic:
                     [sc], grid, profile_samples=samples,
                 )
 
-    def test_rejects_negative_max_witnesses(self):
+    def test_rejects_negative_max_witnesses(self, monkeypatch):
         sc = scenario([(1, 3, 3), (1, 2, 2)], cap=1)
         mech = Mechanism.fpa(Allocation.CONSONANT)
         assert audit_dsic(mech, Truthful(), [sc], GRID, max_witnesses=0).witnesses == ()
-        with pytest.raises(ValueError, match="max_witnesses"):
-            audit_dsic(mech, Truthful(), [sc], GRID, max_witnesses=-1)
-        with pytest.raises(ValueError, match="max_witnesses"):
-            audit_bpic(Mechanism.fpa(), [sc], GRID, max_witnesses=-1)
+
+        # refused before any sweep: no block pass is solved
+        def unreachable(*args, **kwargs):
+            raise AssertionError("solved a pass before refusing max_witnesses")
+
+        monkeypatch.setattr(auditors, "split_pass", unreachable)
+        monkeypatch.setattr(auditors, "recommended_block", unreachable)
+        tipless = Mechanism.tipless(2, Eligibility.FREE, Allocation.CONSONANT)
+        for audit in (
+            lambda: audit_dsic(mech, Truthful(), [sc], GRID, max_witnesses=-1),
+            lambda: audit_dsic(Mechanism.tipless(2), Truthful(), [sc], GRID, max_witnesses=-1),
+            lambda: audit_bpic(Mechanism.fpa(), [sc], GRID, max_witnesses=-1),
+            lambda: audit_approx_dsic_bound(tipless, [sc], GRID, max_witnesses=-1),
+        ):
+            with pytest.raises(ValueError, match="max_witnesses"):
+                audit()
 
     def test_cells_checked_counts_grid_exactly(self):
         sc = scenario([(1, 3, 3), (1, 1, 1)])

@@ -21,7 +21,6 @@ from tfm_lab import (
     TableValuation,
     Transaction,
     UnknownTransactionError,
-    bp_value,
     bps,
     bps_argmax,
     burn,
@@ -93,26 +92,26 @@ class TestBlock:
 class TestValuations:
     def test_passive_ignores_contents(self):
         v = PassiveValuation(3)
-        assert bp_value(EMPTY_BLOCK, v) == 3
-        assert bp_value(Block((0, 1)), v) == 3
+        assert v.of(EMPTY_BLOCK) == 3
+        assert v.of(Block((0, 1))) == 3
 
     def test_additive_sums_listed_values(self):
         v = AdditiveValuation({0: 4, 2: 1})
-        assert bp_value(Block((0, 2)), v) == 5
-        assert bp_value(Block((0, 1)), v) == 4
-        assert bp_value(EMPTY_BLOCK, v) == 0
+        assert v.of(Block((0, 2))) == 5
+        assert v.of(Block((0, 1))) == 4
+        assert v.of(EMPTY_BLOCK) == 0
 
     def test_single_minded_exact_block_only(self):
         target = Block((1, 0))
         v = SingleMindedValuation(frozenset({target}), 9)
-        assert bp_value(target, v) == 9
-        assert bp_value(Block((0, 1)), v) == 0
-        assert bp_value(Block((1,)), v) == 0
+        assert v.of(target) == 9
+        assert v.of(Block((0, 1))) == 0
+        assert v.of(Block((1,))) == 0
 
     def test_table_defaults_to_zero(self):
         v = TableValuation({Block((0,)): 2})
-        assert bp_value(Block((0,)), v) == 2
-        assert bp_value(Block((1,)), v) == 0
+        assert v.of(Block((0,))) == 2
+        assert v.of(Block((1,))) == 0
 
 
 class TestScenario:
@@ -125,6 +124,17 @@ class TestScenario:
         txs = (Transaction(0, 1, 5),)
         with pytest.raises(UnknownTransactionError):
             Scenario(txs, PassiveValuation(0), ExplicitBlockset((Block((7,)),)))
+
+    @pytest.mark.parametrize("blockset", [3, None, (Block((0,)),), {"kind": "knapsack"}])
+    def test_blockset_must_be_a_blockset(self, blockset):
+        with pytest.raises(ValueError, match="blockset must be"):
+            Scenario((Transaction(0, 1, 5),), PassiveValuation(0), blockset)
+
+    @pytest.mark.parametrize("entry", [0, None, (1, 1, 5, 0), Block((1,))])
+    def test_transactions_must_be_transactions(self, entry):
+        txs = (Transaction(0, 1, 5), entry)
+        with pytest.raises(ValueError, match="transactions entry"):
+            Scenario(txs, PassiveValuation(0), KnapsackBlockset(2))
 
     def test_tx_lookup(self):
         sc = make_scenario()

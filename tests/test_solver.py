@@ -29,7 +29,6 @@ from tfm_lab import (
     TableValuation,
     Transaction,
     UnsupportedInstanceError,
-    bp_value,
     bps_argmax,
     bps_argmax_additive_dp,
     bps,
@@ -112,6 +111,15 @@ class TestEnumeration:
         monkeypatch.setenv("TFMLAB_BUDGET", "not a number")
         with pytest.raises(ValueError):
             enumerate_blocks(sc)
+
+    @pytest.mark.parametrize("budget", [True, False, 8.0, "8", 0, -1])
+    def test_budget_must_be_a_positive_int(self, budget):
+        sc = knapsack_scenario([(1, 1, 1)] * 2, cap=2)
+        assert solver.resolve_budget(8) == 8
+        with pytest.raises(ValueError, match="budget must be"):
+            solver.resolve_budget(budget)
+        with pytest.raises(ValueError, match="budget must be"):
+            enumerate_blocks(sc, budget=budget)
 
     def test_eligibility_filter(self):
         sc = knapsack_scenario([(1, 5, 5), (1, 3, 3)], cap=2)
@@ -300,7 +308,7 @@ def test_member_value_bump_forces_supersets(case, extra):
         return
     boost = sum(bids.values()) + burn(mech, block, bids, sc) + 1 + extra
     bumped = AdditiveValuation(
-        {t: bp_value(Block((t,)), sc.bp_valuation) + boost for t in block.txs}
+        {t: sc.bp_valuation.of(Block((t,))) + boost for t in block.txs}
     )
     modified = replace(sc, bp_valuation=bumped)
     _, _, tied = bps_argmax_detail(bids, modified, mech)
@@ -541,9 +549,9 @@ any_valuations = st.one_of(
 
 
 class TestValuesAgainstOracle:
-    """Every valuation scores its own blocks (`of`), which bp_value and the
-    solver's scoring loops call; each must agree with the match oracle,
-    and the per-world value range and the beta check with plain loops."""
+    """Every valuation scores its own blocks (`of`), which every scorer
+    calls; each must agree with the match oracle, and the per-world value
+    range and the beta check with plain loops."""
 
     @given(any_valuations, st.lists(any_blocks, max_size=6))
     @example(AdditiveValuation({0: -3, 2: 1}), [Block((0, 2)), Block((1,))])
@@ -555,12 +563,16 @@ class TestValuesAgainstOracle:
     @settings(max_examples=300, deadline=None)
     def test_methods_match_the_oracle(self, valuation, blocks):
         for b in (EMPTY_BLOCK, *blocks):
-            assert valuation.of(b) == bp_value(b, valuation) == oracle_bp_value(b, valuation)
+            assert valuation.of(b) == oracle_bp_value(b, valuation)
 
     @pytest.mark.parametrize("other", [3, None, {0: 1}, Mechanism.trivial()])
-    def test_bp_value_refuses_other_objects(self, other):
-        with pytest.raises(TypeError, match="unsupported valuation"):
-            bp_value(EMPTY_BLOCK, other)
+    def test_scenario_refuses_other_valuations(self, other):
+        txs = (Transaction(0, 1, 5),)
+        with pytest.raises(ValueError, match="bp_valuation"):
+            Scenario(txs, other, KnapsackBlockset(1))
+        world = Scenario(txs, PassiveValuation(0), KnapsackBlockset(1))
+        with pytest.raises(ValueError, match="bp_valuation"):
+            world.with_valuation(other)
 
     @given(ordered_cases())
     @settings(max_examples=300, deadline=None)
