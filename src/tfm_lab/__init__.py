@@ -106,11 +106,9 @@ from .solver import (
     NoFeasibleBlockError,
     bps_argmax,
     bps_argmax_additive_dp,
-    bps_argmax_detail,
     canonical_key,
     enumerate_blocks,
     max_marginal_value,
-    max_revenue_block,
     value_range,
 )
 

@@ -39,7 +39,6 @@ from .scenario_io import GridSpec as Grid
 from .scenario_io import scenario_digest
 from .solver import (
     NoFeasibleBlockError,
-    bps_argmax_detail,
     canonical_key,
     cut_includes,
     enumerate_blocks,
@@ -283,16 +282,6 @@ def _class_memo(mech, scenario, ids, points, classify):
     return maps, {} if repeats else None
 
 
-def _at_class(entries, c):
-    """split_pass entries of the blocks lacking one user and, when it is
-    eligible, of those holding it, read at its fee class c (see
-    solver.fold_split); None, for a user that is not eligible or absent,
-    reads the blocks lacking it."""
-    if c is None:
-        return entries[0]
-    return fold_split(entries[0], entries[1], c)
-
-
 def audit_bpic(
     mech: Mechanism,
     scenarios: Sequence[Scenario],
@@ -316,7 +305,9 @@ def audit_bpic(
     that reaches it, gives the argmax of every grid bid of the last user by
     fold_split; errors are raised at the cell, and with the message, of a
     per-cell pass.  A last user with fewer than two eligible classes is not
-    split off: one unsplit pass per class tuple is as few.  fpa's
+    split off: one unsplit pass per class tuple is as few, and fold_split
+    at class None (no split, or an ineligible last user) reads the blocks
+    lacking the last user, the one entry of an unsplit pass.  fpa's
     revenue_max recommendation is read the same way off one unvalued split
     pass.  The consonant rule (which the trivial preset always uses)
     recommends the argmax, so a repeated class tuple adds no tie edge and
@@ -370,14 +361,14 @@ def audit_bpic(
                     ]
                 producer, revenue = solved[0], solved[-1]
             if entry is None:
-                entry = _at_class(producer, c), set()
+                entry = fold_split(producer, c), set()
                 if memo is not None:
                     memo[key] = entry
             (best_score, best, tied, _), settled = entry
             if valued:
                 rec = best
             elif valued is False:
-                rec = _at_class(revenue, c)[1]
+                rec = fold_split(revenue, c)[1]
             else:
                 rec = recommended_block(mech, bids, scenario, budget=budget)
             if settled and rec in settled:
@@ -488,7 +479,7 @@ class _DeviationTables:
                     bids, scenario, mech, self.split, valued=self.valued, budget=self.budget
                 )
             # bit 0 of a pattern is this transaction, bit 1 the last user
-            cuts.append(split_cut(_at_class(entries[0::2], c), _at_class(entries[1::2], c)))
+            cuts.append(split_cut(fold_split(entries[0::2], c), fold_split(entries[1::2], c)))
         return tuple(cuts)
 
     def table(self, cut):
@@ -884,5 +875,5 @@ def replay_bpic_witness(
     the best block over the recommendation."""
     bids = dict(witness.cell_bids)
     rec = recommended_block(mech, bids, scenario, budget=budget)
-    best, best_score, _ = bps_argmax_detail(bids, scenario, mech, budget=budget)
+    ((best_score, _, _, _),) = split_pass(bids, scenario, mech, valued=True, budget=budget)
     return best_score - bps(rec, bids, scenario, mech)

@@ -27,6 +27,7 @@ from .core import (
     SingleMindedValuation,
     TableValuation,
     Transaction,
+    _check_int,
     welfare,
 )
 from .auditors import welfare_argmax
@@ -45,10 +46,10 @@ from .mechanisms import (
     strategy_bid,
 )
 from .solver import (
-    bps_argmax_detail,
     canonical_key,
     enumerate_blocks,
     resolve_budget,
+    split_pass,
     value_range,
 )
 
@@ -147,7 +148,7 @@ def _shared_zero_bid(mech, scenario, bids, budget, variant):
 
     modified = scenario.with_valuation(modified_valuation)
 
-    best0, _, tied0 = bps_argmax_detail(zero_bids, modified, mech, budget=budget)
+    ((_, best0, tied0, _),) = split_pass(zero_bids, modified, mech, valued=True, budget=budget)
     members = set(block.txs)
     for b in tied0:
         if not members <= set(b.txs):
@@ -168,7 +169,7 @@ def _shared_zero_bid(mech, scenario, bids, budget, variant):
             f"exceed the bid"
         )
 
-    fixed, _, fixed_tied = bps_argmax_detail(bids, modified, mech, budget=budget)
+    ((_, fixed, fixed_tied, _),) = split_pass(bids, modified, mech, valued=True, budget=budget)
     if fixed != block:
         raise ConstructionReplayError(
             f"under the original bids the modified world selects {fixed.txs} "
@@ -259,6 +260,7 @@ def construct_welfare_gap(
     rho = Fraction(rho)
     if not 0 < rho <= 1:
         raise ValueError(f"rho must be a rational in (0, 1], got {rho}")
+    _check_int("probe_rounds", probe_rounds, minimum=0)
     budget = resolve_budget(budget)
 
     y, z = 0, 1

@@ -17,6 +17,7 @@ from .core import (
     PassiveValuation,
     Scenario,
     Transaction,
+    _check_int,
 )
 from .scenario_io import GridSpec, ScenarioDoc
 
@@ -41,6 +42,7 @@ def random_scenario(
     all_fit the capacity admits every transaction at once; otherwise it is
     uniform between the largest single size and the total size.
     """
+    _check_int("n_txs", n_txs)
     if not 1 <= n_txs <= MAX_RANDOM_TXS:
         raise ValueError(
             f"n_txs must be between 1 and {MAX_RANDOM_TXS}, got {n_txs}"

@@ -313,9 +313,7 @@ def _argmax_block(mech, bids, scenario, budget):
     consonant, the fee-revenue argmax under revenue_max."""
     from . import solver
 
-    if argmax_valued(mech):
-        return solver.bps_argmax(bids, scenario, mech, budget=budget)
-    return solver.max_revenue_block(bids, scenario, budget=budget)
+    return solver.split_pass(bids, scenario, mech, valued=argmax_valued(mech), budget=budget)[0][1]
 
 
 def _clearing_set(mech, bids, scenario, budget):

@@ -9,6 +9,7 @@ included.  Parsers reconstruct enough of a report to replay its witnesses.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from fractions import Fraction
 
@@ -173,6 +174,25 @@ def _rows(section_text: str, header) -> list[list[str]]:
     return rows[1:]
 
 
+def _refusing_malformed(parse):
+    """The parser, raising every refusal of its text as ReportFormatError:
+    a row or banner of the wrong shape, or a field that does not convert,
+    would otherwise surface as a bare IndexError, ValueError or
+    ZeroDivisionError."""
+
+    @functools.wraps(parse)
+    def wrapper(text):
+        try:
+            return parse(text)
+        except ReportFormatError:
+            raise
+        except (IndexError, ValueError, ZeroDivisionError) as exc:
+            raise ReportFormatError(f"malformed report: {exc}") from None
+
+    return wrapper
+
+
+@_refusing_malformed
 def parse_audit_report(text: str) -> dict:
     """Inverse of render_audit_report, returning a plain dict.
 
@@ -240,6 +260,7 @@ def parse_audit_report(text: str) -> dict:
     }
 
 
+@_refusing_malformed
 def parse_welfare_report(text: str) -> dict:
     """Inverse of render_welfare_report, returning a plain dict."""
     lines = text.splitlines()

@@ -324,22 +324,25 @@ def split_pass(
     bids: Mapping[int, Money],
     scenario: Scenario,
     mech: Mechanism,
-    split: tuple,
+    split: tuple = (),
     *,
     valued: bool,
     budget: int | None = None,
 ):
-    """One pass over the blocks eligible under the bids, split on up to two
-    transactions: the (score, canonical-first block, tied blocks, indexed
-    ties) entry of each membership pattern of `split` (see _argmax_pass).
+    """The one pass over the blocks eligible under the bids, split on up to
+    two transactions: the (score, canonical-first block, tied blocks in
+    enumeration order, indexed ties) entry of each membership pattern of
+    `split` (see _argmax_pass).  With no split, the one entry is the
+    argmax over all eligible blocks that every argmax allocation and
+    producer witness reads.
 
     A block scores its members' contributions plus, when `valued`, the
     producer's value for it (see mechanisms.argmax_valued).  The
     contributions of the transactions in `split` are zeroed, and fold_split
-    reads off any contribution of one of them.  On ordered blocksets an unvalued entry
-    lists each tied member set by its canonical-first ordering alone.
-    Raises NoEligibleBlockError when no enumerated block is eligible under
-    the bids.
+    reads off any contribution of one of them.  On ordered blocksets an
+    unvalued entry lists each tied member set by its canonical-first
+    ordering alone.  Raises NoEligibleBlockError when no enumerated block
+    is eligible under the bids.
     """
     elig = _eligible_ids(mech, bids, scenario)
     contrib = _per_tx_contribution(mech, bids, scenario)
@@ -351,11 +354,13 @@ def split_pass(
     return entries
 
 
-def fold_split(lacking, holding, contribution: Money):
-    """Two split_pass entries of one transaction read at one of its
-    contributions: the better of `lacking` (blocks without it) and
-    `holding` (blocks with it, scored without it) once the contribution is
-    added to the latter, in the entry format.
+def fold_split(entries, contribution: Money | None):
+    """The (lacking, holding) entries of a split_pass on one transaction
+    read at one of its contributions: the better of `lacking` (blocks
+    without it) and `holding` (blocks with it, scored without it) once the
+    contribution is added to the latter, in the entry format.  None, for a
+    transaction that is not eligible or not split off, reads `lacking`
+    alone, so it also reads the one entry of an unsplit pass.
 
     On equal scores the tied lists are merged in enumeration order and the
     canonical key picks the block, exactly as one pass at that bid would.
@@ -363,6 +368,10 @@ def fold_split(lacking, holding, contribution: Money):
     never decreases in the bid, so one split pass settles every bid of the
     transaction at O(1) each.
     """
+    lacking = entries[0]
+    if contribution is None:
+        return lacking
+    holding = entries[1]
     score = holding[0]
     if score is None:
         return lacking
@@ -376,28 +385,6 @@ def fold_split(lacking, holding, contribution: Money):
         return score, first, sorted(lacking[2] + holding[2], key=attrgetter("txs")), None
     pairs = sorted(lacking[3] + holding[3])
     return score, first, [b for _, b in pairs], pairs
-
-
-def bps_argmax_detail(
-    bids: Mapping[int, Money],
-    scenario: Scenario,
-    mech: Mechanism,
-    *,
-    budget: int | None = None,
-):
-    """(argmax block, its surplus, all surplus-tied blocks).
-
-    The argmax is the canonical-first block among the exact-integer maximum;
-    the tied tuple preserves enumeration order.  Raises NoEligibleBlockError
-    when no enumerated block is eligible under the bids.  One unsplit
-    scoring pass.
-    """
-    elig = _eligible_ids(mech, bids, scenario)
-    contrib = _per_tx_contribution(mech, bids, scenario)
-    ((best_score, best, tied, _),) = _argmax_pass(scenario, elig, budget, contrib, True)
-    if best_score is None:
-        raise NoEligibleBlockError(bids)
-    return best, best_score, tuple(tied)
 
 
 def max_block(
@@ -414,15 +401,6 @@ def max_block(
     transaction."""
     ((_, best, _, _),) = _argmax_pass(scenario, eligible, budget, weights, valued)
     return best
-
-
-def max_revenue_block(
-    bids: Mapping[int, Money], scenario: Scenario, *, budget: int | None = None
-) -> Block:
-    """The feasible block with the largest total of its members' bids,
-    canonical-first on ties: fpa's revenue_max allocation."""
-    weights = {tx.tx_id: _require_bid(bids, tx.tx_id) for tx in scenario.transactions}
-    return max_block(scenario, weights, valued=False, budget=budget)
 
 
 def split_cut(lacking, holding):
@@ -460,9 +438,9 @@ def bps_argmax(
     *,
     budget: int | None = None,
 ) -> Block:
-    """The feasible block with maximum producer surplus, canonical-first."""
-    best, _, _ = bps_argmax_detail(bids, scenario, mech, budget=budget)
-    return best
+    """The feasible block with maximum producer surplus, canonical-first:
+    the best block of one valued, unsplit split_pass."""
+    return split_pass(bids, scenario, mech, valued=True, budget=budget)[0][1]
 
 
 def bps_argmax_additive_dp(

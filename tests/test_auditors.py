@@ -47,7 +47,6 @@ from tfm_lab import (
     audit_dsic,
     audit_welfare_ratio,
     bps,
-    bps_argmax_detail,
     check_beta_commensurate,
     construct_welfare_gap,
     construct_zero_bid,
@@ -70,7 +69,7 @@ from tfm_lab import (
 from tfm_lab import auditors, solver
 from tfm_lab.auditors import _DeviationTables, _detect_cycle
 from tfm_lab.mechanisms import RULES, TIPLESS
-from tfm_lab.solver import BUDGET_ENV_VAR
+from tfm_lab.solver import BUDGET_ENV_VAR, split_pass
 
 
 def scenario(specs, cap=None, bp=None):
@@ -786,7 +785,7 @@ class TestBpic:
 
 def oracle_bpic(mech, scenarios, grid, rule=recommended_block):
     """audit_bpic recomputed cell by cell: one rule call and one
-    bps_argmax_detail call per cell, whatever the rule."""
+    unsplit split_pass per cell, whatever the rule."""
     points = grid.points()
     witnesses = []
     conflicts = []
@@ -798,7 +797,7 @@ def oracle_bpic(mech, scenarios, grid, rule=recommended_block):
         for combo in product(points, repeat=len(ids)):
             bids = dict(zip(ids, combo))
             rec = rule(mech, bids, sc)
-            best, best_score, tied = bps_argmax_detail(bids, sc, mech)
+            ((best_score, best, tied, _),) = split_pass(bids, sc, mech, valued=True)
             cells += 1
             if rec in tied:
                 others = [b for b in tied if b != rec]
@@ -895,13 +894,13 @@ def ordered_bpic_cases(draw):
 def rotating_rule(mech, bids, sc, *, budget=None):
     """Names a different surplus-tied block from cell to cell, which no
     fixed order on blocks explains."""
-    _, _, tied = bps_argmax_detail(bids, sc, mech, budget=budget)
+    ((_, _, tied, _),) = split_pass(bids, sc, mech, valued=True, budget=budget)
     return tied[sum(bids.values()) % len(tied)]
 
 
 class TestBpicAgainstCells:
-    """audit_bpic, which reads an argmax rule's recommendation off its one
-    bps_argmax_detail call, against the per-cell oracle."""
+    """audit_bpic, which reads an argmax rule's recommendation off its
+    split passes, against the per-cell oracle."""
 
     @given(ordered_bpic_cases())
     @settings(max_examples=60, deadline=None)

@@ -317,6 +317,19 @@ class TestWelfareGap:
         with pytest.raises(UnsupportedInstanceError):
             construct_welfare_gap(Mechanism.fpa(), Fraction(1, 2))
 
+    @pytest.mark.parametrize(
+        "rounds, message",
+        [(-1, "probe_rounds must be >= 0"), (1.5, "probe_rounds must be an integer"),
+         (True, "probe_rounds must be an integer")],
+    )
+    def test_probe_rounds_must_be_a_count(self, rounds, message):
+        with pytest.raises(ValueError, match=message):
+            construct_welfare_gap(Mechanism.trivial(), Fraction(1, 2), probe_rounds=rounds)
+
+    def test_zero_probe_rounds_probe_once(self):
+        gap = construct_welfare_gap(Mechanism.trivial(), Fraction(1, 2), probe_rounds=0)
+        assert gap.probes == ((4, (1,)),)
+
     def test_tipless_with_zero_bids_qualifies(self):
         mech = Mechanism.tipless(2, Eligibility.FREE, Allocation.CONSONANT)
         gap = construct_welfare_gap(

@@ -51,6 +51,9 @@ def audit_report(**overrides):
     return AuditReport(**base)
 
 
+REPORT_TEXT = render_audit_report(audit_report())
+
+
 class TestStringHelpers:
     def test_cell_bids_round_trip(self):
         cells = ((0, 5), (3, 0), (7, 12))
@@ -172,6 +175,34 @@ class TestFormatErrors:
         text = render_audit_report(audit_report()).replace("scenario_digest", "digest")
         with pytest.raises(ReportFormatError):
             parse_audit_report(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# tfm-lab audit kind=dsic",
+            REPORT_TEXT.replace("aaaabbbbcccc,0,6,6,2,4,1:3;2:0", "aaaabbbbcccc,0,6"),
+            REPORT_TEXT.replace("aaaabbbbcccc,0,", "aaaabbbbcccc,x,"),
+            REPORT_TEXT.replace("FAIL,5,98,0", "FAIL,5"),
+            REPORT_TEXT.replace("kind=dsic", "kind"),
+        ],
+        ids=["banner-only", "short-witness-row", "non-integer-tx-id", "short-summary",
+             "banner-item-without-equals"],
+    )
+    def test_malformed_audit_text(self, text):
+        with pytest.raises(ReportFormatError):
+            parse_audit_report(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# tfm-lab welfare",
+            render_welfare_report(WelfareReport((), Fraction(1, 2))).replace("1/2", "1/0"),
+        ],
+        ids=["banner-only", "zero-denominator"],
+    )
+    def test_malformed_welfare_text(self, text):
+        with pytest.raises(ReportFormatError):
+            parse_welfare_report(text)
 
     def test_welfare_missing_min_ratio(self):
         report = WelfareReport((), None)

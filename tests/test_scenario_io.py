@@ -27,6 +27,7 @@ from tfm_lab import (
     Transaction,
     load_scenario_file,
     parse_scenario_text,
+    random_scenario,
     scenario_digest,
     serialize_scenario,
     write_scenario_file,
@@ -616,3 +617,15 @@ class TestAgainstJsonDumps:
         generator = {"q\"uote": ["\x00\n\t", "é☃𝄞", ("tuple", None, True, False)], "": {}, "e": []}
         doc = with_generator(generator)
         assert serialize_scenario(doc) == oracle_text(doc)
+
+
+class TestRandomScenarioArguments:
+    @pytest.mark.parametrize("n_txs", [True, 2.0, "3", None])
+    def test_non_integer_count_is_refused(self, n_txs):
+        with pytest.raises(ValueError, match="n_txs must be an integer"):
+            random_scenario(7, n_txs=n_txs)
+
+    @pytest.mark.parametrize("n_txs", [0, 9])
+    def test_count_out_of_range_is_refused(self, n_txs):
+        with pytest.raises(ValueError, match="n_txs must be between 1 and 8"):
+            random_scenario(7, n_txs=n_txs)

@@ -32,7 +32,6 @@ from tfm_lab import (
     bps_argmax,
     bps_argmax_additive_dp,
     bps,
-    bps_argmax_detail,
     burn,
     canonical_key,
     check_beta_commensurate,
@@ -40,7 +39,6 @@ from tfm_lab import (
     eligible,
     enumerate_blocks,
     max_marginal_value,
-    max_revenue_block,
     own_payment,
     payment,
     recommended_block,
@@ -153,7 +151,7 @@ class TestArgmax:
         sc = knapsack_scenario(
             [(1, 5, 5), (1, 1, 1)], cap=1, bp=AdditiveValuation({1: 4})
         )
-        best, score, tied = bps_argmax_detail(sc.submitted_bids(), sc, Mechanism.fpa())
+        best, score, tied = detail_of(sc.submitted_bids(), sc, Mechanism.fpa())
         assert score == 5
         assert {b.txs for b in tied} == {(0,), (1,)}
         assert best == Block((0,))
@@ -311,7 +309,7 @@ def test_member_value_bump_forces_supersets(case, extra):
         {t: sc.bp_valuation.of(Block((t,))) + boost for t in block.txs}
     )
     modified = replace(sc, bp_valuation=bumped)
-    _, _, tied = bps_argmax_detail(bids, modified, mech)
+    _, _, tied = detail_of(bids, modified, mech)
     for b in tied:
         assert set(block.txs) <= set(b.txs)
 
@@ -424,6 +422,12 @@ def scan_welfare(sc):
         ):
             best, best_w = b, w
     return best
+
+
+def detail_of(bids, sc, mech):
+    """The valued, unsplit split_pass as a scan_detail tuple."""
+    ((score, best, tied, _),) = split_pass(bids, sc, mech, valued=True)
+    return best, score, tuple(tied)
 
 
 def split_of(bids, sc, mech, t):
@@ -611,9 +615,10 @@ class TestValuesAgainstOracle:
 
 
 class TestPlanAgainstScan:
-    """bps_argmax_detail, split_pass, the revenue_max and tipless
-    standard rules and welfare_argmax read the grouped plan on ordered
-    blocksets; each must agree with a per-block scan, tie order included."""
+    """split_pass, unsplit and split, valued and not, the revenue_max and
+    tipless standard rules and welfare_argmax read the grouped plan on
+    ordered blocksets; each must agree with a per-block scan, tie order
+    included."""
 
     @given(ordered_cases())
     @settings(max_examples=400, deadline=None)
@@ -622,13 +627,14 @@ class TestPlanAgainstScan:
         want = scan_detail(bids, sc, mech)
         if want is NoEligibleBlockError:
             with pytest.raises(NoEligibleBlockError):
-                bps_argmax_detail(bids, sc, mech)
+                detail_of(bids, sc, mech)
         else:
-            assert bps_argmax_detail(bids, sc, mech) == want
+            assert detail_of(bids, sc, mech) == want
         # a second call reads the cached plan
         if want is not NoEligibleBlockError:
-            assert bps_argmax_detail(bids, sc, mech) == want
-        assert max_revenue_block(bids, sc) == scan_revenue(bids, sc)
+            assert detail_of(bids, sc, mech) == want
+        revenue = split_pass(bids, sc, Mechanism.fpa(), valued=False)[0][1]
+        assert revenue == scan_revenue(bids, sc)
         if mech.preset == "fpa" and mech.allocation is Allocation.REVENUE_MAX:
             assert recommended_block(mech, bids, sc) == scan_revenue(bids, sc)
         if mech.preset == "tipless" and mech.allocation is Allocation.STANDARD:
@@ -672,7 +678,7 @@ class TestPlanAgainstScan:
             [(), (1, 0), (2,), (0, 1), (0, 2)],
         )
         bids = {0: 1, 1: 1, 2: 2}
-        best, score, tied = bps_argmax_detail(bids, sc, Mechanism.fpa(Allocation.CONSONANT))
+        best, score, tied = detail_of(bids, sc, Mechanism.fpa(Allocation.CONSONANT))
         assert score == 3
         assert tied == tuple(Block(b) for b in [(1, 0), (2,), (0, 1), (0, 2)])
         assert best == Block((2,))
@@ -682,7 +688,7 @@ class TestPlanAgainstScan:
     def test_only_the_top_orderings_of_a_group_tie(self):
         sc = self.tie_scenario({(1, 0): 2, (0, 1): 1}, [(), (1, 0), (0, 1)])
         bids = {0: 0, 1: 0, 2: 0}
-        best, score, tied = bps_argmax_detail(bids, sc, Mechanism.trivial())
+        best, score, tied = detail_of(bids, sc, Mechanism.trivial())
         assert (best, score, tied) == (Block((1, 0)), 2, (Block((1, 0)),))
 
     def test_revenue_max_takes_the_canonical_first_ordering(self):
@@ -713,7 +719,7 @@ class TestPlanAgainstScan:
                 with ThreadPoolExecutor(max_workers=8) as ex:
                     got = list(
                         ex.map(
-                            lambda bids: bps_argmax_detail(bids, shared, mech),
+                            lambda bids: detail_of(bids, shared, mech),
                             [bids for bids in cells for _ in range(8)],
                             timeout=120,
                         )
@@ -721,14 +727,6 @@ class TestPlanAgainstScan:
                 assert got == [w for w in want for _ in range(8)]
         finally:
             sys.setswitchinterval(interval)
-
-
-def read_at(entries, contribution):
-    """A split_pass on at most one transaction read at one of its fee
-    classes, as audit_bpic reads it."""
-    if contribution is None:
-        return entries[0]
-    return fold_split(entries[0], entries[1], contribution)
 
 
 def raised(fn, *args, **kwargs):
@@ -792,22 +790,21 @@ class TestSplitPass:
                         split_pass, cell, sc, mech, (first, last), valued=valued
                     )
             got = passes[key]
-            want = raised(bps_argmax_detail, cell, sc, mech)
+            want = raised(detail_of, cell, sc, mech)
             if want[0] is NoEligibleBlockError:
                 # raised where the pass was solved, which ends a sweep
                 assert got == want
                 break
-            score, best, tied, _ = read_at(got[0], c)
+            score, best, tied, _ = fold_split(got[0], c)
             assert (best, score, tuple(tied)) == want
             if mech.preset == "fpa":
-                assert read_at(got[1], c)[1] == max_revenue_block(cell, sc)
+                revenue = split_pass(cell, sc, mech, valued=False)[0][1]
+                assert fold_split(got[1], c)[1] == revenue
             if len(ids) == 1 or mech.allocation is Allocation.STANDARD:
                 continue
+            # bit 0 of a pattern is `first`, bit 1 `last`, as the audits read it
             entries = passes[key, "pair"]
-            lacking, holding = entries[0], entries[1]
-            if c is not None:
-                lacking = fold_split(lacking, entries[2], c)
-                holding = fold_split(holding, entries[3], c)
+            lacking, holding = fold_split(entries[0::2], c), fold_split(entries[1::2], c)
             without, without_score, held, held_score = scan_split(cell, sc, mech, first)
             assert (lacking[1], lacking[0]) == (without, without_score)
             assert (holding[1], holding[0]) == (held, held_score)
@@ -825,11 +822,18 @@ class TestSplitPass:
         members = [b.txs for b in enumerate_blocks(sc)]
         assert members == sorted(members)
 
+    def test_no_contribution_reads_the_one_entry_of_an_unsplit_pass(self):
+        sc, bids, mech = CROSS_TIE_CASE
+        entries = split_pass(bids, sc, mech, valued=True)
+        assert len(entries) == 1
+        assert fold_split(entries, None) is entries[0]
+
     def test_cross_tie_merges_by_enumeration_index(self):
         sc, bids, mech = CROSS_TIE_CASE
-        lacking, holding = split_pass(bids, sc, mech, (2,), valued=True)
+        entries = split_pass(bids, sc, mech, (2,), valued=True)
+        lacking, holding = entries
         assert lacking[0] == holding[0] + 2
-        score, best, tied, at = fold_split(lacking, holding, 2)
+        score, best, tied, at = fold_split(entries, 2)
         assert [b.txs for b in tied] == [(1, 0), (2,), (0, 1), (0, 2)]
         assert [i for i, _ in at] == [1, 2, 3, 4]
         assert (best, score) == (Block((2,)), 3)
@@ -849,14 +853,14 @@ class TestUnvaluedPlan:
         monkeypatch.setattr(TableValuation, "of", counting)
         sc = knapsack_scenario([(1, 0, 1)] * 3, 2, TableValuation({Block((1, 0)): 2}), True)
         bids = sc.submitted_bids()
-        max_revenue_block(bids, sc)
+        split_pass(bids, sc, Mechanism.fpa(), valued=False)
         recommended_block(Mechanism.tipless(1), bids, sc)
         assert calls == []
-        valued = bps_argmax_detail(bids, sc, Mechanism.trivial())
+        valued = detail_of(bids, sc, Mechanism.trivial())
         assert valued[0] == Block((1, 0))
         assert len(calls) == len(enumerate_blocks(sc))
-        bps_argmax_detail(bids, sc, Mechanism.trivial())
-        max_revenue_block(bids, sc)
+        detail_of(bids, sc, Mechanism.trivial())
+        split_pass(bids, sc, Mechanism.fpa(), valued=False)
         assert len(calls) == len(enumerate_blocks(sc))
 
 
@@ -876,7 +880,7 @@ class TestNoEligibleBlock:
         with pytest.raises(NoEligibleBlockError):
             recommended_block(mech, self.bids, self.sc)
         with pytest.raises(NoEligibleBlockError):
-            bps_argmax_detail(self.bids, self.sc, mech)
+            split_pass(self.bids, self.sc, mech, valued=True)
         if allocation is Allocation.CONSONANT:
             assert scan_split(self.bids, self.sc, mech, 1) is NoEligibleBlockError
             with pytest.raises(NoEligibleBlockError):
