@@ -11,8 +11,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, groupby, product
-from operator import getitem
+from itertools import chain, groupby, product, starmap
+from math import prod
+from operator import itemgetter
 from typing import Mapping, NamedTuple, Sequence
 
 from .core import Block, Money, Scenario, welfare
@@ -135,32 +136,34 @@ class AuditReport:
 class _Found:
     """The witnesses an audit found, kept per settled outcome.
 
-    Every raw profile that reaches one outcome shares its witness rows,
+    Every profile that reaches one outcome shares its witness rows,
     (-gain, valuation, recommended_bid, deviation_bid) tuples, so each
-    outcome keeps its rows once, with the profiles (bids of its ids, in
-    order) that reach it; the same rows object is one outcome, of one
-    (digest, tx).  Every outcome of a (digest, tx) has the same ids, so
-    profiles sort as their (id, bid) cells do.  Only the emitted witnesses
-    are expanded (see _finalize_witnesses).  len() is the number of
-    witnesses found: each row once per profile.
+    outcome keeps its rows once, with the class tuples that reach it, each
+    as the bid lists of its ids (in order): a tuple stands for every
+    profile in the product of its lists.  The same rows object is one
+    outcome, of one (digest, tx).  Every outcome of a (digest, tx) has the
+    same ids, so profiles sort as their (id, bid) cells do.  Only the
+    emitted witnesses are expanded (see _finalize_witnesses).  len() is the
+    number of witnesses found: each row once per profile.
     """
 
     def __init__(self):
-        # id(rows) -> (digest, tx, ids, rows, profiles); rows stays
-        # referenced, so its id names it for the whole audit
+        # id(rows) -> (digest, tx, ids, rows, bid lists of each class
+        # tuple); rows stays referenced, so its id names it for the audit
         self.outcomes = {}
 
-    def add(self, digest, t, ids, rows, profile):
-        """Record that profile, the bids of ids, reaches the outcome whose
-        witness rows are rows (a non-empty list)."""
+    def add(self, digest, t, ids, rows, lists):
+        """Record that every profile of lists, the bid lists of ids, reaches
+        the outcome whose witness rows are rows (a non-empty list)."""
         entry = self.outcomes.get(id(rows))
         if entry is None:
             entry = self.outcomes[id(rows)] = digest, t, ids, rows, []
-        entry[4].append(profile)
+        entry[4].append(lists)
 
     def __len__(self):
         return sum(
-            len(rows) * len(profiles) for *_, rows, profiles in self.outcomes.values()
+            len(rows) * sum(prod(map(len, lists)) for lists in tuples)
+            for *_, rows, tuples in self.outcomes.values()
         )
 
     def max_gain(self):
@@ -183,12 +186,12 @@ def _finalize_witnesses(found, max_witnesses):
     across the outcomes that hold it and once per copy within one, then
     that row's cells in order, and builds only the emitted Witnesses."""
     _check_max_witnesses(max_witnesses)
-    # (digest, tx) -> (ids, {row: the profile lists that hold it, once per copy})
+    # (digest, tx) -> (ids, {row: the tuple lists that hold it, once per copy})
     by_tx = {}
-    for digest, t, ids, rows, profiles in found.outcomes.values():
+    for digest, t, ids, rows, tuples in found.outcomes.values():
         sources = by_tx.setdefault((digest, t), (ids, {}))[1]
         for row in rows:
-            sources.setdefault(row, []).append(profiles)
+            sources.setdefault(row, []).append(tuples)
     emitted = []
     for digest, t in sorted(by_tx):
         ids, sources = by_tx[digest, t]
@@ -198,7 +201,8 @@ def _finalize_witnesses(found, max_witnesses):
             if take <= 0:
                 return tuple(emitted)
             neg_gain, v, rec, dev = row
-            for p in sorted(chain.from_iterable(sources[row]))[:take]:
+            tuples = chain.from_iterable(sources[row])
+            for p in sorted(chain.from_iterable(starmap(product, tuples)))[:take]:
                 cell = cells.get(p)
                 if cell is None:
                     cell = cells[p] = tuple(zip(ids, p))
@@ -272,14 +276,20 @@ def _detect_cycle(edges):
     return None
 
 
-def _class_memo(mech, scenario, ids, points, classify):
-    """Each listed user's grid bids mapped to their classes, and an empty
-    memo for results keyed on the tuple of those classes, or None when no
-    memo can pay: every map is injective, so every bid profile is its own
-    key."""
-    maps = [{b: classify(mech, scenario.tx(t), b) for b in points} for t in ids]
-    repeats = any(len(set(m.values())) < len(m) for m in maps)
-    return maps, {} if repeats else None
+def _class_tuples(mech, scenario, ids, points, classify):
+    """(classes, bid lists) once per class tuple of the users ids on the
+    grid points: each user's bids grouped by classify(mech, tx, bid), each
+    group an ascending list, the groups ordered by their smallest bid.  So
+    the tuples come in the order of their first raw profile in product
+    order, and a tuple stands for the product of its lists."""
+    groups = []
+    for t in ids:
+        tx = scenario.tx(t)
+        by_class = {}
+        for b in points:
+            by_class.setdefault(classify(mech, tx, b), []).append(b)
+        groups.append(by_class)
+    return zip(product(*groups), product(*map(dict.values, groups)))
 
 
 def audit_bpic(
@@ -297,28 +307,26 @@ def audit_bpic(
     the tie-breaking between surplus-tied blocks must be explainable by some
     fixed order on blocks (checked as acyclicity of observed preferences).
 
-    Cost: one block pass per prefix, O(1) per cell.  The producer's argmax
-    reads a cell only through its fee classes (mechanisms.fee_class), the
-    last user's only as a contribution added to the blocks that hold it.
-    So one split_pass on the last user per prefix (the classes of the users
-    before it) and eligibility of the last user, solved at the first cell
-    that reaches it, gives the argmax of every grid bid of the last user by
-    fold_split; errors are raised at the cell, and with the message, of a
-    per-cell pass.  A last user with fewer than two eligible classes is not
-    split off: one unsplit pass per class tuple is as few, and fold_split
-    at class None (no split, or an ineligible last user) reads the blocks
-    lacking the last user, the one entry of an unsplit pass.  fpa's
-    revenue_max recommendation is read the same way off one unvalued split
-    pass.  The consonant rule (which the trivial preset always uses)
-    recommends the argmax, so a repeated class tuple adds no tie edge and
-    no witness; the memo is skipped when every class map is injective on
-    the grid.  The standard rules add one recommended_block call per cell,
-    which the scenario answers from its memo of one allocation per clearing
-    set, and add tie edges only for a recommendation that is new among its
-    class tuple's ties.  The witness cells of one row share one outcome of
-    the witness collector (_Found), which builds only the emitted
-    Witnesses.  A negative max_witnesses raises ValueError before any cell
-    is swept.
+    Cost: one block pass per prefix, O(1) per class tuple.  Every rule and
+    the producer's argmax read a cell only through its fee classes
+    (mechanisms.fee_class; the standard rules only as clearing the
+    reserve), so each class tuple (_class_tuples) is settled once, at its
+    first raw cell, for all its cells.  The last user's class enters the
+    argmax only as a contribution added to the blocks that hold it, so one
+    split_pass on the last user per prefix (the classes of the users
+    before it) and eligibility of the last user gives the argmax at every
+    class of the last user by fold_split.  A pass is solved at the first
+    cell that reaches it, so errors are raised at the cell, and with the
+    message, of a per-cell pass.  A last user with fewer than two eligible
+    classes is not split off: one unsplit pass per class tuple is as few,
+    and fold_split at class None (no split, or an ineligible last user)
+    reads the blocks lacking the last user.  fpa's revenue_max
+    recommendation is read off one unvalued split pass the same way; the
+    standard rules make one recommended_block call per class tuple, which
+    the scenario answers from its memo of one allocation per clearing set.
+    A witness tuple gets one row per bid of the witness transaction's
+    class, with that user's list narrowed to the bid (_Found).  A negative
+    max_witnesses raises ValueError before any cell is swept.
     """
     _check_max_witnesses(max_witnesses)
     budget = resolve_budget(budget)
@@ -333,48 +341,33 @@ def audit_bpic(
     for scenario in scenarios:
         digest = scenario_digest(scenario)
         ids = scenario.ids()
-        maps, memo = _class_memo(mech, scenario, ids, points, fee_class)
         # a last user with fewer than two eligible classes gets one pass
         # per class either way, so it is not split off
-        split = ids[-1:] if maps and len(set(maps[-1].values()) - {None}) >= 2 else ()
+        last = {fee_class(mech, scenario.tx(t), b) for t in ids[-1:] for b in points}
+        split = ids[-1:] if len(last - {None}) >= 2 else ()
         # (prefix, last user eligible) -> the producer's split_pass
         # entries, then revenue_max's unvalued ones
         passes = {}
         witness_rows = {}  # (tx, gain, bid) -> the one-row outcome its cells share
         edges = {}
-        for combo in product(points, repeat=len(ids)):
-            cells += 1
-            key = tuple(map(getitem, maps, combo))
-            entry = None
-            if memo is not None:
-                entry = memo.get(key)
-                if entry is not None and valued:
-                    continue  # its argmax is the recommendation, edges added
-            bids = dict(zip(ids, combo))
+        for key, lists in _class_tuples(mech, scenario, ids, points, fee_class):
+            cells += prod(map(len, lists))
+            bids = dict(zip(ids, map(itemgetter(0), lists)))
             prefix, c = (key[:-1], key[-1]) if split else (key, None)
-            if entry is None or valued is False:
-                solved = passes.get((prefix, c is not None))
-                if solved is None:
-                    solved = passes[prefix, c is not None] = [
-                        split_pass(bids, scenario, mech, split, valued=v, budget=budget)
-                        for v in ((True, False) if valued is False else (True,))
-                    ]
-                producer, revenue = solved[0], solved[-1]
-            if entry is None:
-                entry = fold_split(producer, c), set()
-                if memo is not None:
-                    memo[key] = entry
-            (best_score, best, tied, _), settled = entry
+            solved = passes.get((prefix, c is not None))
+            if solved is None:
+                solved = passes[prefix, c is not None] = [
+                    split_pass(bids, scenario, mech, split, valued=v, budget=budget)
+                    for v in ((True, False) if valued is False else (True,))
+                ]
+            best_score, best, tied, _ = fold_split(solved[0], c)
             if valued:
                 rec = best
             elif valued is False:
-                rec = fold_split(revenue, c)[1]
+                rec = fold_split(solved[-1], c)[1]
             else:
                 rec = recommended_block(mech, bids, scenario, budget=budget)
-            if settled and rec in settled:
-                continue  # already found among this key's ties, edges added
-            if any(rec == b for b in tied):
-                settled.add(rec)
+            if rec in tied:
                 for b in tied:
                     if b != rec:
                         edges.setdefault(rec, set()).add(b)
@@ -384,12 +377,11 @@ def audit_bpic(
                 set(rec.txs) - set(best.txs)
             )
             tx_id = diff[0] if diff else (best.txs or rec.txs)[0]
-            bid = bids[tx_id]
-            rows = witness_rows.get((tx_id, gain, bid))
-            if rows is None:
-                row = -gain, scenario.tx(tx_id).valuation, bid, bid
-                rows = witness_rows[tx_id, gain, bid] = [row]
-            found.add(digest, tx_id, ids, rows, combo)
+            i = ids.index(tx_id)
+            v = scenario.tx(tx_id).valuation
+            for bid in lists[i]:
+                rows = witness_rows.setdefault((tx_id, gain, bid), [(-gain, v, bid, bid)])
+                found.add(digest, tx_id, ids, rows, (*lists[:i], (bid,), *lists[i + 1 :]))
         cycle = _detect_cycle(edges)
         if cycle is not None:
             conflicts.append(TieConflict(digest, tuple(b.txs for b in cycle)))
@@ -529,30 +521,29 @@ def _scan(strategy, tx, points, dev, look, bound=None):
 def _sweep(
     mech, strategy, scenarios, grid, budget, profile_samples, sampling_seed, bound_of=None
 ):
-    """Yield (position, digest, tx, others, profile, outcome) once per
-    other-bid profile of every transaction of every scenario, in input
-    order.
+    """Yield (position, digest, tx, others, lists, outcome) once per class
+    tuple of the other users' bids of every transaction of every scenario,
+    in input order.
 
     position is the scenario's index in `scenarios`, which keeps a repeated
-    scenario apart from its copy; profile holds the bids of the other users
-    `others`, in that order.  outcome is the _scan of the profile's
-    deviation table, bounded by bound_of(position, tx) when bound_of is
-    given.
+    scenario apart from its copy; lists holds the bid lists of the other
+    users `others`, in that order, and stands for every profile in their
+    product.  outcome is the _scan of the tuple's deviation table, bounded
+    by bound_of(position, tx) when bound_of is given.
 
     Cost: the table reads the other users' bids only through their
-    classes (_DeviationTables.classify), so profiles with one class tuple
-    share one outcome; the memo is skipped when every other user's classes
-    are distinct bids.  A new class tuple reduces its table to its cut
-    (_DeviationTables.cut): one split pass per (prefix, side) under an
-    argmax allocation, one recommended_block call per side under a standard
-    one.  Tuples with one cut share one table, so _scan runs once per
-    distinct cut of a (position, tx).
+    classes (_DeviationTables.classify), so an exhaustive sweep walks each
+    class tuple once (_class_tuples) and reduces its table to its cut
+    (_DeviationTables.cut) at the tuple's first raw profile: one split pass
+    per (prefix, side) under an argmax allocation, one recommended_block
+    call per side under a standard one.  Tuples with one cut share one
+    table, so _scan runs once per distinct cut of a (position, tx).
 
-    Exhaustive sweeps walk the profiles in product order.  Sampled sweeps
-    draw profile_samples profiles per transaction with replacement from a
-    seeded stream and audit each distinct one once.  A sample count below
-    1, an oversized exhaustive profile space and a standard eip1559 cell,
-    the strategy's own bids included, with an excessively low base fee are
+    Sampled sweeps draw profile_samples profiles per transaction with
+    replacement from a seeded stream and audit each distinct one once, in
+    draw order, as a tuple of one-bid lists.  A sample count below 1, an
+    oversized exhaustive profile space and a standard eip1559 cell, the
+    strategy's own bids included, with an excessively low base fee are
     refused before any scenario is swept.
     """
     sampled = profile_samples is not None
@@ -573,34 +564,34 @@ def _sweep(
             tx = scenario.tx(t)
             strategy_bids = [strategy_bid(strategy, v, tx) for v in points]
             tables = _DeviationTables(mech, scenario, tx, points, strategy_bids, budget)
-            others = tables.others
-            maps, memo = _class_memo(mech, scenario, others, points, tables.classify)
-            settled = {}
+            others, classify = tables.others, tables.classify
             if sampled:
                 rng = random.Random(f"{sampling_seed}:{digest}:{t}")
                 drawn = [
                     tuple(rng.choice(points) for _ in others)
                     for _ in range(profile_samples)
                 ]
-                profiles = dict.fromkeys(drawn)
+                tuples = [
+                    (
+                        tuple(classify(mech, scenario.tx(i), b) for i, b in zip(others, p)),
+                        tuple((b,) for b in p),
+                    )
+                    for p in dict.fromkeys(drawn)
+                ]
             else:
-                profiles = product(points, repeat=len(others))
-            for profile in profiles:
-                key = tuple(map(getitem, maps, profile))
-                outcome = None if memo is None else memo.get(key)
+                tuples = _class_tuples(mech, scenario, others, points, classify)
+            settled = {}  # cut -> outcome
+            for key, lists in tuples:
+                cut = tables.cut(tuple(map(itemgetter(0), lists)), key)
+                outcome = settled.get(cut)
                 if outcome is None:
-                    cut = tables.cut(profile, key)
-                    outcome = settled.get(cut)
-                    if outcome is None:
-                        table = tables.table(cut)
-                        dev = [(b, table[b]) for b in points]
-                        bound = None if bound_of is None else bound_of(pos, tx)
-                        outcome = settled[cut] = _scan(
-                            strategy, tx, points, dev, table.__getitem__, bound
-                        )
-                    if memo is not None:
-                        memo[key] = outcome
-                yield pos, digest, tx, others, profile, outcome
+                    table = tables.table(cut)
+                    dev = [(b, table[b]) for b in points]
+                    bound = None if bound_of is None else bound_of(pos, tx)
+                    outcome = settled[cut] = _scan(
+                        strategy, tx, points, dev, table.__getitem__, bound
+                    )
+                yield pos, digest, tx, others, lists, outcome
 
 
 def audit_dsic(
@@ -621,12 +612,13 @@ def audit_dsic(
     every grid deviation, with the producer following the allocation rule
     throughout.  Zero-gain deviations are not violations.
 
-    Cost model (see _sweep): one block pass per (prefix, side) under an
-    argmax allocation, one allocation per (class tuple, side) under a
-    standard one, and one unbounded _scan per distinct cut.  Each distinct
-    cut's witness rows are kept once with the raw profiles that reach it
-    (_Found), and only the emitted Witnesses are built.  Sampled profiles
-    are drawn with replacement and repeats are audited once.  A
+    Cost model (see _sweep): one class tuple walk, with one block pass per
+    (prefix, side) under an argmax allocation, one allocation per (class
+    tuple, side) under a standard one, and one unbounded _scan per distinct
+    cut.  A tuple adds the cells of every raw profile it stands for, and
+    each distinct cut's witness rows are kept once with the tuples that
+    reach it (_Found); only the emitted Witnesses are built.  Sampled
+    profiles are drawn with replacement and repeats are audited once.  A
     profile_samples below 1 or a negative max_witnesses raises ValueError
     before any profile is swept.
     """
@@ -635,12 +627,12 @@ def audit_dsic(
     sampled = profile_samples is not None
     found = _Found()
     cells = 0
-    for _, digest, tx, others, profile, (rows, *_) in _sweep(
+    for _, digest, tx, others, lists, (rows, *_) in _sweep(
         mech, strategy, scenarios, grid, budget, profile_samples, sampling_seed
     ):
-        cells += len(points)
+        cells += len(points) * prod(map(len, lists))
         if rows:
-            found.add(digest, tx.tx_id, others, rows, profile)
+            found.add(digest, tx.tx_id, others, rows, lists)
 
     max_regret = found.max_gain()
     return AuditReport(
@@ -679,8 +671,9 @@ def audit_approx_dsic_bound(
     transaction) in input order, a repeated scenario included.
 
     Cost model: as audit_dsic's, each _scan bounded by the transaction's
-    marginal value; every raw profile with a cut adds its scan's counts,
-    and the rows are kept once with the profiles that reach them (_Found).
+    marginal value; each class tuple adds its scan's counts once per raw
+    profile it stands for, and the rows are kept once with the tuples that
+    reach them (_Found).
     A negative max_witnesses raises ValueError before any profile is swept.
     """
     _check_max_witnesses(max_witnesses)
@@ -720,15 +713,16 @@ def audit_approx_dsic_bound(
     sweep = _sweep(
         mech, strategy, scenarios, grid, budget, profile_samples, sampling_seed, bound_of
     )
-    for (pos, t), profiles in groupby(sweep, key=lambda p: (p[0], p[2].tx_id)):
+    for (pos, t), tuples in groupby(sweep, key=lambda p: (p[0], p[2].tx_id)):
         tx_regret = overbid = below = 0
-        for _, digest, _, others, profile, (rows, n_over, n_below, regret) in profiles:
-            cells += len(points)
-            overbid += n_over
-            below += n_below
+        for _, digest, _, others, lists, (rows, n_over, n_below, regret) in tuples:
+            count = prod(map(len, lists))
+            cells += len(points) * count
+            overbid += n_over * count
+            below += n_below * count
             tx_regret = max(tx_regret, regret)
             if rows:
-                found.add(digest, t, others, rows, profile)
+                found.add(digest, t, others, rows, lists)
         nu = nus[pos, t]
         bound_checks.append(
             BoundCheck(

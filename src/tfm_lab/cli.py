@@ -98,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--grid-max", type=int)
     audit.add_argument("--samples", type=int, help="sample this many bid profiles per user instead of sweeping all")
     audit.add_argument("--seed", type=int, default=0, help="sampling seed for --samples")
-    audit.add_argument("--strategy", default="truthful", help="truthful, capped, or offset:D")
+    audit.add_argument("--strategy", help="truthful (default), capped, or offset:D")
     audit.add_argument("--max-witnesses", type=int, default=1000)
     audit.add_argument("--timings", action="store_true", help="record wall time in the report")
 
@@ -145,8 +145,8 @@ def _mech_from_flags(args) -> Mechanism | None:
         raise CliUsageError(str(exc)) from None
 
 
-def _strategy_from_spec(spec: str, mech: Mechanism):
-    if spec == "truthful":
+def _strategy_from_spec(spec: str | None, mech: Mechanism):
+    if spec is None or spec == "truthful":
         return Truthful()
     if spec == "capped":
         if mech.base_fee is None:
@@ -220,6 +220,10 @@ def _emit(text: str, out: Path | None):
 
 
 def _cmd_audit(args) -> int:
+    ignored = {"bpic": ("samples", "strategy"), "approx-dsic": ("strategy",)}
+    for flag in ignored.get(args.kind, ()):
+        if getattr(args, flag) is not None:
+            raise CliUsageError(f"--{flag} does not apply to audit {args.kind}")
     if args.kind == "welfare":
         return _cmd_welfare(args)
     if args.samples is not None and args.samples < 1:

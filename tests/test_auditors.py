@@ -622,14 +622,34 @@ class TestCut:
             assert seen.setdefault(cut, table) == table
 
 
+class TestScan:
+    """The bounds of the shared deviation scan are strict."""
+
+    def test_bound_boundaries(self):
+        # valuation 5, truthful bid 5 at payment 5 (utility 0); deviating to
+        # 4 pays 3 (gain 2) and to 3 pays 4 (gain 1)
+        table = {5: (True, 5), 4: (True, 3), 3: (True, 4)}
+        dev = [(3, table[3]), (4, table[4])]
+        tx = Transaction(0, 1, 5)
+
+        def scan(bound):
+            return auditors._scan(Truthful(), tx, (5,), dev, table.__getitem__, bound)
+
+        # a best gain of exactly the bound is within it, and a deviation
+        # exactly the bound below the strategy bid is not below range
+        assert scan(2) == ([], 0, 0, 2)
+        # one less and both are violations
+        assert scan(1) == ([(-1, 5, 5, 3), (-2, 5, 5, 4)], 0, 1, 2)
+
+
 def found_of(rows):
     """A witness collector holding each sort-key row (digest, tx_id, -gain,
     valuation, recommended_bid, deviation_bid, cell_bids) as an outcome of
-    its own.  Every cell's ids are a prefix of (0, 2), which zip cuts to
-    the cell's length."""
+    its own, reached by the cell's bids as one-bid lists.  Every cell's ids
+    are a prefix of (0, 2), which zip cuts to the cell's length."""
     found = auditors._Found()
     for d, t, neg, v, rec, dev, cell in rows:
-        found.add(d, t, (0, 2), [(neg, v, rec, dev)], tuple(b for _, b in cell))
+        found.add(d, t, (0, 2), [(neg, v, rec, dev)], tuple((b,) for _, b in cell))
     return found
 
 
@@ -638,10 +658,13 @@ def collector_feeds(draw):
     """Passes of a sweep over (digest, tx) pairs, fed to a witness
     collector as the audits feed it: each pass settles a few outcomes whose
     rows come from a small pool (so rows repeat within an outcome and
-    across outcomes) and sends each profile it visits to one of them.  A
-    pair can be swept twice, as a repeated scenario is, and a pass visits
-    its profiles in product order or, as a sampled sweep does, in draw
-    order.  Returns the passes as (digest, tx, ids, [(rows, profile)])."""
+    across outcomes) and sends each class tuple it visits, as its users'
+    bid lists, to one of them.  A pair can be swept twice, as a repeated
+    scenario is.  A pass either walks class tuples in product order, each
+    user's bids 0..2 grouped into ascending lists by a drawn class map (so
+    a list holds one to three bids), or, as a sampled sweep does, visits
+    raw profiles as one-bid lists in draw order.  Returns the passes as
+    (digest, tx, ids, [(rows, lists)])."""
     pool = draw(st.lists(
         st.tuples(st.integers(-3, -1), st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
         min_size=1, max_size=4,
@@ -650,11 +673,19 @@ def collector_feeds(draw):
     for digest, t in draw(st.lists(st.sampled_from([("a" * 64, 0), ("a" * 64, 1), ("b" * 64, 0)]), max_size=4)):
         ids = tuple(i for i in range(3) if i != t)
         outcomes = draw(st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=3), min_size=1, max_size=3))
-        profiles = list(product(range(3), repeat=len(ids)))
         if draw(st.booleans()):
-            profiles = draw(st.permutations(profiles))
-        profiles = profiles[:draw(st.integers(0, len(profiles)))]
-        feeds = [(outcomes[draw(st.integers(0, len(outcomes) - 1))], p) for p in profiles]
+            groups = []
+            for _ in ids:
+                by_class = {}
+                for b in range(3):
+                    by_class.setdefault(draw(st.integers(0, 2)), []).append(b)
+                groups.append(list(by_class.values()))
+            tuples = list(product(*groups))
+        else:
+            profiles = draw(st.permutations(list(product(range(3), repeat=len(ids)))))
+            tuples = [tuple((b,) for b in p) for p in profiles]
+        tuples = tuples[:draw(st.integers(0, len(tuples)))]
+        feeds = [(outcomes[draw(st.integers(0, len(outcomes) - 1))], lists) for lists in tuples]
         passes.append((digest, t, ids, feeds))
     return passes
 
@@ -669,10 +700,11 @@ class TestFinalizeWitnesses:
         found = auditors._Found()
         expanded = []
         for digest, t, ids, feeds in passes:
-            for rows, profile in feeds:
-                found.add(digest, t, ids, rows, profile)
-                cell = tuple(zip(ids, profile))
-                expanded += [Witness(digest, t, v, rec, dev, -neg, cell) for neg, v, rec, dev in rows]
+            for rows, lists in feeds:
+                found.add(digest, t, ids, rows, lists)
+                for profile in product(*lists):
+                    cell = tuple(zip(ids, profile))
+                    expanded += [Witness(digest, t, v, rec, dev, -neg, cell) for neg, v, rec, dev in rows]
         assert len(found) == len(expanded)
         assert found.max_gain() == max((w.utility_gain for w in expanded), default=0)
         want = sorted(expanded, key=witness_sort_key)
@@ -686,9 +718,9 @@ class TestFinalizeWitnesses:
         r, s = (-2, 1, 1, 0), (-1, 1, 1, 2)
         first, second = [r, s, r], [r]
         found = auditors._Found()
-        found.add("a" * 64, 0, (1, 2), first, (2, 0))
-        found.add("a" * 64, 0, (1, 2), second, (2, 0))
-        found.add("a" * 64, 0, (1, 2), second, (0, 1))
+        found.add("a" * 64, 0, (1, 2), first, ((2,), (0,)))
+        found.add("a" * 64, 0, (1, 2), second, ((2,), (0,)))
+        found.add("a" * 64, 0, (1, 2), second, ((0,), (1,)))
         assert len(found) == 5
         got = auditors._finalize_witnesses(found, 4)
         assert [(w.utility_gain, w.deviation_bid, w.cell_bids) for w in got] == [
@@ -892,10 +924,12 @@ def ordered_bpic_cases(draw):
 
 
 def rotating_rule(mech, bids, sc, *, budget=None):
-    """Names a different surplus-tied block from cell to cell, which no
-    fixed order on blocks explains."""
+    """Names a different surplus-tied block from one count of bids that
+    clear the reserve to the next, which no fixed order on blocks explains.
+    Like a standard rule, it reads the bids only as clearing the reserve."""
     ((_, _, tied, _),) = split_pass(bids, sc, mech, valued=True, budget=budget)
-    return tied[sum(bids.values()) % len(tied)]
+    clearing = sum(bid >= mech.reserve(sc.tx(t)) for t, bid in bids.items())
+    return tied[(clearing + 2) % len(tied)]
 
 
 class TestBpicAgainstCells:
@@ -937,7 +971,7 @@ class TestBpicAgainstCells:
         # no shipped rule orders its ties inconsistently, so a rule that
         # rotates among the tied blocks stands in for one
         sc = scenario([(1, 0, 0), (1, 0, 0)])
-        mech = Mechanism.tipless(0)
+        mech = Mechanism.tipless(1)
         monkeypatch.setattr(auditors, "recommended_block", rotating_rule)
         want = oracle_bpic(mech, [sc], GRID, rule=rotating_rule)
         assert want.tie_conflicts

@@ -98,6 +98,28 @@ class TestExitCodes:
         assert code == 2
         assert "unknown strategy" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bpic", "--samples", "2"),
+            ("approx-dsic", "--strategy", "offset:5"),
+            ("bpic", "--strategy", "bogus"),
+        ],
+        ids=lambda a: " ".join(a),
+    )
+    def test_usage_error_for_a_flag_the_kind_ignores(self, tmp_path, capsys, argv):
+        path = gen_file(tmp_path, capsys, "s.json")
+        kind, flag, value = argv
+        code, out, err = run(
+            capsys,
+            "audit", kind, str(path),
+            "--mech", "tipless", "--base-fee", "2", "--allocation", "consonant",
+            "--grid-max", "3", flag, value,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag} does not apply to audit {kind}\n"
+
     def test_usage_error_for_missing_file(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "audit", "dsic", str(tmp_path / "nope.json"), "--mech", "fpa"
