@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, groupby, product, starmap
+from itertools import chain, compress, groupby, product, starmap
 from math import prod
 from operator import itemgetter
 from typing import Mapping, NamedTuple, Sequence
@@ -23,6 +23,7 @@ from .mechanisms import (
     CappedAtReserve,
     Eligibility,
     Mechanism,
+    NoEligibleBlockError,
     UnsupportedInstanceError,
     _clearing_set,
     apply_strategy,
@@ -34,6 +35,7 @@ from .mechanisms import (
     own_payment,
     payment,
     recommended_block,
+    standard_block,
     strategy_bid,
 )
 from .scenario_io import GridSpec as Grid
@@ -321,12 +323,13 @@ def audit_bpic(
     classes is not split off: one unsplit pass per class tuple is as few,
     and fold_split at class None (no split, or an ineligible last user)
     reads the blocks lacking the last user.  fpa's revenue_max
-    recommendation is read off one unvalued split pass the same way; the
-    standard rules make one recommended_block call per class tuple, which
-    the scenario answers from its memo of one allocation per clearing set.
-    A witness tuple gets one row per bid of the witness transaction's
-    class, with that user's list narrowed to the bid (_Found).  A negative
-    max_witnesses raises ValueError before any cell is swept.
+    recommendation is read off one unvalued split pass the same way; a
+    standard rule reads only the clearing set, which the class tuple fixes,
+    so each tuple makes one standard_block call, answered from the memo of
+    one block per clearing set.  A witness tuple gets one row per bid of the
+    witness transaction's class, with that user's list narrowed to the bid
+    (_Found).  A negative max_witnesses raises ValueError before any cell
+    is swept.
     """
     _check_max_witnesses(max_witnesses)
     budget = resolve_budget(budget)
@@ -366,7 +369,11 @@ def audit_bpic(
             elif valued is False:
                 rec = fold_split(solved[-1], c)[1]
             else:
-                rec = recommended_block(mech, bids, scenario, budget=budget)
+                # a contribution is >= 0 exactly when the bid clears
+                clearing = frozenset(t for t, k in zip(ids, key) if k is not None and k >= 0)
+                rec = standard_block(mech, clearing, scenario, budget=budget)
+                if rec is None:
+                    raise NoEligibleBlockError(bids)
             if rec in tied:
                 for b in tied:
                     if b != rec:
@@ -413,11 +420,11 @@ class _DeviationTables:
     recommendation only through whether it clears the reserve (its side)
     and, under an argmax allocation, through its contribution, so one cut
     per side fixes the table (see solver.cut_includes).  A standard cut is
-    the inclusion flag of one recommended_block call, which reads the other
-    bids only as clearing the reserve (classify is _clears).  An argmax cut
-    is a solver.split_cut, which reads them only through their fee classes
-    (classify is mechanisms.fee_class), the last user's too as a
-    contribution: one split_pass on (this transaction, last other user)
+    the inclusion flag of one standard_block call on the side's clearing
+    set, which the other users' classes fix (classify is _clears).  An
+    argmax cut is a solver.split_cut, which reads them only through their
+    fee classes (classify is mechanisms.fee_class), the last user's too as
+    a contribution: one split_pass on (this transaction, last other user)
     per (class tuple of the users before it, side, last user eligible)
     settles every class of the last user by fold_split.  Each pass is
     solved when a cut first needs it, at that profile and the side's first
@@ -438,6 +445,8 @@ class _DeviationTables:
         for b, side in looked_up.items():
             first_bids.setdefault(side, b)
         self.sides = tuple(first_bids.values())
+        # each side's own part of a standard cut's clearing set
+        self.own = [frozenset((tx.tx_id,) if side else ()) for side in first_bids]
         at = {side: i for i, side in enumerate(first_bids)}
         # (bid, index of its side's cut, contribution, own payment)
         self.spots = [
@@ -454,10 +463,11 @@ class _DeviationTables:
         mech, scenario, tx = self.mech, self.scenario, self.tx
         cuts = []
         if self.valued is None:
-            bids = dict(zip(self.others, profile))
-            for bid in self.sides:
-                bids[tx.tx_id] = bid
-                block = recommended_block(mech, bids, scenario, budget=self.budget)
+            others = frozenset(compress(self.others, classes))
+            for bid, own in zip(self.sides, self.own):
+                block = standard_block(mech, others | own, scenario, budget=self.budget)
+                if block is None:
+                    raise NoEligibleBlockError({**dict(zip(self.others, profile)), tx.tx_id: bid})
                 cuts.append(tx.tx_id in block)
             return tuple(cuts)
         prefix, c = (classes[:-1], classes[-1]) if classes else ((), None)
@@ -535,7 +545,7 @@ def _sweep(
     classes (_DeviationTables.classify), so an exhaustive sweep walks each
     class tuple once (_class_tuples) and reduces its table to its cut
     (_DeviationTables.cut) at the tuple's first raw profile: one split pass
-    per (prefix, side) under an argmax allocation, one recommended_block
+    per (prefix, side) under an argmax allocation, one standard_block
     call per side under a standard one.  Tuples with one cut share one
     table, so _scan runs once per distinct cut of a (position, tx).
 

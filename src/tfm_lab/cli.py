@@ -97,10 +97,13 @@ def _build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--grid-step", type=int)
     audit.add_argument("--grid-max", type=int)
     audit.add_argument("--samples", type=int, help="sample this many bid profiles per user instead of sweeping all")
-    audit.add_argument("--seed", type=int, default=0, help="sampling seed for --samples")
+    # None marks an unset flag, so that a kind can refuse one it ignores
+    audit.add_argument("--seed", type=int, help="sampling seed for --samples (default 0)")
     audit.add_argument("--strategy", help="truthful (default), capped, or offset:D")
-    audit.add_argument("--max-witnesses", type=int, default=1000)
-    audit.add_argument("--timings", action="store_true", help="record wall time in the report")
+    audit.add_argument("--max-witnesses", type=int, help="most witnesses to report (default 1000)")
+    audit.add_argument(
+        "--timings", action="store_true", default=None, help="record wall time in the report"
+    )
 
     welfare = sub.add_parser("welfare", help="compare recommended and optimal welfare")
     welfare.add_argument("files", nargs="+", type=Path)
@@ -220,16 +223,24 @@ def _emit(text: str, out: Path | None):
 
 
 def _cmd_audit(args) -> int:
-    ignored = {"bpic": ("samples", "strategy"), "approx-dsic": ("strategy",)}
+    ignored = {
+        "bpic": ("samples", "seed", "strategy"),
+        "approx-dsic": ("strategy",),
+        "welfare": ("samples", "seed", "grid_step", "grid_max", "max_witnesses", "timings"),
+    }
     for flag in ignored.get(args.kind, ()):
         if getattr(args, flag) is not None:
-            raise CliUsageError(f"--{flag} does not apply to audit {args.kind}")
+            raise CliUsageError(f"--{flag.replace('_', '-')} does not apply to audit {args.kind}")
+    if args.seed is not None and args.samples is None:
+        raise CliUsageError("--seed applies only with --samples")
     if args.kind == "welfare":
         return _cmd_welfare(args)
     if args.samples is not None and args.samples < 1:
         raise CliUsageError(f"--samples must be >= 1, got {args.samples}")
-    if args.max_witnesses < 0:
-        raise CliUsageError(f"--max-witnesses must be >= 0, got {args.max_witnesses}")
+    seed = 0 if args.seed is None else args.seed
+    max_witnesses = 1000 if args.max_witnesses is None else args.max_witnesses
+    if max_witnesses < 0:
+        raise CliUsageError(f"--max-witnesses must be >= 0, got {max_witnesses}")
     docs = _load_docs(args.files)
     started = time.monotonic()
     parts = []
@@ -246,8 +257,8 @@ def _cmd_audit(args) -> int:
                 grid,
                 budget=args.budget,
                 profile_samples=args.samples,
-                sampling_seed=args.seed,
-                max_witnesses=args.max_witnesses,
+                sampling_seed=seed,
+                max_witnesses=max_witnesses,
             )
         elif args.kind == "bpic":
             report = audit_bpic(
@@ -255,7 +266,7 @@ def _cmd_audit(args) -> int:
                 scenarios,
                 grid,
                 budget=args.budget,
-                max_witnesses=args.max_witnesses,
+                max_witnesses=max_witnesses,
             )
         else:
             report = audit_approx_dsic_bound(
@@ -264,11 +275,11 @@ def _cmd_audit(args) -> int:
                 grid,
                 budget=args.budget,
                 profile_samples=args.samples,
-                sampling_seed=args.seed,
-                max_witnesses=args.max_witnesses,
+                sampling_seed=seed,
+                max_witnesses=max_witnesses,
             )
         parts.append(report)
-    merged = _merge_audit_reports(parts, args.max_witnesses)
+    merged = _merge_audit_reports(parts, max_witnesses)
     wall = int((time.monotonic() - started) * 1000) if args.timings else 0
     _emit(render_audit_report(merged, wall_time_ms=wall), args.out)
     return PASS_EXIT if merged.verdict == "PASS" else FAIL_EXIT

@@ -228,8 +228,8 @@ class Scenario:
     eligibility filter (solver.enumerate_blocks), their producer values
     grouped by member set (the solver's plans), the lowest and highest
     producer value over its feasible blocks (solver.value_range), its
-    standard-rule blocks per clearing set and its argmax blocks per bid
-    vector (mechanisms.recommended_block) and its digest
+    standard-rule blocks per mechanism, budget and clearing set
+    (mechanisms.standard_block, the only allocation memo) and its digest
     (scenario_io.scenario_digest).  with_valuation worlds share the first
     and recompute the others."""
 
@@ -266,9 +266,9 @@ class Scenario:
 
         Only __post_init__'s valuation check reads the valuation, so it is
         made here and the new world skips __post_init__: it shares this
-        one's transactions, id map and enumeration cache; its plans, value
-        range, rule memo and digest hold or cover producer values, so they
-        start empty.
+        one's transactions, id map and enumeration cache.  Its plans, value
+        range and digest hold or cover producer values, and its rule memo
+        is kept per world too, so they start empty.
         """
         _check_valuation(valuation)
         world = object.__new__(type(self))

@@ -22,6 +22,7 @@ from .core import (
     Scenario,
     Transaction,
     UnknownTransactionError,
+    _check_int,
 )
 
 FPA = "fpa"
@@ -50,8 +51,8 @@ class Rule:
     pay          pay(bid, reserve), the charge of an included transaction
     base_fee     whether the preset takes a base fee, and so has reserves
     allocations  the allocations it supports, its default first
-    standard     standard(mech, bids, scenario, budget), the block its
-                 standard allocation names, or None when it has none
+    standard     standard(mech, clearing, scenario, budget), its standard
+                 block at the clearing ids, or None when none is eligible
     """
 
     pay: Callable[[Money, Money], Money]
@@ -253,8 +254,8 @@ def is_base_fee_excessively_low(
         raise UnsupportedInstanceError(
             "excessively-low test needs a knapsack blockset with a size cap"
         )
-    clearing = _clearing(base_fee, bids, _candidates(scenario))
-    return sum(tx.size for tx in clearing) > scenario.blockset.max_total_size
+    clearing = _clearing_ids(base_fee, bids, _candidates(scenario))
+    return sum(scenario.tx(t).size for t in clearing) > scenario.blockset.max_total_size
 
 
 def _candidates(scenario):
@@ -263,9 +264,10 @@ def _candidates(scenario):
     return [scenario.tx(t) for t in (ids if ids is not None else scenario.ids())]
 
 
-def _clearing(base_fee, bids, txs):
-    """The transactions among txs whose bids clear base fee times size."""
-    return [tx for tx in txs if _require_bid(bids, tx.tx_id) >= base_fee * tx.size]
+def _clearing_ids(base_fee, bids, txs):
+    """The frozenset of ids among txs whose bids clear base fee times size,
+    each bid checked (_require_bid) in the order of txs."""
+    return frozenset(t.tx_id for t in txs if _require_bid(bids, t.tx_id) >= base_fee * t.size)
 
 
 def recommended_block(
@@ -277,79 +279,68 @@ def recommended_block(
 ) -> Block:
     """The block the mechanism's allocation rule tells the producer to build.
 
-    Raises NoEligibleBlockError when the rule has no block to name.
-
-    Memoized on the scenario per mechanism, budget and what the rule reads
-    of the bids.  Both standard rules read them only as clearing the
-    reserve (see _clearing), so a scenario has at most 2^n standard blocks
-    per mechanism and budget, keyed by the clearing ids.  An argmax
-    allocation is keyed by the whole bid vector, so calls that repeat one
-    (the two zero-bid constructions of one mechanism) share one scoring
-    pass.  Only blocks are stored, so an error is raised again by every
-    call that meets it.  Bids with a missing or invalid entry, and a budget
-    of None (read from the environment at each call), go to the rule
-    unmemoized, so the rule raises its own errors in its own order.
+    Checks every bid once, in transaction order, as split_pass does, so
+    every allocation raises one error for one bid vector.  An argmax
+    allocation is the best block of one split_pass; a standard rule reads
+    only the clearing ids (standard_block).  Raises NoEligibleBlockError
+    when the rule has no block to name.
     """
     valued = argmax_valued(mech)
-    rule = RULES[mech.preset].standard if valued is None else _argmax_block
-    if budget is None:
-        return rule(mech, bids, scenario, budget)
-    try:
-        if valued is None:
-            read = tuple(tx.tx_id for tx in _clearing(mech.base_fee, bids, scenario.transactions))
-        else:
-            read = tuple(_require_bid(bids, tx.tx_id) for tx in scenario.transactions)
-    except (LookupError, ValueError):
-        return rule(mech, bids, scenario, budget)
-    key = mech, budget, read
-    block = scenario._rule_cache.get(key)
+    if valued is not None:
+        from . import solver
+
+        return solver.split_pass(bids, scenario, mech, valued=valued, budget=budget)[0][1]
+    clearing = _clearing_ids(mech.base_fee, bids, scenario.transactions)
+    block = standard_block(mech, clearing, scenario, budget=budget)
     if block is None:
-        block = scenario._rule_cache[key] = rule(mech, bids, scenario, budget)
+        raise NoEligibleBlockError(bids)
     return block
 
 
-def _argmax_block(mech, bids, scenario, budget):
-    """The block of an argmax allocation: the producer-surplus argmax under
-    consonant, the fee-revenue argmax under revenue_max."""
-    from . import solver
+def standard_block(
+    mech: Mechanism, clearing: frozenset[int], scenario: Scenario, *, budget: int | None = None
+) -> Block | None:
+    """The block of the mechanism's standard rule when the bids of the ids
+    in `clearing` clear their reserves and no others do, None when no block
+    is eligible.  The only allocation memo: one block per mechanism, budget
+    and clearing set on the scenario, so at most 2^n per mechanism and
+    budget.  A budget of None, read from the environment at each call, is
+    not memoized, and an error is raised again by every call."""
+    rule = RULES[mech.preset].standard
+    if budget is None:
+        return rule(mech, clearing, scenario, budget)
+    key = mech, budget, clearing
+    block = scenario._rule_cache.get(key)
+    if block is None:
+        block = scenario._rule_cache[key] = rule(mech, clearing, scenario, budget)
+    return block
 
-    return solver.split_pass(bids, scenario, mech, valued=argmax_valued(mech), budget=budget)[0][1]
 
-
-def _clearing_set(mech, bids, scenario, budget):
-    """eip1559's standard block: every transaction that clears the reserve."""
+def _clearing_set(mech, clearing, scenario, budget):
+    """eip1559's standard block: every candidate that clears the reserve."""
     blockset = scenario.blockset
     if not isinstance(blockset, KnapsackBlockset):
         raise UnsupportedInstanceError(
             "standard eip1559 allocation needs a knapsack blockset; "
             "use the consonant allocation for explicit blocksets"
         )
-    clearing = _clearing(mech.base_fee, bids, _candidates(scenario))
-    total = sum(tx.size for tx in clearing)
+    members = [tx for tx in _candidates(scenario) if tx.tx_id in clearing]
+    total = sum(tx.size for tx in members)
     if total > blockset.max_total_size:
         raise ExcessivelyLowBaseFeeError(mech.base_fee, total, blockset.max_total_size)
-    return Block(tuple(sorted(tx.tx_id for tx in clearing)))
+    return Block(tuple(sorted(tx.tx_id for tx in members)))
 
 
-def _largest_clearing_block(mech, bids, scenario, budget):
-    """tipless's standard block: among feasible blocks whose members all
-    clear the reserve, the one with the largest total size.  Enumerating the
-    feasible blocks first keeps the budget errors of a scan over them."""
+def _largest_clearing_block(mech, clearing, scenario, budget):
+    """tipless's standard block, or None: among feasible blocks whose members
+    all clear the reserve, the one with the largest total size.  Enumerating
+    the feasible blocks first keeps the budget errors of a scan over them."""
     from . import solver
 
-    solver.enumerate_blocks(
-        scenario, eligible=_eligible_ids(mech, bids, scenario), budget=budget
-    )
-    clearing = frozenset(
-        tx.tx_id for tx in _clearing(mech.base_fee, bids, scenario.transactions)
-    )
+    gated = mech.eligibility is not Eligibility.FREE
+    solver.enumerate_blocks(scenario, eligible=clearing if gated else None, budget=budget)
     sizes = {tx.tx_id: tx.size for tx in scenario.transactions}
-    best = solver.max_block(
-        scenario, sizes, valued=False, eligible=clearing, budget=budget
-    )
-    if best is None:
-        raise NoEligibleBlockError(bids)
-    return best
+    return solver.max_block(scenario, sizes, valued=False, eligible=clearing, budget=budget)
 
 
 RULES = {
@@ -364,9 +355,7 @@ def _eligible_ids(mech, bids, scenario):
     """Eligibility filter for enumeration, or None when everything goes."""
     if mech.eligibility is Eligibility.FREE:
         return None
-    return frozenset(
-        tx.tx_id for tx in _clearing(mech.base_fee, bids, scenario.transactions)
-    )
+    return _clearing_ids(mech.base_fee, bids, scenario.transactions)
 
 
 @dataclass(frozen=True, slots=True)
@@ -380,12 +369,18 @@ class CappedAtReserve:
 
     base_fee: Money
 
+    def __post_init__(self):
+        _check_int("capped strategy base fee", self.base_fee, minimum=0)
+
 
 @dataclass(frozen=True, slots=True)
 class FixedOffset:
     """Bid the private value shifted by a constant, clamped at zero."""
 
     delta: Money
+
+    def __post_init__(self):
+        _check_int("offset strategy delta", self.delta)
 
 
 BiddingStrategy = Truthful | CappedAtReserve | FixedOffset

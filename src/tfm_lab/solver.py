@@ -438,8 +438,8 @@ def bps_argmax(
     *,
     budget: int | None = None,
 ) -> Block:
-    """The feasible block with maximum producer surplus, canonical-first:
-    the best block of one valued, unsplit split_pass."""
+    """The feasible block with maximum producer surplus, canonical-first, as
+    the consonant recommended_block: one valued, unsplit split_pass, unmemoized."""
     return split_pass(bids, scenario, mech, valued=True, budget=budget)[0][1]
 
 

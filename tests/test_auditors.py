@@ -298,7 +298,7 @@ class TestDsic:
             raise AssertionError("solved a pass before refusing max_witnesses")
 
         monkeypatch.setattr(auditors, "split_pass", unreachable)
-        monkeypatch.setattr(auditors, "recommended_block", unreachable)
+        monkeypatch.setattr(auditors, "standard_block", unreachable)
         tipless = Mechanism.tipless(2, Eligibility.FREE, Allocation.CONSONANT)
         for audit in (
             lambda: audit_dsic(mech, Truthful(), [sc], GRID, max_witnesses=-1),
@@ -373,7 +373,7 @@ class TestDsic:
         fine = scenario([(1, 0, 0)], cap=1)
         calls = []
         monkeypatch.setattr(
-            auditors, "recommended_block", lambda *a, **k: calls.append(a) or EMPTY_BLOCK
+            auditors, "standard_block", lambda *a, **k: calls.append(a) or EMPTY_BLOCK
         )
         with pytest.raises(UnsupportedInstanceError, match="strategy bid"):
             audit_dsic(mech, strategy, [fine, sc], grid)
@@ -386,7 +386,7 @@ class TestDsic:
         mech, grid = Mechanism.eip1559(1), GridSpec(1, 3)
         calls = []
         monkeypatch.setattr(
-            auditors, "recommended_block", lambda *a, **k: calls.append(a) or EMPTY_BLOCK
+            auditors, "standard_block", lambda *a, **k: calls.append(a) or EMPTY_BLOCK
         )
         with pytest.raises(UnsupportedInstanceError, match="grid cell"):
             audit_bpic(mech, [fine, refused], grid)
@@ -793,9 +793,9 @@ class TestBpic:
         rule = RULES[TIPLESS]
         allocated = []
 
-        def counting(mech, bids, sc, budget):
+        def counting(mech, clearing, sc, budget):
             allocated.append(sc)
-            return rule.standard(mech, bids, sc, budget)
+            return rule.standard(mech, clearing, sc, budget)
 
         monkeypatch.setitem(RULES, TIPLESS, replace(rule, standard=counting))
         report = audit_bpic(Mechanism.tipless(2), fixtures, GridSpec(1, 20))
@@ -923,13 +923,21 @@ def ordered_bpic_cases(draw):
     return mech, Scenario(txs, bp, blockset)
 
 
-def rotating_rule(mech, bids, sc, *, budget=None):
-    """Names a different surplus-tied block from one count of bids that
-    clear the reserve to the next, which no fixed order on blocks explains.
-    Like a standard rule, it reads the bids only as clearing the reserve."""
+def rotating_rule(mech, clearing, sc, *, budget=None):
+    """Names a different surplus-tied block from one size of the clearing
+    set to the next, which no fixed order on blocks explains.  Like a
+    standard rule, it reads only the clearing set: it takes the ties at
+    bids of the reserve for the clearing ids and 0 for the others, which
+    under tipless and a passive producer tie as every cell of that set."""
+    bids = {t: mech.reserve(sc.tx(t)) if t in clearing else 0 for t in sc.ids()}
     ((_, _, tied, _),) = split_pass(bids, sc, mech, valued=True, budget=budget)
-    clearing = sum(bid >= mech.reserve(sc.tx(t)) for t, bid in bids.items())
-    return tied[(clearing + 2) % len(tied)]
+    return tied[(len(clearing) + 2) % len(tied)]
+
+
+def rotating_allocation(mech, bids, sc):
+    """rotating_rule on the clearing ids of a cell."""
+    clearing = frozenset(t for t, b in bids.items() if b >= mech.reserve(sc.tx(t)))
+    return rotating_rule(mech, clearing, sc)
 
 
 class TestBpicAgainstCells:
@@ -972,8 +980,8 @@ class TestBpicAgainstCells:
         # rotates among the tied blocks stands in for one
         sc = scenario([(1, 0, 0), (1, 0, 0)])
         mech = Mechanism.tipless(1)
-        monkeypatch.setattr(auditors, "recommended_block", rotating_rule)
-        want = oracle_bpic(mech, [sc], GRID, rule=rotating_rule)
+        monkeypatch.setattr(auditors, "standard_block", rotating_rule)
+        want = oracle_bpic(mech, [sc], GRID, rule=rotating_allocation)
         assert want.tie_conflicts
         assert audit_bpic(mech, [sc], GRID) == want
 

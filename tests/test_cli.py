@@ -104,21 +104,44 @@ class TestExitCodes:
             ("bpic", "--samples", "2"),
             ("approx-dsic", "--strategy", "offset:5"),
             ("bpic", "--strategy", "bogus"),
+            # a flag set to its default value is still refused
+            ("bpic", "--seed", "0"),
+            ("welfare", "--samples", "2"),
+            ("welfare", "--seed", "0"),
+            ("welfare", "--grid-step", "1"),
+            ("welfare", "--grid-max", "3"),
+            ("welfare", "--max-witnesses", "1000"),
+            ("welfare", "--timings"),
         ],
         ids=lambda a: " ".join(a),
     )
     def test_usage_error_for_a_flag_the_kind_ignores(self, tmp_path, capsys, argv):
         path = gen_file(tmp_path, capsys, "s.json")
-        kind, flag, value = argv
+        kind, flag, *value = argv
+        grid = () if kind == "welfare" else ("--grid-max", "3")
         code, out, err = run(
             capsys,
             "audit", kind, str(path),
             "--mech", "tipless", "--base-fee", "2", "--allocation", "consonant",
-            "--grid-max", "3", flag, value,
+            *grid, flag, *value,
         )
         assert code == 2
         assert out == ""
         assert err == f"error: {flag} does not apply to audit {kind}\n"
+
+    @pytest.mark.parametrize("kind", ["dsic", "approx-dsic"])
+    def test_usage_error_for_a_seed_without_samples(self, tmp_path, capsys, kind):
+        path = gen_file(tmp_path, capsys, "s.json")
+        args = (
+            "audit", kind, str(path),
+            "--mech", "tipless", "--base-fee", "2", "--allocation", "consonant",
+            "--grid-max", "3", "--seed", "9",
+        )
+        code, out, err = run(capsys, *args)
+        assert (code, out, err) == (2, "", "error: --seed applies only with --samples\n")
+        code, out, _ = run(capsys, *args, "--samples", "2")
+        assert code in (0, 1)
+        assert parse_audit_report(out)["sampling_seed"] == 9
 
     def test_usage_error_for_missing_file(self, tmp_path, capsys):
         code, _, err = run(

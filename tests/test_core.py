@@ -192,6 +192,9 @@ class TestWithValuation:
         mech = Mechanism.fpa(Allocation.CONSONANT)
         bids = parent.submitted_bids()
         assert recommended_block(mech, bids, parent, budget=8) == Block((1, 0))
+        # only a standard rule fills the rule memo
+        recommended_block(Mechanism.tipless(0), bids, parent, budget=8)
+        assert parent._rule_cache
         value_range(parent)
         scenario_digest(parent)
         valuation = TableValuation({Block((0, 1)): 9, EMPTY_BLOCK: -1})

@@ -21,6 +21,7 @@ from tfm_lab import (
     FixedOffset,
     KnapsackBlockset,
     Mechanism,
+    NoEligibleBlockError,
     PassiveValuation,
     Scenario,
     ScenarioFormatError,
@@ -280,10 +281,27 @@ def standard_memo_cases(draw):
     return Scenario(txs, PassiveValuation(0), blockset), calls
 
 
+def reference_standard(mech, bids, sc, budget):
+    """A standard rule's block without the memo: check every bid, then call
+    the rule on the clearing ids in a cold copy of the world, reading None
+    as no eligible block."""
+    for tx in sc.transactions:
+        if tx.tx_id not in bids:
+            raise UnknownTransactionError(tx.tx_id)
+        bid = bids[tx.tx_id]
+        if type(bid) is not int or bid < 0:
+            raise ValueError(f"bid for tx {tx.tx_id} must be a non-negative integer")
+    clearing = frozenset(t for t, b in bids.items() if b >= mech.reserve(sc.tx(t)))
+    block = RULES[mech.preset].standard(mech, clearing, replace(sc), budget)
+    if block is None:
+        raise NoEligibleBlockError(bids)
+    return block
+
+
 class TestStandardMemo:
-    """recommended_block answers the standard rules from a per-scenario
-    memo keyed by the clearing set; it must return the rule's own block, or
-    raise its error, on every call."""
+    """standard_block answers the standard rules from a per-scenario memo
+    keyed by the clearing set; recommended_block must return the rule's own
+    block, or raise its error, on every call."""
 
     @staticmethod
     def outcome(fn, *args, **kwargs):
@@ -299,8 +317,7 @@ class TestStandardMemo:
         for mech, budget, profile in calls:
             bids = dict(enumerate(profile))
             got = self.outcome(recommended_block, mech, bids, sc, budget=budget)
-            rule = RULES[mech.preset].standard
-            assert got == self.outcome(rule, mech, bids, sc, budget)
+            assert got == self.outcome(reference_standard, mech, bids, sc, budget)
 
     def test_keys_hold_the_mechanism_and_the_budget(self):
         # one clearing set, {0}: free eligibility enumerates all 4 blocks,
@@ -323,6 +340,37 @@ class TestStandardMemo:
         monkeypatch.setenv("TFMLAB_BUDGET", "2")
         with pytest.raises(EnumerationBudgetError):
             recommended_block(mech, bids, sc)
+
+
+class TestErrorOrder:
+    """recommended_block checks every bid once, in transaction order,
+    before any rule reads the blockset or the budget, so the standard and
+    consonant allocations of a preset raise the same bid error."""
+
+    @pytest.mark.parametrize(
+        "make, blockset, bids, budget, error",
+        [
+            # a budget that the enumeration exceeds
+            (Mechanism.tipless, KnapsackBlockset(3), {0: 1, 1: -1, 2: 1}, 2, ValueError),
+            # a blockset that standard eip1559 does not support
+            (Mechanism.eip1559, ExplicitBlockset((EMPTY_BLOCK, Block((0,)))),
+             {0: 1, 1: True, 2: 1}, None, ValueError),
+            # a missing bid of a transaction that no block may hold
+            (Mechanism.eip1559, KnapsackBlockset(3, (0, 1)), {0: 1, 1: 1}, None,
+             UnknownTransactionError),
+        ],
+        ids=["budget", "explicit", "non-candidate"],
+    )
+    def test_a_bad_bid_is_raised_first(self, make, blockset, bids, budget, error):
+        sc = Scenario(tuple(Transaction(i, 1, 0) for i in range(3)), PassiveValuation(0), blockset)
+        messages = set()
+        for allocation in (Allocation.STANDARD, Allocation.CONSONANT):
+            with pytest.raises(error) as raised:
+                recommended_block(make(1, Eligibility.FREE, allocation), bids, sc, budget=budget)
+            messages.add(str(raised.value))
+        with pytest.raises(error) as raised:
+            bps_argmax(bids, sc, make(1, Eligibility.FREE, Allocation.CONSONANT), budget=budget)
+        assert messages == {str(raised.value)}
 
 
 ARGMAX_MECHS = (
@@ -355,9 +403,9 @@ def argmax_memo_cases(draw):
 
 
 class TestArgmaxMemo:
-    """recommended_block memoizes argmax blocks on the scenario per
-    (mechanism, budget, bid vector), for explicit budgets and valid bids
-    only; every call must match the same call on a cold copy of the world."""
+    """recommended_block answers an argmax allocation with one split pass
+    and memoizes nothing for it: every call must match the same call on a
+    cold copy of the world, and the scenario's rule memo stays empty."""
 
     outcome = staticmethod(TestStandardMemo.outcome)
 
@@ -370,15 +418,13 @@ class TestArgmaxMemo:
             cold = replace(sc, bp_valuation=sc.bp_valuation)
             got = self.outcome(recommended_block, mech, bids, sc, budget=budget)
             assert got == self.outcome(recommended_block, mech, bids, cold, budget=budget)
-        for (mech, budget, read), block in sc._rule_cache.items():
-            assert budget is not None and isinstance(block, Block)
-            assert all(type(b) is int and b >= 0 for b in read)
+        assert sc._rule_cache == {}
 
     def test_invalid_bids_after_a_cached_argmax(self):
         sc = scenario_with(TWO_TXS, bp=AdditiveValuation({0: 1}))
         mech = Mechanism.eip1559(1, Eligibility.FREE, Allocation.CONSONANT)
         assert recommended_block(mech, {0: 1, 1: 7}, sc, budget=8) == Block((0, 1))
-        assert len(sc._rule_cache) == 1
+        assert sc._rule_cache == {}
         for bids, error in (
             ({0: True, 1: 7}, ValueError),
             ({0: -1, 1: 7}, ValueError),
@@ -389,7 +435,7 @@ class TestArgmaxMemo:
             with pytest.raises(error) as got:
                 recommended_block(mech, bids, sc, budget=8)
             assert str(got.value) == str(want.value)
-        assert len(sc._rule_cache) == 1
+        assert sc._rule_cache == {}
 
     def test_unset_budget_is_never_memoized(self):
         sc = scenario_with(TWO_TXS)
@@ -447,6 +493,21 @@ class TestStrategies:
     def test_apply_strategy_with_overrides(self):
         sc = scenario_with(TWO_TXS)
         assert apply_strategy(Truthful(), sc, {0: 1, 1: 0}) == {0: 1, 1: 0}
+
+    @pytest.mark.parametrize(
+        "build", [
+            lambda: CappedAtReserve(-1),
+            lambda: CappedAtReserve(1.5),
+            lambda: CappedAtReserve(True),
+            lambda: FixedOffset(0.5),
+            lambda: FixedOffset(False),
+            lambda: FixedOffset("1"),
+        ],
+        ids=["capped -1", "capped 1.5", "capped True", "offset 0.5", "offset False", "offset '1'"],
+    )
+    def test_parameters_are_checked_at_construction(self, build):
+        with pytest.raises(ValueError):
+            build()
 
     def test_apply_strategy_rejects_negative_values(self):
         sc = scenario_with(TWO_TXS)
