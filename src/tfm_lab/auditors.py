@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, groupby, product, starmap
+from itertools import chain, compress, product, starmap
 from math import prod
 from operator import itemgetter
 from typing import Mapping, NamedTuple, Sequence
@@ -294,6 +294,61 @@ def _class_tuples(mech, scenario, ids, points, classify):
     return zip(product(*groups), product(*map(dict.values, groups)))
 
 
+def _first_cell(ids, lists):
+    """The first raw cell of a class tuple: {id: the first bid of its list}."""
+    return dict(zip(ids, map(itemgetter(0), lists)))
+
+
+class _ClassPasses:
+    """The one block pass behind every argmax read of a class tuple.
+
+    An argmax reads a cell only through its fee classes, and the last
+    walked user's class (ids[-1]) only as a contribution added to the
+    blocks that hold it.  So per prefix (the classes before it) and its
+    eligibility, one split_pass per solve on the held id and that user
+    gives each of its classes by fold_split.  A last user with fewer than
+    two eligible classes is not split off: one pass per tuple is as few.
+    A key's passes are solved at the first raw cell that needs them, so
+    errors keep the cell and message of a per-cell pass.  solves lists
+    the (fixed, valued) of each pass of a key, in order; fixed maps the
+    held id, if any, the same in every solve, to its bid.
+    """
+
+    def __init__(self, mech, scenario, ids, points, budget, solves):
+        self.mech, self.scenario, self.ids, self.budget = mech, scenario, ids, budget
+        self.solves = solves
+        held = tuple(solves[0][0])
+        self.halves = bool(held)
+        last = {fee_class(mech, scenario.tx(t), b) for t in ids[-1:] for b in points}
+        self.split = len(last - {None}) >= 2
+        self.on = (*held, *ids[-1:]) if self.split else held
+        # by eligibility of the last user: key -> the (lacking it, holding
+        # it) entries of each solve and membership pattern of the held id
+        self.passes = {}, {}
+
+    def folds(self, classes, lists):
+        """The entry of each solve and membership pattern of the held id at
+        the class tuple `classes`, whose bid lists are `lists`."""
+        if self.split:
+            key, c = classes[:-1], classes[-1]
+            memo = self.passes[c is not None]
+        else:
+            key, c, memo = classes, None, self.passes[0]
+        pairs = memo.get(key)
+        if pairs is None:
+            pairs = []
+            bids = _first_cell(self.ids, lists)
+            for fixed, valued in self.solves:
+                bids.update(fixed)  # every solve holds the same ids
+                entries = split_pass(
+                    bids, self.scenario, self.mech, self.on, valued=valued, budget=self.budget
+                )
+                # bit 0 of a pattern is the held id, bit 1 the last user
+                pairs += (entries[0::2], entries[1::2]) if self.halves else (entries,)
+            memo[key] = pairs
+        return [fold_split(pair, c) for pair in pairs]
+
+
 def audit_bpic(
     mech: Mechanism,
     scenarios: Sequence[Scenario],
@@ -309,27 +364,15 @@ def audit_bpic(
     the tie-breaking between surplus-tied blocks must be explainable by some
     fixed order on blocks (checked as acyclicity of observed preferences).
 
-    Cost: one block pass per prefix, O(1) per class tuple.  Every rule and
-    the producer's argmax read a cell only through its fee classes
-    (mechanisms.fee_class; the standard rules only as clearing the
-    reserve), so each class tuple (_class_tuples) is settled once, at its
-    first raw cell, for all its cells.  The last user's class enters the
-    argmax only as a contribution added to the blocks that hold it, so one
-    split_pass on the last user per prefix (the classes of the users
-    before it) and eligibility of the last user gives the argmax at every
-    class of the last user by fold_split.  A pass is solved at the first
-    cell that reaches it, so errors are raised at the cell, and with the
-    message, of a per-cell pass.  A last user with fewer than two eligible
-    classes is not split off: one unsplit pass per class tuple is as few,
-    and fold_split at class None (no split, or an ineligible last user)
-    reads the blocks lacking the last user.  fpa's revenue_max
-    recommendation is read off one unvalued split pass the same way; a
-    standard rule reads only the clearing set, which the class tuple fixes,
-    so each tuple makes one standard_block call, answered from the memo of
-    one block per clearing set.  A witness tuple gets one row per bid of the
-    witness transaction's class, with that user's list narrowed to the bid
-    (_Found).  A negative max_witnesses raises ValueError before any cell
-    is swept.
+    Cost: every rule reads a cell only through its fee classes, so each
+    class tuple (_class_tuples) is settled once for all its cells.  The
+    producer's argmax is read off _ClassPasses, and fpa's revenue_max off
+    a second, unvalued pass per key; a standard rule reads only the
+    clearing set the tuple fixes (a contribution is >= 0 exactly when the
+    bid clears), one standard_block call per tuple.  A witness tuple gets
+    one row per bid of the witness transaction's class, with that user's
+    list narrowed to the bid (_Found).  A negative max_witnesses raises
+    ValueError before any cell is swept.
     """
     _check_max_witnesses(max_witnesses)
     budget = resolve_budget(budget)
@@ -344,42 +387,30 @@ def audit_bpic(
     for scenario in scenarios:
         digest = scenario_digest(scenario)
         ids = scenario.ids()
-        # a last user with fewer than two eligible classes gets one pass
-        # per class either way, so it is not split off
-        last = {fee_class(mech, scenario.tx(t), b) for t in ids[-1:] for b in points}
-        split = ids[-1:] if len(last - {None}) >= 2 else ()
-        # (prefix, last user eligible) -> the producer's split_pass
-        # entries, then revenue_max's unvalued ones
-        passes = {}
+        # the producer's argmax, then revenue_max's unvalued one
+        solves = [({}, True), ({}, False)] if valued is False else [({}, True)]
+        passes = _ClassPasses(mech, scenario, ids, points, budget, solves)
         witness_rows = {}  # (tx, gain, bid) -> the one-row outcome its cells share
         edges = {}
         for key, lists in _class_tuples(mech, scenario, ids, points, fee_class):
             cells += prod(map(len, lists))
-            bids = dict(zip(ids, map(itemgetter(0), lists)))
-            prefix, c = (key[:-1], key[-1]) if split else (key, None)
-            solved = passes.get((prefix, c is not None))
-            if solved is None:
-                solved = passes[prefix, c is not None] = [
-                    split_pass(bids, scenario, mech, split, valued=v, budget=budget)
-                    for v in ((True, False) if valued is False else (True,))
-                ]
-            best_score, best, tied, _ = fold_split(solved[0], c)
+            folds = passes.folds(key, lists)
+            best_score, best, tied, _ = folds[0]
             if valued:
                 rec = best
             elif valued is False:
-                rec = fold_split(solved[-1], c)[1]
+                rec = folds[1][1]
             else:
-                # a contribution is >= 0 exactly when the bid clears
                 clearing = frozenset(t for t, k in zip(ids, key) if k is not None and k >= 0)
                 rec = standard_block(mech, clearing, scenario, budget=budget)
                 if rec is None:
-                    raise NoEligibleBlockError(bids)
+                    raise NoEligibleBlockError(_first_cell(ids, lists))
             if rec in tied:
                 for b in tied:
                     if b != rec:
                         edges.setdefault(rec, set()).add(b)
                 continue
-            gain = best_score - bps(rec, bids, scenario, mech)
+            gain = best_score - bps(rec, _first_cell(ids, lists), scenario, mech)
             diff = sorted(set(best.txs) - set(rec.txs)) or sorted(
                 set(rec.txs) - set(best.txs)
             )
@@ -422,24 +453,19 @@ class _DeviationTables:
     per side fixes the table (see solver.cut_includes).  A standard cut is
     the inclusion flag of one standard_block call on the side's clearing
     set, which the other users' classes fix (classify is _clears).  An
-    argmax cut is a solver.split_cut, which reads them only through their
-    fee classes (classify is mechanisms.fee_class), the last user's too as
-    a contribution: one split_pass on (this transaction, last other user)
-    per (class tuple of the users before it, side, last user eligible)
-    settles every class of the last user by fold_split.  Each pass is
-    solved when a cut first needs it, at that profile and the side's first
-    looked-up bid, so budget, base-fee and no-eligible-block errors are
-    raised at the profile, and with the message, of a per-profile solve.
+    argmax cut is the split_cut of the side's two _ClassPasses entries:
+    one solve per side, holding this transaction at the side's first
+    looked-up bid (classify is mechanisms.fee_class).
     """
 
     def __init__(self, mech, scenario, tx, points, strategy_bids, budget):
         self.mech, self.scenario, self.tx, self.budget = mech, scenario, tx, budget
         self.others = tuple(i for i in scenario.ids() if i != tx.tx_id)
-        self.valued = argmax_valued(mech)
-        self.classify = _clears if self.valued is None else fee_class
+        self.valued = valued = argmax_valued(mech)
+        self.classify = _clears if valued is None else fee_class
         # a free-eligibility argmax enumerates the same blocks at every own
         # bid, so it has one side
-        one_side = self.valued is not None and mech.eligibility is Eligibility.FREE
+        one_side = valued is not None and mech.eligibility is Eligibility.FREE
         looked_up = {b: one_side or _clears(mech, tx, b) for b in (*points, *strategy_bids)}
         first_bids = {}  # side -> its first looked-up bid, in lookup order
         for b, side in looked_up.items():
@@ -453,35 +479,29 @@ class _DeviationTables:
             (b, at[side], contribution(mech, tx, b), own_payment(mech, tx, b))
             for b, side in looked_up.items()
         ]
-        self.split = (tx.tx_id, *self.others[-1:])
-        self.passes = {}
+        if valued is not None:
+            solves = [({tx.tx_id: b}, valued) for b in self.sides]
+            self.passes = _ClassPasses(mech, scenario, self.others, points, budget, solves)
 
-    def cut(self, profile, classes):
+    def cut(self, classes, lists):
         """The tuple of per-side cuts, in lookup order, of the table
-        against the other users' bids `profile` (in the order of
-        self.others), whose classes under self.classify are `classes`."""
-        mech, scenario, tx = self.mech, self.scenario, self.tx
+        against the class tuple `classes` of the other users (in the order
+        of self.others, under self.classify), whose bid lists (first raw
+        profile first) are `lists`."""
+        if self.valued is not None:
+            # per side, one or two: the entries lacking, then holding tx
+            f = self.passes.folds(classes, lists)
+            if len(f) == 2:
+                return (split_cut(f[0], f[1]),)
+            return split_cut(f[0], f[1]), split_cut(f[2], f[3])
+        tx = self.tx
+        others = frozenset(compress(self.others, classes))
         cuts = []
-        if self.valued is None:
-            others = frozenset(compress(self.others, classes))
-            for bid, own in zip(self.sides, self.own):
-                block = standard_block(mech, others | own, scenario, budget=self.budget)
-                if block is None:
-                    raise NoEligibleBlockError({**dict(zip(self.others, profile)), tx.tx_id: bid})
-                cuts.append(tx.tx_id in block)
-            return tuple(cuts)
-        prefix, c = (classes[:-1], classes[-1]) if classes else ((), None)
-        for i, bid in enumerate(self.sides):
-            key = prefix, i, c is not None
-            entries = self.passes.get(key)
-            if entries is None:
-                bids = dict(zip(self.others, profile))
-                bids[tx.tx_id] = bid
-                entries = self.passes[key] = split_pass(
-                    bids, scenario, mech, self.split, valued=self.valued, budget=self.budget
-                )
-            # bit 0 of a pattern is this transaction, bit 1 the last user
-            cuts.append(split_cut(fold_split(entries[0::2], c), fold_split(entries[1::2], c)))
+        for bid, own in zip(self.sides, self.own):
+            block = standard_block(self.mech, others | own, self.scenario, budget=self.budget)
+            if block is None:
+                raise NoEligibleBlockError({**_first_cell(self.others, lists), tx.tx_id: bid})
+            cuts.append(tx.tx_id in block)
         return tuple(cuts)
 
     def table(self, cut):
@@ -531,23 +551,18 @@ def _scan(strategy, tx, points, dev, look, bound=None):
 def _sweep(
     mech, strategy, scenarios, grid, budget, profile_samples, sampling_seed, bound_of=None
 ):
-    """Yield (position, digest, tx, others, lists, outcome) once per class
-    tuple of the other users' bids of every transaction of every scenario,
-    in input order.
+    """The one deviation loop: (cells, found, checks) of the strategy
+    against every profile of the other users' bids, for every transaction
+    of every scenario.  found holds the witness rows (_Found); checks holds
+    (digest, tx id, bound, regret, overbids, below_range) per (scenario,
+    transaction) in input order.  Each table is scanned by _scan, bounded
+    by bound_of(scenario, tx), read at the first cut, if bound_of is given.
 
-    position is the scenario's index in `scenarios`, which keeps a repeated
-    scenario apart from its copy; lists holds the bid lists of the other
-    users `others`, in that order, and stands for every profile in their
-    product.  outcome is the _scan of the tuple's deviation table, bounded
-    by bound_of(position, tx) when bound_of is given.
-
-    Cost: the table reads the other users' bids only through their
-    classes (_DeviationTables.classify), so an exhaustive sweep walks each
-    class tuple once (_class_tuples) and reduces its table to its cut
-    (_DeviationTables.cut) at the tuple's first raw profile: one split pass
-    per (prefix, side) under an argmax allocation, one standard_block
-    call per side under a standard one.  Tuples with one cut share one
-    table, so _scan runs once per distinct cut of a (position, tx).
+    Cost: an exhaustive sweep walks each class tuple of the other users
+    once (_class_tuples) and reduces its table to its cut at the tuple's
+    first raw profile (_DeviationTables.cut).  _scan runs once per distinct
+    cut of a (scenario, tx), its counts scaled by the raw profiles of the
+    tuples that reach it.
 
     Sampled sweeps draw profile_samples profiles per transaction with
     replacement from a seeded stream and audit each distinct one once, in
@@ -568,7 +583,10 @@ def _sweep(
     budget = resolve_budget(budget)
 
     points = grid.points()
-    for pos, scenario in enumerate(scenarios):
+    found = _Found()
+    cells = 0
+    checks = []
+    for scenario in scenarios:
         digest = scenario_digest(scenario)
         for t in scenario.ids():
             tx = scenario.tx(t)
@@ -590,18 +608,31 @@ def _sweep(
                 ]
             else:
                 tuples = _class_tuples(mech, scenario, others, points, classify)
-            settled = {}  # cut -> outcome
+            bound = None
+            settled = {}  # cut -> [raw profiles reaching it, its _scan outcome]
             for key, lists in tuples:
-                cut = tables.cut(tuple(map(itemgetter(0), lists)), key)
-                outcome = settled.get(cut)
-                if outcome is None:
+                cut = tables.cut(key, lists)
+                entry = settled.get(cut)
+                if entry is None:
                     table = tables.table(cut)
                     dev = [(b, table[b]) for b in points]
-                    bound = None if bound_of is None else bound_of(pos, tx)
-                    outcome = settled[cut] = _scan(
-                        strategy, tx, points, dev, table.__getitem__, bound
-                    )
-                yield pos, digest, tx, others, lists, outcome
+                    if bound is None and bound_of is not None:
+                        bound = bound_of(scenario, tx)
+                    outcome = _scan(strategy, tx, points, dev, table.__getitem__, bound)
+                    entry = settled[cut] = [0, outcome]
+                entry[0] += prod(map(len, lists))
+                rows = entry[1][0]
+                if rows:
+                    found.add(digest, t, others, rows, lists)
+            profiles = overbids = below_range = regret = 0
+            for count, (_, n_over, n_below, cut_regret) in settled.values():
+                profiles += count
+                overbids += n_over * count
+                below_range += n_below * count
+                regret = max(regret, cut_regret)
+            cells += len(points) * profiles
+            checks.append((digest, t, bound, regret, overbids, below_range))
+    return cells, found, checks
 
 
 def audit_dsic(
@@ -622,28 +653,17 @@ def audit_dsic(
     every grid deviation, with the producer following the allocation rule
     throughout.  Zero-gain deviations are not violations.
 
-    Cost model (see _sweep): one class tuple walk, with one block pass per
-    (prefix, side) under an argmax allocation, one allocation per (class
-    tuple, side) under a standard one, and one unbounded _scan per distinct
-    cut.  A tuple adds the cells of every raw profile it stands for, and
-    each distinct cut's witness rows are kept once with the tuples that
-    reach it (_Found); only the emitted Witnesses are built.  Sampled
-    profiles are drawn with replacement and repeats are audited once.  A
-    profile_samples below 1 or a negative max_witnesses raises ValueError
-    before any profile is swept.
+    Cost model: one _sweep with an unbounded _scan per distinct cut, its
+    argmax cuts read off _ClassPasses; only the emitted Witnesses are
+    built.  Sampled profiles are drawn with replacement and repeats are
+    audited once.  A profile_samples below 1 or a negative max_witnesses
+    raises ValueError before any profile is swept.
     """
     _check_max_witnesses(max_witnesses)
-    points = grid.points()
-    sampled = profile_samples is not None
-    found = _Found()
-    cells = 0
-    for _, digest, tx, others, lists, (rows, *_) in _sweep(
+    cells, found, _ = _sweep(
         mech, strategy, scenarios, grid, budget, profile_samples, sampling_seed
-    ):
-        cells += len(points) * prod(map(len, lists))
-        if rows:
-            found.add(digest, tx.tx_id, others, rows, lists)
-
+    )
+    sampled = profile_samples is not None
     max_regret = found.max_gain()
     return AuditReport(
         kind="dsic",
@@ -680,11 +700,9 @@ def audit_approx_dsic_bound(
     audit_dsic, and the bound checks keep one entry per (scenario,
     transaction) in input order, a repeated scenario included.
 
-    Cost model: as audit_dsic's, each _scan bounded by the transaction's
-    marginal value; each class tuple adds its scan's counts once per raw
-    profile it stands for, and the rows are kept once with the tuples that
-    reach them (_Found).
-    A negative max_witnesses raises ValueError before any profile is swept.
+    Cost model: audit_dsic's one _sweep, each _scan bounded by the
+    transaction's marginal value.  A negative max_witnesses raises
+    ValueError before any profile is swept.
     """
     _check_max_witnesses(max_witnesses)
     if not (RULES[mech.preset].base_fee and argmax_valued(mech)):
@@ -702,61 +720,33 @@ def audit_approx_dsic_bound(
 
     budget = resolve_budget(budget)
     strategy = CappedAtReserve(mech.base_fee)
-    points = grid.points()
-    nus = {}
 
-    def bound_of(pos, tx):
+    def bound_of(scenario, tx):
         # _scan reads a negative nu as 0: a regret of 0 never breaks the bound
-        t = tx.tx_id
-        if (pos, t) not in nus:
-            try:
-                nus[pos, t] = max_marginal_value(t, scenarios[pos], budget=budget)
-            except NoFeasibleBlockError:
-                nus[pos, t] = 0  # never includable, so deviations never matter
-        return nus[pos, t]
+        try:
+            return max_marginal_value(tx.tx_id, scenario, budget=budget)
+        except NoFeasibleBlockError:
+            return 0  # never includable, so deviations never matter
 
-    found = _Found()
-    bound_checks = []
-    cells = 0
-    sampled = profile_samples is not None
-
-    sweep = _sweep(
+    cells, found, checks = _sweep(
         mech, strategy, scenarios, grid, budget, profile_samples, sampling_seed, bound_of
     )
-    for (pos, t), tuples in groupby(sweep, key=lambda p: (p[0], p[2].tx_id)):
-        tx_regret = overbid = below = 0
-        for _, digest, _, others, lists, (rows, n_over, n_below, regret) in tuples:
-            count = prod(map(len, lists))
-            cells += len(points) * count
-            overbid += n_over * count
-            below += n_below * count
-            tx_regret = max(tx_regret, regret)
-            if rows:
-                found.add(digest, t, others, rows, lists)
-        nu = nus[pos, t]
-        bound_checks.append(
-            BoundCheck(
-                scenario_digest=digest,
-                tx_id=t,
-                nu=nu,
-                max_regret=tx_regret,
-                within_bound=tx_regret <= max(nu, 0),
-                overbid_violations=overbid,
-                below_range_violations=below,
-            )
-        )
-
+    bound_checks = tuple(
+        BoundCheck(digest, t, nu, regret, regret <= max(nu, 0), *counts)
+        for digest, t, nu, regret, *counts in checks
+    )
     violations = sum(
         c.overbid_violations + c.below_range_violations + (not c.within_bound)
         for c in bound_checks
     )
+    sampled = profile_samples is not None
     return AuditReport(
         kind="approx-dsic",
         verdict=PASS if violations == 0 else FAIL,
         max_regret=max((c.max_regret for c in bound_checks), default=0),
         witnesses=_finalize_witnesses(found, max_witnesses),
         cells_checked=cells,
-        bound_checks=tuple(bound_checks),
+        bound_checks=bound_checks,
         mode="sampled" if sampled else "exhaustive",
         sampling_seed=sampling_seed if sampled else None,
     )

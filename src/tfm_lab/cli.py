@@ -119,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_mech_flags(counter)
     add_common(counter)
     counter.add_argument("--rho", help="target welfare fraction, e.g. 1/100")
-    counter.add_argument("--strategy", default="truthful")
+    counter.add_argument("--strategy", help="truthful (default), capped, or offset:D")
 
     gen = sub.add_parser("gen", help="write a seeded random scenario file")
     gen.add_argument("--seed", type=int, required=True)
@@ -136,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _mech_from_flags(args) -> Mechanism | None:
     if args.mech is None:
-        for flag in ("base_fee", "allocation", "eligibility"):
+        for flag in _MECH_FLAGS[1:]:
             if getattr(args, flag, None) is not None:
                 raise CliUsageError(f"--{flag.replace('_', '-')} requires --mech")
         return None
@@ -222,15 +222,29 @@ def _emit(text: str, out: Path | None):
         out.write_text(text)
 
 
-def _cmd_audit(args) -> int:
-    ignored = {
-        "bpic": ("samples", "seed", "strategy"),
-        "approx-dsic": ("strategy",),
-        "welfare": ("samples", "seed", "grid_step", "grid_max", "max_witnesses", "timings"),
-    }
-    for flag in ignored.get(args.kind, ()):
+_MECH_FLAGS = ("mech", "base_fee", "allocation", "eligibility")
+# the flags each audit and counterexample kind ignores; they default to
+# None, so a set one is refused instead of silently dropped
+_IGNORED_FLAGS = {
+    "bpic": ("samples", "seed", "strategy"),
+    "approx-dsic": ("strategy",),
+    "welfare": ("samples", "seed", "grid_step", "grid_max", "max_witnesses", "timings"),
+    "zero-bid": ("rho", "strategy"),
+    "zero-bid-sm": ("rho", "strategy"),
+    "welfare-gap": ("scenario",),
+    "eip1559-demo": ("scenario", *_MECH_FLAGS, "budget", "rho", "strategy"),
+}
+
+
+def _refuse_ignored_flags(args):
+    for flag in _IGNORED_FLAGS.get(args.kind, ()):
         if getattr(args, flag) is not None:
-            raise CliUsageError(f"--{flag.replace('_', '-')} does not apply to audit {args.kind}")
+            flag = "--" + flag.replace("_", "-")
+            raise CliUsageError(f"{flag} does not apply to {args.command} {args.kind}")
+
+
+def _cmd_audit(args) -> int:
+    _refuse_ignored_flags(args)
     if args.seed is not None and args.samples is None:
         raise CliUsageError("--seed applies only with --samples")
     if args.kind == "welfare":
@@ -311,6 +325,7 @@ def _doc_with_bids(doc: ScenarioDoc, scenario, bids, mech) -> ScenarioDoc:
 
 
 def _cmd_counterexample(args) -> int:
+    _refuse_ignored_flags(args)
     if args.kind == "eip1559-demo":
         demo = eip1559_underbid_demo()
         text = demo.narrative() + "\n"

@@ -38,7 +38,6 @@ from .mechanisms import (
     Mechanism,
     Truthful,
     UnsupportedInstanceError,
-    _require_bid,
     burn,
     bps,
     payment,
@@ -99,8 +98,9 @@ class ZeroBidWitness:
 
 def _shared_zero_bid(mech, scenario, bids, budget, variant):
     budget = resolve_budget(budget)
-    bids = {t: _require_bid(bids, t) for t in scenario.ids()}
     block = recommended_block(mech, bids, scenario, budget=budget)
+    # recommended_block checked every bid, in transaction order
+    bids = {t: bids[t] for t in scenario.ids()}
     pays = payment(mech, block, bids, scenario)
     charged = sorted(t for t, p in pays.items() if p > 0)
     if not charged:
@@ -285,12 +285,6 @@ def construct_welfare_gap(
         v_y = v_y_floor * (2**k)
         scenario = build(v_y, bp_z)
         bids = scenario.submitted_bids()
-        burn_now = burn(mech, block_z, bids, scenario)
-        if burn_now != burn_z:
-            raise UnsupportedInstanceError(
-                "burning depends on the probed bid; this construction needs "
-                "a bid-independent burn on the favored block"
-            )
         rec = recommended_block(mech, bids, scenario, budget=budget)
         pays = payment(mech, rec, bids, scenario)
         if any(p != 0 for p in pays.values()):

@@ -38,6 +38,10 @@ class Eligibility(Enum):
     BASE_FEE_GATED = "base_fee_gated"
 
 
+# for per-bid code: on Python 3.11 an Enum member lookup costs ~0.16 us
+_FREE = Eligibility.FREE
+
+
 class Allocation(Enum):
     REVENUE_MAX = "revenue_max"
     STANDARD = "standard"
@@ -204,9 +208,10 @@ def fee_class(mech: Mechanism, tx: Transaction, bid: Money) -> Money | None:
     clears the reserve.  Under tipless every eligible bid at or above the
     reserve is one class; under trivial every bid is.
     """
-    if not eligible(mech, tx, bid):
+    reserve = mech.reserve(tx)
+    if bid < reserve and mech.eligibility is not _FREE:
         return None
-    return contribution(mech, tx, bid)
+    return RULES[mech.preset].pay(bid, reserve) - reserve
 
 
 def payment(mech: Mechanism, block: Block, bids: Mapping[int, Money], scenario: Scenario) -> dict[int, Money]:
@@ -349,13 +354,6 @@ RULES = {
     TIPLESS: Rule(min, True, (Allocation.STANDARD, Allocation.CONSONANT), _largest_clearing_block),
     TRIVIAL: Rule(lambda b, r: 0, False, (Allocation.CONSONANT,)),
 }
-
-
-def _eligible_ids(mech, bids, scenario):
-    """Eligibility filter for enumeration, or None when everything goes."""
-    if mech.eligibility is Eligibility.FREE:
-        return None
-    return _clearing_ids(mech.base_fee, bids, scenario.transactions)
 
 
 @dataclass(frozen=True, slots=True)

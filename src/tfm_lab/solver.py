@@ -26,12 +26,12 @@ from .core import (
     _check_int,
 )
 from .mechanisms import (
+    _FREE,
     Mechanism,
     NoEligibleBlockError,
     UnsupportedInstanceError,
-    _eligible_ids,
     _require_bid,
-    contribution,
+    fee_class,
 )
 
 DEFAULT_BUDGET = 1 << 20
@@ -159,14 +159,16 @@ def _enumerate_knapsack(scenario, blockset, eligible, budget):
     return tuple(blocks)
 
 
-def _per_tx_contribution(
-    mech: Mechanism, bids: Mapping[int, Money], scenario: Scenario
-) -> dict[int, Money]:
-    """Every transaction's contribution (mechanisms.contribution)."""
-    return {
-        tx.tx_id: contribution(mech, tx, _require_bid(bids, tx.tx_id))
-        for tx in scenario.transactions
-    }
+def _eligible_weights(mech, bids, scenario):
+    """(eligibility filter, weights) of the bids, each checked once in
+    transaction order: the ids whose fee_class is not None (None under free
+    eligibility), and each of those ids' fee class, its contribution."""
+    weights = {}
+    for tx in scenario.transactions:
+        c = fee_class(mech, tx, _require_bid(bids, tx.tx_id))
+        if c is not None:
+            weights[tx.tx_id] = c
+    return (None if mech.eligibility is _FREE else frozenset(weights)), weights
 
 
 class _Group(NamedTuple):
@@ -344,8 +346,7 @@ def split_pass(
     ordering alone.  Raises NoEligibleBlockError when no enumerated block
     is eligible under the bids.
     """
-    elig = _eligible_ids(mech, bids, scenario)
-    contrib = _per_tx_contribution(mech, bids, scenario)
+    elig, contrib = _eligible_weights(mech, bids, scenario)
     for t in split:
         contrib[t] = 0
     entries = _argmax_pass(scenario, elig, budget, contrib, valued, split)
@@ -469,12 +470,11 @@ def bps_argmax_additive_dp(
             "dynamic program needs an additive or passive producer valuation"
         )
 
-    elig = _eligible_ids(mech, bids, scenario)
+    elig, contrib = _eligible_weights(mech, bids, scenario)
     ids = blockset.candidate_ids
     if ids is None:
         ids = scenario.ids()
     ids = sorted(t for t in ids if elig is None or t in elig)
-    contrib = _per_tx_contribution(mech, bids, scenario)
     cap = blockset.max_total_size
 
     # dp[c] = best (weight, canonical key) over selections of total size <= c

@@ -481,7 +481,7 @@ def sweep_cut(tables, profile):
     the class tuple it keys its memo on."""
     mech, sc = tables.mech, tables.scenario
     classes = tuple(tables.classify(mech, sc.tx(i), b) for i, b in zip(tables.others, profile))
-    return tables.cut(profile, classes)
+    return tables.cut(classes, tuple((b,) for b in profile))
 
 
 def deviation_table(mech, sc, t, base, points, extras, budget):
@@ -1077,6 +1077,26 @@ OFF_GRID_STRATEGY_CASE = (
     None,
 )
 
+# every bid is one fee class, so no last user is split off its pass
+TRIVIAL_UNSPLIT_CASE = (
+    Mechanism.trivial(),
+    [scenario([(1, 2, 2), (1, 1, 1), (1, 0, 0)], cap=2, bp=AdditiveValuation({1: 1}))],
+    GridSpec(1, 2),
+    Truthful(),
+    None,
+)
+
+# the last other user's bids 1 and 2 clear its reserve into one fee class
+# and bid 0 is shut out, so it is not split off its pass either; a value-2
+# user bids 0 and gains by clearing the reserve instead
+GATED_UNSPLIT_CASE = (
+    Mechanism.tipless(1, Eligibility.BASE_FEE_GATED, Allocation.CONSONANT),
+    [scenario([(1, 2, 2), (1, 1, 1), (1, 0, 0)], cap=2, bp=AdditiveValuation({1: 1}))],
+    GridSpec(1, 2),
+    FixedOffset(-2),
+    None,
+)
+
 
 def outcome(fn, *args, **kwargs):
     """fn's result, or the type of the table error it raised."""
@@ -1097,6 +1117,8 @@ class TestMemoAgainstCells:
     @example(OFF_GRID_STRATEGY_CASE)
     @example(CANONICAL_TIE_CASE)
     @example(LAST_CLASS_TIE_CASE)
+    @example(TRIVIAL_UNSPLIT_CASE)
+    @example(GATED_UNSPLIT_CASE)
     @settings(max_examples=150, deadline=None)
     def test_dsic(self, case):
         mech, scenarios, grid, strategy, samples = case
@@ -1104,6 +1126,7 @@ class TestMemoAgainstCells:
         assert report == outcome(oracle_dsic, mech, strategy, scenarios, grid, samples)
 
     @given(memo_cases(approx=True))
+    @example(GATED_UNSPLIT_CASE)
     @settings(max_examples=100, deadline=None)
     def test_approx_dsic(self, case):
         mech, scenarios, grid, _, samples = case
@@ -1212,16 +1235,16 @@ class TestErrorParity:
     def raised_at(self, monkeypatch, fn, *args, **kwargs):
         """(type, message) of fn's error and the bids it was raised at."""
         cells = []
-        filter_of = solver._eligible_ids
+        filter_of = solver._eligible_weights
 
         def recording(mech, bids, sc):
             cells.append(dict(bids))
             return filter_of(mech, bids, sc)
 
-        monkeypatch.setattr(solver, "_eligible_ids", recording)
+        monkeypatch.setattr(solver, "_eligible_weights", recording)
         with pytest.raises(TABLE_ERRORS) as info:
             fn(*args, **kwargs)
-        monkeypatch.setattr(solver, "_eligible_ids", filter_of)
+        monkeypatch.setattr(solver, "_eligible_weights", filter_of)
         return type(info.value), str(info.value), cells[-1]
 
     def test_bpic_no_eligible_block(self, monkeypatch):

@@ -129,6 +129,33 @@ class TestExitCodes:
         assert out == ""
         assert err == f"error: {flag} does not apply to audit {kind}\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("zero-bid", "--strategy", "capped"),
+            ("zero-bid", "--rho", "1/2"),
+            ("welfare-gap", "--scenario", "FILE"),
+            ("eip1559-demo", "--mech", "fpa", "--budget", "3"),
+        ],
+        ids=lambda a: " ".join(a),
+    )
+    def test_usage_error_for_a_counterexample_flag_the_kind_ignores(self, tmp_path, capsys, argv):
+        path = str(gen_file(tmp_path, capsys, "s.json"))
+        kind, flag, *value = [path if a == "FILE" else a for a in argv]
+        # besides the ignored flag, each kind gets the flags it reads
+        reads = {
+            "zero-bid": (
+                "--scenario", path,
+                "--mech", "tipless", "--base-fee", "2", "--allocation", "consonant",
+            ),
+            "welfare-gap": ("--rho", "1/2"),
+            "eip1559-demo": (),
+        }[kind]
+        code, out, err = run(capsys, "counterexample", kind, *reads, flag, *value)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag} does not apply to counterexample {kind}\n"
+
     @pytest.mark.parametrize("kind", ["dsic", "approx-dsic"])
     def test_usage_error_for_a_seed_without_samples(self, tmp_path, capsys, kind):
         path = gen_file(tmp_path, capsys, "s.json")

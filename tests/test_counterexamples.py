@@ -146,12 +146,19 @@ class TestZeroBid:
 
 @pytest.mark.parametrize("build", [construct_zero_bid, construct_zero_bid_single_minded])
 @pytest.mark.parametrize(
-    "bids, error",
-    [({1: 7}, UnknownTransactionError), ({0: True, 1: 7}, ValueError), ({0: -1, 1: 7}, ValueError)],
+    "bids, error, order",
+    [
+        ({1: 7}, UnknownTransactionError, (0, 1)),
+        ({0: True, 1: 7}, ValueError, (0, 1)),
+        ({0: -1, 1: 7}, ValueError, (0, 1)),
+        # two bad bids, tx 1 listed first: the error names the first in
+        # transaction order, not the smallest id
+        ({0: -1, 1: -1}, ValueError, (1, 0)),
+    ],
 )
-def test_zero_bid_reads_bids_like_recommended_block(build, bids, error):
-    txs = (Transaction(0, 1, 4, 4), Transaction(1, 1, 7, 7))
-    sc = Scenario(txs, PassiveValuation(0), KnapsackBlockset(2))
+def test_zero_bid_reads_bids_like_recommended_block(build, bids, error, order):
+    txs = {0: Transaction(0, 1, 4, 4), 1: Transaction(1, 1, 7, 7)}
+    sc = Scenario(tuple(txs[t] for t in order), PassiveValuation(0), KnapsackBlockset(2))
     mech = Mechanism.fpa(Allocation.CONSONANT)
     with pytest.raises(error) as want:
         recommended_block(mech, bids, sc)

@@ -49,7 +49,7 @@ from tfm_lab import (
 from tfm_lab import solver
 from tfm_lab.mechanisms import argmax_valued, contribution, fee_class
 from tfm_lab.solver import (
-    _per_tx_contribution,
+    _eligible_weights,
     cut_includes,
     fold_split,
     split_cut,
@@ -207,7 +207,7 @@ class TestFeeRule:
         for size, bid, other in product((1, 2, 3), range(9), range(3)):
             sc = knapsack_scenario([(size, 0, 0), (1, 0, 0)], cap=size + 1)
             bids = {0: bid, 1: other}
-            contrib = _per_tx_contribution(mech, bids, sc)
+            _, contrib = _eligible_weights(mech, bids, sc)
             r = mech.reserve(sc.tx(0))
             want = {
                 "fpa": bid,
