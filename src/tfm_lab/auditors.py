@@ -1,9 +1,11 @@
 """Brute-force incentive and welfare auditors.
 
 Each auditor quantifies over a finite bid/valuation grid and hunts for
-profitable deviations by exhaustive replay, so a PASS verdict always means
-"no violation found at this grid resolution" and a FAIL verdict comes with
-a witness cell that reproduces the gain exactly when re-simulated.
+profitable deviations by exhaustive replay, so a PASS verdict means "no
+violation found at this grid resolution" and a FAIL verdict comes with a
+witness cell that reproduces the gain exactly when re-simulated.  BPIC of
+a consonant rule, the producer's own argmax, holds by construction for
+every bid; the open BPIC questions are the standard and revenue_max rules.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from math import prod
 from operator import itemgetter
 from typing import Mapping, NamedTuple, Sequence
 
+from . import solver
 from .core import Block, Money, Scenario, welfare
 from .mechanisms import (
     RULES,
@@ -30,6 +33,7 @@ from .mechanisms import (
     argmax_valued,
     bps,
     contribution,
+    eligible,
     fee_class,
     is_base_fee_excessively_low,
     own_payment,
@@ -364,10 +368,14 @@ def audit_bpic(
     the tie-breaking between surplus-tied blocks must be explainable by some
     fixed order on blocks (checked as acyclicity of observed preferences).
 
-    Cost: every rule reads a cell only through its fee classes, so each
-    class tuple (_class_tuples) is settled once for all its cells.  The
-    producer's argmax is read off _ClassPasses, and fpa's revenue_max off
-    a second, unvalued pass per key; a standard rule reads only the
+    Cost: a consonant rule (trivial included) names the producer's own
+    argmax, so it passes by construction, at every bid, not only on the
+    grid; it only raises the sweep's errors, at the first cell of each
+    eligibility tuple.  Any other rule reads a cell only through its fee
+    classes, so each class tuple (_class_tuples) is settled once for all
+    its cells, witness gains too (bps is value plus the members' classes).
+    The producer's argmax is read off _ClassPasses, and fpa's revenue_max
+    off a second, unvalued pass per key; a standard rule reads only the
     clearing set the tuple fixes (a contribution is >= 0 exactly when the
     bid clears), one standard_block call per tuple.  A witness tuple gets
     one row per bid of the witness transaction's class, with that user's
@@ -385,8 +393,16 @@ def audit_bpic(
     cells = 0
 
     for scenario in scenarios:
-        digest = scenario_digest(scenario)
         ids = scenario.ids()
+        if valued:
+            for _, lists in _class_tuples(mech, scenario, ids, points, eligible):
+                cell = _first_cell(ids, lists)
+                elig, _ = solver._eligible_weights(mech, cell, scenario)
+                if not enumerate_blocks(scenario, eligible=elig, budget=budget):
+                    raise NoEligibleBlockError(cell)
+            cells += len(points) ** len(ids)
+            continue
+        digest = scenario_digest(scenario)
         # the producer's argmax, then revenue_max's unvalued one
         solves = [({}, True), ({}, False)] if valued is False else [({}, True)]
         passes = _ClassPasses(mech, scenario, ids, points, budget, solves)
@@ -396,9 +412,7 @@ def audit_bpic(
             cells += prod(map(len, lists))
             folds = passes.folds(key, lists)
             best_score, best, tied, _ = folds[0]
-            if valued:
-                rec = best
-            elif valued is False:
+            if valued is False:
                 rec = folds[1][1]
             else:
                 clearing = frozenset(t for t, k in zip(ids, key) if k is not None and k >= 0)
@@ -410,7 +424,8 @@ def audit_bpic(
                     if b != rec:
                         edges.setdefault(rec, set()).add(b)
                 continue
-            gain = best_score - bps(rec, _first_cell(ids, lists), scenario, mech)
+            classes = dict(zip(ids, key))
+            gain = best_score - scenario.bp_valuation.of(rec) - sum(map(classes.get, rec.txs))
             diff = sorted(set(best.txs) - set(rec.txs)) or sorted(
                 set(rec.txs) - set(best.txs)
             )

@@ -803,16 +803,27 @@ class TestBpic:
         for sc in fixtures:
             assert 0 < sum(a is sc for a in allocated) <= 2 ** len(sc.ids()) <= 16
 
-    def test_consonant_rules_always_pass(self):
+    def test_consonant_rules_always_pass(self, monkeypatch):
+        # a consonant rule is the producer's own argmax, so no cell is
+        # swept: no pass is solved, yet every cell is counted
+        def unused(*args, **kwargs):
+            raise AssertionError("a consonant BPIC audit solved a pass")
+
+        monkeypatch.setattr(solver, "split_pass", unused)
+        monkeypatch.setattr(auditors, "split_pass", unused)
         sc = scenario([(1, 3, 3), (2, 2, 2)], bp=AdditiveValuation({0: 2}))
         for mech in (
             Mechanism.fpa(Allocation.CONSONANT),
             Mechanism.eip1559(2, Eligibility.FREE, Allocation.CONSONANT),
+            Mechanism.eip1559(2, Eligibility.BASE_FEE_GATED, Allocation.CONSONANT),
             Mechanism.tipless(2, Eligibility.FREE, Allocation.CONSONANT),
+            Mechanism.tipless(2, Eligibility.BASE_FEE_GATED, Allocation.CONSONANT),
             Mechanism.trivial(),
         ):
-            report = audit_bpic(mech, [sc], GRID)
+            report = audit_bpic(mech, [sc, sc], GRID)
             assert report.verdict == "PASS" and report.max_regret == 0
+            assert report.cells_checked == 2 * len(GRID.points()) ** 2
+            assert report.witnesses == () and report.tie_conflicts == ()
 
 
 def oracle_bpic(mech, scenarios, grid, rule=recommended_block):
@@ -1270,6 +1281,37 @@ class TestErrorParity:
         assert got[0] is NoEligibleBlockError and got[2] == {0: 0, 1: 1, 2: 0}
         exhaustive = self.raised_at(monkeypatch, audit_dsic, *args)
         assert exhaustive == self.raised_at(monkeypatch, oracle_dsic, *args)
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            # a budget below the 8 blocks of the plain knapsack
+            ("3", plain, GridSpec(1, 2), EnumerationBudgetError),
+            # every transaction fits, so the 9-transaction block exceeds
+            # the permutation cap
+            (
+                None,
+                Scenario(
+                    tuple(Transaction(i, 1, 0) for i in range(9)),
+                    PassiveValuation(0),
+                    KnapsackBlockset(9, enumerate_permutations=True),
+                ),
+                GridSpec(1, 0),
+                UnsupportedInstanceError,
+            ),
+        ],
+        ids=["budget", "permutation-cap"],
+    )
+    def test_bpic_free_eligibility_consonant(self, monkeypatch, case):
+        # a consonant rule is not swept, yet its enumeration errors come
+        # with the per-cell oracle's message at its first cell
+        budget, sc, grid, error = case
+        if budget is not None:
+            monkeypatch.setenv(BUDGET_ENV_VAR, budget)
+        args = Mechanism.fpa(Allocation.CONSONANT), [sc], grid
+        got = self.raised_at(monkeypatch, audit_bpic, *args)
+        assert got == self.raised_at(monkeypatch, oracle_bpic, *args)
+        assert got[0] is error and got[2] == dict.fromkeys(sc.ids(), 0)
 
     @pytest.mark.parametrize("kind", ["bpic", "dsic"])
     def test_budget_between_the_last_users_sides(self, monkeypatch, kind):

@@ -609,6 +609,27 @@ class TestRuleTable:
         ]
         assert [m.allocation for m in routes] == [RULES[preset].allocations[0]] * 4
 
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_surplus_is_value_plus_the_members_fee_classes(self, preset, data):
+        """audit_bpic reads a witness's surplus off its class tuple: under
+        every allocation and eligibility, bps of a block whose members are
+        all eligible is the producer's value plus the members' fee classes."""
+        n = data.draw(st.integers(1, 4))
+        txs = [Transaction(i, data.draw(st.integers(1, 3)), 0) for i in range(n)]
+        stakes = data.draw(st.dictionaries(st.integers(0, n - 1), st.integers(0, 4)))
+        sc = scenario_with(txs, AdditiveValuation(stakes), cap=data.draw(st.integers(1, 3 * n)))
+        bids = {t.tx_id: data.draw(st.integers(0, 6)) for t in txs}
+        fee = data.draw(st.integers(0, 3)) if RULES[preset].base_fee else None
+        for allocation in RULES[preset].allocations:
+            for gate in Eligibility if fee is not None else (Eligibility.FREE,):
+                mech = Mechanism(preset, fee, gate, allocation)
+                classes = {t: fee_class(mech, sc.tx(t), bids[t]) for t in sc.ids()}
+                for block in enumerate_blocks(sc):
+                    if None not in map(classes.get, block.txs):
+                        surplus = sc.bp_valuation.of(block) + sum(map(classes.get, block.txs))
+                        assert bps(block, bids, sc, mech) == surplus
+
     def test_null_allocation_in_a_file_is_an_error(self, preset):
         named = {"preset": preset, "allocation": None}
         if self.fee(preset) is not None:
