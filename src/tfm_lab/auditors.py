@@ -11,14 +11,14 @@ every bid; the open BPIC questions are the standard and revenue_max rules.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, product, starmap
 from math import prod
 from operator import itemgetter
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
-from . import solver
 from .core import Block, Money, Scenario, welfare
 from .mechanisms import (
     RULES,
@@ -50,12 +50,12 @@ from .solver import (
     cut_includes,
     enumerate_blocks,
     fold_split,
-    max_block,
     max_marginal_value,
     resolve_budget,
     split_cut,
     split_pass,
     value_range,
+    weighted_pass,
 )
 
 PASS = "PASS"
@@ -174,14 +174,25 @@ class _Found:
 
     def max_gain(self):
         """The largest gain of any witness, 0 when none was found."""
-        return max(
-            (-row[0] for *_, rows, _ in self.outcomes.values() for row in rows), default=0
-        )
+        return max((-row[0] for *_, rows, _ in self.outcomes.values() for row in rows), default=0)
 
 
 def _check_max_witnesses(max_witnesses):
     if max_witnesses < 0:
         raise ValueError(f"max_witnesses must be >= 0, got {max_witnesses}")
+
+
+def _scenario_tuple(scenarios):
+    """The audited scenarios, read once into a tuple so that a generator
+    serves as a list does; TypeError names the offending type when they
+    are not an iterable of core.Scenario objects."""
+    if not isinstance(scenarios, Iterable):
+        raise TypeError(f"scenarios must be an iterable, got {type(scenarios).__name__}")
+    scenarios = tuple(scenarios)
+    for sc in scenarios:
+        if not isinstance(sc, Scenario):
+            raise TypeError(f"scenarios must hold Scenario objects, got {type(sc).__name__}")
+    return scenarios
 
 
 def _finalize_witnesses(found, max_witnesses):
@@ -256,7 +267,7 @@ def _detect_cycle(edges):
     for node in edges:
         if color.get(node, WHITE) != WHITE:
             continue
-        stack = [(node, iter(sorted(edges.get(node, ()), key=lambda b: canonical_key(b))))]
+        stack = [(node, iter(sorted(edges.get(node, ()), key=canonical_key)))]
         color[node] = GRAY
         path = [node]
         while stack:
@@ -270,9 +281,7 @@ def _detect_cycle(edges):
                 if c == WHITE:
                     color[nxt] = GRAY
                     path.append(nxt)
-                    stack.append(
-                        (nxt, iter(sorted(edges.get(nxt, ()), key=lambda b: canonical_key(b))))
-                    )
+                    stack.append((nxt, iter(sorted(edges.get(nxt, ()), key=canonical_key))))
                     advanced = True
                     break
             if not advanced:
@@ -309,20 +318,26 @@ class _ClassPasses:
     An argmax reads a cell only through its fee classes, and the last
     walked user's class (ids[-1]) only as a contribution added to the
     blocks that hold it.  So per prefix (the classes before it) and its
-    eligibility, one split_pass per solve on the held id and that user
+    eligibility, one weighted_pass per solve on the held id and that user
     gives each of its classes by fold_split.  A last user with fewer than
     two eligible classes is not split off: one pass per tuple is as few.
-    A key's passes are solved at the first raw cell that needs them, so
-    errors keep the cell and message of a per-cell pass.  solves lists
-    the (fixed, valued) of each pass of a key, in order; fixed maps the
-    held id, if any, the same in every solve, to its bid.
+    The class tuple is the weight vector, so no bid is read: eligible ids
+    weigh their class, split-off ones 0.  solves lists the (fixed, valued)
+    of each pass of a key, in order; fixed maps the held id, if any, the
+    same in every solve, to a bid that sets only its eligibility.  A key's
+    passes are solved when a tuple first needs them, so errors name the
+    tuple's first raw cell with the message of a per-cell pass.
     """
 
     def __init__(self, mech, scenario, ids, points, budget, solves):
-        self.mech, self.scenario, self.ids, self.budget = mech, scenario, ids, budget
-        self.solves = solves
+        self.scenario, self.ids, self.budget = scenario, ids, budget
+        self.gated = mech.eligibility is not Eligibility.FREE
+        # (fixed, valued, the held id at weight 0 if its bid is eligible)
+        self.solves = [
+            (fixed, valued, {t: 0 for t, b in fixed.items() if eligible(mech, scenario.tx(t), b)})
+            for fixed, valued in solves
+        ]
         held = tuple(solves[0][0])
-        self.halves = bool(held)
         last = {fee_class(mech, scenario.tx(t), b) for t in ids[-1:] for b in points}
         self.split = len(last - {None}) >= 2
         self.on = (*held, *ids[-1:]) if self.split else held
@@ -341,21 +356,25 @@ class _ClassPasses:
         pairs = memo.get(key)
         if pairs is None:
             pairs = []
-            bids = _first_cell(self.ids, lists)
-            for fixed, valued in self.solves:
-                bids.update(fixed)  # every solve holds the same ids
-                entries = split_pass(
-                    bids, self.scenario, self.mech, self.on, valued=valued, budget=self.budget
+            on = self.on
+            weights = {t: 0 if t in on else k for t, k in zip(self.ids, classes) if k is not None}
+            for fixed, valued, held in self.solves:
+                w = {**weights, **held} if held else weights
+                elig = frozenset(w) if self.gated else None
+                entries = weighted_pass(
+                    self.scenario, w, valued=valued, eligible=elig, split=on, budget=self.budget
                 )
+                if all(entry[0] is None for entry in entries):
+                    raise NoEligibleBlockError({**_first_cell(self.ids, lists), **fixed})
                 # bit 0 of a pattern is the held id, bit 1 the last user
-                pairs += (entries[0::2], entries[1::2]) if self.halves else (entries,)
+                pairs += (entries[0::2], entries[1::2]) if fixed else (entries,)
             memo[key] = pairs
         return [fold_split(pair, c) for pair in pairs]
 
 
 def audit_bpic(
     mech: Mechanism,
-    scenarios: Sequence[Scenario],
+    scenarios: Iterable[Scenario],
     bid_grid: Grid,
     *,
     budget: int | None = None,
@@ -383,6 +402,7 @@ def audit_bpic(
     ValueError before any cell is swept.
     """
     _check_max_witnesses(max_witnesses)
+    scenarios = _scenario_tuple(scenarios)
     budget = resolve_budget(budget)
     valued = argmax_valued(mech)
     if valued is None:
@@ -395,11 +415,11 @@ def audit_bpic(
     for scenario in scenarios:
         ids = scenario.ids()
         if valued:
-            for _, lists in _class_tuples(mech, scenario, ids, points, eligible):
-                cell = _first_cell(ids, lists)
-                elig, _ = solver._eligible_weights(mech, cell, scenario)
+            gated = mech.eligibility is not Eligibility.FREE
+            for key, lists in _class_tuples(mech, scenario, ids, points, eligible):
+                elig = frozenset(compress(ids, key)) if gated else None
                 if not enumerate_blocks(scenario, eligible=elig, budget=budget):
-                    raise NoEligibleBlockError(cell)
+                    raise NoEligibleBlockError(_first_cell(ids, lists))
             cells += len(points) ** len(ids)
             continue
         digest = scenario_digest(scenario)
@@ -426,9 +446,7 @@ def audit_bpic(
                 continue
             classes = dict(zip(ids, key))
             gain = best_score - scenario.bp_valuation.of(rec) - sum(map(classes.get, rec.txs))
-            diff = sorted(set(best.txs) - set(rec.txs)) or sorted(
-                set(rec.txs) - set(best.txs)
-            )
+            diff = sorted(set(best.txs) - set(rec.txs)) or sorted(set(rec.txs) - set(best.txs))
             tx_id = diff[0] if diff else (best.txs or rec.txs)[0]
             i = ids.index(tx_id)
             v = scenario.tx(tx_id).valuation
@@ -469,8 +487,8 @@ class _DeviationTables:
     the inclusion flag of one standard_block call on the side's clearing
     set, which the other users' classes fix (classify is _clears).  An
     argmax cut is the split_cut of the side's two _ClassPasses entries:
-    one solve per side, holding this transaction at the side's first
-    looked-up bid (classify is mechanisms.fee_class).
+    one solve per side, split on this transaction, whose eligibility is
+    that of the side's first looked-up bid (classify is mechanisms.fee_class).
     """
 
     def __init__(self, mech, scenario, tx, points, strategy_bids, budget):
@@ -563,9 +581,7 @@ def _scan(strategy, tx, points, dev, look, bound=None):
     return rows, overbids, below_range, regret
 
 
-def _sweep(
-    mech, strategy, scenarios, grid, budget, profile_samples, sampling_seed, bound_of=None
-):
+def _sweep(mech, strategy, scenarios, grid, budget, profile_samples, sampling_seed, bound_of=None):
     """The one deviation loop: (cells, found, checks) of the strategy
     against every profile of the other users' bids, for every transaction
     of every scenario.  found holds the witness rows (_Found); checks holds
@@ -610,10 +626,7 @@ def _sweep(
             others, classify = tables.others, tables.classify
             if sampled:
                 rng = random.Random(f"{sampling_seed}:{digest}:{t}")
-                drawn = [
-                    tuple(rng.choice(points) for _ in others)
-                    for _ in range(profile_samples)
-                ]
+                drawn = [tuple(rng.choice(points) for _ in others) for _ in range(profile_samples)]
                 tuples = [
                     (
                         tuple(classify(mech, scenario.tx(i), b) for i, b in zip(others, p)),
@@ -653,7 +666,7 @@ def _sweep(
 def audit_dsic(
     mech: Mechanism,
     strategy: BiddingStrategy,
-    scenarios: Sequence[Scenario],
+    scenarios: Iterable[Scenario],
     grid: Grid,
     *,
     budget: int | None = None,
@@ -675,6 +688,7 @@ def audit_dsic(
     raises ValueError before any profile is swept.
     """
     _check_max_witnesses(max_witnesses)
+    scenarios = _scenario_tuple(scenarios)
     cells, found, _ = _sweep(
         mech, strategy, scenarios, grid, budget, profile_samples, sampling_seed
     )
@@ -693,7 +707,7 @@ def audit_dsic(
 
 def audit_approx_dsic_bound(
     mech: Mechanism,
-    scenarios: Sequence[Scenario],
+    scenarios: Iterable[Scenario],
     grid: Grid,
     *,
     budget: int | None = None,
@@ -720,6 +734,7 @@ def audit_approx_dsic_bound(
     ValueError before any profile is swept.
     """
     _check_max_witnesses(max_witnesses)
+    scenarios = _scenario_tuple(scenarios)
     if not (RULES[mech.preset].base_fee and argmax_valued(mech)):
         raise UnsupportedInstanceError(
             "the bounded-regret audit covers the consonant tipless and "
@@ -787,13 +802,13 @@ class WelfareReport:
 def welfare_argmax(scenario: Scenario, *, budget: int | None = None) -> Block:
     """The feasible block with maximum welfare, canonical-first on ties."""
     values = {tx.tx_id: tx.valuation for tx in scenario.transactions}
-    return max_block(scenario, values, valued=True, budget=budget)
+    return weighted_pass(scenario, values, valued=True, budget=budget)[0][1]
 
 
 def audit_welfare_ratio(
     mech: Mechanism,
     strategy: BiddingStrategy,
-    scenarios: Sequence[Scenario],
+    scenarios: Iterable[Scenario],
     *,
     budget: int | None = None,
 ) -> WelfareReport:
@@ -803,6 +818,7 @@ def audit_welfare_ratio(
     exact rationals; a zero-welfare optimum yields ratio 1 when the
     recommendation matches it and a degenerate flag otherwise.
     """
+    scenarios = _scenario_tuple(scenarios)
     budget = resolve_budget(budget)
     entries = []
     min_ratio = None
@@ -821,9 +837,7 @@ def audit_welfare_ratio(
         else:
             ratio = None
             degenerate = True
-        entries.append(
-            WelfareEntry(digest, rec, w_rec, opt, w_opt, ratio, degenerate)
-        )
+        entries.append(WelfareEntry(digest, rec, w_rec, opt, w_opt, ratio, degenerate))
         if ratio is not None and (min_ratio is None or ratio < min_ratio):
             min_ratio = ratio
     return WelfareReport(tuple(entries), min_ratio)

@@ -345,7 +345,9 @@ def _largest_clearing_block(mech, clearing, scenario, budget):
     gated = mech.eligibility is not Eligibility.FREE
     solver.enumerate_blocks(scenario, eligible=clearing if gated else None, budget=budget)
     sizes = {tx.tx_id: tx.size for tx in scenario.transactions}
-    return solver.max_block(scenario, sizes, valued=False, eligible=clearing, budget=budget)
+    return solver.weighted_pass(
+        scenario, sizes, valued=False, eligible=clearing, budget=budget
+    )[0][1]
 
 
 RULES = {

@@ -246,18 +246,20 @@ def _partition(scenario, eligible, valued, items, split):
     return parts
 
 
-def _argmax_pass(scenario, eligible, budget, weights, valued, split=()):
-    """The one scoring loop behind every block chosen by a score.
+def weighted_pass(scenario, weights, *, valued, eligible=None, split=(), budget=None):
+    """The one scoring loop, and the entry for fixed weights: the welfare
+    optimum, the tipless standard rule and the sweeps' class tuples.
 
-    A block scores the producer's value for it (0 when not `valued`) plus
-    its members' weights.  The blocks are split by which of the (at most
-    two) transactions in `split` they hold: entry k of the returned list
-    covers the blocks that hold split[j] exactly when bit j of k is set,
-    as (maximum score, canonical-first block attaining it, all blocks
-    attaining it in enumeration order, the same as (enumeration index,
-    block) pairs); an empty entry has score and block None.  A plain
-    knapsack gives None for the pairs: its depth-first enumeration lists
-    its member tuples in lexicographic order, so they order its blocks.
+    A block enumerated under `eligible` scores the producer's value for it
+    (0 when not `valued`) plus its members' weights, which must cover them.
+    The blocks are split by which of the (at most two) transactions in
+    `split` they hold: entry k of the returned list covers the blocks that
+    hold split[j] exactly when bit j of k is set, as (maximum score,
+    canonical-first block attaining it, all blocks attaining it in
+    enumeration order, the same as (enumeration index, block) pairs); an
+    empty entry has score and block None.  A plain knapsack gives None for
+    the pairs: its depth-first enumeration lists its member tuples in
+    lexicographic order, so they order its blocks.
 
     Ordered blocksets (explicit, or knapsack permutations) can list several
     orderings of one member set, so there the pass scores the cached plan's
@@ -331,12 +333,11 @@ def split_pass(
     valued: bool,
     budget: int | None = None,
 ):
-    """The one pass over the blocks eligible under the bids, split on up to
-    two transactions: the (score, canonical-first block, tied blocks in
-    enumeration order, indexed ties) entry of each membership pattern of
-    `split` (see _argmax_pass).  With no split, the one entry is the
-    argmax over all eligible blocks that every argmax allocation and
-    producer witness reads.
+    """The entry that reads bids: the weighted_pass over the blocks eligible
+    under the bids, split on up to two transactions: the (score,
+    canonical-first block, tied blocks in enumeration order, indexed ties)
+    entry of each membership pattern of `split`.  With no split, the one
+    entry is the argmax that allocations, replays and constructions read.
 
     A block scores its members' contributions plus, when `valued`, the
     producer's value for it (see mechanisms.argmax_valued).  The
@@ -349,14 +350,16 @@ def split_pass(
     elig, contrib = _eligible_weights(mech, bids, scenario)
     for t in split:
         contrib[t] = 0
-    entries = _argmax_pass(scenario, elig, budget, contrib, valued, split)
+    entries = weighted_pass(
+        scenario, contrib, valued=valued, eligible=elig, split=split, budget=budget
+    )
     if all(entry[0] is None for entry in entries):
         raise NoEligibleBlockError(bids)
     return entries
 
 
 def fold_split(entries, contribution: Money | None):
-    """The (lacking, holding) entries of a split_pass on one transaction
+    """The (lacking, holding) entries of a pass split on one transaction
     read at one of its contributions: the better of `lacking` (blocks
     without it) and `holding` (blocks with it, scored without it) once the
     contribution is added to the latter, in the entry format.  None, for a
@@ -386,22 +389,6 @@ def fold_split(entries, contribution: Money | None):
         return score, first, sorted(lacking[2] + holding[2], key=attrgetter("txs")), None
     pairs = sorted(lacking[3] + holding[3])
     return score, first, [b for _, b in pairs], pairs
-
-
-def max_block(
-    scenario: Scenario,
-    weights: Mapping[int, Money],
-    *,
-    valued: bool,
-    eligible: frozenset[int] | None = None,
-    budget: int | None = None,
-) -> Block | None:
-    """The enumerated block with the largest total of its members' weights,
-    plus the producer's value for it when `valued`, canonical-first on ties;
-    None when no block is enumerated.  weights must cover every
-    transaction."""
-    ((_, best, _, _),) = _argmax_pass(scenario, eligible, budget, weights, valued)
-    return best
 
 
 def split_cut(lacking, holding):
@@ -444,9 +431,7 @@ def bps_argmax(
     return split_pass(bids, scenario, mech, valued=True, budget=budget)[0][1]
 
 
-def bps_argmax_additive_dp(
-    bids: Mapping[int, Money], scenario: Scenario, mech: Mechanism
-) -> Block:
+def bps_argmax_additive_dp(bids: Mapping[int, Money], scenario: Scenario, mech: Mechanism) -> Block:
     """Knapsack route to the surplus argmax for separable instances.
 
     Requires an additive or passive producer valuation and a knapsack
@@ -509,9 +494,7 @@ def value_range(scenario: Scenario, *, budget: int | None = None) -> tuple[Money
     return span
 
 
-def max_marginal_value(
-    tx_id, scenario: Scenario, *, budget: int | None = None
-) -> Money:
+def max_marginal_value(tx_id, scenario: Scenario, *, budget: int | None = None) -> Money:
     """Largest value the producer loses by deleting the transaction from a
     feasible block that contains it (order of the rest preserved).
 

@@ -9,6 +9,7 @@ import os
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, product
 
 import pytest
@@ -35,6 +36,7 @@ from tfm_lab import (
     PassiveValuation,
     ProfileSpaceError,
     Scenario,
+    ScenarioDoc,
     SingleMindedValuation,
     TableValuation,
     TieConflict,
@@ -57,6 +59,7 @@ from tfm_lab import (
     own_payment,
     parse_audit_report,
     payment,
+    random_scenario,
     recommended_block,
     render_audit_report,
     replay_bpic_witness,
@@ -1230,9 +1233,11 @@ class TestErrorParity:
     per-cell oracles' errors, with the same message, at the same cell.  A
     cell's eligible set only grows with its bids and every grid starts at
     0, so an exhaustive sweep meets an empty eligible set at the first cell
-    of a scenario; a sampled sweep meets it where its draw does.  The cell
-    an error is raised at is read off the last eligibility filter computed
-    before it."""
+    of a scenario; a sampled sweep meets it where its draw does.  A
+    NoEligibleBlockError's message names its cell; the pass an error is
+    raised at is read off the eligibility filter of the last enumeration
+    before it, which the sweeps and the oracles' bid-reading passes alike
+    make through solver.enumerate_blocks."""
 
     mech = Mechanism.tipless(1, Eligibility.BASE_FEE_GATED, Allocation.CONSONANT)
     # every listed block holds tx 2, and no block is empty
@@ -1244,26 +1249,30 @@ class TestErrorParity:
     plain = scenario([(1, 0, 0)] * 3)
 
     def raised_at(self, monkeypatch, fn, *args, **kwargs):
-        """(type, message) of fn's error and the bids it was raised at."""
-        cells = []
-        filter_of = solver._eligible_weights
+        """(type, message) of fn's error and the eligibility filter of the
+        last enumeration before it."""
+        filters = []
+        enumerate_of = solver.enumerate_blocks
 
-        def recording(mech, bids, sc):
-            cells.append(dict(bids))
-            return filter_of(mech, bids, sc)
+        def recording(sc, *, eligible=None, budget=None):
+            filters.append(eligible)
+            return enumerate_of(sc, eligible=eligible, budget=budget)
 
-        monkeypatch.setattr(solver, "_eligible_weights", recording)
+        for module in (solver, auditors):
+            monkeypatch.setattr(module, "enumerate_blocks", recording)
         with pytest.raises(TABLE_ERRORS) as info:
             fn(*args, **kwargs)
-        monkeypatch.setattr(solver, "_eligible_weights", filter_of)
-        return type(info.value), str(info.value), cells[-1]
+        for module in (solver, auditors):
+            monkeypatch.setattr(module, "enumerate_blocks", enumerate_of)
+        return type(info.value), str(info.value), filters[-1]
 
     def test_bpic_no_eligible_block(self, monkeypatch):
         grid = GridSpec(1, 2)
         got = self.raised_at(monkeypatch, audit_bpic, self.mech, [self.plain, self.held], grid)
         want = self.raised_at(monkeypatch, oracle_bpic, self.mech, [self.plain, self.held], grid)
         assert got == want
-        assert got[0] is NoEligibleBlockError
+        assert got[0] is NoEligibleBlockError and got[2] == frozenset()
+        assert "at bids {0:0, 1:0, 2:0};" in got[1]
 
     def test_dsic_no_eligible_block_later_in_a_prefix(self, monkeypatch):
         # seed 0 draws tx 0's profiles of (tx 1, tx 2) as (1, 1), (1, 2),
@@ -1278,7 +1287,8 @@ class TestErrorParity:
         got = self.raised_at(monkeypatch, audit_dsic, *args, profile_samples=4)
         want = self.raised_at(monkeypatch, oracle_dsic, *args, samples=4)
         assert got == want
-        assert got[0] is NoEligibleBlockError and got[2] == {0: 0, 1: 1, 2: 0}
+        assert got[0] is NoEligibleBlockError and got[2] == {1}
+        assert "at bids {0:0, 1:1, 2:0};" in got[1]
         exhaustive = self.raised_at(monkeypatch, audit_dsic, *args)
         assert exhaustive == self.raised_at(monkeypatch, oracle_dsic, *args)
 
@@ -1311,7 +1321,7 @@ class TestErrorParity:
         args = Mechanism.fpa(Allocation.CONSONANT), [sc], grid
         got = self.raised_at(monkeypatch, audit_bpic, *args)
         assert got == self.raised_at(monkeypatch, oracle_bpic, *args)
-        assert got[0] is error and got[2] == dict.fromkeys(sc.ids(), 0)
+        assert got[0] is error and got[2] is None
 
     @pytest.mark.parametrize("kind", ["bpic", "dsic"])
     def test_budget_between_the_last_users_sides(self, monkeypatch, kind):
@@ -1329,8 +1339,87 @@ class TestErrorParity:
         monkeypatch.setenv(BUDGET_ENV_VAR, "3")
         got = self.raised_at(monkeypatch, audit, *args)
         assert got == self.raised_at(monkeypatch, oracle, *args)
-        assert got[0] is EnumerationBudgetError and got[2][2] == 1
-        assert got[2][0] == (0 if kind == "bpic" else 1)
+        # bpic raises at bids {0:0, 1:1, 2:1}, dsic at {0:1, 1:0, 2:1}
+        assert got[0] is EnumerationBudgetError
+        assert got[2] == ({1, 2} if kind == "bpic" else {0, 2})
+
+
+class TestSweepsReadNoBids:
+    """The sweeps score class tuples through solver.weighted_pass and read
+    no bid vector: with split_pass and solver._eligible_weights patched to
+    raise, every argmax sweep still matches its per-cell oracle."""
+
+    fixtures = [
+        scenario([(1, 3, 3), (2, 2, 2), (1, 4, 4)], cap=3, bp=AdditiveValuation({0: 2, 2: 1})),
+        Scenario(
+            tuple(Transaction(i, 1, v) for i, v in enumerate((2, 4, 3))),
+            TableValuation({Block((1, 0)): 3, Block((0, 1)): 1, Block((2,)): 2}),
+            KnapsackBlockset(2, enumerate_permutations=True),
+        ),
+    ]
+    fpa = Mechanism.fpa()
+    consonant = Mechanism.fpa(Allocation.CONSONANT)
+    gated = Mechanism.tipless(1, Eligibility.BASE_FEE_GATED, Allocation.CONSONANT)
+
+    @pytest.mark.parametrize(
+        "audit, oracle",
+        [
+            (partial(audit_bpic, fpa), partial(oracle_bpic, fpa)),
+            (
+                partial(audit_dsic, consonant, Truthful()),
+                partial(oracle_dsic, consonant, Truthful()),
+            ),
+            (partial(audit_dsic, gated, Truthful()), partial(oracle_dsic, gated, Truthful())),
+            (partial(audit_approx_dsic_bound, gated), partial(oracle_approx_dsic, gated)),
+        ],
+        ids=["fpa-revenue-max-bpic", "fpa-consonant-dsic", "gated-dsic", "gated-approx-dsic"],
+    )
+    def test_matches_the_oracle_without_bids(self, monkeypatch, audit, oracle):
+        want = oracle(self.fixtures, GRID)
+
+        def unused(*args, **kwargs):
+            raise AssertionError("a sweep read a bid vector")
+
+        monkeypatch.setattr(solver, "_eligible_weights", unused)
+        for module in (solver, auditors):
+            monkeypatch.setattr(module, "split_pass", unused)
+        assert audit(self.fixtures, GRID) == want
+        assert audit.func is not audit_bpic or want.verdict == "FAIL"
+
+
+class TestScenarioArgument:
+    """Every audit reads its scenarios once and checks their type."""
+
+    fixtures = (
+        scenario([(1, 3, 3), (2, 2, 2)], cap=2, bp=AdditiveValuation({0: 2})),
+        scenario([(1, 4, 4), (1, 1, 1)], cap=1),
+    )
+    audits = [
+        partial(audit_bpic, Mechanism.fpa(), bid_grid=GRID),
+        partial(audit_dsic, Mechanism.fpa(Allocation.CONSONANT), Truthful(), grid=GRID),
+        partial(
+            audit_approx_dsic_bound,
+            Mechanism.tipless(2, Eligibility.FREE, Allocation.CONSONANT),
+            grid=GRID,
+        ),
+        partial(audit_welfare_ratio, Mechanism.fpa(), Truthful()),
+    ]
+    kinds = ["bpic", "dsic", "approx-dsic", "welfare"]
+
+    @pytest.mark.parametrize("audit", audits, ids=kinds)
+    def test_a_generator_reads_as_a_list(self, audit):
+        want = audit(list(self.fixtures))
+        assert audit(sc for sc in self.fixtures) == want
+        assert audit.func is not audit_dsic or want.verdict == "FAIL"
+
+    @pytest.mark.parametrize("audit", audits, ids=kinds)
+    def test_a_scenario_doc_is_refused(self, audit):
+        doc = random_scenario(7, n_txs=2)
+        assert isinstance(doc, ScenarioDoc)
+        with pytest.raises(TypeError, match="must hold Scenario objects, got ScenarioDoc"):
+            audit([self.fixtures[0], doc])
+        with pytest.raises(TypeError, match="scenarios must be an iterable, got ScenarioDoc"):
+            audit(doc)
 
 
 class TestApproxBound:
