@@ -431,7 +431,7 @@ def audit_bpic(
         for key, lists in _class_tuples(mech, scenario, ids, points, fee_class):
             cells += prod(map(len, lists))
             folds = passes.folds(key, lists)
-            best_score, best, tied, _ = folds[0]
+            best_score, best, tied = folds[0]
             if valued is False:
                 rec = folds[1][1]
             else:
@@ -898,5 +898,5 @@ def replay_bpic_witness(
     the best block over the recommendation."""
     bids = dict(witness.cell_bids)
     rec = recommended_block(mech, bids, scenario, budget=budget)
-    ((best_score, _, _, _),) = split_pass(bids, scenario, mech, valued=True, budget=budget)
+    best_score = split_pass(bids, scenario, mech, valued=True, budget=budget)[0]
     return best_score - bps(rec, bids, scenario, mech)

@@ -148,7 +148,7 @@ def _shared_zero_bid(mech, scenario, bids, budget, variant):
 
     modified = scenario.with_valuation(modified_valuation)
 
-    ((_, best0, tied0, _),) = split_pass(zero_bids, modified, mech, valued=True, budget=budget)
+    _, best0, tied0 = split_pass(zero_bids, modified, mech, valued=True, budget=budget)
     members = set(block.txs)
     for b in tied0:
         if not members <= set(b.txs):
@@ -169,7 +169,7 @@ def _shared_zero_bid(mech, scenario, bids, budget, variant):
             f"exceed the bid"
         )
 
-    ((_, fixed, fixed_tied, _),) = split_pass(bids, modified, mech, valued=True, budget=budget)
+    _, fixed, fixed_tied = split_pass(bids, modified, mech, valued=True, budget=budget)
     if fixed != block:
         raise ConstructionReplayError(
             f"under the original bids the modified world selects {fixed.txs} "

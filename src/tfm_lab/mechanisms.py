@@ -294,7 +294,7 @@ def recommended_block(
     if valued is not None:
         from . import solver
 
-        return solver.split_pass(bids, scenario, mech, valued=valued, budget=budget)[0][1]
+        return solver.split_pass(bids, scenario, mech, valued=valued, budget=budget)[1]
     clearing = _clearing_ids(mech.base_fee, bids, scenario.transactions)
     block = standard_block(mech, clearing, scenario, budget=budget)
     if block is None:

@@ -180,14 +180,13 @@ class _Group(NamedTuple):
     txs    the members, in the order of one of the orderings
     value  the highest producer value among the orderings, 0 in an
            unvalued plan
-    top    (enumeration index, ordering) of every ordering worth value, in
-           enumeration order; in an unvalued plan, of the canonical-first
-           ordering alone
+    top    every ordering worth value, in canonical order; in an unvalued
+           plan, the canonical-first ordering alone
     """
 
     txs: tuple[int, ...]
     value: Money
-    top: tuple[tuple[int, Block], ...]
+    top: tuple[Block, ...]
 
 
 def _plan(scenario: Scenario, eligible, blocks, valued) -> tuple[_Group, ...]:
@@ -208,24 +207,26 @@ def _plan(scenario: Scenario, eligible, blocks, valued) -> tuple[_Group, ...]:
         return plan
     value_of = scenario.bp_valuation.of
     acc = {}
-    for i, b in enumerate(blocks):
+    for b in blocks:
         members = frozenset(b.txs)
         g = acc.get(members)
         if not valued:
-            if g is None or canonical_key(b) < canonical_key(g[1]):
-                acc[members] = i, b
+            if g is None or canonical_key(b) < canonical_key(g):
+                acc[members] = b
             continue
         v = value_of(b)
         if g is None:
-            acc[members] = [v, [(i, b)]]
+            acc[members] = [v, [b]]
         elif v > g[0]:
-            g[0], g[1] = v, [(i, b)]
+            g[0], g[1] = v, [b]
         elif v == g[0]:
-            g[1].append((i, b))
+            g[1].append(b)
     if valued:
-        plan = tuple(_Group(top[0][1].txs, v, tuple(top)) for v, top in acc.values())
+        plan = tuple(
+            _Group(top[0].txs, v, tuple(sorted(top, key=canonical_key))) for v, top in acc.values()
+        )
     else:
-        plan = tuple(_Group(b.txs, 0, ((i, b),)) for i, b in acc.values())
+        plan = tuple(_Group(b.txs, 0, (b,)) for b in acc.values())
     cache[key] = plan
     return plan
 
@@ -256,10 +257,7 @@ def weighted_pass(scenario, weights, *, valued, eligible=None, split=(), budget=
     `split` they hold: entry k of the returned list covers the blocks that
     hold split[j] exactly when bit j of k is set, as (maximum score,
     canonical-first block attaining it, all blocks attaining it in
-    enumeration order, the same as (enumeration index, block) pairs); an
-    empty entry has score and block None.  A plain knapsack gives None for
-    the pairs: its depth-first enumeration lists its member tuples in
-    lexicographic order, so they order its blocks.
+    canonical order); an empty entry is (None, None, ()).
 
     Ordered blocksets (explicit, or knapsack permutations) can list several
     orderings of one member set, so there the pass scores the cached plan's
@@ -307,55 +305,40 @@ def weighted_pass(scenario, weights, *, valued, eligible=None, split=(), budget=
                 best, tied = s, [it]
             elif s == best:
                 tied.append(it)
-        if grouped:
-            # a group's top orderings are already in enumeration order
-            pairs = list(tied[0].top) if len(tied) == 1 else sorted(p for g in tied for p in g.top)
-            tied = [b for _, b in pairs]
+        if grouped and len(tied) == 1:
+            ties = tied[0].top  # a group's top orderings are in canonical order
         else:
-            pairs = None
-        entries.append((best, _canonical_first(tied), tied, pairs))
+            if grouped:
+                tied = [b for g in tied for b in g.top]
+            ties = tuple(sorted(tied, key=canonical_key))
+        entries.append((best, ties[0] if ties else None, ties))
     return entries
-
-
-def _canonical_first(blocks):
-    """The canonical-first of a list of blocks, None for an empty one."""
-    if len(blocks) < 2:
-        return blocks[0] if blocks else None
-    return min(blocks, key=canonical_key)
 
 
 def split_pass(
     bids: Mapping[int, Money],
     scenario: Scenario,
     mech: Mechanism,
-    split: tuple = (),
     *,
     valued: bool,
     budget: int | None = None,
 ):
     """The entry that reads bids: the weighted_pass over the blocks eligible
-    under the bids, split on up to two transactions: the (score,
-    canonical-first block, tied blocks in enumeration order, indexed ties)
-    entry of each membership pattern of `split`.  With no split, the one
-    entry is the argmax that allocations, replays and constructions read.
+    under the bids, as one (score, canonical-first block, tied blocks in
+    canonical order) entry, the argmax that allocations, replays and
+    constructions read.
 
     A block scores its members' contributions plus, when `valued`, the
-    producer's value for it (see mechanisms.argmax_valued).  The
-    contributions of the transactions in `split` are zeroed, and fold_split
-    reads off any contribution of one of them.  On ordered blocksets an
-    unvalued entry lists each tied member set by its canonical-first
-    ordering alone.  Raises NoEligibleBlockError when no enumerated block
-    is eligible under the bids.
+    producer's value for it (see mechanisms.argmax_valued).  On ordered
+    blocksets an unvalued entry lists each tied member set by its
+    canonical-first ordering alone.  Raises NoEligibleBlockError when no
+    enumerated block is eligible under the bids.
     """
     elig, contrib = _eligible_weights(mech, bids, scenario)
-    for t in split:
-        contrib[t] = 0
-    entries = weighted_pass(
-        scenario, contrib, valued=valued, eligible=elig, split=split, budget=budget
-    )
-    if all(entry[0] is None for entry in entries):
+    (entry,) = weighted_pass(scenario, contrib, valued=valued, eligible=elig, budget=budget)
+    if entry[0] is None:
         raise NoEligibleBlockError(bids)
-    return entries
+    return entry
 
 
 def fold_split(entries, contribution: Money | None):
@@ -366,10 +349,10 @@ def fold_split(entries, contribution: Money | None):
     transaction that is not eligible or not split off, reads `lacking`
     alone, so it also reads the one entry of an unsplit pass.
 
-    On equal scores the tied lists are merged in enumeration order and the
-    canonical key picks the block, exactly as one pass at that bid would.
-    An argmax allocation reads a bid only through this contribution, which
-    never decreases in the bid, so one split pass settles every bid of the
+    On equal scores the tied blocks are merged in canonical order, so the
+    entry is exactly what one pass at that bid would give.  An argmax
+    allocation reads a bid only through this contribution, which never
+    decreases in the bid, so one split pass settles every bid of the
     transaction at O(1) each.
     """
     lacking = entries[0]
@@ -384,11 +367,8 @@ def fold_split(entries, contribution: Money | None):
         return score, *holding[1:]
     if score < lacking[0]:
         return lacking
-    first = min(lacking[1], holding[1], key=canonical_key)
-    if lacking[3] is None:  # a plain knapsack: member tuples order its blocks
-        return score, first, sorted(lacking[2] + holding[2], key=attrgetter("txs")), None
-    pairs = sorted(lacking[3] + holding[3])
-    return score, first, [b for _, b in pairs], pairs
+    ties = tuple(sorted((*lacking[2], *holding[2]), key=canonical_key))
+    return score, ties[0], ties
 
 
 def split_cut(lacking, holding):
@@ -427,8 +407,8 @@ def bps_argmax(
     budget: int | None = None,
 ) -> Block:
     """The feasible block with maximum producer surplus, canonical-first, as
-    the consonant recommended_block: one valued, unsplit split_pass, unmemoized."""
-    return split_pass(bids, scenario, mech, valued=True, budget=budget)[0][1]
+    the consonant recommended_block: one valued split_pass, unmemoized."""
+    return split_pass(bids, scenario, mech, valued=True, budget=budget)[1]
 
 
 def bps_argmax_additive_dp(bids: Mapping[int, Money], scenario: Scenario, mech: Mechanism) -> Block:

@@ -831,7 +831,7 @@ class TestBpic:
 
 def oracle_bpic(mech, scenarios, grid, rule=recommended_block):
     """audit_bpic recomputed cell by cell: one rule call and one
-    unsplit split_pass per cell, whatever the rule."""
+    split_pass per cell, whatever the rule."""
     points = grid.points()
     witnesses = []
     conflicts = []
@@ -843,7 +843,7 @@ def oracle_bpic(mech, scenarios, grid, rule=recommended_block):
         for combo in product(points, repeat=len(ids)):
             bids = dict(zip(ids, combo))
             rec = rule(mech, bids, sc)
-            ((best_score, best, tied, _),) = split_pass(bids, sc, mech, valued=True)
+            best_score, best, tied = split_pass(bids, sc, mech, valued=True)
             cells += 1
             if rec in tied:
                 others = [b for b in tied if b != rec]
@@ -944,7 +944,7 @@ def rotating_rule(mech, clearing, sc, *, budget=None):
     bids of the reserve for the clearing ids and 0 for the others, which
     under tipless and a passive producer tie as every cell of that set."""
     bids = {t: mech.reserve(sc.tx(t)) if t in clearing else 0 for t in sc.ids()}
-    ((_, _, tied, _),) = split_pass(bids, sc, mech, valued=True, budget=budget)
+    _, _, tied = split_pass(bids, sc, mech, valued=True, budget=budget)
     return tied[(len(clearing) + 2) % len(tied)]
 
 

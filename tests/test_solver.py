@@ -54,6 +54,7 @@ from tfm_lab.solver import (
     fold_split,
     split_cut,
     split_pass,
+    weighted_pass,
 )
 
 
@@ -186,7 +187,7 @@ class TestSplitCut:
         # on, where the tie with tx1 goes to the canonical-first block (0,)
         sc = knapsack_scenario([(1, 0, 1), (1, 0, 2)], cap=1)
         mech = Mechanism.fpa()
-        lacking, holding = split_pass(sc.submitted_bids(), sc, mech, (0,), valued=False)
+        lacking, holding = split_entries(sc.submitted_bids(), sc, mech, (0,), valued=False)
         assert lacking[:2] == (2, Block((1,))) and holding[:2] == (0, Block((0,)))
         cut = split_cut(lacking, holding)
         assert cut == (2, True)
@@ -379,7 +380,7 @@ def scan_detail(bids, sc, mech):
             tied.append(b)
             if canonical_key(b) < canonical_key(best):
                 best = b
-    return best, best_score, tuple(tied)
+    return best, best_score, tuple(sorted(tied, key=canonical_key))
 
 
 def scan_revenue(bids, sc):
@@ -425,14 +426,26 @@ def scan_welfare(sc):
 
 
 def detail_of(bids, sc, mech):
-    """The valued, unsplit split_pass as a scan_detail tuple."""
-    ((score, best, tied, _),) = split_pass(bids, sc, mech, valued=True)
-    return best, score, tuple(tied)
+    """The valued split_pass as a scan_detail tuple."""
+    score, best, tied = split_pass(bids, sc, mech, valued=True)
+    return best, score, tied
+
+
+def split_entries(bids, sc, mech, split, *, valued):
+    """The weighted_pass entries of split_pass's pass split on `split`:
+    the blocks eligible under the bids, the split-off contributions zeroed."""
+    elig, contrib = _eligible_weights(mech, bids, sc)
+    for t in split:
+        contrib[t] = 0
+    entries = weighted_pass(sc, contrib, valued=valued, eligible=elig, split=split)
+    if all(entry[0] is None for entry in entries):
+        raise NoEligibleBlockError(bids)
+    return entries
 
 
 def split_of(bids, sc, mech, t):
-    """split_pass on t alone, as a scan_split tuple."""
-    (without_score, without, *_), (holding_score, holding, *_) = split_pass(
+    """The pass split on t alone, as a scan_split tuple."""
+    (without_score, without, _), (holding_score, holding, _) = split_entries(
         bids, sc, mech, (t,), valued=argmax_valued(mech)
     )
     return without, without_score, holding, holding_score
@@ -615,10 +628,10 @@ class TestValuesAgainstOracle:
 
 
 class TestPlanAgainstScan:
-    """split_pass, unsplit and split, valued and not, the revenue_max and
-    tipless standard rules and welfare_argmax read the grouped plan on
-    ordered blocksets; each must agree with a per-block scan, tie order
-    included."""
+    """split_pass and the passes split on one user, valued and not, the
+    revenue_max and tipless standard rules and welfare_argmax read the
+    grouped plan on ordered blocksets; each must agree with a per-block
+    scan, tie order included."""
 
     @given(ordered_cases())
     @settings(max_examples=400, deadline=None)
@@ -633,7 +646,7 @@ class TestPlanAgainstScan:
         # a second call reads the cached plan
         if want is not NoEligibleBlockError:
             assert detail_of(bids, sc, mech) == want
-        revenue = split_pass(bids, sc, Mechanism.fpa(), valued=False)[0][1]
+        revenue = split_pass(bids, sc, Mechanism.fpa(), valued=False)[1]
         assert revenue == scan_revenue(bids, sc)
         if mech.preset == "fpa" and mech.allocation is Allocation.REVENUE_MAX:
             assert recommended_block(mech, bids, sc) == scan_revenue(bids, sc)
@@ -670,7 +683,7 @@ class TestPlanAgainstScan:
         table = TableValuation({Block(b): v for b, v in values.items()})
         return Scenario(txs, table, ExplicitBlockset(tuple(Block(b) for b in blocks)))
 
-    def test_ties_within_and_across_groups_keep_enumeration_order(self):
+    def test_ties_within_and_across_groups_come_in_canonical_order(self):
         # (1, 0) and (0, 1) are one member set worth 1 either way; (2,) and
         # (0, 2) tie with them at 3 from other groups
         sc = self.tie_scenario(
@@ -680,7 +693,7 @@ class TestPlanAgainstScan:
         bids = {0: 1, 1: 1, 2: 2}
         best, score, tied = detail_of(bids, sc, Mechanism.fpa(Allocation.CONSONANT))
         assert score == 3
-        assert tied == tuple(Block(b) for b in [(1, 0), (2,), (0, 1), (0, 2)])
+        assert tied == tuple(Block(b) for b in [(2,), (0, 1), (0, 2), (1, 0)])
         assert best == Block((2,))
         split = split_of(bids, sc, Mechanism.fpa(Allocation.CONSONANT), 0)
         assert split == (Block((2,)), 3, Block((0, 1)), 2)
@@ -738,8 +751,8 @@ def raised(fn, *args, **kwargs):
 
 
 # tied at 3 with tx 2 bidding 2: the member set {0, 1} lacks tx 2 and lists
-# (1, 0) and (0, 1), while (2,) and (0, 2) hold it, so only a merge by
-# enumeration index gives the order of one pass
+# (1, 0) and (0, 1), while (2,) and (0, 2) hold it; in canonical order the
+# two tie lists interleave, so only a merge gives the order of one pass
 CROSS_TIE_CASE = (
     Scenario(
         tuple(Transaction(i, 1, 0) for i in range(3)),
@@ -751,17 +764,18 @@ CROSS_TIE_CASE = (
 )
 
 
-# on a plain knapsack with tx 2 bidding 1, (0, 2), which holds it, ties
-# (1,), which lacks it, and comes first in the depth-first enumeration
+# on a plain knapsack with tx 2 bidding 2, (2,), which holds it, ties
+# (0, 1), which lacks it, and comes first in canonical order although the
+# depth-first enumeration lists it last
 PLAIN_CROSS_TIE_CASE = (
-    knapsack_scenario([(1, 0, 1), (2, 0, 2), (1, 0, 0)], 2),
-    {0: 1, 1: 2, 2: 0},
+    knapsack_scenario([(1, 0, 1), (1, 0, 1), (2, 0, 0)], 2),
+    {0: 1, 1: 1, 2: 0},
     Mechanism.fpa(Allocation.CONSONANT),
 )
 
 
 class TestSplitPass:
-    """One split_pass per eligibility of the split transaction, read at
+    """One pass split on a transaction per eligibility of it, read at
     each of its bids by fold_split, against one pass per bid and the
     per-block scan; tie order included."""
 
@@ -782,12 +796,14 @@ class TestSplitPass:
             if key not in passes:
                 # solved at the first bid of each eligibility, as the audits do
                 passes[key] = raised(
-                    lambda: [split_pass(cell, sc, mech, (last,), valued=v) for v in (True, False)]
+                    lambda: [
+                        split_entries(cell, sc, mech, (last,), valued=v) for v in (True, False)
+                    ]
                 )
                 if len(ids) > 1 and mech.allocation is not Allocation.STANDARD:
                     valued = mech.allocation is not Allocation.REVENUE_MAX
                     passes[key, "pair"] = raised(
-                        split_pass, cell, sc, mech, (first, last), valued=valued
+                        split_entries, cell, sc, mech, (first, last), valued=valued
                     )
             got = passes[key]
             want = raised(detail_of, cell, sc, mech)
@@ -795,10 +811,10 @@ class TestSplitPass:
                 # raised where the pass was solved, which ends a sweep
                 assert got == want
                 break
-            score, best, tied, _ = fold_split(got[0], c)
-            assert (best, score, tuple(tied)) == want
+            score, best, tied = fold_split(got[0], c)
+            assert (best, score, tied) == want
             if mech.preset == "fpa":
-                revenue = split_pass(cell, sc, mech, valued=False)[0][1]
+                revenue = split_pass(cell, sc, mech, valued=False)[1]
                 assert fold_split(got[1], c)[1] == revenue
             if len(ids) == 1 or mech.allocation is Allocation.STANDARD:
                 continue
@@ -814,7 +830,8 @@ class TestSplitPass:
 
     @given(st.lists(st.integers(1, 3), min_size=1, max_size=6), st.integers(0, 8), st.randoms())
     def test_plain_knapsacks_enumerate_member_tuples_in_order(self, sizes, cap, rnd):
-        # a plain knapsack's member tuples order its ties
+        # the depth-first enumeration lists member tuples in lexicographic
+        # order, whatever order the candidates are given in
         ids = list(range(len(sizes)))
         rnd.shuffle(ids)
         txs = tuple(Transaction(i, size, 0) for i, size in enumerate(sizes))
@@ -824,19 +841,44 @@ class TestSplitPass:
 
     def test_no_contribution_reads_the_one_entry_of_an_unsplit_pass(self):
         sc, bids, mech = CROSS_TIE_CASE
-        entries = split_pass(bids, sc, mech, valued=True)
+        entries = split_entries(bids, sc, mech, (), valued=True)
         assert len(entries) == 1
         assert fold_split(entries, None) is entries[0]
+        assert entries[0] == split_pass(bids, sc, mech, valued=True)
 
-    def test_cross_tie_merges_by_enumeration_index(self):
+    def test_cross_tie_merges_in_canonical_order(self):
         sc, bids, mech = CROSS_TIE_CASE
-        entries = split_pass(bids, sc, mech, (2,), valued=True)
+        entries = split_entries(bids, sc, mech, (2,), valued=True)
         lacking, holding = entries
         assert lacking[0] == holding[0] + 2
-        score, best, tied, at = fold_split(entries, 2)
-        assert [b.txs for b in tied] == [(1, 0), (2,), (0, 1), (0, 2)]
-        assert [i for i, _ in at] == [1, 2, 3, 4]
+        score, best, tied = fold_split(entries, 2)
+        assert [b.txs for b in tied] == [(2,), (0, 1), (0, 2), (1, 0)]
         assert (best, score) == (Block((2,)), 3)
+
+    @given(ordered_cases(), st.randoms())
+    @settings(max_examples=200, deadline=None)
+    def test_entries_ignore_the_listing_order(self, case, rnd):
+        # the same blocks listed in two orders give equal entries, ties
+        # included, unsplit and folded from a pass split on the last user
+        sc, bids, mech = case
+        listed = list(enumerate_blocks(sc))
+        shuffled = listed[:]
+        rnd.shuffle(shuffled)
+        last = sc.ids()[-1]
+
+        def entries(blocks):
+            world = Scenario(sc.transactions, sc.bp_valuation, ExplicitBlockset(tuple(blocks)))
+            got = []
+            for x, valued in product(range(4), (True, False)):
+                cell = {**bids, last: x}
+                got.append(raised(split_pass, cell, world, mech, valued=valued))
+                split = raised(split_entries, cell, world, mech, (last,), valued=valued)
+                if isinstance(split, list):
+                    split = fold_split(split, fee_class(mech, world.tx(last), x))
+                got.append(split)
+            return got
+
+        assert entries(listed) == entries(shuffled)
 
 
 class TestUnvaluedPlan:
