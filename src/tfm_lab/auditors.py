@@ -312,64 +312,102 @@ def _first_cell(ids, lists):
     return dict(zip(ids, map(itemgetter(0), lists)))
 
 
+def _fold(entries, c):
+    """Pass entries read at class c of the user at bit 0 of each pattern:
+    fold_split of each (lacking it, holding it) pair, so every other bit
+    moves down by one."""
+    return [fold_split(pair, c) for pair in zip(entries[0::2], entries[1::2])]
+
+
 class _ClassPasses:
     """The one block pass behind every argmax read of a class tuple.
 
-    An argmax reads a cell only through its fee classes, and the last
-    walked user's class (ids[-1]) only as a contribution added to the
-    blocks that hold it.  So per prefix (the classes before it) and its
-    eligibility, one weighted_pass per solve on the held id and that user
-    gives each of its classes by fold_split.  A last user with fewer than
-    two eligible classes is not split off: one pass per tuple is as few.
+    An argmax reads a cell only through its fee classes, and a walked
+    user's class only as a contribution added to the blocks that hold it.
+    So each of the last two walked users with two or more eligible classes
+    is split off (with fewer, one pass per class is as few), and one
+    weighted_pass per key and side, split on them and the held id, gives
+    each of their classes by fold_split.  A key is the class tuple with each
+    split-off user's class replaced by its eligibility.  The second-to-last
+    user's class is folded into each pattern of the last user, memoized per
+    (classes up to it, the last user's eligibility), then the last user's.
     The class tuple is the weight vector, so no bid is read: eligible ids
-    weigh their class, split-off ones 0.  solves lists the (fixed, valued)
-    of each pass of a key, in order; fixed maps the held id, if any, the
-    same in every solve, to a bid that sets only its eligibility.  A key's
-    passes are solved when a tuple first needs them, so errors name the
-    tuple's first raw cell with the message of a per-cell pass.
+    weigh their class, split-off ones 0.  sides lists the fixed bids of
+    each pass of a key, in order; each maps the held id, if any, the same
+    in every side, to a bid that sets only its eligibility.  valued is the
+    read of every pass, (True, False) for revenue_max's producer argmax and
+    unvalued solve in one walk.  A key's passes are solved when a tuple
+    first needs them, so errors name the tuple's first raw cell with the
+    message of a per-cell pass.
     """
 
-    def __init__(self, mech, scenario, ids, points, budget, solves):
-        self.scenario, self.ids, self.budget = scenario, ids, budget
+    def __init__(self, mech, scenario, ids, points, budget, sides, valued):
+        self.scenario, self.ids, self.budget, self.valued = scenario, ids, budget, valued
         self.gated = mech.eligibility is not Eligibility.FREE
-        # (fixed, valued, the held id at weight 0 if its bid is eligible)
-        self.solves = [
-            (fixed, valued, {t: 0 for t, b in fixed.items() if eligible(mech, scenario.tx(t), b)})
-            for fixed, valued in solves
+        # (fixed, the held id at weight 0 if its bid is eligible)
+        self.sides = [
+            (fixed, {t: 0 for t, b in fixed.items() if eligible(mech, scenario.tx(t), b)})
+            for fixed in sides
         ]
-        held = tuple(solves[0][0])
-        last = {fee_class(mech, scenario.tx(t), b) for t in ids[-1:] for b in points}
-        self.split = len(last - {None}) >= 2
-        self.on = (*held, *ids[-1:]) if self.split else held
-        # by eligibility of the last user: key -> the (lacking it, holding
-        # it) entries of each solve and membership pattern of the held id
-        self.passes = {}, {}
+        tail = ids[-2:]
+        split = [
+            len({fee_class(mech, scenario.tx(t), b) for b in points} - {None}) >= 2 for t in tail
+        ]
+        # whether ids[-2] and ids[-1] are split off (a missing user is not)
+        self.first, self.last = [False] * (2 - len(tail)) + split
+        # bit 0 of a pattern is the first split-off user, then the next,
+        # then the held id; a side's unvalued entries, if any, follow its
+        # valued ones as if the read were one more bit
+        self.on = (*compress(tail, split), *sides[0])
+        self.passes = {}
+        # by the last user's eligibility: classes[:-1] -> the (lacking it,
+        # holding it) entry pairs with every other class folded in
+        self.halves = {}, {}
 
     def folds(self, classes, lists):
-        """The entry of each solve and membership pattern of the held id at
-        the class tuple `classes`, whose bid lists are `lists`."""
-        if self.split:
-            key, c = classes[:-1], classes[-1]
-            memo = self.passes[c is not None]
-        else:
-            key, c, memo = classes, None, self.passes[0]
-        pairs = memo.get(key)
-        if pairs is None:
-            pairs = []
-            on = self.on
-            weights = {t: 0 if t in on else k for t, k in zip(self.ids, classes) if k is not None}
-            for fixed, valued, held in self.solves:
-                w = {**weights, **held} if held else weights
-                elig = frozenset(w) if self.gated else None
-                entries = weighted_pass(
-                    self.scenario, w, valued=valued, eligible=elig, split=on, budget=self.budget
-                )
-                if all(entry[0] is None for entry in entries):
-                    raise NoEligibleBlockError({**_first_cell(self.ids, lists), **fixed})
-                # bit 0 of a pattern is the held id, bit 1 the last user
-                pairs += (entries[0::2], entries[1::2]) if fixed else (entries,)
-            memo[key] = pairs
-        return [fold_split(pair, c) for pair in pairs]
+        """The entries at the class tuple `classes`, whose bid lists are
+        `lists`: per side in order, per read, the entry lacking and then
+        the one holding the held id (one entry when there is none)."""
+        if self.last:
+            c = classes[-1]
+            memo = self.halves[c is not None]
+            pairs = memo.get(classes[:-1])
+            if pairs is None:
+                if self.first:
+                    key = classes[:-2], classes[-2] is not None, c is not None
+                    entries = _fold(self._pass(key, classes, lists), classes[-2])
+                else:
+                    entries = self._solve(classes, lists)
+                pairs = memo[classes[:-1]] = list(zip(entries[0::2], entries[1::2]))
+            return [fold_split(pair, c) for pair in pairs]
+        if self.first:
+            key = classes[:-2], classes[-2] is not None, classes[-1]
+            return _fold(self._pass(key, classes, lists), classes[-2])
+        return self._pass(classes, classes, lists)
+
+    def _pass(self, key, classes, lists):
+        """The _solve entries of `key`, solved at the class tuple `classes`
+        the first time the key is asked for."""
+        entries = self.passes.get(key)
+        if entries is None:
+            entries = self.passes[key] = self._solve(classes, lists)
+        return entries
+
+    def _solve(self, classes, lists):
+        """Every side's weighted_pass entries at the class tuple `classes`,
+        in order; a side without an eligible block raises at the tuple's
+        first raw cell."""
+        entries = []
+        scenario, valued, on, budget = self.scenario, self.valued, self.on, self.budget
+        weights = {t: 0 if t in on else k for t, k in zip(self.ids, classes) if k is not None}
+        for fixed, held in self.sides:
+            w = {**weights, **held} if held else weights
+            elig = frozenset(w) if self.gated else None
+            side = weighted_pass(scenario, w, valued=valued, eligible=elig, split=on, budget=budget)
+            if all(entry[0] is None for entry in side):
+                raise NoEligibleBlockError({**_first_cell(self.ids, lists), **fixed})
+            entries += side
+        return entries
 
 
 def audit_bpic(
@@ -394,7 +432,7 @@ def audit_bpic(
     classes, so each class tuple (_class_tuples) is settled once for all
     its cells, witness gains too (bps is value plus the members' classes).
     The producer's argmax is read off _ClassPasses, and fpa's revenue_max
-    off a second, unvalued pass per key; a standard rule reads only the
+    off the unvalued read of the same walk; a standard rule reads only the
     clearing set the tuple fixes (a contribution is >= 0 exactly when the
     bid clears), one standard_block call per tuple.  A witness tuple gets
     one row per bid of the witness transaction's class, with that user's
@@ -423,9 +461,9 @@ def audit_bpic(
             cells += len(points) ** len(ids)
             continue
         digest = scenario_digest(scenario)
-        # the producer's argmax, then revenue_max's unvalued one
-        solves = [({}, True), ({}, False)] if valued is False else [({}, True)]
-        passes = _ClassPasses(mech, scenario, ids, points, budget, solves)
+        # the producer's argmax, and revenue_max's unvalued one in the same walk
+        reads = (True, False) if valued is False else True
+        passes = _ClassPasses(mech, scenario, ids, points, budget, [{}], reads)
         witness_rows = {}  # (tx, gain, bid) -> the one-row outcome its cells share
         edges = {}
         for key, lists in _class_tuples(mech, scenario, ids, points, fee_class):
@@ -487,8 +525,9 @@ class _DeviationTables:
     the inclusion flag of one standard_block call on the side's clearing
     set, which the other users' classes fix (classify is _clears).  An
     argmax cut is the split_cut of the side's two _ClassPasses entries:
-    one solve per side, split on this transaction, whose eligibility is
-    that of the side's first looked-up bid (classify is mechanisms.fee_class).
+    one pass per side, split on this transaction (and on the last two
+    other users, folded away), whose eligibility is that of the side's
+    first looked-up bid (classify is mechanisms.fee_class).
     """
 
     def __init__(self, mech, scenario, tx, points, strategy_bids, budget):
@@ -513,8 +552,8 @@ class _DeviationTables:
             for b, side in looked_up.items()
         ]
         if valued is not None:
-            solves = [({tx.tx_id: b}, valued) for b in self.sides]
-            self.passes = _ClassPasses(mech, scenario, self.others, points, budget, solves)
+            sides = [{tx.tx_id: b} for b in self.sides]
+            self.passes = _ClassPasses(mech, scenario, self.others, points, budget, sides, valued)
 
     def cut(self, classes, lists):
         """The tuple of per-side cuts, in lookup order, of the table

@@ -81,7 +81,7 @@ EMPTY_BLOCK = Block(())
 
 @dataclass(frozen=True, eq=True)
 class ExplicitBlockset:
-    """A feasible set given by listing every allowed block."""
+    """A feasible set given by listing every allowed block, each once."""
 
     blocks: tuple[Block, ...]
 
@@ -92,6 +92,11 @@ class ExplicitBlockset:
         for b in blocks:
             if not isinstance(b, Block):
                 raise ValueError(f"blockset block {b!r} is not a Block")
+        # id tuples hash in C, where a Block's dataclass hash is a Python call
+        members = [b.txs for b in blocks]
+        if len(set(members)) < len(members):
+            twice = next(t for t in members if members.count(t) > 1)
+            raise ValueError(f"blockset lists block {list(twice)} twice")
         object.__setattr__(self, "blocks", blocks)
 
     def referenced_ids(self):

@@ -182,11 +182,13 @@ class _Group(NamedTuple):
            unvalued plan
     top    every ordering worth value, in canonical order; in an unvalued
            plan, the canonical-first ordering alone
+    first  the canonical-first ordering, which an unvalued read names
     """
 
     txs: tuple[int, ...]
     value: Money
     top: tuple[Block, ...]
+    first: Block
 
 
 def _plan(scenario: Scenario, eligible, blocks, valued) -> tuple[_Group, ...]:
@@ -197,8 +199,10 @@ def _plan(scenario: Scenario, eligible, blocks, valued) -> tuple[_Group, ...]:
     block's producer value once per (scenario, eligibility).  An unvalued plan
     computes none: without the producer's value every ordering of a member
     set scores alike, and its canonical-first ordering is the one a tie
-    goes to.  The build touches only locals and stores a finished tuple, so
-    concurrent builds of one key are harmless and store equal plans.
+    goes to.  A valued plan keeps that ordering too, so one walk over it
+    serves both reads.  The build touches only locals and stores a finished
+    tuple, so concurrent builds of one key are harmless and store equal
+    plans.
     """
     key = eligible, valued
     cache = scenario._plan_cache
@@ -210,33 +214,30 @@ def _plan(scenario: Scenario, eligible, blocks, valued) -> tuple[_Group, ...]:
     for b in blocks:
         members = frozenset(b.txs)
         g = acc.get(members)
-        if not valued:
-            if g is None or canonical_key(b) < canonical_key(g):
-                acc[members] = b
-            continue
-        v = value_of(b)
+        v = value_of(b) if valued else 0
         if g is None:
-            acc[members] = [v, [b]]
-        elif v > g[0]:
+            acc[members] = [v, [b], b]
+            continue
+        if v > g[0]:
             g[0], g[1] = v, [b]
         elif v == g[0]:
             g[1].append(b)
-    if valued:
-        plan = tuple(
-            _Group(top[0].txs, v, tuple(sorted(top, key=canonical_key))) for v, top in acc.values()
-        )
-    else:
-        plan = tuple(_Group(b.txs, 0, (b,)) for b in acc.values())
+        if canonical_key(b) < canonical_key(g[2]):
+            g[2] = b
+    plan = tuple(
+        _Group(first.txs, v, tuple(sorted(top, key=canonical_key)) if valued else (first,), first)
+        for v, top, first in acc.values()
+    )
     cache[key] = plan
     return plan
 
 
-def _partition(scenario, eligible, valued, items, split):
+def _partition(scenario, eligible, valued, grouped, items, split):
     """The pass items split by membership pattern of `split`: pattern k
     holds, in order, the items that hold split[j] exactly when bit j of k
-    is set.  Cached on the scenario per (eligibility filter, valued,
-    split), since a sweep splits many passes on one pair."""
-    key = eligible, valued, split
+    is set.  Cached on the scenario per (eligibility filter, valued, plan
+    or blocks, split), since a sweep splits many passes on one split."""
+    key = eligible, valued, grouped, split
     cache = scenario._plan_cache
     parts = cache.get(key)
     if parts is None:
@@ -253,29 +254,37 @@ def weighted_pass(scenario, weights, *, valued, eligible=None, split=(), budget=
 
     A block enumerated under `eligible` scores the producer's value for it
     (0 when not `valued`) plus its members' weights, which must cover them.
-    The blocks are split by which of the (at most two) transactions in
-    `split` they hold: entry k of the returned list covers the blocks that
-    hold split[j] exactly when bit j of k is set, as (maximum score,
-    canonical-first block attaining it, all blocks attaining it in
-    canonical order); an empty entry is (None, None, ()).
+    The blocks are split by which of the transactions in `split` they hold:
+    entry k of the returned list covers the blocks that hold split[j]
+    exactly when bit j of k is set, as (maximum score, canonical-first
+    block attaining it, all blocks attaining it in canonical order); an
+    empty entry is (None, None, ()).  `valued` is one read, True or False,
+    or the pair (True, False): both reads in one walk, with two
+    accumulators, returned as the 2^len(split) valued entries followed by
+    the unvalued ones, as if the read were one more split bit.
 
     Ordered blocksets (explicit, or knapsack permutations) can list several
     orderings of one member set, so there the pass scores the cached plan's
-    groups and a tied group stands for its top orderings.  A plain knapsack
-    has one block per member set and scores its blocks directly; additive
-    stakes are folded into the weights and passive constants into the base.
-    Its blocks skip the plan because a cold world builds the plan once and
-    scores it only once or twice: routed through _plan, construct-cold kept
-    its report bytes but read wall_s +26% (medians 1.583 -> 1.997 s) and
-    task_s.tail +46% over 5 alternating 5 s pairs on seed 0 (2 cores,
-    Python 3.11.7); dsic-sweep read +5% and bpic-wide did not move.
+    groups and a tied group stands for its top orderings (its canonical-first
+    one in an unvalued read).  A plain knapsack has one block per member set
+    and scores its blocks directly; additive stakes are folded into the
+    weights and passive constants into the base.  Its blocks skip the plan
+    because a cold world builds the plan once and scores it only once or
+    twice: routed through _plan, construct-cold kept its report bytes but
+    read wall_s +26% (medians 1.583 -> 1.997 s) and task_s.tail +46% over 5
+    alternating 5 s pairs on seed 0 (2 cores, Python 3.11.7); dsic-sweep
+    read +5% and bpic-wide did not move.  Both reads, which only the warm
+    sweeps ask for, always walk the valued plan: the unvalued score of a
+    group is its valued score less its value.
     """
     blocks = enumerate_blocks(scenario, eligible=eligible, budget=budget)
+    both = isinstance(valued, tuple)
     blockset = scenario.blockset
-    grouped = isinstance(blockset, ExplicitBlockset) or blockset.enumerate_permutations
+    grouped = both or isinstance(blockset, ExplicitBlockset) or blockset.enumerate_permutations
     valuation = scenario.bp_valuation
     base = None  # else per item: the group's value, or the block's value
     if grouped:
+        valued = both or valued
         items = _plan(scenario, eligible, blocks, valued)
     else:
         items = blocks
@@ -288,23 +297,35 @@ def weighted_pass(scenario, weights, *, valued, eligible=None, split=(), budget=
             weights = {t: w + mu.get(t, 0) for t, w in weights.items()}
             base = 0
 
-    entries = []
-    for part in _partition(scenario, eligible, valued, items, split) if split else (items,):
+    parts = _partition(scenario, eligible, valued, grouped, items, split) if split else (items,)
+    entries, unvalued = [], []
+    for part in parts:
         if base is not None:
             bases = repeat(base)
         elif grouped:
             bases = map(attrgetter("value"), part)
         else:
             bases = map(valuation.of, part)
-        best = None
-        tied = []
+        best = ubest = None
+        tied = utied = ()  # a list from the first item on
         for it, s in zip(part, bases):
             for t in it.txs:
                 s += weights[t]
-            if best is None or s > best:
-                best, tied = s, [it]
-            elif s == best:
+            # most items score below the best so far, and a single read
+            # moves on from those after one comparison
+            if best is not None and s < best:
+                if not both:
+                    continue
+            elif best is not None and s == best:
                 tied.append(it)
+            else:
+                best, tied = s, [it]
+            if both:
+                s -= it.value
+                if ubest is None or s > ubest:
+                    ubest, utied = s, [it]
+                elif s == ubest:
+                    utied.append(it)
         if grouped and len(tied) == 1:
             ties = tied[0].top  # a group's top orderings are in canonical order
         else:
@@ -312,6 +333,11 @@ def weighted_pass(scenario, weights, *, valued, eligible=None, split=(), budget=
                 tied = [b for g in tied for b in g.top]
             ties = tuple(sorted(tied, key=canonical_key))
         entries.append((best, ties[0] if ties else None, ties))
+        if both:
+            ties = tuple(sorted([g.first for g in utied], key=canonical_key))
+            unvalued.append((ubest, ties[0] if ties else None, ties))
+    if both:
+        entries += unvalued
     return entries
 
 
@@ -353,7 +379,11 @@ def fold_split(entries, contribution: Money | None):
     entry is exactly what one pass at that bid would give.  An argmax
     allocation reads a bid only through this contribution, which never
     decreases in the bid, so one split pass settles every bid of the
-    transaction at O(1) each.
+    transaction at O(1) each.  A pass split on several transactions is
+    read one transaction at a time, each fold halving its entries, in any
+    order: the sweeps fold the second-to-last walked user's class into each
+    pattern of the last user, then the last user's class
+    (auditors._ClassPasses).
     """
     lacking = entries[0]
     if contribution is None:

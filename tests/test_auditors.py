@@ -571,6 +571,77 @@ LAST_CLASS_TIE_CASE = (
 )
 
 
+# Layouts of the two-user fold: _ClassPasses splits off each of the last two
+# other users that has two or more eligible classes, and tx 0 deviates in
+# each case.  Four unit transactions under fpa give tx 0 the prefix tx 1,
+# whose bid moves the argmax through the producer's stake in it
+PREFIX_CASE = (
+    Mechanism.fpa(Allocation.CONSONANT),
+    [scenario([(1, 2, 2), (1, 0, 0), (1, 3, 3), (1, 1, 1)], cap=2, bp=AdditiveValuation({1: 2}))],
+    GridSpec(1, 3),
+    Truthful(),
+    None,
+)
+
+GATED_EIP1559 = Mechanism.eip1559(1, Eligibility.BASE_FEE_GATED, Allocation.CONSONANT)
+
+# tx 1 (reserve 3) has one eligible class on grid 0..3 and tx 2 three, so
+# tx 2 alone is split off; the producer's stake in tx 1 makes its
+# eligibility matter
+ONE_CLASS_FIRST_CASE = (
+    GATED_EIP1559,
+    [scenario([(1, 2, 2), (3, 0, 0), (1, 1, 1)], cap=4, bp=AdditiveValuation({1: 3}))],
+    GridSpec(1, 3),
+    Truthful(),
+    None,
+)
+
+# the reverse: tx 1 has three eligible classes and tx 2 (reserve 3) one, so
+# tx 1 alone is split off
+ONE_CLASS_LAST_CASE = (
+    GATED_EIP1559,
+    [scenario([(1, 2, 2), (1, 1, 1), (3, 0, 0)], cap=4, bp=AdditiveValuation({2: 3}))],
+    GridSpec(1, 3),
+    Truthful(),
+    None,
+)
+
+# both other users are split off, and tx 1 is shut out at bid 0, the first
+# bid of the walk
+GATED_PAIR_CASE = (
+    GATED_EIP1559,
+    [scenario([(1, 2, 2), (1, 0, 0), (1, 1, 1)], cap=2, bp=AdditiveValuation({1: 2}))],
+    GridSpec(1, 3),
+    Truthful(),
+    None,
+)
+
+# tx 0 against the split-off users tx 2 and tx 3 (8 patterns with tx 0):
+# when they bid alike, (2, 0) and (0, 3) tie among the blocks holding tx 0,
+# in patterns that differ in both users, and the canonical (0, 3) holds tx
+# 3, whose fold comes last.  It, not (2, 0), decides the tie with (1, 2),
+# the best block lacking tx 0, at own bid = tx 1's bid
+PATTERN_TIE_CASE = (
+    Mechanism.fpa(Allocation.CONSONANT),
+    [
+        Scenario(
+            tuple(Transaction(i, 1, 2) for i in range(4)),
+            PassiveValuation(0),
+            ExplicitBlockset(tuple(Block(b) for b in [(), (1, 2), (2, 0), (0, 3)])),
+        )
+    ],
+    GridSpec(1, 3),
+    Truthful(),
+    None,
+)
+
+def cut_case(case):
+    """A deviation case of TestCut: tx 0 of the memo case's scenario on its
+    grid, no extra own bids, no budget."""
+    mech, (sc,), grid, _, _ = case
+    return mech, sc, 0, {}, grid.points(), [], None
+
+
 class TestCut:
     """Profiles of one transaction with one cut share one deviation table."""
 
@@ -604,6 +675,11 @@ class TestCut:
 
     @given(deviation_cases())
     @example((CANONICAL_TIE_CASE[0], CANONICAL_TIE_CASE[1][0], 1, {}, (0, 1, 2, 3), [], None))
+    @example(cut_case(PREFIX_CASE))
+    @example(cut_case(ONE_CLASS_FIRST_CASE))
+    @example(cut_case(ONE_CLASS_LAST_CASE))
+    @example(cut_case(GATED_PAIR_CASE))
+    @example(cut_case(PATTERN_TIE_CASE))
     @settings(max_examples=250, deadline=None)
     def test_equal_cuts_give_equal_tables(self, case):
         """Over every profile of the other users' bids in 0..3, swept by
@@ -890,8 +966,8 @@ BPIC_RULES = (
 @st.composite
 def ordered_bpic_cases(draw):
     """Two or three transactions, a blockset that holds the empty block and
-    a producer: an ordered blockset (explicit, possibly listing one
-    ordering twice, or a permutation knapsack) with a table or
+    a producer: an ordered blockset (explicit, possibly listing several
+    orderings of one member set, or a permutation knapsack) with a table or
     single-minded producer over its orderings, or a plain knapsack with an
     additive or passive producer."""
     n = draw(st.integers(2, 3))
@@ -906,7 +982,7 @@ def ordered_bpic_cases(draw):
         listed = [EMPTY_BLOCK]
         for c in draw(st.lists(st.sampled_from(sets), min_size=1, unique=True)):
             orders = st.permutations(c).map(lambda p: Block(tuple(p)))
-            listed += draw(st.lists(orders, min_size=1, max_size=3))
+            listed += draw(st.lists(orders, min_size=1, max_size=3, unique=True))
         blockset = ExplicitBlockset(tuple(listed))
     else:
         # every transaction fits, so standard eip1559 is defined on the grid
@@ -954,11 +1030,67 @@ def rotating_allocation(mech, bids, sc):
     return rotating_rule(mech, clearing, sc)
 
 
+# BPIC walks every user, so the last two are tx n-2 and tx n-1.  Four unit
+# transactions under revenue_max leave a prefix of two users
+BPIC_PREFIX_CASE = (
+    Mechanism.fpa(),
+    Scenario(
+        tuple(Transaction(i, 1, 0) for i in range(4)),
+        TableValuation({Block((1, 0)): 2, Block((2, 3)): 1, Block((0,)): 1}),
+        KnapsackBlockset(2, enumerate_permutations=True),
+    ),
+)
+
+GATED_STANDARD_EIP1559 = Mechanism.eip1559(1, Eligibility.BASE_FEE_GATED)
+
+# tx 1 (reserve 2) has one eligible class on grid 0..2 and tx 2 two
+BPIC_ONE_CLASS_FIRST_CASE = (
+    GATED_STANDARD_EIP1559,
+    scenario([(1, 0, 0), (2, 0, 0), (1, 0, 0)], bp=AdditiveValuation({1: 2, 2: 1})),
+)
+
+# the reverse: tx 1 has two eligible classes and tx 2 (reserve 2) one
+BPIC_ONE_CLASS_LAST_CASE = (
+    GATED_STANDARD_EIP1559,
+    scenario([(1, 0, 0), (1, 0, 0), (2, 0, 0)], bp=AdditiveValuation({1: 1, 2: 2})),
+)
+
+# both last users are split off; tx 1 is shut out at bid 0
+BPIC_GATED_PAIR_CASE = (
+    GATED_STANDARD_EIP1559,
+    scenario([(1, 0, 0), (1, 0, 0), (1, 0, 0)], bp=AdditiveValuation({0: 1, 1: 2})),
+)
+
+# revenue_max's read of bids with b2 = b0 + b1: (0, 1), holding tx 1 and not
+# tx 2, ties (2,), the canonical block, which holds tx 2 and so enters at
+# the last fold; the producer values (2,), so naming (0, 1) would be a
+# witness
+BPIC_PATTERN_TIE_CASE = (
+    Mechanism.fpa(),
+    Scenario(
+        tuple(Transaction(i, 1, 0) for i in range(3)),
+        TableValuation({Block((2,)): 1}),
+        ExplicitBlockset(tuple(Block(b) for b in [(), (0, 1), (2,)])),
+    ),
+)
+
+
+def memo_case(case):
+    """A BPIC case of TestMemoAgainstCells: the scenario on grid 0..2."""
+    mech, sc = case
+    return mech, [sc], GridSpec(1, 2), Truthful(), None
+
+
 class TestBpicAgainstCells:
     """audit_bpic, which reads an argmax rule's recommendation off its
     split passes, against the per-cell oracle."""
 
     @given(ordered_bpic_cases())
+    @example(BPIC_PREFIX_CASE)
+    @example(BPIC_ONE_CLASS_FIRST_CASE)
+    @example(BPIC_ONE_CLASS_LAST_CASE)
+    @example(BPIC_GATED_PAIR_CASE)
+    @example(BPIC_PATTERN_TIE_CASE)
     @settings(max_examples=60, deadline=None)
     def test_matches_per_cell_oracle(self, case):
         mech, sc = case
@@ -1133,6 +1265,11 @@ class TestMemoAgainstCells:
     @example(LAST_CLASS_TIE_CASE)
     @example(TRIVIAL_UNSPLIT_CASE)
     @example(GATED_UNSPLIT_CASE)
+    @example(PREFIX_CASE)
+    @example(ONE_CLASS_FIRST_CASE)
+    @example(ONE_CLASS_LAST_CASE)
+    @example(GATED_PAIR_CASE)
+    @example(PATTERN_TIE_CASE)
     @settings(max_examples=150, deadline=None)
     def test_dsic(self, case):
         mech, scenarios, grid, strategy, samples = case
@@ -1148,6 +1285,11 @@ class TestMemoAgainstCells:
         assert report == oracle_approx_dsic(mech, scenarios, grid, samples)
 
     @given(memo_cases())
+    @example(memo_case(BPIC_PREFIX_CASE))
+    @example(memo_case(BPIC_ONE_CLASS_FIRST_CASE))
+    @example(memo_case(BPIC_ONE_CLASS_LAST_CASE))
+    @example(memo_case(BPIC_GATED_PAIR_CASE))
+    @example(memo_case(BPIC_PATTERN_TIE_CASE))
     @settings(max_examples=150, deadline=None)
     def test_bpic(self, case):
         mech, scenarios, grid, _, _ = case
@@ -1385,6 +1527,52 @@ class TestSweepsReadNoBids:
             monkeypatch.setattr(module, "split_pass", unused)
         assert audit(self.fixtures, GRID) == want
         assert audit.func is not audit_bpic or want.verdict == "FAIL"
+
+
+class TestPassCounts:
+    """The sweeps split each key's pass on the last two walked users: one
+    solver.weighted_pass per (classes of the n - 2 users before them,
+    eligibility of the two), whose entries every class of the two is
+    folded into, and revenue_max's two reads share that one pass."""
+
+    def counted(self, monkeypatch, audit, *args):
+        """(the split of each weighted_pass call the audit made, its report)."""
+        splits = []
+
+        def counting(*a, **k):
+            splits.append(k["split"])
+            return solver.weighted_pass(*a, **k)
+
+        monkeypatch.setattr(auditors, "weighted_pass", counting)
+        report = audit(*args)
+        monkeypatch.undo()
+        return splits, report
+
+    def test_revenue_max_bpic_passes_once_per_prefix(self, monkeypatch):
+        # fpa's fee class is the bid, so on grid 0..2 each user has three
+        # classes, all eligible: 3^3 prefixes of the first three users, one
+        # pass each, where a split on the last user alone and one pass per
+        # read would make 3^4 * 2 = 162
+        txs = tuple(Transaction(i, 1, 2) for i in range(5))
+        bp = TableValuation({Block((1, 0)): 3, Block((2, 3, 4)): 2, Block((4,)): 1})
+        sc = Scenario(txs, bp, KnapsackBlockset(3, enumerate_permutations=True))
+        mech, grid = Mechanism.fpa(), GridSpec(1, 2)
+        splits, report = self.counted(monkeypatch, audit_bpic, mech, [sc], grid)
+        assert len(splits) == 27 and set(splits) == {(3, 4)}
+        assert report == oracle_bpic(mech, [sc], grid)
+        assert report.verdict == "FAIL"
+
+    def test_consonant_dsic_passes_once_per_prefix(self, monkeypatch):
+        # each of the 4 deviators has 3 other users: 3 prefixes of the first
+        # one, one pass each and one side under free eligibility, where a
+        # split on the last user alone would make 4 * 3^2 = 36
+        sc = scenario([(1, 3, 3), (2, 2, 2), (1, 4, 4), (1, 1, 1)], cap=3)
+        mech, grid = Mechanism.fpa(Allocation.CONSONANT), GridSpec(1, 2)
+        splits, report = self.counted(monkeypatch, audit_dsic, mech, Truthful(), [sc], grid)
+        assert len(splits) == 12
+        # the last two other users, then the deviator
+        assert set(splits) == {(2, 3, 0), (2, 3, 1), (1, 3, 2), (1, 2, 3)}
+        assert report == oracle_dsic(mech, Truthful(), [sc], grid)
 
 
 class TestScenarioArgument:

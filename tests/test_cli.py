@@ -192,6 +192,20 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: ")
 
+    def test_usage_error_for_a_repeated_block(self, tmp_path, capsys):
+        # one world listed with a block twice would get a second digest and
+        # repeated ties, so the reader refuses the file before any audit
+        path = tmp_path / "twice.json"
+        path.write_text(
+            '{"schema_version": 1, "transactions": [{"id": 0, "size": 1, "valuation": 1}], '
+            '"bp_valuation": {"kind": "passive"}, '
+            '"blockset": {"kind": "explicit", "blocks": [[], [0], [0]]}}'
+        )
+        code, out, err = run(capsys, "audit", "bpic", str(path), "--mech", "fpa")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "blockset lists block [0] twice" in err
+
     def test_budget_exit(self, tmp_path, capsys):
         path = gen_file(tmp_path, capsys, "s.json")
         code, _, err = run(

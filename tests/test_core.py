@@ -89,6 +89,19 @@ class TestBlock:
         assert len(EMPTY_BLOCK) == 0
 
 
+class TestExplicitBlockset:
+    def test_repeated_block_rejected(self):
+        # orderings of one member set are distinct blocks; one ordering
+        # listed twice is refused, naming it
+        ExplicitBlockset((EMPTY_BLOCK, Block((1, 0)), Block((0, 1))))
+        with pytest.raises(ValueError, match=r"blockset lists block \[1, 0\] twice"):
+            ExplicitBlockset((EMPTY_BLOCK, Block((1, 0)), Block((0, 1)), Block((1, 0))))
+
+    def test_repeated_empty_block_rejected(self):
+        with pytest.raises(ValueError, match=r"blockset lists block \[\] twice"):
+            ExplicitBlockset((EMPTY_BLOCK, Block((0,)), EMPTY_BLOCK))
+
+
 class TestValuations:
     def test_passive_ignores_contents(self):
         v = PassiveValuation(3)

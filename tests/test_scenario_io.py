@@ -205,6 +205,12 @@ class TestParsing:
         with pytest.raises(ScenarioFormatError):
             parse_scenario_text(as_text(raw))
 
+    def test_explicit_duplicate_block_rejected(self):
+        raw = dict(MINIMAL)
+        raw["blockset"] = {"kind": "explicit", "blocks": [[], [0], [0]]}
+        with pytest.raises(ScenarioFormatError, match=r"blockset lists block \[0\] twice"):
+            parse_scenario_text(as_text(raw))
+
     def test_mechanism_defaults_standard_for_eip1559(self):
         raw = dict(MINIMAL)
         raw["mechanism"] = {"preset": "eip1559", "base_fee": 2}
@@ -544,7 +550,8 @@ def valuations(draw, ids):
 @st.composite
 def blocksets(draw, ids):
     if draw(st.booleans()):
-        return ExplicitBlockset(tuple(draw(st.lists(blocks_of(ids), min_size=1, max_size=6))))
+        blocks = draw(st.lists(blocks_of(ids), min_size=1, max_size=6, unique=True))
+        return ExplicitBlockset(tuple(blocks))
     candidates = None
     if draw(st.booleans()):
         candidates = draw(st.permutations(ids).flatmap(lambda p: st.integers(0, len(p)).map(lambda k: tuple(p[:k]))))

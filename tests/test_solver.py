@@ -828,6 +828,25 @@ class TestSplitPass:
                 (without_score, without), (held_score, held)
             )
 
+    @given(ordered_cases(), st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_both_reads_of_one_walk_are_the_two_passes(self, case, k):
+        # one walk with two accumulators, split on the last k transactions,
+        # gives the valued pass's entries and then the unvalued pass's; on a
+        # plain knapsack it walks the valued plan where the passes do not
+        sc, bids, mech = case
+        ids = sc.ids()
+        split = tuple(ids[max(len(ids) - k, 0) :])
+        elig, contrib = _eligible_weights(mech, bids, sc)
+        for t in split:
+            contrib[t] = 0
+        both = weighted_pass(sc, contrib, valued=(True, False), eligible=elig, split=split)
+        assert len(both) == 2 << len(split)
+        assert both == [
+            *weighted_pass(sc, contrib, valued=True, eligible=elig, split=split),
+            *weighted_pass(sc, contrib, valued=False, eligible=elig, split=split),
+        ]
+
     @given(st.lists(st.integers(1, 3), min_size=1, max_size=6), st.integers(0, 8), st.randoms())
     def test_plain_knapsacks_enumerate_member_tuples_in_order(self, sizes, cap, rnd):
         # the depth-first enumeration lists member tuples in lexicographic
