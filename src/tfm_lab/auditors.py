@@ -70,8 +70,8 @@ class ProfileSpaceError(ValueError):
     def __init__(self, n, limit):
         super().__init__(
             f"scenario has {n} transactions; exhaustive deviation audits sweep "
-            f"grid^(n-1) other-bid profiles and are limited to n <= {limit}. "
-            f"Pass profile_samples to audit a seeded sample instead"
+            f"grid^(n-1) other-bid profiles and are limited to n <= {limit}. Pass "
+            f"profile_samples (--samples on the command line) to audit a seeded sample instead"
         )
 
 
@@ -312,13 +312,6 @@ def _first_cell(ids, lists):
     return dict(zip(ids, map(itemgetter(0), lists)))
 
 
-def _fold(entries, c):
-    """Pass entries read at class c of the user at bit 0 of each pattern:
-    fold_split of each (lacking it, holding it) pair, so every other bit
-    moves down by one."""
-    return [fold_split(pair, c) for pair in zip(entries[0::2], entries[1::2])]
-
-
 class _ClassPasses:
     """The one block pass behind every argmax read of a class tuple.
 
@@ -327,12 +320,15 @@ class _ClassPasses:
     So each of the last two walked users with two or more eligible classes
     is split off (with fewer, one pass per class is as few), and one
     weighted_pass per key and side, split on them and the held id, gives
-    each of their classes by fold_split.  A key is the class tuple with each
-    split-off user's class replaced by its eligibility.  The second-to-last
-    user's class is folded into each pattern of the last user, memoized per
-    (classes up to it, the last user's eligibility), then the last user's.
-    The class tuple is the weight vector, so no bid is read: eligible ids
-    weigh their class, split-off ones 0.  sides lists the fixed bids of
+    each of their classes by fold_split.  folds recurses over depths, the
+    class tuple at depth 0: each folds one split-off user's class, the last
+    first, into the entries of the next, whose key reads that user as its
+    pass weight (0 when eligible, None when not).  So the deepest key is the
+    pass's weight vector, eligible ids weighing their class, and no bid is
+    read.  Each depth memoizes the entry pairs it folds, per key of the
+    depth below, and the deepest its passes.  An exhaustive walk asks for
+    each class tuple once; a sampled one re-folds a revisited tuple or,
+    with nothing split off, finds its pass.  sides lists the fixed bids of
     each pass of a key, in order; each maps the held id, if any, the same
     in every side, to a bid that sets only its eligibility.  valued is the
     read of every pass, (True, False) for revenue_max's producer argmax and
@@ -349,57 +345,46 @@ class _ClassPasses:
             (fixed, {t: 0 for t, b in fixed.items() if eligible(mech, scenario.tx(t), b)})
             for fixed in sides
         ]
-        tail = ids[-2:]
-        split = [
-            len({fee_class(mech, scenario.tx(t), b) for b in points} - {None}) >= 2 for t in tail
+        # the positions in ids of the split-off users, last first
+        self.folded = [
+            i
+            for i in reversed(range(max(len(ids) - 2, 0), len(ids)))
+            if len({fee_class(mech, scenario.tx(ids[i]), b) for b in points} - {None}) >= 2
         ]
-        # whether ids[-2] and ids[-1] are split off (a missing user is not)
-        self.first, self.last = [False] * (2 - len(tail)) + split
         # bit 0 of a pattern is the first split-off user, then the next,
         # then the held id; a side's unvalued entries, if any, follow its
         # valued ones as if the read were one more bit
-        self.on = (*compress(tail, split), *sides[0])
-        self.passes = {}
-        # by the last user's eligibility: classes[:-1] -> the (lacking it,
-        # holding it) entry pairs with every other class folded in
-        self.halves = {}, {}
+        self.on = (*(ids[i] for i in reversed(self.folded)), *sides[0])
+        self.memos = [{} for _ in range(len(self.folded) + 1)]
 
-    def folds(self, classes, lists):
-        """The entries at the class tuple `classes`, whose bid lists are
+    def folds(self, key, lists, depth=0):
+        """The entries at the class tuple `key`, whose bid lists are
         `lists`: per side in order, per read, the entry lacking and then
-        the one holding the held id (one entry when there is none)."""
-        if self.last:
-            c = classes[-1]
-            memo = self.halves[c is not None]
-            pairs = memo.get(classes[:-1])
-            if pairs is None:
-                if self.first:
-                    key = classes[:-2], classes[-2] is not None, c is not None
-                    entries = _fold(self._pass(key, classes, lists), classes[-2])
-                else:
-                    entries = self._solve(classes, lists)
-                pairs = memo[classes[:-1]] = list(zip(entries[0::2], entries[1::2]))
-            return [fold_split(pair, c) for pair in pairs]
-        if self.first:
-            key = classes[:-2], classes[-2] is not None, classes[-1]
-            return _fold(self._pass(key, classes, lists), classes[-2])
-        return self._pass(classes, classes, lists)
+        the one holding the held id (one entry when there is none).  At a
+        depth d > 0 the users at folded[:d] are read as their pass weight,
+        and each entry is still split on the others."""
+        memo = self.memos[depth]
+        if depth == len(self.folded):
+            entries = memo.get(key)
+            if entries is None:
+                entries = memo[key] = self._solve(key, lists)
+            return entries
+        p = self.folded[depth]
+        c = key[p]
+        lower = key[:p] + (None if c is None else 0,) + key[p + 1 :]
+        pairs = memo.get(lower)
+        if pairs is None:
+            below = self.folds(lower, lists, depth + 1)
+            pairs = memo[lower] = list(zip(below[0::2], below[1::2]))
+        return [fold_split(pair, c) for pair in pairs]
 
-    def _pass(self, key, classes, lists):
-        """The _solve entries of `key`, solved at the class tuple `classes`
-        the first time the key is asked for."""
-        entries = self.passes.get(key)
-        if entries is None:
-            entries = self.passes[key] = self._solve(classes, lists)
-        return entries
-
-    def _solve(self, classes, lists):
-        """Every side's weighted_pass entries at the class tuple `classes`,
+    def _solve(self, key, lists):
+        """Every side's weighted_pass entries at the weight vector `key`,
         in order; a side without an eligible block raises at the tuple's
         first raw cell."""
         entries = []
         scenario, valued, on, budget = self.scenario, self.valued, self.on, self.budget
-        weights = {t: 0 if t in on else k for t, k in zip(self.ids, classes) if k is not None}
+        weights = {t: k for t, k in zip(self.ids, key) if k is not None}
         for fixed, held in self.sides:
             w = {**weights, **held} if held else weights
             elig = frozenset(w) if self.gated else None
@@ -466,6 +451,7 @@ def audit_bpic(
         passes = _ClassPasses(mech, scenario, ids, points, budget, [{}], reads)
         witness_rows = {}  # (tx, gain, bid) -> the one-row outcome its cells share
         edges = {}
+        ties = {}  # (id(rec), id(tied)) -> (rec in tied, rec, tied), kept referenced
         for key, lists in _class_tuples(mech, scenario, ids, points, fee_class):
             cells += prod(map(len, lists))
             folds = passes.folds(key, lists)
@@ -477,10 +463,12 @@ def audit_bpic(
                 rec = standard_block(mech, clearing, scenario, budget=budget)
                 if rec is None:
                     raise NoEligibleBlockError(_first_cell(ids, lists))
-            if rec in tied:
-                for b in tied:
-                    if b != rec:
-                        edges.setdefault(rec, set()).add(b)
+            seen = ties.get((id(rec), id(tied)))
+            if seen is None:  # a new pair adds its edges once
+                seen = ties[id(rec), id(tied)] = rec in tied, rec, tied
+                if seen[0] and len(tied) > 1:  # tie lists hold distinct blocks
+                    edges.setdefault(rec, set()).update(b for b in tied if b != rec)
+            if seen[0]:
                 continue
             classes = dict(zip(ids, key))
             gain = best_score - scenario.bp_valuation.of(rec) - sum(map(classes.get, rec.txs))

@@ -7,6 +7,7 @@ results never rest on the auditors' own shortcuts.
 
 import os
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
@@ -1530,12 +1531,14 @@ class TestSweepsReadNoBids:
 
 
 class TestPassCounts:
-    """The sweeps split each key's pass on the last two walked users: one
-    solver.weighted_pass per (classes of the n - 2 users before them,
-    eligibility of the two), whose entries every class of the two is
-    folded into, and revenue_max's two reads share that one pass."""
+    """The sweeps split each key's pass on those of the last two walked
+    users that have two or more eligible classes: one solver.weighted_pass
+    per (classes of the other users, eligibility of the split-off ones),
+    whose entries every class of the split-off users is folded into, and
+    revenue_max's two reads share that one pass.  Sampled sweeps reuse the
+    passes of the class tuples they revisit."""
 
-    def counted(self, monkeypatch, audit, *args):
+    def counted(self, monkeypatch, audit, *args, **kwargs):
         """(the split of each weighted_pass call the audit made, its report)."""
         splits = []
 
@@ -1544,7 +1547,7 @@ class TestPassCounts:
             return solver.weighted_pass(*a, **k)
 
         monkeypatch.setattr(auditors, "weighted_pass", counting)
-        report = audit(*args)
+        report = audit(*args, **kwargs)
         monkeypatch.undo()
         return splits, report
 
@@ -1573,6 +1576,46 @@ class TestPassCounts:
         # the last two other users, then the deviator
         assert set(splits) == {(2, 3, 0), (2, 3, 1), (1, 3, 2), (1, 2, 3)}
         assert report == oracle_dsic(mech, Truthful(), [sc], grid)
+
+    # A split is (split-off users, the deviator).  Tx 0 deviates against
+    # tx 1 split off alone in ONE_CLASS_LAST_CASE and against tx 2 alone in
+    # ONE_CLASS_FIRST_CASE; the other deviators see a single or a pair.
+    # Each key is (eligibility of the split-off users, classes of the rest)
+    # and has two sides, the deviator's bid eligible or not: tx 0's passes
+    # are 2 eligibilities x 2 classes of the reserve-3 user x 2 sides
+    @pytest.mark.parametrize(
+        "case, samples, want",
+        [
+            (ONE_CLASS_LAST_CASE, None, {(1, 0): 8, (0, 1): 8, (0, 1, 2): 8}),
+            (ONE_CLASS_LAST_CASE, 20, {(1, 0): 8, (0, 1): 8, (0, 1, 2): 8}),
+            (ONE_CLASS_FIRST_CASE, None, {(2, 0): 8, (0, 2): 8, (0, 2, 1): 8}),
+            # 20 draws leave tx 2 two of the 8 passes of its pair
+            (ONE_CLASS_FIRST_CASE, 20, {(2, 0): 8, (0, 2): 8, (0, 2, 1): 6}),
+        ],
+        ids=["second-to-last", "second-to-last-sampled", "last", "last-sampled"],
+    )
+    def test_one_split_off_user(self, monkeypatch, case, samples, want):
+        mech, scenarios, grid, strategy, _ = case
+        splits, report = self.counted(
+            monkeypatch, audit_dsic, mech, strategy, scenarios, grid, profile_samples=samples
+        )
+        assert Counter(splits) == want
+        assert report == oracle_dsic(mech, strategy, scenarios, grid, samples)
+
+    @pytest.mark.parametrize("samples, want", [(None, 64), (200, 58)])
+    def test_unsplit_passes_once_per_class_tuple(self, monkeypatch, samples, want):
+        # gated consonant tipless reads a bid only as its eligibility, so no
+        # other user is split off and each class tuple takes one pass per
+        # side: 4 deviators x 2^3 eligibility tuples x 2 sides.  The 200
+        # draws per deviator revisit class tuples, which reuse their passes
+        sc = random_scenario(7, n_txs=4, bp="additive").scenario
+        mech = Mechanism.tipless(2, Eligibility.BASE_FEE_GATED, Allocation.CONSONANT)
+        splits, report = self.counted(
+            monkeypatch, audit_dsic, mech, Truthful(), [sc], GridSpec(1, 20),
+            profile_samples=samples,
+        )
+        assert len(splits) == want and set(splits) == {(0,), (1,), (2,), (3,)}
+        assert report.verdict == "PASS"
 
 
 class TestScenarioArgument:

@@ -257,6 +257,21 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("kind", ["dsic", "approx-dsic"])
+    def test_usage_error_for_an_oversized_profile_space_names_the_flag(
+        self, tmp_path, capsys, kind
+    ):
+        path = gen_file(tmp_path, capsys, "s.json", "--n-tx", "6")
+        code, out, err = run(
+            capsys,
+            "audit", kind, str(path),
+            "--mech", "tipless", "--base-fee", "2", "--allocation", "consonant",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: scenario has 6 transactions")
+        assert "--samples" in err
+
     def test_usage_error_for_bad_budget_variable(self, tmp_path, capsys, monkeypatch):
         path = gen_file(tmp_path, capsys, "s.json")
         monkeypatch.setenv("TFMLAB_BUDGET", "abc")
