@@ -14,6 +14,7 @@ import random
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from graphlib import CycleError, TopologicalSorter
 from itertools import chain, compress, product, starmap
 from math import prod
 from operator import itemgetter
@@ -32,7 +33,6 @@ from .mechanisms import (
     apply_strategy,
     argmax_valued,
     bps,
-    contribution,
     eligible,
     fee_class,
     is_base_fee_excessively_low,
@@ -261,33 +261,18 @@ def _refuse_excessively_low(mech, scenarios, grid, message, strategy=None):
 
 def _detect_cycle(edges):
     """Return one cycle (as a tuple of nodes) if the precedence digraph has
-    any, else None."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = dict.fromkeys(edges, WHITE)
+    any, else None: graphlib's depth-first search from each node of edges
+    in order, through successors in canonical order."""
+    sorter = TopologicalSorter()
     for node in edges:
-        if color.get(node, WHITE) != WHITE:
-            continue
-        stack = [(node, iter(sorted(edges.get(node, ()), key=canonical_key)))]
-        color[node] = GRAY
-        path = [node]
-        while stack:
-            current, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                c = color.get(nxt, WHITE)
-                if c == GRAY:
-                    i = path.index(nxt)
-                    return tuple(path[i:] + [nxt])
-                if c == WHITE:
-                    color[nxt] = GRAY
-                    path.append(nxt)
-                    stack.append((nxt, iter(sorted(edges.get(nxt, ()), key=canonical_key))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[current] = BLACK
-                path.pop()
-                stack.pop()
+        sorter.add(node)
+    for node, successors in edges.items():
+        for nxt in sorted(successors, key=canonical_key):
+            sorter.add(nxt, node)
+    try:
+        sorter.prepare()
+    except CycleError as e:
+        return tuple(e.args[1])
     return None
 
 
@@ -325,16 +310,18 @@ class _ClassPasses:
     first, into the entries of the next, whose key reads that user as its
     pass weight (0 when eligible, None when not).  So the deepest key is the
     pass's weight vector, eligible ids weighing their class, and no bid is
-    read.  Each depth memoizes the entry pairs it folds, per key of the
-    depth below, and the deepest its passes.  An exhaustive walk asks for
-    each class tuple once; a sampled one re-folds a revisited tuple or,
-    with nothing split off, finds its pass.  sides lists the fixed bids of
-    each pass of a key, in order; each maps the held id, if any, the same
-    in every side, to a bid that sets only its eligibility.  valued is the
-    read of every pass, (True, False) for revenue_max's producer argmax and
-    unvalued solve in one walk.  A key's passes are solved when a tuple
-    first needs them, so errors name the tuple's first raw cell with the
-    message of a per-cell pass.
+    read.  The deepest depth keeps every key's passes; each other keeps
+    only the entry pairs of the last key below it that it folded, and
+    folds again when that key changes.  Product order brings the tuples of
+    one key below depth 0 in one run (ineligible classes are the lowest
+    bids), so an exhaustive walk folds as a memo per key would; a sampled
+    one has its draws grouped by class tuple (_sweep).  sides lists the
+    fixed bids of each pass of a key, in order; each maps the held id, if
+    any, the same in every side, to a bid that sets only its eligibility.
+    valued is the read of every pass, (True, False) for revenue_max's
+    producer argmax and unvalued solve in one walk.  A key's passes are
+    solved when a tuple first needs them, so errors name the tuple's first
+    raw cell with the message of a per-cell pass.
     """
 
     def __init__(self, mech, scenario, ids, points, budget, sides, valued):
@@ -355,7 +342,9 @@ class _ClassPasses:
         # then the held id; a side's unvalued entries, if any, follow its
         # valued ones as if the read were one more bit
         self.on = (*(ids[i] for i in reversed(self.folded)), *sides[0])
-        self.memos = [{} for _ in range(len(self.folded) + 1)]
+        self.passes = {}
+        # per depth, (the key of the depth below it last folded, its pairs)
+        self.last = [(None, None)] * len(self.folded)
 
     def folds(self, key, lists, depth=0):
         """The entries at the class tuple `key`, whose bid lists are
@@ -363,19 +352,19 @@ class _ClassPasses:
         the one holding the held id (one entry when there is none).  At a
         depth d > 0 the users at folded[:d] are read as their pass weight,
         and each entry is still split on the others."""
-        memo = self.memos[depth]
         if depth == len(self.folded):
-            entries = memo.get(key)
+            entries = self.passes.get(key)
             if entries is None:
-                entries = memo[key] = self._solve(key, lists)
+                entries = self.passes[key] = self._solve(key, lists)
             return entries
         p = self.folded[depth]
         c = key[p]
         lower = key[:p] + (None if c is None else 0,) + key[p + 1 :]
-        pairs = memo.get(lower)
-        if pairs is None:
+        last, pairs = self.last[depth]
+        if lower != last:
             below = self.folds(lower, lists, depth + 1)
-            pairs = memo[lower] = list(zip(below[0::2], below[1::2]))
+            pairs = list(zip(below[0::2], below[1::2]))
+            self.last[depth] = lower, pairs
         return [fold_split(pair, c) for pair in pairs]
 
     def _solve(self, key, lists):
@@ -534,9 +523,10 @@ class _DeviationTables:
         # each side's own part of a standard cut's clearing set
         self.own = [frozenset((tx.tx_id,) if side else ()) for side in first_bids]
         at = {side: i for i, side in enumerate(first_bids)}
-        # (bid, index of its side's cut, contribution, own payment)
+        # (bid, index of its side's cut, fee class, own payment); an
+        # ineligible side's cut is False, so its None classes are never read
         self.spots = [
-            (b, at[side], contribution(mech, tx, b), own_payment(mech, tx, b))
+            (b, at[side], fee_class(mech, tx, b), own_payment(mech, tx, b))
             for b, side in looked_up.items()
         ]
         if valued is not None:
@@ -623,8 +613,9 @@ def _sweep(mech, strategy, scenarios, grid, budget, profile_samples, sampling_se
     tuples that reach it.
 
     Sampled sweeps draw profile_samples profiles per transaction with
-    replacement from a seeded stream and audit each distinct one once, in
-    draw order, as a tuple of one-bid lists.  A sample count below 1, an
+    replacement from a seeded stream and audit each distinct one once, as a
+    tuple of one-bid lists, in draw order within its class tuple, the class
+    tuples in the order of their first draws.  A sample count below 1, an
     oversized exhaustive profile space and a standard eip1559 cell, the
     strategy's own bids included, with an excessively low base fee are
     refused before any scenario is swept.
@@ -654,13 +645,11 @@ def _sweep(mech, strategy, scenarios, grid, budget, profile_samples, sampling_se
             if sampled:
                 rng = random.Random(f"{sampling_seed}:{digest}:{t}")
                 drawn = [tuple(rng.choice(points) for _ in others) for _ in range(profile_samples)]
-                tuples = [
-                    (
-                        tuple(classify(mech, scenario.tx(i), b) for i, b in zip(others, p)),
-                        tuple((b,) for b in p),
-                    )
-                    for p in dict.fromkeys(drawn)
-                ]
+                by_key = {}  # class tuple -> its distinct draws, in draw order
+                for p in dict.fromkeys(drawn):
+                    key = tuple(classify(mech, scenario.tx(i), b) for i, b in zip(others, p))
+                    by_key.setdefault(key, []).append(tuple((b,) for b in p))
+                tuples = [(key, lists) for key, group in by_key.items() for lists in group]
             else:
                 tuples = _class_tuples(mech, scenario, others, points, classify)
             bound = None

@@ -179,14 +179,6 @@ def own_payment(mech: Mechanism, tx: Transaction, bid: Money) -> Money:
     return RULES[mech.preset].pay(bid, mech.reserve(tx))
 
 
-def contribution(mech: Mechanism, tx: Transaction, bid: Money) -> Money:
-    """What an included transaction adds to the producer's fee income net
-    of burn at its own bid: own_payment - reserve.  It never decreases in
-    the bid and is >= 0 exactly when the bid clears the reserve."""
-    reserve = mech.reserve(tx)
-    return RULES[mech.preset].pay(bid, reserve) - reserve
-
-
 def argmax_valued(mech: Mechanism) -> bool | None:
     """The kind of the mechanism's allocation: None for a standard rule,
     True for consonant, the argmax of producer surplus (the producer's value

@@ -1617,6 +1617,93 @@ class TestPassCounts:
         assert len(splits) == want and set(splits) == {(0,), (1,), (2,), (3,)}
         assert report.verdict == "PASS"
 
+    # the fixture of test_consonant_dsic_passes_once_per_prefix, whose
+    # deviators each split off their last two other users.  An exhaustive
+    # walk folds as a memo per fold level would (360 fold_split calls); the
+    # 20 draws per deviator make the same 12 passes, and their fold count
+    # is pinned
+    @pytest.mark.parametrize("samples, want", [(None, 360), (20, 328)], ids=["exhaustive", "sampled"])
+    def test_kernel_keeps_its_passes_and_one_fold_per_level(self, monkeypatch, samples, want):
+        sc = scenario([(1, 3, 3), (2, 2, 2), (1, 4, 4), (1, 1, 1)], cap=3)
+        mech, grid = Mechanism.fpa(Allocation.CONSONANT), GridSpec(1, 2)
+        kernels = []
+        folds = Counter()
+
+        class Recording(auditors._ClassPasses):
+            def __init__(self, *args):
+                super().__init__(*args)
+                kernels.append(self)
+
+        def counting(*args):
+            folds["fold_split"] += 1
+            return solver.fold_split(*args)
+
+        monkeypatch.setattr(auditors, "_ClassPasses", Recording)
+        monkeypatch.setattr(auditors, "fold_split", counting)
+        splits, report = self.counted(
+            monkeypatch, audit_dsic, mech, Truthful(), [sc], grid, profile_samples=samples
+        )
+        assert len(splits) == 12 and folds["fold_split"] == want
+        assert len(kernels) == 4
+        for k in kernels:
+            # one memo, the passes (one side, so one per weighted_pass call),
+            # and per fold level one slot: the last key it folded
+            assert [name for name, v in vars(k).items() if isinstance(v, dict)] == ["passes"]
+            assert len(k.last) == len(k.folded) == 2
+        assert sum(len(k.passes) for k in kernels) == len(splits)
+        assert report == oracle_dsic(mech, Truthful(), [sc], grid, samples)
+
+
+def dfs_cycle(edges):
+    """The first cycle of a depth-first search from each node of edges in
+    order, through successors in canonical order: _detect_cycle's oracle."""
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = dict.fromkeys(edges, WHITE)
+    for node in edges:
+        if color.get(node, WHITE) != WHITE:
+            continue
+        stack = [(node, iter(sorted(edges.get(node, ()), key=solver.canonical_key)))]
+        color[node] = GRAY
+        path = [node]
+        while stack:
+            current, it = stack[-1]
+            advanced = False
+            for nxt in it:
+                c = color.get(nxt, WHITE)
+                if c == GRAY:
+                    i = path.index(nxt)
+                    return tuple(path[i:] + [nxt])
+                if c == WHITE:
+                    color[nxt] = GRAY
+                    path.append(nxt)
+                    stack.append((nxt, iter(sorted(edges.get(nxt, ()), key=solver.canonical_key))))
+                    advanced = True
+                    break
+            if not advanced:
+                color[current] = BLACK
+                path.pop()
+                stack.pop()
+    return None
+
+
+BLOCKS = st.sets(st.integers(0, 3), max_size=3).map(lambda ids: Block(tuple(sorted(ids))))
+
+
+class TestDetectCycle:
+    """_detect_cycle reports the cycle a hand-written depth-first search
+    does, so the tie conflict a report names does not hang on graphlib's
+    traversal order."""
+
+    @given(st.dictionaries(BLOCKS, st.sets(BLOCKS, max_size=4), max_size=8))
+    @settings(max_examples=400, deadline=None)
+    def test_same_cycle_as_a_depth_first_search(self, edges):
+        assert _detect_cycle(edges) == dfs_cycle(edges)
+
+    def test_a_cycle_closes_on_its_first_node(self):
+        a, b, c = Block((0,)), Block((1,)), Block((0, 1))
+        assert _detect_cycle({a: {b}, b: {c}, c: {a}}) == (a, b, c, a)
+        assert _detect_cycle({a: {b, c}, b: {c}}) is None
+
 
 class TestScenarioArgument:
     """Every audit reads its scenarios once and checks their type."""

@@ -48,7 +48,6 @@ from tfm_lab.mechanisms import (
     RULES,
     TIPLESS,
     TRIVIAL,
-    contribution,
 )
 from tfm_lab import cli
 
@@ -576,7 +575,7 @@ class TestRuleTable:
             mech = Mechanism(preset, r if rule.base_fee else None)
             tx = Transaction(0, 1, 0)
             assert mech.reserve(tx) == r
-            assert [contribution(mech, tx, b) >= 0 for b in bids] == [b >= r for b in bids]
+            assert [fee_class(mech, tx, b) >= 0 for b in bids] == [b >= r for b in bids]
 
     def test_revenue_max_needs_the_bid_as_payment_and_no_base_fee(self, preset):
         rule = RULES[preset]

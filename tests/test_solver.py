@@ -47,7 +47,7 @@ from tfm_lab import (
     welfare_argmax,
 )
 from tfm_lab import solver
-from tfm_lab.mechanisms import argmax_valued, contribution, fee_class
+from tfm_lab.mechanisms import argmax_valued, fee_class
 from tfm_lab.solver import (
     _eligible_weights,
     cut_includes,
@@ -191,7 +191,7 @@ class TestSplitCut:
         assert lacking[:2] == (2, Block((1,))) and holding[:2] == (0, Block((0,)))
         cut = split_cut(lacking, holding)
         assert cut == (2, True)
-        included = [cut_includes(cut, contribution(mech, sc.tx(0), x)) for x in range(4)]
+        included = [cut_includes(cut, fee_class(mech, sc.tx(0), x)) for x in range(4)]
         assert included == [False, False, True, True]
 
 
