@@ -14,6 +14,8 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
+from heapq import merge
+from itertools import islice
 from pathlib import Path
 
 from .auditors import (
@@ -194,9 +196,8 @@ def _effective_mech(args, path: Path, doc: ScenarioDoc) -> Mechanism:
 
 def _merge_audit_reports(parts: list[AuditReport], max_witnesses: int) -> AuditReport:
     first = parts[0]
-    witnesses = sorted(
-        (w for p in parts for w in p.witnesses), key=witness_sort_key
-    )[:max_witnesses]
+    # each part's witnesses arrive in witness_sort_key order
+    witnesses = islice(merge(*(p.witnesses for p in parts), key=witness_sort_key), max_witnesses)
     bound_checks = None
     if first.bound_checks is not None:
         bound_checks = tuple(c for p in parts for c in (p.bound_checks or ()))

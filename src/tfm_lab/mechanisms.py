@@ -284,8 +284,6 @@ def recommended_block(
     """
     valued = argmax_valued(mech)
     if valued is not None:
-        from . import solver
-
         return solver.split_pass(bids, scenario, mech, valued=valued, budget=budget)[1]
     clearing = _clearing_ids(mech.base_fee, bids, scenario.transactions)
     block = standard_block(mech, clearing, scenario, budget=budget)
@@ -332,8 +330,6 @@ def _largest_clearing_block(mech, clearing, scenario, budget):
     """tipless's standard block, or None: among feasible blocks whose members
     all clear the reserve, the one with the largest total size.  Enumerating
     the feasible blocks first keeps the budget errors of a scan over them."""
-    from . import solver
-
     gated = mech.eligibility is not Eligibility.FREE
     solver.enumerate_blocks(scenario, eligible=clearing if gated else None, budget=budget)
     sizes = {tx.tx_id: tx.size for tx in scenario.transactions}
@@ -407,3 +403,7 @@ def apply_strategy(
             raise ValueError(f"valuation for tx {tx.tx_id} must be >= 0")
         out[tx.tx_id] = strategy_bid(strategy, v, tx)
     return out
+
+
+# solver imports this module, so it is imported last
+from . import solver  # noqa: E402

@@ -1,9 +1,9 @@
 """Deterministic CSV rendering for audit and welfare reports.
 
 The renderers emit byte-identical output for equal inputs: rows arrive
-pre-sorted from the auditors, wall time is reported as zero unless the
-caller explicitly measured one, and no timestamps or machine details are
-included.  Parsers reconstruct enough of a report to replay its witnesses.
+pre-sorted from the auditors (so reports merge without a sort), wall time
+is zero unless the caller measured one, and no timestamps or machine
+details are included.  Parsers reconstruct enough to replay witnesses.
 """
 
 from __future__ import annotations
@@ -91,6 +91,13 @@ def _cycle_from_str(text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(block_from_str(part) for part in text.split("|"))
 
 
+def _csv_line(fields) -> str:
+    """The fields as the report's csv.writer renders them, less the "\n"."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(fields)
+    return out.getvalue()[:-1]
+
+
 def render_audit_report(report: AuditReport, *, wall_time_ms: int = 0) -> str:
     buf = io.StringIO()
     seed = "-" if report.sampling_seed is None else str(report.sampling_seed)
@@ -100,22 +107,19 @@ def render_audit_report(report: AuditReport, *, wall_time_ms: int = 0) -> str:
     )
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(WITNESS_HEADER)
-    cell_text = {}  # the witnesses of one profile share its cell's text
+    heads = {}  # the witnesses of one row share its first six fields
+    cell_text = {}  # and those of one profile share its cell's text
     for w in report.witnesses:
+        head = heads.get(w[:6])
+        if head is None:
+            head = heads[w[:6]] = _csv_line(w[:6] + ("",))
         text = cell_text.get(w.cell_bids)
         if text is None:
-            text = cell_text[w.cell_bids] = cell_bids_to_str(w.cell_bids)
-        writer.writerow(
-            (
-                w.scenario_digest,
-                w.tx_id,
-                w.valuation,
-                w.recommended_bid,
-                w.deviation_bid,
-                w.utility_gain,
-                text,
-            )
-        )
+            text = cell_bids_to_str(w.cell_bids)
+            if any(map(text.__contains__, ',"\r\n')):  # what csv.writer may quote
+                text = _csv_line(("", text))[1:]
+            text = cell_text[w.cell_bids] = text + "\n"
+        buf.write(head + text)
     if report.bound_checks is not None:
         buf.write("\n# bound_checks\n")
         writer.writerow(BOUND_HEADER)

@@ -109,7 +109,7 @@ def enumerate_blocks(
         blocks = tuple(
             b
             for b in blockset.blocks
-            if eligible is None or all(t in eligible for t in b.txs)
+            if eligible is None or eligible.issuperset(b.txs)
         )
         if len(blocks) > budget:
             raise EnumerationBudgetError(budget)

@@ -1297,6 +1297,45 @@ class TestMemoAgainstCells:
         assert audit_bpic(mech, scenarios, grid) == oracle_bpic(mech, scenarios, grid)
 
 
+class TestWitnessOrder:
+    """Every audit returns its witnesses in witness_sort_key order, and a
+    smaller max_witnesses keeps a prefix of them: the command line merges
+    the reports of several files on that precondition."""
+
+    def check(self, audit, *args, **kwargs):
+        report = outcome(audit, *args, max_witnesses=10**6, **kwargs)
+        if isinstance(report, type):
+            return
+        witnesses = report.witnesses
+        assert witnesses == tuple(sorted(witnesses, key=witness_sort_key))
+        for k in {0, 1, len(witnesses) // 2}:
+            assert audit(*args, max_witnesses=k, **kwargs).witnesses == witnesses[:k]
+
+    @given(memo_cases())
+    @example(TIPLESS_TIE_CASE)
+    @example(GATED_UNSPLIT_CASE)
+    @settings(max_examples=60, deadline=None)
+    def test_dsic(self, case):
+        mech, scenarios, grid, strategy, samples = case
+        self.check(audit_dsic, mech, strategy, scenarios, grid)
+        self.check(audit_dsic, mech, strategy, scenarios, grid, profile_samples=samples or 3)
+
+    @given(memo_cases(approx=True))
+    @settings(max_examples=40, deadline=None)
+    def test_approx_dsic(self, case):
+        mech, scenarios, grid, _, samples = case
+        self.check(audit_approx_dsic_bound, mech, scenarios, grid, profile_samples=samples)
+
+    @given(memo_cases())
+    @example(memo_case(BPIC_PATTERN_TIE_CASE))
+    # revenue_max fails here with 95 witnesses on 29 rows
+    @example((Mechanism.fpa(), [random_scenario(7, n_txs=3, bp="additive").scenario], GridSpec(1, 4), None, None))
+    @settings(max_examples=60, deadline=None)
+    def test_bpic(self, case):
+        mech, scenarios, grid, _, _ = case
+        self.check(audit_bpic, mech, scenarios, grid)
+
+
 class TestBudgetResolution:
     @pytest.fixture
     def reads(self, monkeypatch):

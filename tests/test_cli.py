@@ -3,9 +3,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tfm_lab import (
     Allocation,
+    AuditReport,
     Block,
     Eligibility,
     ExplicitBlockset,
@@ -15,15 +18,17 @@ from tfm_lab import (
     ScenarioDoc,
     Transaction,
     Truthful,
+    Witness,
     bps_argmax,
     load_scenario_file,
     parse_audit_report,
     parse_welfare_report,
     payment,
     replay_dsic_witness,
+    witness_sort_key,
     write_scenario_file,
 )
-from tfm_lab.cli import _build_parser, main
+from tfm_lab.cli import _build_parser, _merge_audit_reports, main
 
 
 def run(capsys, *argv):
@@ -328,6 +333,51 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: no feasible block is eligible")
         assert "Traceback" not in err
+
+
+# witnesses from a small pool, so that parts share some of them
+POOL_WITNESS = st.builds(
+    Witness,
+    st.sampled_from(("a" * 64, "b" * 64)),
+    st.integers(0, 1),
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.integers(1, 3),
+    st.sampled_from(((), ((0, 1),), ((0, 2),), ((0, 1), (2, 0)))),
+)
+
+
+def part(witnesses):
+    return AuditReport(
+        kind="dsic",
+        verdict="FAIL" if witnesses else "PASS",
+        max_regret=max((w.utility_gain for w in witnesses), default=0),
+        witnesses=tuple(sorted(witnesses, key=witness_sort_key)),
+        cells_checked=1,
+    )
+
+
+class TestMergeAuditReports:
+    """Each part arrives sorted, so the merged report keeps the first
+    max_witnesses of the parts' witnesses in witness_sort_key order."""
+
+    @given(st.lists(st.lists(POOL_WITNESS, max_size=8), min_size=1, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_a_full_sort(self, witness_lists):
+        parts = [part(ws) for ws in witness_lists]
+        every = sorted((w for ws in witness_lists for w in ws), key=witness_sort_key)
+        for k in (0, 1, len(every), len(every) + 5):
+            merged = _merge_audit_reports(parts, k)
+            assert merged.witnesses == tuple(every[:k])
+            assert merged.cells_checked == len(parts)
+
+    def test_parts_share_witnesses(self):
+        shared = Witness("a" * 64, 0, 2, 2, 0, 3, ((1, 0),))
+        later = Witness("a" * 64, 1, 2, 2, 0, 3, ((0, 0),))
+        merged = _merge_audit_reports([part([shared, later]), part([shared])], 3)
+        assert merged.witnesses == (shared, shared, later)
+        assert merged.verdict == "FAIL"
 
 
 class TestAudit:

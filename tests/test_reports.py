@@ -1,8 +1,12 @@
 """Round-trip and byte-stability tests for the CSV report format."""
 
+import csv
+import io
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tfm_lab import (
     AuditReport,
@@ -21,7 +25,14 @@ from tfm_lab import (
     render_audit_report,
     render_welfare_report,
 )
-from tfm_lab.reports import ReportFormatError
+from tfm_lab.reports import (
+    BOUND_HEADER,
+    SUMMARY_HEADER,
+    TIE_HEADER,
+    WITNESS_HEADER,
+    ReportFormatError,
+    _cycle_to_str,
+)
 
 
 WITNESSES = (
@@ -121,6 +132,130 @@ class TestAuditRoundTrip:
     def test_wall_time_defaults_to_zero(self):
         text = render_audit_report(audit_report())
         assert text.rstrip("\n").rsplit(",", 1)[1] == "0"
+
+
+def oracle_render(report, wall_time_ms=0):
+    """render_audit_report as one csv.writer row per witness."""
+    buf = io.StringIO()
+    seed = "-" if report.sampling_seed is None else str(report.sampling_seed)
+    buf.write(
+        f"# tfm-lab audit kind={report.kind} mode={report.mode} "
+        f"sampling_seed={seed}\n"
+    )
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(WITNESS_HEADER)
+    for w in report.witnesses:
+        writer.writerow(w[:6] + (cell_bids_to_str(w.cell_bids),))
+    if report.bound_checks is not None:
+        buf.write("\n# bound_checks\n")
+        writer.writerow(BOUND_HEADER)
+        for c in report.bound_checks:
+            writer.writerow(
+                (
+                    c.scenario_digest,
+                    c.tx_id,
+                    c.nu,
+                    c.max_regret,
+                    "true" if c.within_bound else "false",
+                    c.overbid_violations,
+                    c.below_range_violations,
+                )
+            )
+    if report.tie_conflicts:
+        buf.write("\n# tie_conflicts\n")
+        writer.writerow(TIE_HEADER)
+        for t in report.tie_conflicts:
+            writer.writerow((t.scenario_digest, _cycle_to_str(t.cycle)))
+    buf.write("\n")
+    writer.writerow(SUMMARY_HEADER)
+    writer.writerow((report.verdict, report.max_regret, report.cells_checked, wall_time_ms))
+    return buf.getvalue()
+
+
+INTS = st.integers(-3, 9) | st.integers(-(10**30), 10**30)
+# every character csv.writer may quote, and the empty text
+QUOTED_TEXT = st.text(st.sampled_from('ab0 ,"\n\r'), max_size=5)
+# what parse_audit_report reads back: a bare carriage return ends a csv row
+# on Pythons that do not quote it, and a blank line ends a section
+PARSED_TEXT = st.text(st.sampled_from('ab0 ,"\n'), max_size=5).filter(
+    lambda s: "\n\n" not in s
+)
+
+
+@st.composite
+def audit_reports(draw, text, cell_part):
+    """A report whose witnesses repeat a few heads (the first six fields)
+    and a few cells, in any order, with optional bound-check and
+    tie-conflict sections."""
+    heads = draw(st.lists(st.tuples(text, INTS, INTS, INTS, INTS, INTS), min_size=1, max_size=4))
+    cells = draw(
+        st.lists(
+            st.lists(st.tuples(cell_part, cell_part), max_size=3).map(tuple),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    picks = draw(st.lists(st.tuples(st.sampled_from(heads), st.sampled_from(cells)), max_size=12))
+    bound_checks = draw(
+        st.none()
+        | st.lists(
+            st.builds(BoundCheck, text, INTS, INTS, INTS, st.booleans(), INTS, INTS),
+            max_size=3,
+        ).map(tuple)
+    )
+    blocks = st.lists(st.integers(0, 9), max_size=3).map(tuple)
+    tie_conflicts = draw(
+        st.lists(
+            st.builds(TieConflict, text, st.lists(blocks, min_size=2, max_size=3).map(tuple)),
+            max_size=2,
+        ).map(tuple)
+    )
+    return audit_report(
+        verdict=draw(st.sampled_from(("PASS", "FAIL"))),
+        max_regret=draw(INTS),
+        witnesses=tuple(Witness(*head, cell) for head, cell in picks),
+        cells_checked=draw(st.integers(0, 10**6)),
+        bound_checks=bound_checks,
+        tie_conflicts=tie_conflicts,
+        mode=draw(st.sampled_from(("exhaustive", "sampled"))),
+        sampling_seed=draw(st.none() | st.integers(0, 99)),
+    )
+
+
+# a hand-built witness whose cell text needs quoting, next to one that
+# shares its head and an empty cell
+QUOTED_CELL_REPORT = audit_report(
+    witnesses=(
+        Witness("", 0, 1, 1, 0, 1, (("a,b", 'c"d'), ("e\nf", "g\rh"))),
+        Witness("", 0, 1, 1, 0, 1, ()),
+        Witness('x,"y"\n', -1, 0, 0, 0, 10**30, ((0, -1),)),
+    )
+)
+
+
+class TestRenderAgainstWriterRows:
+    """render_audit_report renders each row's head and each cell's text once
+    and joins them; the oracle writes every witness as its own csv row."""
+
+    @given(audit_reports(QUOTED_TEXT, INTS | QUOTED_TEXT), st.integers(0, 10**6))
+    @example(QUOTED_CELL_REPORT, 0)
+    @settings(max_examples=200, deadline=None)
+    def test_same_bytes_as_the_oracle(self, report, wall_time_ms):
+        got = render_audit_report(report, wall_time_ms=wall_time_ms)
+        assert got == oracle_render(report, wall_time_ms)
+
+    @given(audit_reports(PARSED_TEXT, INTS))
+    @settings(max_examples=100, deadline=None)
+    def test_parse_reads_the_report_back(self, report):
+        parsed = parse_audit_report(render_audit_report(report))
+        assert parsed["witnesses"] == report.witnesses
+        assert parsed["bound_checks"] == report.bound_checks
+        assert parsed["tie_conflicts"] == report.tie_conflicts
+        assert (parsed["verdict"], parsed["max_regret"], parsed["cells_checked"]) == (
+            report.verdict,
+            report.max_regret,
+            report.cells_checked,
+        )
 
 
 class TestWelfareRoundTrip:
