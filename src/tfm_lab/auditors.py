@@ -146,24 +146,27 @@ class _Found:
     (-gain, valuation, recommended_bid, deviation_bid) tuples, so each
     outcome keeps its rows once, with the class tuples that reach it, each
     as the bid lists of its ids (in order): a tuple stands for every
-    profile in the product of its lists.  The same rows object is one
-    outcome, of one (digest, tx).  Every outcome of a (digest, tx) has the
-    same ids, so profiles sort as their (id, bid) cells do.  Only the
-    emitted witnesses are expanded (see _finalize_witnesses).  len() is the
-    number of witnesses found: each row once per profile.
+    profile in the product of its lists.  An outcome is named by value, as
+    what the audit settled for one (digest, tx): a deviation sweep's cut,
+    or a BPIC witness's (gain, bid); equal names have equal rows.  Every
+    outcome of a (digest, tx) has the same ids, so profiles sort as their
+    (id, bid) cells do.  Only the emitted witnesses are expanded (see
+    _finalize_witnesses).  len() is the number of witnesses found: each row
+    once per profile.
     """
 
     def __init__(self):
-        # id(rows) -> (digest, tx, ids, rows, bid lists of each class
-        # tuple); rows stays referenced, so its id names it for the audit
+        # (digest, tx, outcome) -> (digest, tx, ids, rows, bid lists of
+        # each class tuple)
         self.outcomes = {}
 
-    def add(self, digest, t, ids, rows, lists):
+    def add(self, digest, t, outcome, ids, rows, lists):
         """Record that every profile of lists, the bid lists of ids, reaches
-        the outcome whose witness rows are rows (a non-empty list)."""
-        entry = self.outcomes.get(id(rows))
+        the outcome `outcome` of (digest, t), whose witness rows are rows (a
+        non-empty list, kept from the outcome's first add)."""
+        entry = self.outcomes.get((digest, t, outcome))
         if entry is None:
-            entry = self.outcomes[id(rows)] = digest, t, ids, rows, []
+            entry = self.outcomes[digest, t, outcome] = digest, t, ids, rows, []
         entry[4].append(lists)
 
     def __len__(self):
@@ -408,10 +411,12 @@ def audit_bpic(
     The producer's argmax is read off _ClassPasses, and fpa's revenue_max
     off the unvalued read of the same walk; a standard rule reads only the
     clearing set the tuple fixes (a contribution is >= 0 exactly when the
-    bid clears), one standard_block call per tuple.  A witness tuple gets
-    one row per bid of the witness transaction's class, with that user's
-    list narrowed to the bid (_Found).  A negative max_witnesses raises
-    ValueError before any cell is swept.
+    bid clears), one standard_block call per tuple.  A tuple whose
+    recommendation is tied adds the tie's edges, with no memo of tie
+    lists: a set update per tuple.  A witness tuple gets one row per bid of
+    the witness transaction's class, with that user's list narrowed to the
+    bid, an outcome named by its (gain, bid) (_Found).  A negative
+    max_witnesses raises ValueError before any cell is swept.
     """
     _check_max_witnesses(max_witnesses)
     scenarios = _scenario_tuple(scenarios)
@@ -426,23 +431,20 @@ def audit_bpic(
 
     for scenario in scenarios:
         ids = scenario.ids()
+        cells += len(points) ** len(ids)
         if valued:
             gated = mech.eligibility is not Eligibility.FREE
             for key, lists in _class_tuples(mech, scenario, ids, points, eligible):
                 elig = frozenset(compress(ids, key)) if gated else None
                 if not enumerate_blocks(scenario, eligible=elig, budget=budget):
                     raise NoEligibleBlockError(_first_cell(ids, lists))
-            cells += len(points) ** len(ids)
             continue
         digest = scenario_digest(scenario)
         # the producer's argmax, and revenue_max's unvalued one in the same walk
         reads = (True, False) if valued is False else True
         passes = _ClassPasses(mech, scenario, ids, points, budget, [{}], reads)
-        witness_rows = {}  # (tx, gain, bid) -> the one-row outcome its cells share
         edges = {}
-        ties = {}  # (id(rec), id(tied)) -> (rec in tied, rec, tied), kept referenced
         for key, lists in _class_tuples(mech, scenario, ids, points, fee_class):
-            cells += prod(map(len, lists))
             folds = passes.folds(key, lists)
             best_score, best, tied = folds[0]
             if valued is False:
@@ -452,12 +454,9 @@ def audit_bpic(
                 rec = standard_block(mech, clearing, scenario, budget=budget)
                 if rec is None:
                     raise NoEligibleBlockError(_first_cell(ids, lists))
-            seen = ties.get((id(rec), id(tied)))
-            if seen is None:  # a new pair adds its edges once
-                seen = ties[id(rec), id(tied)] = rec in tied, rec, tied
-                if seen[0] and len(tied) > 1:  # tie lists hold distinct blocks
+            if rec in tied:
+                if len(tied) > 1:  # tie lists hold distinct blocks
                     edges.setdefault(rec, set()).update(b for b in tied if b != rec)
-            if seen[0]:
                 continue
             classes = dict(zip(ids, key))
             gain = best_score - scenario.bp_valuation.of(rec) - sum(map(classes.get, rec.txs))
@@ -466,8 +465,8 @@ def audit_bpic(
             i = ids.index(tx_id)
             v = scenario.tx(tx_id).valuation
             for bid in lists[i]:
-                rows = witness_rows.setdefault((tx_id, gain, bid), [(-gain, v, bid, bid)])
-                found.add(digest, tx_id, ids, rows, (*lists[:i], (bid,), *lists[i + 1 :]))
+                narrowed = (*lists[:i], (bid,), *lists[i + 1 :])
+                found.add(digest, tx_id, (gain, bid), ids, [(-gain, v, bid, bid)], narrowed)
         cycle = _detect_cycle(edges)
         if cycle is not None:
             conflicts.append(TieConflict(digest, tuple(b.txs for b in cycle)))
@@ -667,7 +666,7 @@ def _sweep(mech, strategy, scenarios, grid, budget, profile_samples, sampling_se
                 entry[0] += prod(map(len, lists))
                 rows = entry[1][0]
                 if rows:
-                    found.add(digest, t, others, rows, lists)
+                    found.add(digest, t, cut, others, rows, lists)
             profiles = overbids = below_range = regret = 0
             for count, (_, n_over, n_below, cut_regret) in settled.values():
                 profiles += count

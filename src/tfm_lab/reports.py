@@ -180,9 +180,9 @@ def _rows(section_text: str, header) -> list[list[str]]:
 
 def _refusing_malformed(parse):
     """The parser, raising every refusal of its text as ReportFormatError:
-    a row or banner of the wrong shape, or a field that does not convert,
-    would otherwise surface as a bare IndexError, ValueError or
-    ZeroDivisionError."""
+    a row or banner of the wrong shape, a field that does not convert, or a
+    bare carriage return in an unquoted field would otherwise surface as a
+    bare IndexError, ValueError, ZeroDivisionError or csv.Error."""
 
     @functools.wraps(parse)
     def wrapper(text):
@@ -190,7 +190,7 @@ def _refusing_malformed(parse):
             return parse(text)
         except ReportFormatError:
             raise
-        except (IndexError, ValueError, ZeroDivisionError) as exc:
+        except (IndexError, ValueError, ZeroDivisionError, csv.Error) as exc:
             raise ReportFormatError(f"malformed report: {exc}") from None
 
     return wrapper

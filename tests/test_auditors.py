@@ -14,7 +14,7 @@ from functools import partial
 from itertools import combinations, product
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tfm_lab import (
@@ -72,7 +72,7 @@ from tfm_lab import (
 )
 from tfm_lab import auditors, solver
 from tfm_lab.auditors import _DeviationTables, _detect_cycle
-from tfm_lab.mechanisms import RULES, TIPLESS
+from tfm_lab.mechanisms import RULES, TIPLESS, argmax_valued
 from tfm_lab.solver import BUDGET_ENV_VAR, split_pass
 
 
@@ -728,8 +728,8 @@ def found_of(rows):
     its own, reached by the cell's bids as one-bid lists.  Every cell's ids
     are a prefix of (0, 2), which zip cuts to the cell's length."""
     found = auditors._Found()
-    for d, t, neg, v, rec, dev, cell in rows:
-        found.add(d, t, (0, 2), [(neg, v, rec, dev)], tuple((b,) for _, b in cell))
+    for i, (d, t, neg, v, rec, dev, cell) in enumerate(rows):
+        found.add(d, t, i, (0, 2), [(neg, v, rec, dev)], tuple((b,) for _, b in cell))
     return found
 
 
@@ -744,7 +744,7 @@ def collector_feeds(draw):
     user's bids 0..2 grouped into ascending lists by a drawn class map (so
     a list holds one to three bids), or, as a sampled sweep does, visits
     raw profiles as one-bid lists in draw order.  Returns the passes as
-    (digest, tx, ids, [(rows, lists)])."""
+    (digest, tx, ids, [(outcome index, rows, lists)])."""
     pool = draw(st.lists(
         st.tuples(st.integers(-3, -1), st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
         min_size=1, max_size=4,
@@ -765,7 +765,8 @@ def collector_feeds(draw):
             profiles = draw(st.permutations(list(product(range(3), repeat=len(ids)))))
             tuples = [tuple((b,) for b in p) for p in profiles]
         tuples = tuples[:draw(st.integers(0, len(tuples)))]
-        feeds = [(outcomes[draw(st.integers(0, len(outcomes) - 1))], lists) for lists in tuples]
+        picks = [draw(st.integers(0, len(outcomes) - 1)) for _ in tuples]
+        feeds = [(k, outcomes[k], lists) for k, lists in zip(picks, tuples)]
         passes.append((digest, t, ids, feeds))
     return passes
 
@@ -779,9 +780,9 @@ class TestFinalizeWitnesses:
     def test_collector_matches_a_full_sort_of_expanded_rows(self, passes, cap):
         found = auditors._Found()
         expanded = []
-        for digest, t, ids, feeds in passes:
-            for rows, lists in feeds:
-                found.add(digest, t, ids, rows, lists)
+        for p, (digest, t, ids, feeds) in enumerate(passes):
+            for k, rows, lists in feeds:
+                found.add(digest, t, (p, k), ids, rows, lists)
                 for profile in product(*lists):
                     cell = tuple(zip(ids, profile))
                     expanded += [Witness(digest, t, v, rec, dev, -neg, cell) for neg, v, rec, dev in rows]
@@ -798,9 +799,9 @@ class TestFinalizeWitnesses:
         r, s = (-2, 1, 1, 0), (-1, 1, 1, 2)
         first, second = [r, s, r], [r]
         found = auditors._Found()
-        found.add("a" * 64, 0, (1, 2), first, ((2,), (0,)))
-        found.add("a" * 64, 0, (1, 2), second, ((2,), (0,)))
-        found.add("a" * 64, 0, (1, 2), second, ((0,), (1,)))
+        found.add("a" * 64, 0, "first", (1, 2), first, ((2,), (0,)))
+        found.add("a" * 64, 0, "second", (1, 2), second, ((2,), (0,)))
+        found.add("a" * 64, 0, "second", (1, 2), second, ((0,), (1,)))
         assert len(found) == 5
         got = auditors._finalize_witnesses(found, 4)
         assert [(w.utility_gain, w.deviation_bid, w.cell_bids) for w in got] == [
@@ -885,25 +886,28 @@ class TestBpic:
 
     def test_consonant_rules_always_pass(self, monkeypatch):
         # a consonant rule is the producer's own argmax, so no cell is
-        # swept: no pass is solved, yet every cell is counted
+        # swept: no pass is solved, yet every cell is counted.  The swept
+        # rules, revenue_max and standard, count the same cells
         def unused(*args, **kwargs):
             raise AssertionError("a consonant BPIC audit solved a pass")
 
         monkeypatch.setattr(solver, "split_pass", unused)
         monkeypatch.setattr(auditors, "split_pass", unused)
         sc = scenario([(1, 3, 3), (2, 2, 2)], bp=AdditiveValuation({0: 2}))
-        for mech in (
+        consonant = (
             Mechanism.fpa(Allocation.CONSONANT),
             Mechanism.eip1559(2, Eligibility.FREE, Allocation.CONSONANT),
             Mechanism.eip1559(2, Eligibility.BASE_FEE_GATED, Allocation.CONSONANT),
             Mechanism.tipless(2, Eligibility.FREE, Allocation.CONSONANT),
             Mechanism.tipless(2, Eligibility.BASE_FEE_GATED, Allocation.CONSONANT),
             Mechanism.trivial(),
-        ):
+        )
+        for mech in (*consonant, Mechanism.fpa(), Mechanism.tipless(2)):
             report = audit_bpic(mech, [sc, sc], GRID)
-            assert report.verdict == "PASS" and report.max_regret == 0
             assert report.cells_checked == 2 * len(GRID.points()) ** 2
-            assert report.witnesses == () and report.tie_conflicts == ()
+            if mech in consonant:
+                assert report.verdict == "PASS" and report.max_regret == 0
+                assert report.witnesses == () and report.tie_conflicts == ()
 
 
 def oracle_bpic(mech, scenarios, grid, rule=recommended_block):
@@ -1076,6 +1080,36 @@ BPIC_PATTERN_TIE_CASE = (
 )
 
 
+# the shape of bpic-wide's perm5 tasks: five unit transactions, every
+# ordering of up to four, and a table producer.  One recommended block is
+# tied with several different tie lists across cells, so its successors
+# are the union of them all
+BPIC_WIDE_TIE_CASE = (
+    Mechanism.fpa(),
+    Scenario(
+        tuple(Transaction(i, 1, 0) for i in range(5)),
+        TableValuation({Block((0, 2)): 3}),
+        KnapsackBlockset(4, enumerate_permutations=True),
+    ),
+)
+
+
+def recorded_edges(audit, *args):
+    """The tie edges an audit passes to _detect_cycle, one list of (node,
+    successors) items per scenario, in order."""
+    detect, seen = _detect_cycle, []
+
+    def recording(edges):
+        seen.append([(node, set(successors)) for node, successors in edges.items()])
+        return detect(edges)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(auditors, "_detect_cycle", recording)
+        patch.setitem(globals(), "_detect_cycle", recording)  # oracle_bpic's name
+        audit(*args)
+    return seen
+
+
 def memo_case(case):
     """A BPIC case of TestMemoAgainstCells: the scenario on grid 0..2."""
     mech, sc = case
@@ -1097,6 +1131,20 @@ class TestBpicAgainstCells:
         mech, sc = case
         want = oracle_bpic(mech, [sc], GridSpec(1, 2))
         assert audit_bpic(mech, [sc], GridSpec(1, 2)) == want
+
+    @given(ordered_bpic_cases())
+    @example(BPIC_PREFIX_CASE)
+    @example(BPIC_PATTERN_TIE_CASE)
+    @example(BPIC_WIDE_TIE_CASE)
+    @settings(max_examples=40, deadline=None)
+    def test_tie_edges_match_per_cell_oracle(self, case):
+        # the edges, not only the cycle they yield: the same nodes in the
+        # same order, each with the same successors.  A consonant rule
+        # sweeps no cell, so it records none
+        mech, sc = case
+        assume(argmax_valued(mech) is not True)
+        got, want = (recorded_edges(f, mech, [sc], GridSpec(1, 2)) for f in (audit_bpic, oracle_bpic))
+        assert got == want
 
     def test_cross_side_tie_goes_to_the_canonical_block(self):
         # at bids {0: 2, 1: 0, 2: 0} the producer's best block lacking the

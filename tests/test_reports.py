@@ -2,6 +2,7 @@
 
 import csv
 import io
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -338,6 +339,15 @@ class TestFormatErrors:
     def test_malformed_welfare_text(self, text):
         with pytest.raises(ReportFormatError):
             parse_welfare_report(text)
+
+    def test_bare_carriage_return_in_a_digest(self):
+        # csv.writer leaves a bare \r unquoted, and csv.reader refuses it
+        witness = WITNESSES[0]._replace(scenario_digest="a\rb")
+        with pytest.raises(ReportFormatError):
+            parse_audit_report(render_audit_report(audit_report(witnesses=(witness,))))
+        entry = replace(TestWelfareRoundTrip().entry(Fraction(4, 5)), scenario_digest="a\rb")
+        with pytest.raises(ReportFormatError):
+            parse_welfare_report(render_welfare_report(WelfareReport((entry,), Fraction(4, 5))))
 
     def test_welfare_missing_min_ratio(self):
         report = WelfareReport((), None)
