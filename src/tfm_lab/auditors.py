@@ -305,29 +305,29 @@ class _ClassPasses:
 
     An argmax reads a cell only through its fee classes, and a walked
     user's class only as a contribution added to the blocks that hold it.
-    So each of the last two walked users with two or more eligible classes
-    is split off (with fewer, one pass per class is as few), and one
-    weighted_pass per key and side, split on them and the held id, gives
-    each of their classes by fold_split.  folds recurses over depths, the
-    class tuple at depth 0: each folds one split-off user's class, the last
-    first, into the entries of the next, whose key reads that user as its
-    pass weight (0 when eligible, None when not).  So the deepest key is the
-    pass's weight vector, eligible ids weighing their class, and no bid is
-    read.  The deepest depth keeps every key's passes; each other keeps
-    only the entry pairs of the last key below it that it folded, and
-    folds again when that key changes.  Product order brings the tuples of
-    one key below depth 0 in one run (ineligible classes are the lowest
-    bids), so an exhaustive walk folds as a memo per key would; a sampled
-    one has its draws grouped by class tuple (_sweep).  sides lists the
-    fixed bids of each pass of a key, in order; each maps the held id, if
-    any, the same in every side, to a bid that sets only its eligibility.
-    valued is the read of every pass, (True, False) for revenue_max's
-    producer argmax and unvalued solve in one walk.  A key's passes are
-    solved when a tuple first needs them, so errors name the tuple's first
-    raw cell with the message of a per-cell pass.
+    So the last two walked users (every one, when fewer) are split off, and
+    one weighted_pass per key and side, split on them and the held id,
+    gives each of their classes by fold_split.  folds recurses over depths,
+    the class tuple at depth 0: each folds one split-off user's class, the
+    last first, into the entries of the next, whose key reads that user as
+    its pass weight (0 when eligible, None when not).  So the deepest key is
+    the pass's weight vector, eligible ids weighing their class, and no bid
+    is read; a one-class user read as its eligibility gives as many keys as
+    its class would.  The deepest depth keeps every key's passes; each
+    other keeps only the entry pairs of the last key below it that it
+    folded, and folds again when that key changes.  Product order brings
+    the tuples of one key below depth 0 in one run (ineligible classes are
+    the lowest bids), so an exhaustive walk folds as a memo per key would;
+    a sampled one has its draws grouped by class tuple (_sweep).
+    sides lists the fixed bids of each pass of a key, in order; each maps
+    the held id, if any, the same in every side, to a bid that sets only
+    its eligibility.  valued is the read of every pass, (True, False) for
+    revenue_max's producer argmax and unvalued solve in one walk.  A key's
+    passes are solved when a tuple first needs them, so errors name the
+    tuple's first raw cell with the message of a per-cell pass.
     """
 
-    def __init__(self, mech, scenario, ids, points, budget, sides, valued):
+    def __init__(self, mech, scenario, ids, budget, sides, valued):
         self.scenario, self.ids, self.budget, self.valued = scenario, ids, budget, valued
         self.gated = mech.eligibility is not Eligibility.FREE
         # (fixed, the held id at weight 0 if its bid is eligible)
@@ -335,32 +335,26 @@ class _ClassPasses:
             (fixed, {t: 0 for t, b in fixed.items() if eligible(mech, scenario.tx(t), b)})
             for fixed in sides
         ]
-        # the positions in ids of the split-off users, last first
-        self.folded = [
-            i
-            for i in reversed(range(max(len(ids) - 2, 0), len(ids)))
-            if len({fee_class(mech, scenario.tx(ids[i]), b) for b in points} - {None}) >= 2
-        ]
         # bit 0 of a pattern is the first split-off user, then the next,
         # then the held id; a side's unvalued entries, if any, follow its
         # valued ones as if the read were one more bit
-        self.on = (*(ids[i] for i in reversed(self.folded)), *sides[0])
+        self.on = (*ids[-2:], *sides[0])
         self.passes = {}
         # per depth, (the key of the depth below it last folded, its pairs)
-        self.last = [(None, None)] * len(self.folded)
+        self.last = [(None, None)] * min(len(ids), 2)
 
     def folds(self, key, lists, depth=0):
         """The entries at the class tuple `key`, whose bid lists are
         `lists`: per side in order, per read, the entry lacking and then
         the one holding the held id (one entry when there is none).  At a
-        depth d > 0 the users at folded[:d] are read as their pass weight,
-        and each entry is still split on the others."""
-        if depth == len(self.folded):
+        depth d > 0 the last d users are read as their pass weight, and
+        each entry is still split on the others."""
+        if depth == len(self.last):
             entries = self.passes.get(key)
             if entries is None:
                 entries = self.passes[key] = self._solve(key, lists)
             return entries
-        p = self.folded[depth]
+        p = len(key) - 1 - depth
         c = key[p]
         lower = key[:p] + (None if c is None else 0,) + key[p + 1 :]
         last, pairs = self.last[depth]
@@ -442,7 +436,7 @@ def audit_bpic(
         digest = scenario_digest(scenario)
         # the producer's argmax, and revenue_max's unvalued one in the same walk
         reads = (True, False) if valued is False else True
-        passes = _ClassPasses(mech, scenario, ids, points, budget, [{}], reads)
+        passes = _ClassPasses(mech, scenario, ids, budget, [{}], reads)
         edges = {}
         for key, lists in _class_tuples(mech, scenario, ids, points, fee_class):
             folds = passes.folds(key, lists)
@@ -530,7 +524,7 @@ class _DeviationTables:
         ]
         if valued is not None:
             sides = [{tx.tx_id: b} for b in self.sides]
-            self.passes = _ClassPasses(mech, scenario, self.others, points, budget, sides, valued)
+            self.passes = _ClassPasses(mech, scenario, self.others, budget, sides, valued)
 
     def cut(self, classes, lists):
         """The tuple of per-side cuts, in lookup order, of the table

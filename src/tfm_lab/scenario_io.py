@@ -112,15 +112,38 @@ def _expect_keys(obj, what, required, optional=frozenset()):
         raise ScenarioFormatError(f"{what} has unknown keys {sorted(unknown)}")
 
 
+def _expect_kind(obj, what, kinds):
+    """obj["kind"], once obj is an object with exactly the keys of that
+    kind: kinds maps each kind to its (required, optional) keys."""
+    if not isinstance(obj, dict) or "kind" not in obj:
+        _expect_keys(obj, what, {"kind"})  # raises
+    kind = obj["kind"]
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ScenarioFormatError(f"unknown {what} kind {kind!r}")
+    _expect_keys(obj, f"{kind} {what}", {"kind"} | kinds[kind][0], kinds[kind][1])
+    return kind
+
+
 def _expect_list(value, what):
     if not isinstance(value, list):
         raise ScenarioFormatError(f"{what} must be a list, got {value!r}")
     return value
 
 
+_VALUATION_KEYS = {
+    "passive": (set(), {"constant"}),
+    "additive": (set(), {"values"}),
+    "single_minded": ({"target_blocks", "value"}, set()),
+    "table": (set(), {"entries"}),
+}
+_BLOCKSET_KEYS = {
+    "explicit": ({"blocks"}, set()),
+    "knapsack": ({"max_total_size"}, {"candidate_ids", "enumerate_permutations"}),
+}
+
+
 def _parse_valuation(obj) -> BpValuation:
-    _expect_keys(obj, "bp_valuation", {"kind"}, {"constant", "values", "target_blocks", "value", "entries"})
-    kind = obj["kind"]
+    kind = _expect_kind(obj, "bp_valuation", _VALUATION_KEYS)
     if kind == "passive":
         return PassiveValuation(obj.get("constant", 0))
     if kind == "additive":
@@ -138,46 +161,28 @@ def _parse_valuation(obj) -> BpValuation:
             parsed[tx_id] = amount
         return AdditiveValuation(parsed)
     if kind == "single_minded":
-        if "target_blocks" not in obj or "value" not in obj:
-            raise ScenarioFormatError("single_minded needs target_blocks and value")
         targets = _expect_list(obj["target_blocks"], "single_minded target_blocks")
         return SingleMindedValuation(
             frozenset(Block(_expect_list(b, "single_minded target")) for b in targets), obj["value"]
         )
-    if kind == "table":
-        parsed = {}
-        for entry in _expect_list(obj.get("entries", []), "table entries"):
-            _expect_keys(entry, "table entry", {"block", "value"})
-            block = Block(_expect_list(entry["block"], "table entry block"))
-            if block in parsed:
-                raise ScenarioFormatError(f"table lists block {list(block.txs)} twice")
-            parsed[block] = entry["value"]
-        return TableValuation(parsed)
-    raise ScenarioFormatError(f"unknown bp_valuation kind {kind!r}")
+    parsed = {}
+    for entry in _expect_list(obj.get("entries", []), "table entries"):
+        _expect_keys(entry, "table entry", {"block", "value"})
+        block = Block(_expect_list(entry["block"], "table entry block"))
+        if block in parsed:
+            raise ScenarioFormatError(f"table lists block {list(block.txs)} twice")
+        parsed[block] = entry["value"]
+    return TableValuation(parsed)
 
 
 def _parse_blockset(obj) -> Blockset:
-    _expect_keys(
-        obj,
-        "blockset",
-        {"kind"},
-        {"blocks", "max_total_size", "candidate_ids", "enumerate_permutations"},
-    )
-    kind = obj["kind"]
-    if kind == "explicit":
-        if "blocks" not in obj:
-            raise ScenarioFormatError("explicit blockset needs blocks")
+    if _expect_kind(obj, "blockset", _BLOCKSET_KEYS) == "explicit":
         blocks = _expect_list(obj["blocks"], "blockset blocks")
         return ExplicitBlockset(tuple(Block(_expect_list(b, "blockset block")) for b in blocks))
-    if kind == "knapsack":
-        if "max_total_size" not in obj:
-            raise ScenarioFormatError("knapsack blockset needs max_total_size")
-        candidates = obj.get("candidate_ids")
-        if candidates is not None:
-            _expect_list(candidates, "candidate_ids")
-        perms = obj.get("enumerate_permutations", False)
-        return KnapsackBlockset(obj["max_total_size"], candidates, perms)
-    raise ScenarioFormatError(f"unknown blockset kind {kind!r}")
+    candidates = obj.get("candidate_ids")
+    if candidates is not None:
+        _expect_list(candidates, "candidate_ids")
+    return KnapsackBlockset(obj["max_total_size"], candidates, obj.get("enumerate_permutations", False))
 
 
 def _parse_mechanism(obj) -> Mechanism:
@@ -203,9 +208,7 @@ def _parse_document(raw) -> ScenarioDoc:
     blockset = _parse_blockset(raw["blockset"])
     scenario = Scenario(tuple(txs), valuation, blockset, raw.get("seed"))
 
-    mechanism = None
-    if "mechanism" in raw:
-        mechanism = _parse_mechanism(raw["mechanism"])
+    mechanism = _parse_mechanism(raw["mechanism"]) if "mechanism" in raw else None
     grid = None
     if "grid" in raw:
         _expect_keys(raw["grid"], "grid", {"step", "max_value"})

@@ -372,8 +372,8 @@ def fold_split(entries, contribution: Money | None):
     read at one of its contributions: the better of `lacking` (blocks
     without it) and `holding` (blocks with it, scored without it) once the
     contribution is added to the latter, in the entry format.  None, for a
-    transaction that is not eligible or not split off, reads `lacking`
-    alone, so it also reads the one entry of an unsplit pass.
+    transaction that is not eligible, reads `lacking` alone, so it also
+    reads the one entry of an unsplit pass.
 
     On equal scores the tied blocks are merged in canonical order, so the
     entry is exactly what one pass at that bid would give.  An argmax
@@ -381,7 +381,8 @@ def fold_split(entries, contribution: Money | None):
     decreases in the bid, so one split pass settles every bid of the
     transaction at O(1) each.  A pass split on several transactions is
     read one transaction at a time, each fold halving its entries, in any
-    order: the sweeps fold the second-to-last walked user's class into each
+    order: the sweeps always split off their last two walked users (every
+    one, when fewer), and fold the second-to-last user's class into each
     pattern of the last user, then the last user's class
     (auditors._ClassPasses).
     """

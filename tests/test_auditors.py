@@ -44,6 +44,7 @@ from tfm_lab import (
     Transaction,
     Truthful,
     UnsupportedInstanceError,
+    WelfareEntry,
     Witness,
     audit_approx_dsic_bound,
     audit_bpic,
@@ -73,7 +74,7 @@ from tfm_lab import (
 from tfm_lab import auditors, solver
 from tfm_lab.auditors import _DeviationTables, _detect_cycle
 from tfm_lab.mechanisms import RULES, TIPLESS, argmax_valued
-from tfm_lab.solver import BUDGET_ENV_VAR, split_pass
+from tfm_lab.solver import BUDGET_ENV_VAR, NoFeasibleBlockError, split_pass
 
 
 def scenario(specs, cap=None, bp=None):
@@ -572,10 +573,10 @@ LAST_CLASS_TIE_CASE = (
 )
 
 
-# Layouts of the two-user fold: _ClassPasses splits off each of the last two
-# other users that has two or more eligible classes, and tx 0 deviates in
-# each case.  Four unit transactions under fpa give tx 0 the prefix tx 1,
-# whose bid moves the argmax through the producer's stake in it
+# The two-user fold: _ClassPasses splits off the last two other users,
+# whatever their classes, and tx 0 deviates in each case.  Four unit
+# transactions under fpa give tx 0 the prefix tx 1, whose bid moves the
+# argmax through the producer's stake in it
 PREFIX_CASE = (
     Mechanism.fpa(Allocation.CONSONANT),
     [scenario([(1, 2, 2), (1, 0, 0), (1, 3, 3), (1, 1, 1)], cap=2, bp=AdditiveValuation({1: 2}))],
@@ -586,9 +587,9 @@ PREFIX_CASE = (
 
 GATED_EIP1559 = Mechanism.eip1559(1, Eligibility.BASE_FEE_GATED, Allocation.CONSONANT)
 
-# tx 1 (reserve 3) has one eligible class on grid 0..3 and tx 2 three, so
-# tx 2 alone is split off; the producer's stake in tx 1 makes its
-# eligibility matter
+# tx 1 (reserve 3) has one eligible class on grid 0..3 and tx 2 three; both
+# are split off, tx 1 read as its eligibility, and the producer's stake in
+# tx 1 makes that eligibility matter
 ONE_CLASS_FIRST_CASE = (
     GATED_EIP1559,
     [scenario([(1, 2, 2), (3, 0, 0), (1, 1, 1)], cap=4, bp=AdditiveValuation({1: 3}))],
@@ -597,8 +598,8 @@ ONE_CLASS_FIRST_CASE = (
     None,
 )
 
-# the reverse: tx 1 has three eligible classes and tx 2 (reserve 3) one, so
-# tx 1 alone is split off
+# the reverse: tx 1 has three eligible classes and tx 2 (reserve 3) one,
+# which is split off and read as its eligibility just the same
 ONE_CLASS_LAST_CASE = (
     GATED_EIP1559,
     [scenario([(1, 2, 2), (1, 1, 1), (3, 0, 0)], cap=4, bp=AdditiveValuation({2: 3}))],
@@ -1048,13 +1049,15 @@ BPIC_PREFIX_CASE = (
 
 GATED_STANDARD_EIP1559 = Mechanism.eip1559(1, Eligibility.BASE_FEE_GATED)
 
-# tx 1 (reserve 2) has one eligible class on grid 0..2 and tx 2 two
+# tx 1 (reserve 2) has one eligible class on grid 0..2 and tx 2 two; both
+# are split off
 BPIC_ONE_CLASS_FIRST_CASE = (
     GATED_STANDARD_EIP1559,
     scenario([(1, 0, 0), (2, 0, 0), (1, 0, 0)], bp=AdditiveValuation({1: 2, 2: 1})),
 )
 
-# the reverse: tx 1 has two eligible classes and tx 2 (reserve 2) one
+# the reverse: tx 1 has two eligible classes and tx 2 (reserve 2) one;
+# both are split off
 BPIC_ONE_CLASS_LAST_CASE = (
     GATED_STANDARD_EIP1559,
     scenario([(1, 0, 0), (1, 0, 0), (2, 0, 0)], bp=AdditiveValuation({1: 1, 2: 2})),
@@ -1272,7 +1275,7 @@ OFF_GRID_STRATEGY_CASE = (
     None,
 )
 
-# every bid is one fee class, so no last user is split off its pass
+# every bid is one fee class, so each split-off user has one class to fold
 TRIVIAL_UNSPLIT_CASE = (
     Mechanism.trivial(),
     [scenario([(1, 2, 2), (1, 1, 1), (1, 0, 0)], cap=2, bp=AdditiveValuation({1: 1}))],
@@ -1282,8 +1285,8 @@ TRIVIAL_UNSPLIT_CASE = (
 )
 
 # the last other user's bids 1 and 2 clear its reserve into one fee class
-# and bid 0 is shut out, so it is not split off its pass either; a value-2
-# user bids 0 and gains by clearing the reserve instead
+# and bid 0 is shut out, so a key reads it as its eligibility alone; a
+# value-2 user bids 0 and gains by clearing the reserve instead
 GATED_UNSPLIT_CASE = (
     Mechanism.tipless(1, Eligibility.BASE_FEE_GATED, Allocation.CONSONANT),
     [scenario([(1, 2, 2), (1, 1, 1), (1, 0, 0)], cap=2, bp=AdditiveValuation({1: 1}))],
@@ -1504,6 +1507,17 @@ class TestErrorParity:
         assert got[0] is NoEligibleBlockError and got[2] == frozenset()
         assert "at bids {0:0, 1:0, 2:0};" in got[1]
 
+    def test_bpic_standard_rule_without_a_clearing_block(self, monkeypatch):
+        # free eligibility lets the producer's pass take every block, but
+        # tipless's standard rule keeps only blocks whose members all clear
+        # the reserve, and every listed block holds tx 2, which bids 0 < 1
+        standard = Mechanism.tipless(1)
+        args = standard, [self.held], GridSpec(1, 2)
+        got = self.raised_at(monkeypatch, audit_bpic, *args)
+        assert got == self.raised_at(monkeypatch, oracle_bpic, *args)
+        assert got[0] is NoEligibleBlockError and got[2] == frozenset()
+        assert "at bids {0:0, 1:0, 2:0};" in got[1]
+
     def test_dsic_no_eligible_block_later_in_a_prefix(self, monkeypatch):
         # seed 0 draws tx 0's profiles of (tx 1, tx 2) as (1, 1), (1, 2),
         # (2, 2), (1, 0): the first without an eligible block comes after
@@ -1618,12 +1632,11 @@ class TestSweepsReadNoBids:
 
 
 class TestPassCounts:
-    """The sweeps split each key's pass on those of the last two walked
-    users that have two or more eligible classes: one solver.weighted_pass
-    per (classes of the other users, eligibility of the split-off ones),
-    whose entries every class of the split-off users is folded into, and
-    revenue_max's two reads share that one pass.  Sampled sweeps reuse the
-    passes of the class tuples they revisit."""
+    """The sweeps split each key's pass on the last two walked users: one
+    solver.weighted_pass per (classes of the other users, eligibility of
+    the split-off ones), whose entries every class of the split-off users
+    is folded into, and revenue_max's two reads share that one pass.
+    Sampled sweeps reuse the passes of the class tuples they revisit."""
 
     def counted(self, monkeypatch, audit, *args, **kwargs):
         """(the split of each weighted_pass call the audit made, its report)."""
@@ -1664,20 +1677,19 @@ class TestPassCounts:
         assert set(splits) == {(2, 3, 0), (2, 3, 1), (1, 3, 2), (1, 2, 3)}
         assert report == oracle_dsic(mech, Truthful(), [sc], grid)
 
-    # A split is (split-off users, the deviator).  Tx 0 deviates against
-    # tx 1 split off alone in ONE_CLASS_LAST_CASE and against tx 2 alone in
-    # ONE_CLASS_FIRST_CASE; the other deviators see a single or a pair.
-    # Each key is (eligibility of the split-off users, classes of the rest)
-    # and has two sides, the deviator's bid eligible or not: tx 0's passes
-    # are 2 eligibilities x 2 classes of the reserve-3 user x 2 sides
+    # A split is (split-off users, the deviator).  Every deviator splits off
+    # both other users, the one-class reserve-3 user too, which a key reads
+    # as its eligibility.  Each key has two sides, the deviator's bid
+    # eligible or not: tx 0's passes are 2 eligibilities of the three-class
+    # user x 2 of the reserve-3 user x 2 sides
     @pytest.mark.parametrize(
         "case, samples, want",
         [
-            (ONE_CLASS_LAST_CASE, None, {(1, 0): 8, (0, 1): 8, (0, 1, 2): 8}),
-            (ONE_CLASS_LAST_CASE, 20, {(1, 0): 8, (0, 1): 8, (0, 1, 2): 8}),
-            (ONE_CLASS_FIRST_CASE, None, {(2, 0): 8, (0, 2): 8, (0, 2, 1): 8}),
-            # 20 draws leave tx 2 two of the 8 passes of its pair
-            (ONE_CLASS_FIRST_CASE, 20, {(2, 0): 8, (0, 2): 8, (0, 2, 1): 6}),
+            (ONE_CLASS_LAST_CASE, None, {(1, 2, 0): 8, (0, 2, 1): 8, (0, 1, 2): 8}),
+            (ONE_CLASS_LAST_CASE, 20, {(1, 2, 0): 8, (0, 2, 1): 8, (0, 1, 2): 8}),
+            (ONE_CLASS_FIRST_CASE, None, {(1, 2, 0): 8, (0, 2, 1): 8, (0, 1, 2): 8}),
+            # 20 draws make 6 of tx 1's 8 passes
+            (ONE_CLASS_FIRST_CASE, 20, {(1, 2, 0): 8, (0, 2, 1): 6, (0, 1, 2): 8}),
         ],
         ids=["second-to-last", "second-to-last-sampled", "last", "last-sampled"],
     )
@@ -1691,17 +1703,19 @@ class TestPassCounts:
 
     @pytest.mark.parametrize("samples, want", [(None, 64), (200, 58)])
     def test_unsplit_passes_once_per_class_tuple(self, monkeypatch, samples, want):
-        # gated consonant tipless reads a bid only as its eligibility, so no
-        # other user is split off and each class tuple takes one pass per
-        # side: 4 deviators x 2^3 eligibility tuples x 2 sides.  The 200
-        # draws per deviator revisit class tuples, which reuse their passes
+        # gated consonant tipless reads a bid only as its eligibility, so a
+        # key is the class tuple itself, the last two other users read as
+        # their eligibility, and each class tuple takes one pass per side:
+        # 4 deviators x 2^3 eligibility tuples x 2 sides.  The 200 draws
+        # per deviator revisit class tuples, which reuse their passes
         sc = random_scenario(7, n_txs=4, bp="additive").scenario
         mech = Mechanism.tipless(2, Eligibility.BASE_FEE_GATED, Allocation.CONSONANT)
         splits, report = self.counted(
             monkeypatch, audit_dsic, mech, Truthful(), [sc], GridSpec(1, 20),
             profile_samples=samples,
         )
-        assert len(splits) == want and set(splits) == {(0,), (1,), (2,), (3,)}
+        assert len(splits) == want
+        assert set(splits) == {(2, 3, 0), (2, 3, 1), (1, 3, 2), (1, 2, 3)}
         assert report.verdict == "PASS"
 
     # the fixture of test_consonant_dsic_passes_once_per_prefix, whose
@@ -1736,7 +1750,7 @@ class TestPassCounts:
             # one memo, the passes (one side, so one per weighted_pass call),
             # and per fold level one slot: the last key it folded
             assert [name for name, v in vars(k).items() if isinstance(v, dict)] == ["passes"]
-            assert len(k.last) == len(k.folded) == 2
+            assert len(k.last) == 2
         assert sum(len(k.passes) for k in kernels) == len(splits)
         assert report == oracle_dsic(mech, Truthful(), [sc], grid, samples)
 
@@ -1844,6 +1858,17 @@ class TestApproxBound:
             assert c.overbid_violations == 0
             assert c.below_range_violations == 0
 
+    def test_transaction_in_no_feasible_block_is_bounded_by_zero(self):
+        # tx 1 (size 3) fits no block of capacity 2, so it is never included,
+        # no deviation moves its utility off 0, and its bound is 0
+        sc = scenario([(1, 3, 3), (3, 2, 2)], cap=2, bp=AdditiveValuation({0: 2, 1: 4}))
+        with pytest.raises(NoFeasibleBlockError):
+            max_marginal_value(1, sc)
+        report = audit_approx_dsic_bound(self.consonant_tipless(), [sc], GRID)
+        assert report.verdict == "PASS"
+        assert report.bound_checks[1] == BoundCheck(scenario_digest(sc), 1, 0, 0, True, 0, 0)
+        assert report.bound_checks[0].nu == max_marginal_value(0, sc) == 2
+
     def test_passive_producer_gives_zero_regret(self):
         sc = scenario([(1, 3, 3), (1, 2, 2)])
         report = audit_approx_dsic_bound(self.consonant_tipless(), [sc], GRID)
@@ -1941,6 +1966,23 @@ class TestWelfare:
         assert report.entries[0].ratio == Fraction(1)
         assert not report.entries[0].degenerate
 
+    def test_zero_welfare_optimum_with_another_recommendation_is_degenerate(self):
+        # the producer's stake of -2 in tx 0 makes {0} worth 1 - 2 = -1, so
+        # the optimum is the empty block at welfare 0, while revenue_max
+        # takes tx 0's bid of 1 over nothing
+        sc = scenario([(1, 1, 1)], bp=AdditiveValuation({0: -2}))
+        report = audit_welfare_ratio(Mechanism.fpa(), Truthful(), [sc])
+        assert report.entries == (
+            WelfareEntry(scenario_digest(sc), Block((0,)), -1, EMPTY_BLOCK, 0, None, True),
+        )
+        assert report.min_ratio is None
+        # a degenerate entry leaves the minimum to the others: revenue_max
+        # takes tx 0 (welfare 3) from a producer that values tx 1 at 2 (4)
+        other = scenario([(1, 3, 3), (1, 2, 2)], cap=1, bp=AdditiveValuation({1: 2}))
+        both = audit_welfare_ratio(Mechanism.fpa(), Truthful(), [sc, other])
+        assert both.entries[0] == report.entries[0]
+        assert both.min_ratio == both.entries[1].ratio == Fraction(3, 4)
+
     def test_welfare_argmax_prefers_canonical_on_ties(self):
         sc = scenario([(1, 2, 2), (1, 2, 2)], cap=1)
         assert welfare_argmax(sc) == Block((0,))
@@ -1953,6 +1995,20 @@ class TestWelfare:
 
 
 class TestReplayValidation:
+    def test_dsic_replay_of_a_deviator_excluded_at_its_deviation_bid(self):
+        # overbidding by 1, tx 0 (value 2) bids 3 and pays it all under
+        # eip1559, a utility of -1; at bid 0 it is below the gated reserve
+        # of 1, so it is left out at utility 0: a gain of 1
+        sc = scenario([(1, 2, 2)], cap=1)
+        mech = Mechanism.eip1559(1, Eligibility.BASE_FEE_GATED, Allocation.CONSONANT)
+        w = Witness(scenario_digest(sc), 0, 2, 3, 0, 1, ())
+        assert replay_dsic_witness(mech, FixedOffset(1), sc, w) == 1
+        report = audit_dsic(mech, FixedOffset(1), [sc], GRID)
+        assert w in report.witnesses
+        for found in report.witnesses:
+            assert replay_dsic_witness(mech, FixedOffset(1), sc, found) == found.utility_gain
+
+
     def test_dsic_replay_rejects_mismatched_strategy(self):
         sc = scenario([(1, 3, 3)])
         mech = Mechanism.eip1559(2)

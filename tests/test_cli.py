@@ -12,6 +12,8 @@ from tfm_lab import (
     Block,
     Eligibility,
     ExplicitBlockset,
+    FixedOffset,
+    GridSpec,
     Mechanism,
     PassiveValuation,
     Scenario,
@@ -19,11 +21,13 @@ from tfm_lab import (
     Transaction,
     Truthful,
     Witness,
+    audit_dsic,
     bps_argmax,
     load_scenario_file,
     parse_audit_report,
     parse_welfare_report,
     payment,
+    render_audit_report,
     replay_dsic_witness,
     witness_sort_key,
     write_scenario_file,
@@ -102,6 +106,20 @@ class TestExitCodes:
         )
         assert code == 2
         assert "unknown strategy" in err
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            *[(s, f"bad offset in --strategy {s!r}") for s in ("offset:", "offset:x", "offset:1.5", "offset:--2")],
+            # fpa has no base fee to cap at
+            ("capped", "--strategy capped needs a mechanism with a base fee"),
+        ],
+    )
+    def test_usage_error_for_a_bad_strategy_under_fpa(self, tmp_path, capsys, spec, message):
+        path = gen_file(tmp_path, capsys, "s.json")
+        code, out, err = run(capsys, "audit", "dsic", str(path), "--mech", "fpa", "--strategy", spec)
+        assert (code, out) == (2, "")
+        assert message in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -422,6 +440,29 @@ class TestAudit:
         )
         assert code == 0
         assert parse_audit_report(out)["verdict"] == "PASS"
+
+    def test_file_mechanism_is_used_without_mech(self, tmp_path, capsys):
+        path = gen_file(tmp_path, capsys, "m.json", "--mech", "tipless", "--base-fee", "2", "--grid-max", "4")
+        doc = load_scenario_file(path)
+        code, out, _ = run(capsys, "audit", "dsic", str(path))
+        report = audit_dsic(Mechanism.tipless(2), Truthful(), [doc.scenario], doc.grid)
+        assert code == (report.verdict == "FAIL")
+        assert out == render_audit_report(report)
+        # --mech still overrides the file's mechanism
+        _, fpa, _ = run(capsys, "audit", "dsic", str(path), "--mech", "fpa")
+        assert fpa == render_audit_report(audit_dsic(Mechanism.fpa(), Truthful(), [doc.scenario], doc.grid))
+
+    def test_negative_offset_strategy_flag(self, tmp_path, capsys):
+        path = gen_file(tmp_path, capsys, "s.json")
+        code, out, _ = run(
+            capsys,
+            "audit", "dsic", str(path),
+            "--mech", "tipless", "--base-fee", "2", "--grid-max", "4", "--strategy", "offset:-2",
+        )
+        scenario = load_scenario_file(path).scenario
+        report = audit_dsic(Mechanism.tipless(2), FixedOffset(-2), [scenario], GridSpec(1, 4))
+        assert code == (report.verdict == "FAIL")
+        assert out == render_audit_report(report)
 
     def test_timings_change_only_wall_time(self, tmp_path, capsys):
         path = gen_file(tmp_path, capsys, "s.json")

@@ -3,6 +3,7 @@ serialization, and the content digest."""
 
 import hashlib
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -265,6 +266,61 @@ class TestParsing:
         path.write_bytes(text.encode("latin-1"))
         with pytest.raises(ScenarioFormatError, match="cannot read"):
             load_scenario_file(path)
+
+    @pytest.mark.parametrize(
+        "field, node, names",
+        [
+            # a key of another kind, which the reader used to drop, so the
+            # file did not read back the same
+            pytest.param(
+                "bp_valuation", {"kind": "additive", "constant": 7, "target_blocks": 5},
+                "additive bp_valuation has unknown keys ['constant', 'target_blocks']", id="additive-stray",
+            ),
+            pytest.param(
+                "bp_valuation", {"kind": "passive", "values": {}}, "passive bp_valuation has unknown keys",
+                id="passive-stray",
+            ),
+            pytest.param(
+                "bp_valuation", dict(SINGLE_MINDED, entries=[]), "single_minded bp_valuation has unknown keys",
+                id="single-minded-stray",
+            ),
+            pytest.param(
+                "bp_valuation", dict(TABLE, value=1), "table bp_valuation has unknown keys", id="table-stray"
+            ),
+            pytest.param(
+                "blockset", dict(EXPLICIT, max_total_size=3, enumerate_permutations="yes"),
+                "explicit blockset has unknown keys ['enumerate_permutations', 'max_total_size']",
+                id="explicit-stray",
+            ),
+            pytest.param(
+                "blockset", dict(CANDIDATES, blocks=[]), "knapsack blockset has unknown keys", id="knapsack-stray"
+            ),
+            # a missing key, an unknown kind, a node that is not an object
+            pytest.param("bp_valuation", {"constant": 0}, "bp_valuation is missing ['kind']", id="no-kind"),
+            pytest.param(
+                "bp_valuation", {"kind": "single_minded", "value": 7},
+                "single_minded bp_valuation is missing ['target_blocks']", id="single-minded-missing",
+            ),
+            pytest.param(
+                "blockset", {"kind": "explicit"}, "explicit blockset is missing ['blocks']", id="explicit-missing"
+            ),
+            pytest.param(
+                "blockset", {"kind": "knapsack"}, "knapsack blockset is missing ['max_total_size']",
+                id="knapsack-missing",
+            ),
+            pytest.param("bp_valuation", {"kind": "stake"}, "unknown bp_valuation kind 'stake'", id="valuation-kind"),
+            pytest.param("blockset", {"kind": ["explicit"]}, "unknown blockset kind ['explicit']", id="blockset-kind"),
+            pytest.param("bp_valuation", [0], "bp_valuation must be an object, got [0]", id="valuation-list"),
+            pytest.param("blockset", "knapsack", "blockset must be an object, got 'knapsack'", id="blockset-str"),
+            pytest.param(
+                "bp_valuation", {"kind": "table", "entries": [[0]]}, "table entry must be an object, got [0]",
+                id="table-entry-list",
+            ),
+        ],
+    )
+    def test_node_without_the_keys_of_its_kind_rejected(self, field, node, names):
+        with pytest.raises(ScenarioFormatError, match=re.escape(names)):
+            parse_scenario_text(as_text(dict(MINIMAL, **{field: node})))
 
     def test_blockset_unknown_tx_rejected(self):
         raw = dict(MINIMAL)
