@@ -22,14 +22,18 @@ from typing import NamedTuple
 
 from .core import Block, Money, Scenario, welfare
 from .mechanisms import (
+    EIP1559,
     RULES,
+    Allocation,
     BiddingStrategy,
     CappedAtReserve,
     Eligibility,
     Mechanism,
     NoEligibleBlockError,
     UnsupportedInstanceError,
-    _clearing_set,
+    _admitted,
+    _clearing_size,
+    allocation_read,
     apply_strategy,
     argmax_valued,
     bps,
@@ -39,7 +43,6 @@ from .mechanisms import (
     own_payment,
     payment,
     recommended_block,
-    standard_block,
     strategy_bid,
 )
 from .scenario_io import GridSpec as Grid
@@ -239,8 +242,8 @@ _STANDARD_TOO_LOW = (
 
 def _refuse_excessively_low(mech, scenarios, grid, message, strategy=None):
     """Raise UnsupportedInstanceError(message) before any sweep when the
-    preset's standard rule is the eip1559 clearing set and some cell the
-    sweep looks up makes its base fee excessively low.
+    preset is eip1559, standard or consonant, and some cell the sweep looks
+    up makes its base fee excessively low.
 
     A user-deviation sweep also looks up each user's own strategy bids,
     which can lie above the grid while the others bid on it.  The clearing
@@ -248,7 +251,7 @@ def _refuse_excessively_low(mech, scenarios, grid, message, strategy=None):
     grid max and, for each user, its largest own bid against the others at
     the grid max.
     """
-    if RULES[mech.preset].standard is not _clearing_set:
+    if mech.preset != EIP1559:
         return
     for scenario in scenarios:
         top = {t: grid.max_value for t in scenario.ids()}
@@ -303,15 +306,16 @@ def _first_cell(ids, lists):
 class _ClassPasses:
     """The one block pass behind every argmax read of a class tuple.
 
-    An argmax reads a cell only through its fee classes, and a walked
-    user's class only as a contribution added to the blocks that hold it.
+    An argmax reads a cell only through its classes under one read (fee
+    classes, or an allocation's: mechanisms.allocation_read), and a walked
+    user's class only as a weight added to the blocks that hold it.
     So the last two walked users (every one, when fewer) are split off, and
     one weighted_pass per key and side, split on them and the held id,
     gives each of their classes by fold_split.  folds recurses over depths,
     the class tuple at depth 0: each folds one split-off user's class, the
     last first, into the entries of the next, whose key reads that user as
-    its pass weight (0 when eligible, None when not).  So the deepest key is
-    the pass's weight vector, eligible ids weighing their class, and no bid
+    its pass weight (0 when admitted, None when not).  So the deepest key is
+    the pass's weight vector, admitted ids weighing their class, and no bid
     is read; a one-class user read as its eligibility gives as many keys as
     its class would.  The deepest depth keeps every key's passes; each
     other keeps only the entry pairs of the last key below it that it
@@ -321,18 +325,19 @@ class _ClassPasses:
     a sampled one has its draws grouped by class tuple (_sweep).
     sides lists the fixed bids of each pass of a key, in order; each maps
     the held id, if any, the same in every side, to a bid that sets only
-    its eligibility.  valued is the read of every pass, (True, False) for
-    revenue_max's producer argmax and unvalued solve in one walk.  A key's
-    passes are solved when a tuple first needs them, so errors name the
-    tuple's first raw cell with the message of a per-cell pass.
+    whether `read` admits it.  valued is the read of every pass, (True,
+    False) for revenue_max's producer argmax and unvalued solve in one
+    walk.  A key's passes are solved when a tuple first needs them, so
+    errors name the tuple's first raw cell with the message of a per-cell
+    pass.
     """
 
-    def __init__(self, mech, scenario, ids, budget, sides, valued):
-        self.scenario, self.ids, self.budget, self.valued = scenario, ids, budget, valued
-        self.gated = mech.eligibility is not Eligibility.FREE
-        # (fixed, the held id at weight 0 if its bid is eligible)
+    def __init__(self, mech, scenario, ids, budget, sides, valued, read=fee_class):
+        self.mech, self.scenario, self.ids, self.budget = mech, scenario, ids, budget
+        self.valued, self.read = valued, read
+        # (fixed, the held id at weight 0 if the read admits its bid)
         self.sides = [
-            (fixed, {t: 0 for t, b in fixed.items() if eligible(mech, scenario.tx(t), b)})
+            (fixed, {t: 0 for t, b in fixed.items() if read(mech, scenario.tx(t), b) is not None})
             for fixed in sides
         ]
         # bit 0 of a pattern is the first split-off user, then the next,
@@ -369,11 +374,11 @@ class _ClassPasses:
         in order; a side without an eligible block raises at the tuple's
         first raw cell."""
         entries = []
-        scenario, valued, on, budget = self.scenario, self.valued, self.on, self.budget
+        mech, scenario, valued, on, budget = self.mech, self.scenario, self.valued, self.on, self.budget
         weights = {t: k for t, k in zip(self.ids, key) if k is not None}
         for fixed, held in self.sides:
             w = {**weights, **held} if held else weights
-            elig = frozenset(w) if self.gated else None
+            elig = _admitted(mech, scenario, w, self.read, budget)
             side = weighted_pass(scenario, w, valued=valued, eligible=elig, split=on, budget=budget)
             if all(entry[0] is None for entry in side):
                 raise NoEligibleBlockError({**_first_cell(self.ids, lists), **fixed})
@@ -403,9 +408,9 @@ def audit_bpic(
     classes, so each class tuple (_class_tuples) is settled once for all
     its cells, witness gains too (bps is value plus the members' classes).
     The producer's argmax is read off _ClassPasses, and fpa's revenue_max
-    off the unvalued read of the same walk; a standard rule reads only the
-    clearing set the tuple fixes (a contribution is >= 0 exactly when the
-    bid clears), one standard_block call per tuple.  A tuple whose
+    off the unvalued read of the same walk; a standard rule off a second
+    _ClassPasses of its size read, keyed by the clearing set the tuple fixes
+    (a contribution is >= 0 exactly when the bid clears).  A tuple whose
     recommendation is tied adds the tie's edges, with no memo of tie
     lists: a set update per tuple.  A witness tuple gets one row per bid of
     the witness transaction's class, with that user's list narrowed to the
@@ -415,8 +420,8 @@ def audit_bpic(
     _check_max_witnesses(max_witnesses)
     scenarios = _scenario_tuple(scenarios)
     budget = resolve_budget(budget)
-    valued = argmax_valued(mech)
-    if valued is None:
+    standard = mech.allocation is Allocation.STANDARD
+    if standard:
         _refuse_excessively_low(mech, scenarios, bid_grid, _STANDARD_TOO_LOW)
     points = bid_grid.points()
     found = _Found()
@@ -426,7 +431,7 @@ def audit_bpic(
     for scenario in scenarios:
         ids = scenario.ids()
         cells += len(points) ** len(ids)
-        if valued:
+        if argmax_valued(mech):
             gated = mech.eligibility is not Eligibility.FREE
             for key, lists in _class_tuples(mech, scenario, ids, points, eligible):
                 elig = frozenset(compress(ids, key)) if gated else None
@@ -435,19 +440,18 @@ def audit_bpic(
             continue
         digest = scenario_digest(scenario)
         # the producer's argmax, and revenue_max's unvalued one in the same walk
-        reads = (True, False) if valued is False else True
-        passes = _ClassPasses(mech, scenario, ids, budget, [{}], reads)
+        passes = _ClassPasses(mech, scenario, ids, budget, [{}], True if standard else (True, False))
+        recs = _ClassPasses(mech, scenario, ids, budget, [{}], False, _clearing_size)
+        sizes = [scenario.tx(t).size for t in ids]
         edges = {}
         for key, lists in _class_tuples(mech, scenario, ids, points, fee_class):
             folds = passes.folds(key, lists)
             best_score, best, tied = folds[0]
-            if valued is False:
-                rec = folds[1][1]
+            if standard:
+                clears = tuple(s if k is not None and k >= 0 else None for s, k in zip(sizes, key))
+                rec = recs.folds(clears, lists)[0][1]
             else:
-                clearing = frozenset(t for t, k in zip(ids, key) if k is not None and k >= 0)
-                rec = standard_block(mech, clearing, scenario, budget=budget)
-                if rec is None:
-                    raise NoEligibleBlockError(_first_cell(ids, lists))
+                rec = folds[1][1]
             if rec in tied:
                 if len(tied) > 1:  # tie lists hold distinct blocks
                     edges.setdefault(rec, set()).update(b for b in tied if b != rec)
@@ -476,76 +480,49 @@ def audit_bpic(
     )
 
 
-def _clears(mech, tx, bid):
-    """The class of a bid as the standard rules read it: whether it clears
-    the reserve, which under gated eligibility is also its eligibility."""
-    return bid >= mech.reserve(tx)
-
-
 class _DeviationTables:
     """The deviation tables of one transaction of one scenario, each
     reduced to its cut.
 
     A table maps every own bid an audit looks up (the grid, then the
     strategy bids in valuation order) to (included, own payment) against
-    one profile of the other users' bids.  The own bid moves the
-    recommendation only through whether it clears the reserve (its side)
-    and, under an argmax allocation, through its contribution, so one cut
-    per side fixes the table (see solver.cut_includes).  A standard cut is
-    the inclusion flag of one standard_block call on the side's clearing
-    set, which the other users' classes fix (classify is _clears).  An
-    argmax cut is the split_cut of the side's two _ClassPasses entries:
-    one pass per side, split on this transaction (and on the last two
-    other users, folded away), whose eligibility is that of the side's
-    first looked-up bid (classify is mechanisms.fee_class).
+    one profile of the other users' bids.  The allocation reads the own bid
+    only through its read (mechanisms.allocation_read, the classify of the
+    other users too): whether the read admits it (its side) and the read
+    itself, a weight that never decreases in the bid.  So one cut per side
+    fixes the table (see solver.cut_includes): the split_cut of the side's
+    two _ClassPasses entries, one pass per side, split on this transaction
+    (and on the last two other users, folded away), whose admitted set is
+    that of the side's first looked-up bid.
     """
 
     def __init__(self, mech, scenario, tx, points, strategy_bids, budget):
-        self.mech, self.scenario, self.tx, self.budget = mech, scenario, tx, budget
+        self.mech, self.scenario, self.classify = mech, scenario, allocation_read(mech)
         self.others = tuple(i for i in scenario.ids() if i != tx.tx_id)
-        self.valued = valued = argmax_valued(mech)
-        self.classify = _clears if valued is None else fee_class
-        # a free-eligibility argmax enumerates the same blocks at every own
-        # bid, so it has one side
-        one_side = valued is not None and mech.eligibility is Eligibility.FREE
-        looked_up = {b: one_side or _clears(mech, tx, b) for b in (*points, *strategy_bids)}
+        reads = {b: self.classify(mech, tx, b) for b in (*points, *strategy_bids)}
         first_bids = {}  # side -> its first looked-up bid, in lookup order
-        for b, side in looked_up.items():
-            first_bids.setdefault(side, b)
-        self.sides = tuple(first_bids.values())
-        # each side's own part of a standard cut's clearing set
-        self.own = [frozenset((tx.tx_id,) if side else ()) for side in first_bids]
+        for b, c in reads.items():
+            first_bids.setdefault(c is not None, b)
         at = {side: i for i, side in enumerate(first_bids)}
-        # (bid, index of its side's cut, fee class, own payment); an
-        # ineligible side's cut is False, so its None classes are never read
-        self.spots = [
-            (b, at[side], fee_class(mech, tx, b), own_payment(mech, tx, b))
-            for b, side in looked_up.items()
-        ]
-        if valued is not None:
-            sides = [{tx.tx_id: b} for b in self.sides]
-            self.passes = _ClassPasses(mech, scenario, self.others, budget, sides, valued)
+        # (bid, index of its side's cut, its read, own payment); a side the
+        # read does not admit has the cut False, so its None reads are
+        # never compared
+        self.spots = [(b, at[c is not None], c, own_payment(mech, tx, b)) for b, c in reads.items()]
+        sides = [{tx.tx_id: b} for b in first_bids.values()]
+        self.passes = _ClassPasses(
+            mech, scenario, self.others, budget, sides, argmax_valued(mech), self.classify
+        )
 
     def cut(self, classes, lists):
         """The tuple of per-side cuts, in lookup order, of the table
         against the class tuple `classes` of the other users (in the order
         of self.others, under self.classify), whose bid lists (first raw
         profile first) are `lists`."""
-        if self.valued is not None:
-            # per side, one or two: the entries lacking, then holding tx
-            f = self.passes.folds(classes, lists)
-            if len(f) == 2:
-                return (split_cut(f[0], f[1]),)
-            return split_cut(f[0], f[1]), split_cut(f[2], f[3])
-        tx = self.tx
-        others = frozenset(compress(self.others, classes))
-        cuts = []
-        for bid, own in zip(self.sides, self.own):
-            block = standard_block(self.mech, others | own, self.scenario, budget=self.budget)
-            if block is None:
-                raise NoEligibleBlockError({**_first_cell(self.others, lists), tx.tx_id: bid})
-            cuts.append(tx.tx_id in block)
-        return tuple(cuts)
+        # per side, one or two: the entries lacking, then holding tx
+        f = self.passes.folds(classes, lists)
+        if len(f) == 2:
+            return (split_cut(f[0], f[1]),)
+        return split_cut(f[0], f[1]), split_cut(f[2], f[3])
 
     def table(self, cut):
         """{own bid: (included, own payment)} of every looked-up bid under
@@ -620,7 +597,7 @@ def _sweep(mech, strategy, scenarios, grid, budget, profile_samples, sampling_se
         n = len(scenario.ids())
         if n > EXHAUSTIVE_LIMIT and not sampled:
             raise ProfileSpaceError(n, EXHAUSTIVE_LIMIT)
-    if argmax_valued(mech) is None:
+    if mech.allocation is Allocation.STANDARD:
         _refuse_excessively_low(mech, scenarios, grid, _STANDARD_TOO_LOW, strategy)
     budget = resolve_budget(budget)
 
@@ -825,7 +802,7 @@ def audit_welfare_ratio(
 
     Bids follow the strategy applied to recorded valuations.  Ratios are
     exact rationals; a zero-welfare optimum yields ratio 1 when the
-    recommendation matches it and a degenerate flag otherwise.
+    recommendation's welfare is 0 too, and a degenerate flag otherwise.
     """
     scenarios = _scenario_tuple(scenarios)
     budget = resolve_budget(budget)

@@ -173,8 +173,6 @@ def _strategy_from_spec(spec: str | None, mech: Mechanism):
 def _grid_from_flags(args, doc: ScenarioDoc) -> GridSpec:
     step = args.grid_step
     top = args.grid_max
-    if step is None and top is None and doc.grid is not None:
-        return doc.grid
     base = doc.grid or GridSpec(1, 20)
     return GridSpec(step if step is not None else base.step, top if top is not None else base.max_value)
 

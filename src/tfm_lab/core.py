@@ -218,7 +218,7 @@ def _check_valuation(valuation):
 
 def _valued_caches():
     """Empty copies of a world's caches that depend on its valuation."""
-    return {"_plan_cache": {}, "_rule_cache": {}, "_value_range": None, "_digest": None}
+    return {"_plan_cache": {}, "_value_range": None, "_digest": None}
 
 
 @dataclass(frozen=True)
@@ -232,11 +232,9 @@ class Scenario:
     A world caches what it computes about itself: its feasible blocks per
     eligibility filter (solver.enumerate_blocks), their producer values
     grouped by member set (the solver's plans), the lowest and highest
-    producer value over its feasible blocks (solver.value_range), its
-    standard-rule blocks per mechanism, budget and clearing set
-    (mechanisms.standard_block, the only allocation memo) and its digest
-    (scenario_io.scenario_digest).  with_valuation worlds share the first
-    and recompute the others."""
+    producer value over its feasible blocks (solver.value_range) and its
+    digest (scenario_io.scenario_digest); no allocation is memoized.
+    with_valuation worlds share the first and recompute the others."""
 
     transactions: tuple[Transaction, ...]
     bp_valuation: BpValuation
@@ -272,8 +270,8 @@ class Scenario:
         Only __post_init__'s valuation check reads the valuation, so it is
         made here and the new world skips __post_init__: it shares this
         one's transactions, id map and enumeration cache.  Its plans, value
-        range and digest hold or cover producer values, and its rule memo
-        is kept per world too, so they start empty.
+        range and digest hold or cover producer values, so they start
+        empty.
         """
         _check_valuation(valuation)
         world = object.__new__(type(self))

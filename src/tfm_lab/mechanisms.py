@@ -7,6 +7,8 @@ favourite block.  Each preset's rules are one Rule record in RULES; every
 other module reads a preset only through that table.  A member's payment
 is Rule.pay(bid, reserve), its own bid and reserve alone, and the burn is
 its reserves, so a rule that reads other users' bids needs a new record.
+Every allocation is the argmax of one read of each bid (allocation_read):
+a clearing bid's size under a standard rule, else its fee class.
 """
 
 from __future__ import annotations
@@ -55,14 +57,11 @@ class Rule:
     pay          pay(bid, reserve), the charge of an included transaction
     base_fee     whether the preset takes a base fee, and so has reserves
     allocations  the allocations it supports, its default first
-    standard     standard(mech, clearing, scenario, budget), its standard
-                 block at the clearing ids, or None when none is eligible
     """
 
     pay: Callable[[Money, Money], Money]
     base_fee: bool
     allocations: tuple[Allocation, ...]
-    standard: Callable | None = None
 
 
 class ExcessivelyLowBaseFeeError(ValueError):
@@ -179,21 +178,19 @@ def own_payment(mech: Mechanism, tx: Transaction, bid: Money) -> Money:
     return RULES[mech.preset].pay(bid, mech.reserve(tx))
 
 
-def argmax_valued(mech: Mechanism) -> bool | None:
-    """The kind of the mechanism's allocation: None for a standard rule,
-    True for consonant, the argmax of producer surplus (the producer's value
-    plus the members' contributions), False for revenue_max, the argmax of
-    the contributions alone: fee revenue under fpa, which pays the bid and
-    has no reserve."""
-    if mech.allocation is Allocation.STANDARD:
-        return None
+def argmax_valued(mech: Mechanism) -> bool:
+    """Whether the allocation is the valued argmax of its read of the bids
+    (allocation_read): True for consonant, the argmax of producer surplus
+    (the producer's value plus the members' contributions), False for
+    revenue_max, the argmax of the contributions alone (fee revenue under
+    fpa, which pays the bid and has no reserve), and for a standard rule."""
     return mech.allocation is Allocation.CONSONANT
 
 
 def fee_class(mech: Mechanism, tx: Transaction, bid: Money) -> Money | None:
-    """All that an allocation or argmax reads of one bid: None when the
-    producer may not include it (gated and below the reserve), else its
-    contribution.
+    """All that an argmax allocation or the producer's surplus reads of one
+    bid: None when the producer may not include it (gated and below the
+    reserve), else its contribution.
 
     Bids of one class get the same eligibility and contribution, and the
     same clearing status, since a contribution is >= 0 exactly when the bid
@@ -204,6 +201,21 @@ def fee_class(mech: Mechanism, tx: Transaction, bid: Money) -> Money | None:
     if bid < reserve and mech.eligibility is not _FREE:
         return None
     return RULES[mech.preset].pay(bid, reserve) - reserve
+
+
+def _clearing_size(mech: Mechanism, tx: Transaction, bid: Money) -> Money | None:
+    """A standard rule's read of one bid: its size when it clears the
+    reserve, else None.  So every standard rule is the largest clearing
+    block: eip1559's clearing set, when it fits, outweighs its subsets, as
+    sizes are >= 1.  Private, so that wrapping the public functions
+    (bench/tracer.py) keeps the identity that _admitted tests."""
+    return tx.size if bid >= mech.reserve(tx) else None
+
+
+def allocation_read(mech: Mechanism) -> Callable:
+    """The read of a bid that the allocation is the argmax of:
+    _clearing_size under a standard rule, else fee_class."""
+    return _clearing_size if mech.allocation is Allocation.STANDARD else fee_class
 
 
 def payment(mech: Mechanism, block: Block, bids: Mapping[int, Money], scenario: Scenario) -> dict[int, Money]:
@@ -251,8 +263,9 @@ def is_base_fee_excessively_low(
         raise UnsupportedInstanceError(
             "excessively-low test needs a knapsack blockset with a size cap"
         )
-    clearing = _clearing_ids(base_fee, bids, _candidates(scenario))
-    return sum(scenario.tx(t).size for t in clearing) > scenario.blockset.max_total_size
+    return sum(
+        tx.size for tx in _candidates(scenario) if _require_bid(bids, tx.tx_id) >= base_fee * tx.size
+    ) > scenario.blockset.max_total_size
 
 
 def _candidates(scenario):
@@ -261,10 +274,29 @@ def _candidates(scenario):
     return [scenario.tx(t) for t in (ids if ids is not None else scenario.ids())]
 
 
-def _clearing_ids(base_fee, bids, txs):
-    """The frozenset of ids among txs whose bids clear base fee times size,
-    each bid checked (_require_bid) in the order of txs."""
-    return frozenset(t.tx_id for t in txs if _require_bid(bids, t.tx_id) >= base_fee * t.size)
+def _admitted(mech: Mechanism, scenario: Scenario, weights, read, budget) -> frozenset[int] | None:
+    """The eligibility filter of a pass of `read` at `weights`, the reads of
+    the ids it admits (None: every block).  Every pass enumerates the
+    blocks eligible under the mechanism's eligibility, under the budget,
+    and scores those its read admits; only a standard rule's read under
+    free eligibility admits fewer.  Before that, standard eip1559 refuses a
+    blockset other than a knapsack and clearing candidates that overflow
+    its capacity (an excessively low base fee)."""
+    if read is not _clearing_size:
+        return None if mech.eligibility is _FREE else frozenset(weights)
+    blockset = scenario.blockset
+    if mech.preset == EIP1559:
+        if not isinstance(blockset, KnapsackBlockset):
+            raise UnsupportedInstanceError(
+                "standard eip1559 allocation needs a knapsack blockset; "
+                "use the consonant allocation for explicit blocksets"
+            )
+        total = sum(tx.size for tx in _candidates(scenario) if tx.tx_id in weights)
+        if total > blockset.max_total_size:
+            raise ExcessivelyLowBaseFeeError(mech.base_fee, total, blockset.max_total_size)
+    if mech.eligibility is _FREE:
+        solver.enumerate_blocks(scenario, budget=budget)
+    return frozenset(weights)
 
 
 def recommended_block(
@@ -274,74 +306,20 @@ def recommended_block(
     *,
     budget: int | None = None,
 ) -> Block:
-    """The block the mechanism's allocation rule tells the producer to build.
-
-    Checks every bid once, in transaction order, as split_pass does, so
-    every allocation raises one error for one bid vector.  An argmax
-    allocation is the best block of one split_pass; a standard rule reads
-    only the clearing ids (standard_block).  Raises NoEligibleBlockError
-    when the rule has no block to name.
-    """
-    valued = argmax_valued(mech)
-    if valued is not None:
-        return solver.split_pass(bids, scenario, mech, valued=valued, budget=budget)[1]
-    clearing = _clearing_ids(mech.base_fee, bids, scenario.transactions)
-    block = standard_block(mech, clearing, scenario, budget=budget)
-    if block is None:
-        raise NoEligibleBlockError(bids)
-    return block
-
-
-def standard_block(
-    mech: Mechanism, clearing: frozenset[int], scenario: Scenario, *, budget: int | None = None
-) -> Block | None:
-    """The block of the mechanism's standard rule when the bids of the ids
-    in `clearing` clear their reserves and no others do, None when no block
-    is eligible.  The only allocation memo: one block per mechanism, budget
-    and clearing set on the scenario, so at most 2^n per mechanism and
-    budget.  A budget of None, read from the environment at each call, is
-    not memoized, and an error is raised again by every call."""
-    rule = RULES[mech.preset].standard
-    if budget is None:
-        return rule(mech, clearing, scenario, budget)
-    key = mech, budget, clearing
-    block = scenario._rule_cache.get(key)
-    if block is None:
-        block = scenario._rule_cache[key] = rule(mech, clearing, scenario, budget)
-    return block
-
-
-def _clearing_set(mech, clearing, scenario, budget):
-    """eip1559's standard block: every candidate that clears the reserve."""
-    blockset = scenario.blockset
-    if not isinstance(blockset, KnapsackBlockset):
-        raise UnsupportedInstanceError(
-            "standard eip1559 allocation needs a knapsack blockset; "
-            "use the consonant allocation for explicit blocksets"
-        )
-    members = [tx for tx in _candidates(scenario) if tx.tx_id in clearing]
-    total = sum(tx.size for tx in members)
-    if total > blockset.max_total_size:
-        raise ExcessivelyLowBaseFeeError(mech.base_fee, total, blockset.max_total_size)
-    return Block(tuple(sorted(tx.tx_id for tx in members)))
-
-
-def _largest_clearing_block(mech, clearing, scenario, budget):
-    """tipless's standard block, or None: among feasible blocks whose members
-    all clear the reserve, the one with the largest total size.  Enumerating
-    the feasible blocks first keeps the budget errors of a scan over them."""
-    gated = mech.eligibility is not Eligibility.FREE
-    solver.enumerate_blocks(scenario, eligible=clearing if gated else None, budget=budget)
-    sizes = {tx.tx_id: tx.size for tx in scenario.transactions}
-    return solver.weighted_pass(
-        scenario, sizes, valued=False, eligible=clearing, budget=budget
-    )[0][1]
+    """The block the mechanism's allocation rule tells the producer to build:
+    the best block of one split_pass of its read (allocation_read), which
+    checks every bid, in transaction order, before any refusal or pass, so
+    every allocation raises one error for one bid vector.  Raises
+    NoEligibleBlockError when the rule has no block to name."""
+    return solver.split_pass(
+        bids, scenario, mech, valued=argmax_valued(mech), read=allocation_read(mech), budget=budget
+    )[1]
 
 
 RULES = {
     FPA: Rule(lambda b, r: b, False, (Allocation.REVENUE_MAX, Allocation.CONSONANT)),
-    EIP1559: Rule(lambda b, r: b, True, (Allocation.STANDARD, Allocation.CONSONANT), _clearing_set),
-    TIPLESS: Rule(min, True, (Allocation.STANDARD, Allocation.CONSONANT), _largest_clearing_block),
+    EIP1559: Rule(lambda b, r: b, True, (Allocation.STANDARD, Allocation.CONSONANT)),
+    TIPLESS: Rule(min, True, (Allocation.STANDARD, Allocation.CONSONANT)),
     TRIVIAL: Rule(lambda b, r: 0, False, (Allocation.CONSONANT,)),
 }
 

@@ -30,6 +30,7 @@ from .mechanisms import (
     Mechanism,
     NoEligibleBlockError,
     UnsupportedInstanceError,
+    _admitted,
     _require_bid,
     fee_class,
 )
@@ -159,13 +160,14 @@ def _enumerate_knapsack(scenario, blockset, eligible, budget):
     return tuple(blocks)
 
 
-def _eligible_weights(mech, bids, scenario):
+def _eligible_weights(mech, bids, scenario, read=fee_class):
     """(eligibility filter, weights) of the bids, each checked once in
-    transaction order: the ids whose fee_class is not None (None under free
-    eligibility), and each of those ids' fee class, its contribution."""
+    transaction order: the ids whose read (fee_class, their contribution,
+    by default) is not None (None under free eligibility), and each of
+    those ids' read."""
     weights = {}
     for tx in scenario.transactions:
-        c = fee_class(mech, tx, _require_bid(bids, tx.tx_id))
+        c = read(mech, tx, _require_bid(bids, tx.tx_id))
         if c is not None:
             weights[tx.tx_id] = c
     return (None if mech.eligibility is _FREE else frozenset(weights)), weights
@@ -250,7 +252,7 @@ def _partition(scenario, eligible, valued, grouped, items, split):
 
 def weighted_pass(scenario, weights, *, valued, eligible=None, split=(), budget=None):
     """The one scoring loop, and the entry for fixed weights: the welfare
-    optimum, the tipless standard rule and the sweeps' class tuples.
+    optimum and the sweeps' class tuples, standard rules' sizes included.
 
     A block enumerated under `eligible` scores the producer's value for it
     (0 when not `valued`) plus its members' weights, which must cover them.
@@ -347,21 +349,22 @@ def split_pass(
     mech: Mechanism,
     *,
     valued: bool,
+    read=fee_class,
     budget: int | None = None,
 ):
-    """The entry that reads bids: the weighted_pass over the blocks eligible
-    under the bids, as one (score, canonical-first block, tied blocks in
-    canonical order) entry, the argmax that allocations, replays and
-    constructions read.
+    """The entry that reads bids: the weighted_pass over the blocks their
+    reads admit (mechanisms._admitted), as one (score, canonical-first
+    block, tied blocks in canonical order) entry, the argmax that
+    allocations, replays and constructions read.
 
-    A block scores its members' contributions plus, when `valued`, the
-    producer's value for it (see mechanisms.argmax_valued).  On ordered
-    blocksets an unvalued entry lists each tied member set by its
-    canonical-first ordering alone.  Raises NoEligibleBlockError when no
-    enumerated block is eligible under the bids.
-    """
-    elig, contrib = _eligible_weights(mech, bids, scenario)
-    (entry,) = weighted_pass(scenario, contrib, valued=valued, eligible=elig, budget=budget)
+    A block scores its members' reads (by default fee_class, their
+    contributions) plus, when `valued`, the producer's value for it (see
+    mechanisms.argmax_valued).  On ordered blocksets an unvalued entry
+    lists each tied member set by its canonical-first ordering alone.
+    Raises NoEligibleBlockError when no enumerated block is admitted."""
+    _, weights = _eligible_weights(mech, bids, scenario, read)
+    elig = _admitted(mech, scenario, weights, read, budget)
+    (entry,) = weighted_pass(scenario, weights, valued=valued, eligible=elig, budget=budget)
     if entry[0] is None:
         raise NoEligibleBlockError(bids)
     return entry
@@ -416,18 +419,18 @@ def split_cut(lacking, holding):
     return lacking[0] - holding[0], canonical_key(holding[1]) < canonical_key(lacking[1])
 
 
-def cut_includes(cut, contribution: Money) -> bool:
-    """Whether an own bid of this contribution (own payment - reserve) is
-    included under a split_cut cut, or under a bare inclusion flag.
+def cut_includes(cut, read: Money) -> bool:
+    """Whether an own bid of this read (own payment - reserve, or a
+    standard rule's size) is included under a split_cut cut.
 
-    Valid for bids on the same eligibility side of the reserve as the
-    profile the split pass was computed from.  The contribution never
-    decreases in the bid, so inclusion is a threshold: the critical bid.
+    Valid for bids on the same side (admitted by the read or not) as the
+    profile the split pass was computed from.  The read never decreases in
+    the bid, so inclusion is a threshold: the critical bid.
     """
     if cut is True or cut is False:
         return cut
     gap, wins_tie = cut
-    return contribution > gap or (contribution == gap and wins_tie)
+    return read > gap or (read == gap and wins_tie)
 
 
 def bps_argmax(

@@ -8,7 +8,6 @@ results never rest on the auditors' own shortcuts.
 import os
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, product
@@ -73,7 +72,7 @@ from tfm_lab import (
 )
 from tfm_lab import auditors, solver
 from tfm_lab.auditors import _DeviationTables, _detect_cycle
-from tfm_lab.mechanisms import RULES, TIPLESS, argmax_valued
+from tfm_lab.mechanisms import _clearing_size, argmax_valued
 from tfm_lab.solver import BUDGET_ENV_VAR, NoFeasibleBlockError, split_pass
 
 
@@ -303,7 +302,7 @@ class TestDsic:
             raise AssertionError("solved a pass before refusing max_witnesses")
 
         monkeypatch.setattr(auditors, "split_pass", unreachable)
-        monkeypatch.setattr(auditors, "standard_block", unreachable)
+        monkeypatch.setattr(auditors, "weighted_pass", unreachable)
         tipless = Mechanism.tipless(2, Eligibility.FREE, Allocation.CONSONANT)
         for audit in (
             lambda: audit_dsic(mech, Truthful(), [sc], GRID, max_witnesses=-1),
@@ -377,9 +376,7 @@ class TestDsic:
         # refused before the sweep reaches even a scenario that is fine
         fine = scenario([(1, 0, 0)], cap=1)
         calls = []
-        monkeypatch.setattr(
-            auditors, "standard_block", lambda *a, **k: calls.append(a) or EMPTY_BLOCK
-        )
+        monkeypatch.setattr(auditors, "weighted_pass", lambda *a, **k: calls.append(a))
         with pytest.raises(UnsupportedInstanceError, match="strategy bid"):
             audit_dsic(mech, strategy, [fine, sc], grid)
         assert calls == []
@@ -390,9 +387,7 @@ class TestDsic:
         refused = scenario([(1, 0, 0), (1, 0, 0)], cap=1)
         mech, grid = Mechanism.eip1559(1), GridSpec(1, 3)
         calls = []
-        monkeypatch.setattr(
-            auditors, "standard_block", lambda *a, **k: calls.append(a) or EMPTY_BLOCK
-        )
+        monkeypatch.setattr(auditors, "weighted_pass", lambda *a, **k: calls.append(a))
         with pytest.raises(UnsupportedInstanceError, match="grid cell"):
             audit_bpic(mech, [fine, refused], grid)
         assert calls == []
@@ -866,24 +861,25 @@ class TestBpic:
 
     def test_standard_rule_allocates_once_per_clearing_set(self, monkeypatch):
         # the tipless fixtures of acceptance criterion 1: 204,183 cells
-        # over at most 2^n clearing sets of the n transactions
+        # over at most 2^n clearing sets of the n transactions.  The rule's
+        # size read takes one pass per key, the clearing set with the last
+        # two users split off, and every clearing set comes up on the grid
         fixtures = [
             scenario([(2, 7, 7), (2, 9, 9)], cap=2),
             scenario([(1, 4, 4), (2, 10, 10), (1, 13, 13)], cap=3),
             scenario([(1, 6, 6), (2, 9, 9), (1, 12, 12), (2, 15, 15)], cap=6),
         ]
-        rule = RULES[TIPLESS]
         allocated = []
 
-        def counting(mech, clearing, sc, budget):
-            allocated.append(sc)
-            return rule.standard(mech, clearing, sc, budget)
+        def counting(sc, weights, **k):
+            if k["valued"] is False:
+                allocated.append(sc)
+            return solver.weighted_pass(sc, weights, **k)
 
-        monkeypatch.setitem(RULES, TIPLESS, replace(rule, standard=counting))
+        monkeypatch.setattr(auditors, "weighted_pass", counting)
         report = audit_bpic(Mechanism.tipless(2), fixtures, GridSpec(1, 20))
         assert report.cells_checked == 204_183 and report.verdict == "PASS"
-        for sc in fixtures:
-            assert 0 < sum(a is sc for a in allocated) <= 2 ** len(sc.ids()) <= 16
+        assert [sum(a is sc for a in allocated) for sc in fixtures] == [4, 8, 16]
 
     def test_consonant_rules_always_pass(self, monkeypatch):
         # a consonant rule is the producer's own argmax, so no cell is
@@ -1175,10 +1171,19 @@ class TestBpicAgainstCells:
 
     def test_tie_conflicts_match(self, monkeypatch):
         # no shipped rule orders its ties inconsistently, so a rule that
-        # rotates among the tied blocks stands in for one
+        # rotates among the tied blocks stands in for one, named by the
+        # kernel of the standard rule's size read in place of its own block
         sc = scenario([(1, 0, 0), (1, 0, 0)])
         mech = Mechanism.tipless(1)
-        monkeypatch.setattr(auditors, "standard_block", rotating_rule)
+
+        class Rotating(auditors._ClassPasses):
+            def folds(self, key, lists, depth=0):
+                if self.read is not _clearing_size:
+                    return super().folds(key, lists, depth)
+                clearing = frozenset(t for t, k in zip(self.ids, key) if k is not None)
+                return [(None, rotating_rule(mech, clearing, self.scenario), ())]
+
+        monkeypatch.setattr(auditors, "_ClassPasses", Rotating)
         want = oracle_bpic(mech, [sc], GRID, rule=rotating_allocation)
         assert want.tie_conflicts
         assert audit_bpic(mech, [sc], GRID) == want
@@ -1701,6 +1706,32 @@ class TestPassCounts:
         assert Counter(splits) == want
         assert report == oracle_dsic(mech, strategy, scenarios, grid, samples)
 
+    @pytest.mark.parametrize(
+        "mech, strategy, fixtures",
+        [
+            (Mechanism.tipless(2), Truthful(), [
+                scenario([(2, 7, 7), (2, 9, 9)], cap=2),
+                scenario([(1, 4, 4), (2, 10, 10), (1, 13, 13)], cap=3),
+                scenario([(1, 6, 6), (2, 9, 9), (1, 12, 12), (2, 15, 15)], cap=6),
+            ]),
+            (Mechanism.eip1559(2, Eligibility.BASE_FEE_GATED), CappedAtReserve(2), [
+                scenario([(1, 6, 6), (2, 9, 9)], cap=3),
+                scenario([(1, 4, 4), (2, 10, 10), (1, 13, 13)], cap=4),
+                scenario([(1, 6, 6), (2, 9, 9), (1, 12, 12), (2, 15, 15)], cap=6),
+            ]),
+        ],
+        ids=["tipless", "gated-eip1559"],
+    )
+    def test_standard_dsic_passes_once_per_clearing_set(self, monkeypatch, mech, strategy, fixtures):
+        # a standard rule reads a bid only as its admission, so each key is
+        # a clearing set of the other users and each takes one pass per
+        # side: a deviator among n users makes 2^(n-1) * 2 passes, and the
+        # criterion-1 fixtures 2 * 4 + 3 * 8 + 4 * 16
+        grid = GridSpec(1, 5)
+        splits, report = self.counted(monkeypatch, audit_dsic, mech, strategy, fixtures, grid)
+        assert len(splits) == 96 and report.verdict == "PASS"
+        assert report == oracle_dsic(mech, strategy, fixtures, grid)
+
     @pytest.mark.parametrize("samples, want", [(None, 64), (200, 58)])
     def test_unsplit_passes_once_per_class_tuple(self, monkeypatch, samples, want):
         # gated consonant tipless reads a bid only as its eligibility, so a
@@ -1960,11 +1991,24 @@ class TestWelfare:
         assert entry.ratio == Fraction(4, 5)
         assert report.min_ratio == Fraction(4, 5)
 
-    def test_zero_welfare_match_counts_as_one(self):
-        sc = scenario([(1, 0, 0)])
-        report = audit_welfare_ratio(Mechanism.trivial(), Truthful(), [sc])
-        assert report.entries[0].ratio == Fraction(1)
-        assert not report.entries[0].degenerate
+    @pytest.mark.parametrize(
+        "mech, sc, recommended",
+        [
+            (Mechanism.trivial(), scenario([(1, 0, 0)]), EMPTY_BLOCK),
+            # the producer's stake of -1 in tx 0 makes fpa's (0,) worth
+            # 1 - 1 = 0: another block than the optimum, the canonical-first
+            # empty block, at the same welfare
+            (Mechanism.fpa(), scenario([(1, 1, 1)], bp=AdditiveValuation({0: -1})), Block((0,))),
+        ],
+        ids=["same-block", "same-welfare"],
+    )
+    def test_zero_welfare_match_counts_as_one(self, mech, sc, recommended):
+        report = audit_welfare_ratio(mech, Truthful(), [sc])
+        entry = report.entries[0]
+        assert (entry.recommended, entry.optimal) == (recommended, EMPTY_BLOCK)
+        assert entry.welfare_recommended == entry.welfare_optimal == 0
+        assert entry.ratio == report.min_ratio == Fraction(1)
+        assert not entry.degenerate
 
     def test_zero_welfare_optimum_with_another_recommendation_is_degenerate(self):
         # the producer's stake of -2 in tx 0 makes {0} worth 1 - 2 = -1, so

@@ -239,6 +239,31 @@ class TestExitCodes:
         assert code == 3
         assert "budget" in err
 
+    @pytest.mark.parametrize("allocation", ["standard", "consonant"])
+    def test_budget_exit_of_both_eip1559_allocations(self, tmp_path, capsys, allocation):
+        # every clearing set fits, and the standard rule enumerates the 8
+        # blocks of the three transactions as the consonant one does
+        path = gen_file(tmp_path, capsys, "fit.json", "--n-tx", "3", "--all-fit")
+        code, out, err = run(
+            capsys,
+            "audit", "dsic", str(path), "--mech", "eip1559", "--base-fee", "2",
+            "--allocation", allocation, "--strategy", "capped", "--budget", "4",
+        )
+        assert (code, out) == (3, "")
+        assert "exceeds the budget of 4 blocks" in err
+
+    def test_one_sample_is_in_range(self, tmp_path, capsys):
+        # the smallest sample count audits one drawn profile per user
+        path = gen_file(tmp_path, capsys, "s.json")
+        code, out, err = run(
+            capsys,
+            "audit", "dsic", str(path),
+            "--mech", "fpa", "--allocation", "consonant", "--grid-max", "3", "--samples", "1",
+        )
+        assert code in (0, 1)
+        assert err == ""
+        assert parse_audit_report(out)["mode"] == "sampled"
+
     @pytest.mark.parametrize(
         "flags",
         [("--samples", "0"), ("--samples", "-2"), ("--max-witnesses", "-1"), ("--budget", "0")],

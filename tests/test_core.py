@@ -205,17 +205,12 @@ class TestWithValuation:
         mech = Mechanism.fpa(Allocation.CONSONANT)
         bids = parent.submitted_bids()
         assert recommended_block(mech, bids, parent, budget=8) == Block((1, 0))
-        # only a standard rule fills the rule memo
-        recommended_block(Mechanism.tipless(0), bids, parent, budget=8)
-        assert parent._rule_cache
         value_range(parent)
         scenario_digest(parent)
         valuation = TableValuation({Block((0, 1)): 9, EMPTY_BLOCK: -1})
         child = parent.with_valuation(valuation)
         assert child == replace(parent, bp_valuation=valuation)
-        assert (child._plan_cache, child._rule_cache, child._value_range, child._digest) == (
-            {}, {}, None, None,
-        )
+        assert (child._plan_cache, child._value_range, child._digest) == ({}, None, None)
         assert child.transactions is parent.transactions
         assert child._by_id is parent._by_id
         assert recommended_block(mech, bids, child, budget=8) == Block((0, 1))

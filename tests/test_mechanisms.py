@@ -49,7 +49,7 @@ from tfm_lab.mechanisms import (
     TIPLESS,
     TRIVIAL,
 )
-from tfm_lab import cli
+from tfm_lab import canonical_key, cli
 
 
 def scenario_with(txs, bp=None, cap=None):
@@ -255,7 +255,7 @@ class TestRecommendedBlock:
 
 
 @st.composite
-def standard_memo_cases(draw):
+def standard_cases(draw):
     """A small scenario on a knapsack or an explicit blockset and a run of
     calls on it, each with a standard-rule mechanism, a budget that some
     enumerations exceed and a bid profile, a few with an invalid bid."""
@@ -267,7 +267,7 @@ def standard_memo_cases(draw):
     else:
         blockset = KnapsackBlockset(draw(st.integers(1, 2 * n)), enumerate_permutations=draw(st.booleans()))
     # few mechanisms of one preset and few budgets, so that calls meet
-    # each other's keys
+    # each other's cached enumerations
     make = draw(st.sampled_from((Mechanism.tipless, Mechanism.eip1559)))
     mech = st.builds(make, st.integers(0, 2), st.sampled_from(Eligibility))
     mechs = draw(st.lists(mech, min_size=1, max_size=2))
@@ -280,10 +280,50 @@ def standard_memo_cases(draw):
     return Scenario(txs, PassiveValuation(0), blockset), calls
 
 
+def enumerated(mech, clearing, sc, budget):
+    """The blocks eligible under the mechanism's eligibility at the
+    clearing ids, enumerated under the budget: every allocation's budget."""
+    gated = mech.eligibility is not Eligibility.FREE
+    return enumerate_blocks(sc, eligible=clearing if gated else None, budget=budget)
+
+
+def clearing_set(mech, clearing, sc, budget):
+    """eip1559's standard block: every candidate that clears the reserve,
+    refused on a blockset other than a knapsack and when it overflows the
+    capacity, then under the budget rule."""
+    blockset = sc.blockset
+    if not isinstance(blockset, KnapsackBlockset):
+        raise UnsupportedInstanceError(
+            "standard eip1559 allocation needs a knapsack blockset; "
+            "use the consonant allocation for explicit blocksets"
+        )
+    ids = sc.ids() if blockset.candidate_ids is None else blockset.candidate_ids
+    members = sorted(t for t in ids if t in clearing)
+    total = sum(sc.tx(t).size for t in members)
+    if total > blockset.max_total_size:
+        raise ExcessivelyLowBaseFeeError(mech.base_fee, total, blockset.max_total_size)
+    enumerated(mech, clearing, sc, budget)
+    return Block(tuple(members))
+
+
+def largest_clearing_block(mech, clearing, sc, budget):
+    """tipless's standard block, or None: among the enumerated blocks whose
+    members all clear the reserve, the one with the largest total size,
+    canonical-first on ties."""
+    blocks = [b for b in enumerated(mech, clearing, sc, budget) if clearing.issuperset(b.txs)]
+    size = {tx.tx_id: tx.size for tx in sc.transactions}
+    return min(
+        blocks, key=lambda b: (-sum(map(size.get, b.txs)), canonical_key(b)), default=None
+    )
+
+
+STANDARD_ORACLES = {EIP1559: clearing_set, TIPLESS: largest_clearing_block}
+
+
 def reference_standard(mech, bids, sc, budget):
-    """A standard rule's block without the memo: check every bid, then call
-    the rule on the clearing ids in a cold copy of the world, reading None
-    as no eligible block."""
+    """A standard rule's block, oracle-computed: check every bid, then call
+    the preset's rule above on the clearing ids in a cold copy of the
+    world, reading None as no eligible block."""
     for tx in sc.transactions:
         if tx.tx_id not in bids:
             raise UnknownTransactionError(tx.tx_id)
@@ -291,16 +331,16 @@ def reference_standard(mech, bids, sc, budget):
         if type(bid) is not int or bid < 0:
             raise ValueError(f"bid for tx {tx.tx_id} must be a non-negative integer")
     clearing = frozenset(t for t, b in bids.items() if b >= mech.reserve(sc.tx(t)))
-    block = RULES[mech.preset].standard(mech, clearing, replace(sc), budget)
+    block = STANDARD_ORACLES[mech.preset](mech, clearing, replace(sc), budget)
     if block is None:
         raise NoEligibleBlockError(bids)
     return block
 
 
-class TestStandardMemo:
-    """standard_block answers the standard rules from a per-scenario memo
-    keyed by the clearing set; recommended_block must return the rule's own
-    block, or raise its error, on every call."""
+class TestStandardRule:
+    """recommended_block answers a standard rule with the size read of one
+    split pass; it must return the rule's own block, computed by the oracle
+    above, or raise its error, on every call."""
 
     @staticmethod
     def outcome(fn, *args, **kwargs):
@@ -309,7 +349,7 @@ class TestStandardMemo:
         except (EnumerationBudgetError, UnknownTransactionError, ValueError) as e:
             return type(e), str(e)
 
-    @given(standard_memo_cases())
+    @given(standard_cases())
     @settings(max_examples=300, deadline=None)
     def test_matches_the_rule_on_every_call(self, case):
         sc, calls = case
@@ -318,7 +358,7 @@ class TestStandardMemo:
             got = self.outcome(recommended_block, mech, bids, sc, budget=budget)
             assert got == self.outcome(reference_standard, mech, bids, sc, budget)
 
-    def test_keys_hold_the_mechanism_and_the_budget(self):
+    def test_budget_counts_the_blocks_of_the_eligibility(self):
         # one clearing set, {0}: free eligibility enumerates all 4 blocks,
         # gated eligibility only the 2 that lack tx 1, so a budget of 2
         # fits the gated enumeration alone
@@ -339,6 +379,46 @@ class TestStandardMemo:
         monkeypatch.setenv("TFMLAB_BUDGET", "2")
         with pytest.raises(EnumerationBudgetError):
             recommended_block(mech, bids, sc)
+
+    @staticmethod
+    def eip1559_errors(sc, eligibility, bids, budget):
+        """The errors of standard and of consonant eip1559 at the bids, None
+        for a block."""
+        errors = []
+        for allocation in (Allocation.STANDARD, Allocation.CONSONANT):
+            mech = Mechanism.eip1559(1, eligibility, allocation)
+            got = TestStandardRule.outcome(recommended_block, mech, bids, sc, budget=budget)
+            errors.append(got if isinstance(got, tuple) else None)
+        return errors
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_eip1559_exceeds_the_budget_where_consonant_does(self, data):
+        # where the clearing set fits (here every transaction does), the
+        # standard rule enumerates the blocks consonant eip1559 does
+        n = data.draw(st.integers(1, 4))
+        txs = tuple(Transaction(i, data.draw(st.integers(1, 2)), 0) for i in range(n))
+        blockset = KnapsackBlockset(2 * n, enumerate_permutations=data.draw(st.booleans()))
+        eligibility = data.draw(st.sampled_from(Eligibility))
+        bids = {i: data.draw(st.integers(0, 3)) for i in range(n)}
+        budget = data.draw(st.integers(1, 40))
+        errors = self.eip1559_errors(Scenario(txs, PassiveValuation(0), blockset), eligibility, bids, budget)
+        assert errors[0] == errors[1]
+        if budget == 1 and eligibility is Eligibility.FREE:
+            assert errors[0][0] is EnumerationBudgetError
+
+    @pytest.mark.parametrize("eligibility", list(Eligibility))
+    def test_eip1559_hits_the_permutation_cap_where_consonant_does(self, eligibility):
+        # nine unit transactions all fit, so the free blockset holds a
+        # 9-transaction block; under gated eligibility tx 8 does not clear
+        txs = tuple(Transaction(i, 1, 0) for i in range(9))
+        sc = Scenario(txs, PassiveValuation(0), KnapsackBlockset(9, enumerate_permutations=True))
+        bids = {i: 1 if i < 8 else 0 for i in range(9)}
+        errors = self.eip1559_errors(sc, eligibility, bids, None)
+        assert errors[0] == errors[1]
+        assert (errors[0] is None) == (eligibility is Eligibility.BASE_FEE_GATED)
+        if errors[0] is not None:
+            assert errors[0][0] is UnsupportedInstanceError and "permutation" in errors[0][1]
 
 
 class TestErrorOrder:
@@ -403,10 +483,10 @@ def argmax_memo_cases(draw):
 
 class TestArgmaxMemo:
     """recommended_block answers an argmax allocation with one split pass
-    and memoizes nothing for it: every call must match the same call on a
-    cold copy of the world, and the scenario's rule memo stays empty."""
+    and memoizes no block: every call must match the same call on a cold
+    copy of the world."""
 
-    outcome = staticmethod(TestStandardMemo.outcome)
+    outcome = staticmethod(TestStandardRule.outcome)
 
     @given(argmax_memo_cases())
     @settings(max_examples=300, deadline=None)
@@ -417,13 +497,11 @@ class TestArgmaxMemo:
             cold = replace(sc, bp_valuation=sc.bp_valuation)
             got = self.outcome(recommended_block, mech, bids, sc, budget=budget)
             assert got == self.outcome(recommended_block, mech, bids, cold, budget=budget)
-        assert sc._rule_cache == {}
 
     def test_invalid_bids_after_a_cached_argmax(self):
         sc = scenario_with(TWO_TXS, bp=AdditiveValuation({0: 1}))
         mech = Mechanism.eip1559(1, Eligibility.FREE, Allocation.CONSONANT)
         assert recommended_block(mech, {0: 1, 1: 7}, sc, budget=8) == Block((0, 1))
-        assert sc._rule_cache == {}
         for bids, error in (
             ({0: True, 1: 7}, ValueError),
             ({0: -1, 1: 7}, ValueError),
@@ -434,13 +512,16 @@ class TestArgmaxMemo:
             with pytest.raises(error) as got:
                 recommended_block(mech, bids, sc, budget=8)
             assert str(got.value) == str(want.value)
-        assert sc._rule_cache == {}
 
-    def test_unset_budget_is_never_memoized(self):
+    def test_unset_budget_is_read_at_every_call(self, monkeypatch):
+        # the 4 blocks of two transactions exceed a budget of 2 once it is set
         sc = scenario_with(TWO_TXS)
-        recommended_block(Mechanism.fpa(), sc.submitted_bids(), sc)
-        recommended_block(Mechanism.trivial(), sc.submitted_bids(), sc)
-        assert sc._rule_cache == {}
+        mechs = (Mechanism.fpa(), Mechanism.trivial())
+        assert [recommended_block(m, sc.submitted_bids(), sc) for m in mechs] == [Block((0, 1)), EMPTY_BLOCK]
+        monkeypatch.setenv("TFMLAB_BUDGET", "2")
+        for mech in mechs:
+            with pytest.raises(EnumerationBudgetError):
+                recommended_block(mech, sc.submitted_bids(), sc)
 
 
 @st.composite
