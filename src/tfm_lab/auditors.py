@@ -15,7 +15,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
-from itertools import chain, compress, product, starmap
+from itertools import chain, compress, groupby, product, starmap
 from math import prod
 from operator import itemgetter
 from typing import NamedTuple
@@ -55,7 +55,7 @@ from .solver import (
     fold_split,
     max_marginal_value,
     resolve_budget,
-    split_cut,
+    row_cuts,
     split_pass,
     value_range,
     weighted_pass,
@@ -167,10 +167,15 @@ class _Found:
         """Record that every profile of lists, the bid lists of ids, reaches
         the outcome `outcome` of (digest, t), whose witness rows are rows (a
         non-empty list, kept from the outcome's first add)."""
+        self.reached(digest, t, outcome, ids, rows).append(lists)
+
+    def reached(self, digest, t, outcome, ids, rows):
+        """The list of the class tuples' bid lists that reach the outcome,
+        for the caller to append to as add does."""
         entry = self.outcomes.get((digest, t, outcome))
         if entry is None:
             entry = self.outcomes[digest, t, outcome] = digest, t, ids, rows, []
-        entry[4].append(lists)
+        return entry[4]
 
     def __len__(self):
         return sum(
@@ -282,12 +287,10 @@ def _detect_cycle(edges):
     return None
 
 
-def _class_tuples(mech, scenario, ids, points, classify):
-    """(classes, bid lists) once per class tuple of the users ids on the
-    grid points: each user's bids grouped by classify(mech, tx, bid), each
-    group an ascending list, the groups ordered by their smallest bid.  So
-    the tuples come in the order of their first raw profile in product
-    order, and a tuple stands for the product of its lists."""
+def _class_groups(mech, scenario, ids, points, classify):
+    """Per user of ids, its grid bids grouped by classify(mech, tx, bid),
+    each group an ascending list, the groups ordered by their smallest
+    bid."""
     groups = []
     for t in ids:
         tx = scenario.tx(t)
@@ -295,12 +298,42 @@ def _class_tuples(mech, scenario, ids, points, classify):
         for b in points:
             by_class.setdefault(classify(mech, tx, b), []).append(b)
         groups.append(by_class)
+    return groups
+
+
+def _class_tuples(mech, scenario, ids, points, classify):
+    """(classes, bid lists) once per class tuple of the users ids, in the
+    order of their first raw profile in product order: a tuple stands for
+    the product of its lists."""
+    groups = _class_groups(mech, scenario, ids, points, classify)
     return zip(product(*groups), product(*map(dict.values, groups)))
+
+
+def _class_rows(mech, scenario, ids, points, classify):
+    """The class tuples of _class_tuples by row, in order: a row is a run
+    of tuples that differ only in the last user's class, all None or none
+    None, as (key, lists, classes, last lists): the class tuple and bid
+    lists of its first tuple, then the last user's classes on the row and
+    their bid lists.  With no user, one row of the empty tuple, classless."""
+    groups = _class_groups(mech, scenario, ids, points, classify)
+    if not groups:
+        return [((), (), (), ())]
+    *head, last = groups
+    segments = [tuple(zip(*run)) for _, run in groupby(last.items(), lambda kv: kv[0] is None)]
+    return (
+        ((*key, classes[0]), (*lists, bids[0]), classes, bids)
+        for key, lists in zip(product(*head), product(*map(dict.values, head)))
+        for classes, bids in segments
+    )
 
 
 def _first_cell(ids, lists):
     """The first raw cell of a class tuple: {id: the first bid of its list}."""
     return dict(zip(ids, map(itemgetter(0), lists)))
+
+
+# an entry of no block, as weighted_pass returns it
+_EMPTY = (None, None, ())
 
 
 class _ClassPasses:
@@ -313,16 +346,19 @@ class _ClassPasses:
     one weighted_pass per key and side, split on them and the held id,
     gives each of their classes by fold_split.  folds recurses over depths,
     the class tuple at depth 0: each folds one split-off user's class, the
-    last first, into the entries of the next, whose key reads that user as
-    its pass weight (0 when admitted, None when not).  So the deepest key is
-    the pass's weight vector, admitted ids weighing their class, and no bid
-    is read; a one-class user read as its eligibility gives as many keys as
-    its class would.  The deepest depth keeps every key's passes; each
-    other keeps only the entry pairs of the last key below it that it
-    folded, and folds again when that key changes.  Product order brings
-    the tuples of one key below depth 0 in one run (ineligible classes are
-    the lowest bids), so an exhaustive walk folds as a memo per key would;
-    a sampled one has its draws grouped by class tuple (_sweep).
+    last first, into the entry pairs of the next (pairs), whose key reads
+    that user as its pass weight (0 when admitted, None when not).  So the
+    deepest key is the pass's weight vector, admitted ids weighing their
+    class, and no bid is read; a one-class user read as its eligibility
+    gives as many keys as its class would.  The deepest depth keeps every
+    key's passes; each other keeps only the entry pairs of the last key
+    below it that it folded, and folds again when that key changes.
+    Product order brings the tuples of one key below depth 0 in one run
+    (ineligible classes are the lowest bids), so an exhaustive walk folds
+    each such key once, as a memo per key would.  The depth-1 pairs serve
+    a whole row of the last user's classes (_class_rows): the BPIC sweep
+    folds them at each class, and the deviation sweeps fold no class there
+    (solver.row_cuts); a sampled sweep groups its draws by depth-1 key.
     sides lists the fixed bids of each pass of a key, in order; each maps
     the held id, if any, the same in every side, to a bid that sets only
     whether `read` admits it.  valued is the read of every pass, (True,
@@ -359,15 +395,21 @@ class _ClassPasses:
             if entries is None:
                 entries = self.passes[key] = self._solve(key, lists)
             return entries
+        return [fold_split(pair, key[-1 - depth]) for pair in self.pairs(key, lists, depth)]
+
+    def pairs(self, key, lists, depth=0):
+        """The entry pairs that folds reads at depth `depth` of the class
+        tuple `key`: the entries one depth below, split on the user folded
+        at `depth`, as (lacking, holding) pairs of that user in their
+        order."""
         p = len(key) - 1 - depth
-        c = key[p]
-        lower = key[:p] + (None if c is None else 0,) + key[p + 1 :]
+        lower = key[:p] + (None if key[p] is None else 0,) + key[p + 1 :]
         last, pairs = self.last[depth]
         if lower != last:
             below = self.folds(lower, lists, depth + 1)
             pairs = list(zip(below[0::2], below[1::2]))
             self.last[depth] = lower, pairs
-        return [fold_split(pair, c) for pair in pairs]
+        return pairs
 
     def _solve(self, key, lists):
         """Every side's weighted_pass entries at the weight vector `key`,
@@ -490,10 +532,12 @@ class _DeviationTables:
     only through its read (mechanisms.allocation_read, the classify of the
     other users too): whether the read admits it (its side) and the read
     itself, a weight that never decreases in the bid.  So one cut per side
-    fixes the table (see solver.cut_includes): the split_cut of the side's
-    two _ClassPasses entries, one pass per side, split on this transaction
-    (and on the last two other users, folded away), whose admitted set is
-    that of the side's first looked-up bid.
+    fixes the table (see solver.cut_includes), and a row of the other
+    users' class tuples has its cuts read off one pair of _ClassPasses
+    entry pairs per side (solver.row_cuts): one pass per side, split on
+    this transaction and on the last two other users, the second-to-last
+    folded away, whose admitted set is that of the side's first looked-up
+    bid.
     """
 
     def __init__(self, mech, scenario, tx, points, strategy_bids, budget):
@@ -513,16 +557,20 @@ class _DeviationTables:
             mech, scenario, self.others, budget, sides, argmax_valued(mech), self.classify
         )
 
-    def cut(self, classes, lists):
-        """The tuple of per-side cuts, in lookup order, of the table
-        against the class tuple `classes` of the other users (in the order
-        of self.others, under self.classify), whose bid lists (first raw
-        profile first) are `lists`."""
-        # per side, one or two: the entries lacking, then holding tx
-        f = self.passes.folds(classes, lists)
-        if len(f) == 2:
-            return (split_cut(f[0], f[1]),)
-        return split_cut(f[0], f[1]), split_cut(f[2], f[3])
+    def cuts(self, key, lists, classes):
+        """The tuples of per-side cuts, in lookup order, of a row of the
+        other users' class tuples (in the order of self.others, under
+        self.classify; see _class_rows), one per class of the last user on
+        it: the row's first class tuple and bid lists (first raw profile
+        first) are key and lists.  With no other user, the one tuple's cut
+        reads the pass entries as a None class would."""
+        if classes:
+            pairs = self.passes.pairs(key, lists)
+        else:
+            pairs = [(entry, _EMPTY) for entry in self.passes.folds(key, lists)]
+            classes = (None,)
+        # per side: the pairs lacking, then holding this transaction
+        return list(zip(*[row_cuts(a, b, classes) for a, b in zip(pairs[0::2], pairs[1::2])]))
 
     def table(self, cut):
         """{own bid: (included, own payment)} of every looked-up bid under
@@ -576,19 +624,23 @@ def _sweep(mech, strategy, scenarios, grid, budget, profile_samples, sampling_se
     transaction) in input order.  Each table is scanned by _scan, bounded
     by bound_of(scenario, tx), read at the first cut, if bound_of is given.
 
-    Cost: an exhaustive sweep walks each class tuple of the other users
-    once (_class_tuples) and reduces its table to its cut at the tuple's
-    first raw profile (_DeviationTables.cut).  _scan runs once per distinct
-    cut of a (scenario, tx), its counts scaled by the raw profiles of the
-    tuples that reach it.
+    Cost: the loop runs once per row of the other users' class tuples
+    (_class_rows), whose cuts _DeviationTables.cuts reads by arithmetic,
+    with no fold or block key per class tuple.  Consecutive tuples of one
+    cut form a run, whose last bid list concatenates theirs (a one-tuple
+    run keeps its tuple's lists), so the settled lookup, the profile count
+    and the witness store's append run once per run.  _scan runs once per
+    distinct cut of a (scenario, tx), its counts scaled by the raw profiles
+    of the runs that reach it.
 
     Sampled sweeps draw profile_samples profiles per transaction with
     replacement from a seeded stream and audit each distinct one once, as a
-    tuple of one-bid lists, in draw order within its class tuple, the class
-    tuples in the order of their first draws.  A sample count below 1, an
-    oversized exhaustive profile space and a standard eip1559 cell, the
-    strategy's own bids included, with an excessively low base fee are
-    refused before any scenario is swept.
+    one-tuple row of one-bid lists, grouped by row, then by class tuple,
+    each in the order of its first draw: each row's pairs are folded once,
+    and each pass is still solved at its first draw.  A sample
+    count below 1, an oversized exhaustive profile space and a standard
+    eip1559 cell, the strategy's own bids included, with an excessively low
+    base fee are refused before any scenario is swept.
     """
     sampled = profile_samples is not None
     if sampled and profile_samples < 1:
@@ -615,31 +667,54 @@ def _sweep(mech, strategy, scenarios, grid, budget, profile_samples, sampling_se
             if sampled:
                 rng = random.Random(f"{sampling_seed}:{digest}:{t}")
                 drawn = [tuple(rng.choice(points) for _ in others) for _ in range(profile_samples)]
-                by_key = {}  # class tuple -> its distinct draws, in draw order
+                # row (the classes but the last, and whether it is None) ->
+                # class tuple -> its distinct draws
+                by_row = {}
                 for p in dict.fromkeys(drawn):
                     key = tuple(classify(mech, scenario.tx(i), b) for i, b in zip(others, p))
-                    by_key.setdefault(key, []).append(tuple((b,) for b in p))
-                tuples = [(key, lists) for key, group in by_key.items() for lists in group]
+                    row = key[:-1], key[-1:] == (None,)
+                    by_row.setdefault(row, {}).setdefault(key, []).append(tuple((b,) for b in p))
+                rows = (
+                    (key, lists, key[-1:], lists[-1:])
+                    for by_key in by_row.values()
+                    for key, group in by_key.items()
+                    for lists in group
+                )
             else:
-                tuples = _class_tuples(mech, scenario, others, points, classify)
+                rows = _class_rows(mech, scenario, others, points, classify)
             bound = None
-            settled = {}  # cut -> [raw profiles reaching it, its _scan outcome]
-            for key, lists in tuples:
-                cut = tables.cut(key, lists)
-                entry = settled.get(cut)
-                if entry is None:
-                    table = tables.table(cut)
-                    dev = [(b, table[b]) for b in points]
-                    if bound is None and bound_of is not None:
-                        bound = bound_of(scenario, tx)
-                    outcome = _scan(strategy, tx, points, dev, table.__getitem__, bound)
-                    entry = settled[cut] = [0, outcome]
-                entry[0] += prod(map(len, lists))
-                rows = entry[1][0]
-                if rows:
-                    found.add(digest, t, cut, others, rows, lists)
+            # cut -> [raw profiles reaching it, its _scan outcome, found's
+            # list of the bid lists reaching it, None without witness rows]
+            settled = {}
+            for key, lists, classes, last in rows:
+                cuts = tables.cuts(key, lists, classes)
+                head = lists[:-1]
+                i = 0
+                for cut, same in groupby(cuts):
+                    j = i + len(list(same))
+                    if j == i + 1:
+                        run = lists if i == 0 else (*head, last[i])
+                    else:
+                        run = (*head, list(chain.from_iterable(last[i:j])))
+                    i = j
+                    entry = settled.get(cut)
+                    if entry is None:
+                        table = tables.table(cut)
+                        dev = [(b, table[b]) for b in points]
+                        if bound is None and bound_of is not None:
+                            bound = bound_of(scenario, tx)
+                        outcome = _scan(strategy, tx, points, dev, table.__getitem__, bound)
+                        witness_rows = outcome[0]
+                        if witness_rows:
+                            reached = found.reached(digest, t, cut, others, witness_rows)
+                        else:
+                            reached = None
+                        entry = settled[cut] = [0, outcome, reached]
+                    entry[0] += prod(map(len, run))
+                    if entry[2] is not None:
+                        entry[2].append(run)
             profiles = overbids = below_range = regret = 0
-            for count, (_, n_over, n_below, cut_regret) in settled.values():
+            for count, (_, n_over, n_below, cut_regret), _ in settled.values():
                 profiles += count
                 overbids += n_over * count
                 below_range += n_below * count

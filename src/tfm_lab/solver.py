@@ -386,8 +386,9 @@ def fold_split(entries, contribution: Money | None):
     read one transaction at a time, each fold halving its entries, in any
     order: the sweeps always split off their last two walked users (every
     one, when fewer), and fold the second-to-last user's class into each
-    pattern of the last user, then the last user's class
-    (auditors._ClassPasses).
+    pattern of the last user (auditors._ClassPasses).  The BPIC sweep then
+    folds the last user's class too; the deviation sweeps read its whole
+    row of classes off the same pairs by row_cuts instead.
     """
     lacking = entries[0]
     if contribution is None:
@@ -405,23 +406,64 @@ def fold_split(entries, contribution: Money | None):
     return score, ties[0], ties
 
 
-def split_cut(lacking, holding):
-    """The cut of an argmax split on one transaction, from the (score,
-    canonical-first block, ...) entries of the blocks lacking it and of
-    those holding it (scored without it): False when no block holds the
-    transaction, True when no block lacks it, else (lacking score - holding
-    score, whether the holding block comes first on the canonical key).
-    Splits with one cut include the same own bids."""
-    if holding[1] is None:
-        return False
-    if lacking[1] is None:
-        return True
-    return lacking[0] - holding[0], canonical_key(holding[1]) < canonical_key(lacking[1])
+_INF = float("inf")
+
+
+def _critical(pair):
+    """The read of a (lacking, holding) pair of entries split on one user
+    that fold_split makes at a class c of it: (t, lacking score, canonical
+    key of its first block, holding score, its key, the smaller of the two
+    keys).  The fold reads lacking below t, holding plus c above it, and
+    both merged at t; t is inf (-inf) when the holding (lacking) entry is
+    empty, and an empty entry's key is None."""
+    (lacking, first, _), (holding, held_first, _) = pair
+    lacking_key = None if first is None else canonical_key(first)
+    if held_first is None:
+        return _INF, lacking, lacking_key, None, None, None
+    holding_key = canonical_key(held_first)
+    if first is None:
+        return -_INF, None, None, holding, holding_key, None
+    return lacking - holding, lacking, lacking_key, holding, holding_key, min(lacking_key, holding_key)
+
+
+def row_cuts(lacking, holding, classes):
+    """The cuts of an argmax split on one transaction, one per class of a
+    split-off user, from the entry pairs of that user (split on it) of the
+    blocks lacking the transaction and of those holding it (scored without
+    it).  A cut is False when no block holds the transaction, True when
+    none lacks it, else (the lacking score less the holding one, whether
+    the holding block comes first on the canonical key); splits with one
+    cut include the same own bids.  Each is the cut of both pairs folded at
+    the class by fold_split (None reads the lacking entries), read off each
+    pair's critical class (_critical): a class costs a few comparisons and
+    builds no entry."""
+    t, lacking, lacking_key, with_last, with_last_key, tie_key = _critical(lacking)
+    u, held, held_key, held_last, held_last_key, held_tie_key = _critical(holding)
+    cuts = []
+    for c in classes:
+        # (score, key of the first block) of each fold at c
+        if c is None or c < u:
+            score, key = held, held_key
+        elif c > u:
+            score, key = held_last + c, held_last_key
+        else:
+            score, key = held, held_tie_key
+        if key is None:
+            cuts.append(False)
+            continue
+        if c is None or c < t:
+            rival, rival_key = lacking, lacking_key
+        elif c > t:
+            rival, rival_key = with_last + c, with_last_key
+        else:
+            rival, rival_key = lacking, tie_key
+        cuts.append(True if rival_key is None else (rival - score, key < rival_key))
+    return cuts
 
 
 def cut_includes(cut, read: Money) -> bool:
     """Whether an own bid of this read (own payment - reserve, or a
-    standard rule's size) is included under a split_cut cut.
+    standard rule's size) is included under a row_cuts cut.
 
     Valid for bids on the same side (admitted by the read or not) as the
     profile the split pass was computed from.  The read never decreases in

@@ -72,7 +72,7 @@ from tfm_lab import (
 )
 from tfm_lab import auditors, solver
 from tfm_lab.auditors import _DeviationTables, _detect_cycle
-from tfm_lab.mechanisms import _clearing_size, argmax_valued
+from tfm_lab.mechanisms import _clearing_size, argmax_valued, fee_class
 from tfm_lab.solver import BUDGET_ENV_VAR, NoFeasibleBlockError, split_pass
 
 
@@ -481,7 +481,7 @@ def sweep_cut(tables, profile):
     the class tuple it keys its memo on."""
     mech, sc = tables.mech, tables.scenario
     classes = tuple(tables.classify(mech, sc.tx(i), b) for i, b in zip(tables.others, profile))
-    return tables.cut(classes, tuple((b,) for b in profile))
+    return tables.cuts(classes, tuple((b,) for b in profile), classes[-1:])[0]
 
 
 def deviation_table(mech, sc, t, base, points, extras, budget):
@@ -1750,11 +1750,13 @@ class TestPassCounts:
         assert report.verdict == "PASS"
 
     # the fixture of test_consonant_dsic_passes_once_per_prefix, whose
-    # deviators each split off their last two other users.  An exhaustive
-    # walk folds as a memo per fold level would (360 fold_split calls); the
-    # 20 draws per deviator make the same 12 passes, and their fold count
-    # is pinned
-    @pytest.mark.parametrize("samples, want", [(None, 360), (20, 328)], ids=["exhaustive", "sampled"])
+    # deviators each split off their last two other users.  Only the
+    # second-to-last user is folded, once per row of the last one's
+    # classes, which are read off the pairs without a fold: an exhaustive
+    # walk makes 4 deviators x 9 rows x 4 entries = 144 fold_split calls.
+    # The 20 draws per deviator, grouped by row, make the same 12 passes
+    # and fold once per distinct row: 32 rows, 128 calls
+    @pytest.mark.parametrize("samples, want", [(None, 144), (20, 128)], ids=["exhaustive", "sampled"])
     def test_kernel_keeps_its_passes_and_one_fold_per_level(self, monkeypatch, samples, want):
         sc = scenario([(1, 3, 3), (2, 2, 2), (1, 4, 4), (1, 1, 1)], cap=3)
         mech, grid = Mechanism.fpa(Allocation.CONSONANT), GridSpec(1, 2)
@@ -1784,6 +1786,34 @@ class TestPassCounts:
             assert len(k.last) == 2
         assert sum(len(k.passes) for k in kernels) == len(splits)
         assert report == oracle_dsic(mech, Truthful(), [sc], grid, samples)
+
+
+    @pytest.mark.parametrize(
+        "case", [ONE_CLASS_FIRST_CASE, ONE_CLASS_LAST_CASE, GATED_PAIR_CASE, PREFIX_CASE],
+        ids=["one-class-first", "one-class-last", "gated-pair", "prefix"],
+    )
+    def test_sampled_draws_fold_each_row_once(self, monkeypatch, case):
+        # draws are grouped by row (the other users' classes but the last
+        # user's, and whether that one is eligible), so the pairs of each
+        # distinct row of a deviator's draws are folded once, however the
+        # rows interleave in draw order
+        mech, (sc,), grid, strategy, _ = case
+        rows = set()
+        for t, base, _ in oracle_cells(sc, grid, samples=40):
+            classes = [fee_class(mech, sc.tx(i), b) for i, b in base.items()]
+            rows.add((t, *classes[:-1], classes[-1] is None))
+        refolds = []
+
+        class Recording(auditors._ClassPasses):
+            def folds(self, key, lists, depth=0):
+                if depth == 1:
+                    refolds.append(key)
+                return super().folds(key, lists, depth)
+
+        monkeypatch.setattr(auditors, "_ClassPasses", Recording)
+        report = audit_dsic(mech, strategy, [sc], grid, profile_samples=40)
+        assert len(refolds) == len(rows)
+        assert report == oracle_dsic(mech, strategy, [sc], grid, 40)
 
 
 def dfs_cycle(edges):

@@ -47,15 +47,30 @@ from tfm_lab import (
     welfare_argmax,
 )
 from tfm_lab import solver
-from tfm_lab.mechanisms import argmax_valued, fee_class
+from tfm_lab.mechanisms import ExcessivelyLowBaseFeeError, argmax_valued, fee_class
+from tfm_lab.auditors import _class_rows, _DeviationTables
 from tfm_lab.solver import (
     _eligible_weights,
     cut_includes,
     fold_split,
-    split_cut,
+    row_cuts,
     split_pass,
     weighted_pass,
 )
+
+
+def split_cut(lacking, holding):
+    """The cut of an argmax split on one transaction, from the (score,
+    canonical-first block, ...) entries of the blocks lacking it and of
+    those holding it (scored without it): False when no block holds the
+    transaction, True when no block lacks it, else (lacking score - holding
+    score, whether the holding block comes first on the canonical key).
+    The per-class oracle of solver.row_cuts, read off folded entries."""
+    if holding[1] is None:
+        return False
+    if lacking[1] is None:
+        return True
+    return lacking[0] - holding[0], canonical_key(holding[1]) < canonical_key(lacking[1])
 
 
 def knapsack_scenario(specs, cap, bp=None, permutations=False):
@@ -898,6 +913,130 @@ class TestSplitPass:
             return got
 
         assert entries(listed) == entries(shuffled)
+
+
+EMPTY_ENTRY = (None, None, ())
+
+
+@st.composite
+def row_entries(draw, pool):
+    """One weighted_pass entry over the blocks of pool: empty, or a score
+    with a canonical tie list of distinct blocks."""
+    if draw(st.integers(0, 3)) == 0:
+        return EMPTY_ENTRY
+    ties = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+    ties = tuple(sorted(ties, key=canonical_key))
+    return draw(st.integers(-3, 3)), ties[0], ties
+
+
+@st.composite
+def row_cases(draw):
+    """One or two sides, each its (lacking, holding) entry pairs of the
+    blocks lacking and holding one transaction, split on the last walked
+    user, and that user's classes on one row: one None class, or ascending
+    integers.  The two are drawn among ids 0..3, so either can come first
+    on the canonical key; each entry holds its own pattern of them."""
+    held, last, *rest = draw(st.permutations(range(4)))
+    pools = {
+        (h, l): [
+            Block(tuple(sorted((*others, *[held][:h], *[last][:l]))))
+            for k in range(3)
+            for others in combinations(rest, k)
+        ]
+        for h in (0, 1)
+        for l in (0, 1)
+    }
+    sides = [
+        tuple((draw(row_entries(pools[h, 0])), draw(row_entries(pools[h, 1]))) for h in (0, 1))
+        for _ in range(draw(st.integers(1, 2)))
+    ]
+    classes = draw(
+        st.one_of(
+            st.just([None]),
+            st.lists(st.integers(-4, 6), min_size=1, max_size=8, unique=True).map(sorted),
+        )
+    )
+    return sides, classes
+
+
+def entry(score, *txs):
+    """A one-block entry."""
+    return score, Block(txs), (Block(txs),)
+
+
+# Two sides tied at class 2 (3 = 1 + 2).  The first side holds tx 2 in
+# (2,), and its tie goes to (0,), lacking the last user, tx 3, so the cut
+# at the tie is the one below it.  The second holds tx 1 in (1,), and its
+# tie goes to (0,), holding the last user, tx 0, so the cut at the tie is
+# the one above it
+ROW_TIE_CASE = (
+    [
+        ((entry(3, 0), entry(1, 0, 3)), (entry(2, 2), EMPTY_ENTRY)),
+        ((entry(3, 2), entry(1, 0)), (entry(2, 1), EMPTY_ENTRY)),
+    ],
+    [1, 2, 3],
+)
+
+# a tie in the pair of the blocks holding tx 1: at class 2 (3 = 1 + 2) its
+# first block is (0, 1), holding the last user, tx 0, which comes before
+# the rival (0, 2), as above the tie; (1, 2), below it, does not
+HELD_TIE_CASE = (
+    [((EMPTY_ENTRY, entry(0, 0, 2)), (entry(3, 1, 2), entry(1, 0, 1)))],
+    [1, 2, 3],
+)
+
+
+class TestRowCuts:
+    """solver.row_cuts settles a row of the last walked user's classes by
+    critical-bid arithmetic; each cut must be split_cut of the two pairs
+    folded at the class, empty entries, ties at the threshold and None
+    classes included."""
+
+    @given(row_cases())
+    @example(ROW_TIE_CASE)
+    @example(HELD_TIE_CASE)
+    @example(([((EMPTY_ENTRY, EMPTY_ENTRY), (EMPTY_ENTRY, EMPTY_ENTRY))], [None]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_split_cut_of_the_folds(self, case):
+        sides, classes = case
+        for lacking, holding in sides:
+            want = [split_cut(fold_split(lacking, c), fold_split(holding, c)) for c in classes]
+            assert row_cuts(lacking, holding, classes) == want
+
+    def test_a_tie_takes_its_first_block_from_either_side(self):
+        (first, second), classes = ROW_TIE_CASE
+        assert fold_split(first[0], 2)[2] == (Block((0,)), Block((0, 3)))
+        assert fold_split(second[0], 2)[2] == (Block((0,)), Block((2,)))
+        assert row_cuts(*first, classes) == [(1, False), (1, False), (2, True)]
+        assert row_cuts(*second, classes) == [(1, True), (1, False), (2, False)]
+        (held,), classes = HELD_TIE_CASE
+        assert fold_split(held[1], 2)[2] == (Block((0, 1)), Block((1, 2)))
+        assert row_cuts(*held, classes) == [(-2, False), (-1, True), (-1, True)]
+
+    @given(ordered_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_deviation_rows_match_the_folds(self, case):
+        # every row of every transaction's deviation tables, one side or
+        # two (gated eligibility), against split_cut of each side's two
+        # entries folded at each class tuple of the row
+        sc, _, mech = case
+        points = tuple(range(4))
+        for tx in sc.transactions:
+            tables = _DeviationTables(mech, sc, tx, points, [], None)
+            rows = _class_rows(mech, sc, tables.others, points, tables.classify)
+            for key, lists, classes, last in rows:
+                try:
+                    got = tables.cuts(key, lists, classes)
+                except (NoEligibleBlockError, UnsupportedInstanceError, ExcessivelyLowBaseFeeError):
+                    break  # a sweep ends at its first error
+                want = []
+                for c, bids in zip(classes, last):
+                    f = tables.passes.folds((*key[:-1], c), (*lists[:-1], bids))
+                    want.append(tuple(split_cut(*f[i : i + 2]) for i in range(0, len(f), 2)))
+                if not classes:
+                    f = tables.passes.folds(key, lists)
+                    want.append(tuple(split_cut(*f[i : i + 2]) for i in range(0, len(f), 2)))
+                assert got == want
 
 
 class TestUnvaluedPlan:
