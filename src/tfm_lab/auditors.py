@@ -49,6 +49,8 @@ from .scenario_io import GridSpec as Grid
 from .scenario_io import scenario_digest
 from .solver import (
     NoFeasibleBlockError,
+    _critical,
+    _fold_read,
     canonical_key,
     cut_includes,
     enumerate_blocks,
@@ -150,8 +152,10 @@ class _Found:
     outcome keeps its rows once, with the class tuples that reach it, each
     as the bid lists of its ids (in order): a tuple stands for every
     profile in the product of its lists.  An outcome is named by value, as
-    what the audit settled for one (digest, tx): a deviation sweep's cut,
-    or a BPIC witness's (gain, bid); equal names have equal rows.  Every
+    what the audit settled for one (digest, tx): a deviation table's
+    inclusion pattern over the looked-up bids (the cuts of one pattern
+    share it), or a BPIC witness's (gain, bid); equal names have equal
+    rows.  Every
     outcome of a (digest, tx) has the same ids, so profiles sort as their
     (id, bid) cells do.  Only the emitted witnesses are expanded (see
     _finalize_witnesses).  len() is the number of witnesses found: each row
@@ -309,13 +313,13 @@ def _class_tuples(mech, scenario, ids, points, classify):
     return zip(product(*groups), product(*map(dict.values, groups)))
 
 
-def _class_rows(mech, scenario, ids, points, classify):
-    """The class tuples of _class_tuples by row, in order: a row is a run
-    of tuples that differ only in the last user's class, all None or none
-    None, as (key, lists, classes, last lists): the class tuple and bid
-    lists of its first tuple, then the last user's classes on the row and
-    their bid lists.  With no user, one row of the empty tuple, classless."""
-    groups = _class_groups(mech, scenario, ids, points, classify)
+def _class_rows(groups):
+    """The class tuples of _class_tuples by row, in order, from the users'
+    class groups (_class_groups): a row is a run of tuples that differ
+    only in the last user's class, all None or none None, as (key, lists,
+    classes, last lists): the class tuple and bid lists of its first
+    tuple, then the last user's classes on the row and their bid lists.
+    With no user, one row of the empty tuple, classless."""
     if not groups:
         return [((), (), (), ())]
     *head, last = groups
@@ -344,45 +348,68 @@ class _ClassPasses:
     user's class only as a weight added to the blocks that hold it.
     So the last two walked users (every one, when fewer) are split off, and
     one weighted_pass per key and side, split on them and the held id,
-    gives each of their classes by fold_split.  folds recurses over depths,
-    the class tuple at depth 0: each folds one split-off user's class, the
-    last first, into the entry pairs of the next (pairs), whose key reads
-    that user as its pass weight (0 when admitted, None when not).  So the
-    deepest key is the pass's weight vector, admitted ids weighing their
-    class, and no bid is read; a one-class user read as its eligibility
-    gives as many keys as its class would.  The deepest depth keeps every
-    key's passes; each other keeps only the entry pairs of the last key
-    below it that it folded, and folds again when that key changes.
-    Product order brings the tuples of one key below depth 0 in one run
-    (ineligible classes are the lowest bids), so an exhaustive walk folds
-    each such key once, as a memo per key would.  The depth-1 pairs serve
-    a whole row of the last user's classes (_class_rows): the BPIC sweep
-    folds them at each class, and the deviation sweeps fold no class there
-    (solver.row_cuts); a sampled sweep groups its draws by depth-1 key.
+    gives each of their classes.  A key reads each split-off user as its
+    pass weight (0 when admitted, None when not), so it is the pass's
+    weight vector, admitted ids weighing their class, and no bid is read;
+    a one-class user read as its eligibility gives as many keys as its
+    class would.  A kernel is read one of two ways, each keeping what it
+    reads of a key's passes in passes:
+
+    - folds (the BPIC sweep) recurses over depths, the class tuple at depth
+      0: each folds one split-off user's class, the last first, into the
+      entry pairs of the next (pairs), by fold_split.  passes keeps the
+      entries; each other depth keeps only the entry pairs of the last key
+      below it that it folded.  Product order brings the tuples of one key
+      below depth 0 in one run (ineligible classes are the lowest bids),
+      so an exhaustive walk folds each such key once.
+    - reads (the deviation sweeps) builds no tie list: passes keeps the
+      _critical of each entry pair of the second-to-last user, and a row
+      of the last user's classes (_class_rows) reads them at that user's
+      class by _fold_read, for solver.row_cuts.  The last row's reads are
+      kept, so a sampled sweep, which groups its draws by row, reads each
+      row once.
+
     sides lists the fixed bids of each pass of a key, in order; each maps
     the held id, if any, the same in every side, to a bid that sets only
     whether `read` admits it.  valued is the read of every pass, (True,
     False) for revenue_max's producer argmax and unvalued solve in one
-    walk.  A key's passes are solved when a tuple first needs them, so
-    errors name the tuple's first raw cell with the message of a per-cell
-    pass.
+    walk.  A pass is solved with its split ids in ascending order and read
+    through `order`, a fixed permutation into the kernel's own bit order,
+    None for the identity (every BPIC kernel: its walked ids ascend).
+    store, when given, is shared by the kernels of one scenario and keeps
+    each pass once, keyed by its split and its weight vector over the
+    scenario's ids (the held id at 0 when its bid is admitted), which also
+    fixes its eligibility filter.  A pass is solved when a tuple first
+    needs it, so errors name the tuple's first raw cell with the message
+    of a per-cell pass.
     """
 
-    def __init__(self, mech, scenario, ids, budget, sides, valued, read=fee_class):
+    def __init__(self, mech, scenario, ids, budget, sides, valued, read=fee_class, store=None):
         self.mech, self.scenario, self.ids, self.budget = mech, scenario, ids, budget
-        self.valued, self.read = valued, read
+        self.valued, self.read, self.store = valued, read, store
+        self.scenario_ids = scenario.ids()
         # (fixed, the held id at weight 0 if the read admits its bid)
         self.sides = [
             (fixed, {t: 0 for t, b in fixed.items() if read(mech, scenario.tx(t), b) is not None})
             for fixed in sides
         ]
-        # bit 0 of a pattern is the first split-off user, then the next,
-        # then the held id; a side's unvalued entries, if any, follow its
-        # valued ones as if the read were one more bit
-        self.on = (*ids[-2:], *sides[0])
+        # bit j of a kernel pattern is on[j]: the first split-off user, then
+        # the next, then the held id; a side's unvalued entries, if any,
+        # follow its valued ones as if the read were one more bit
+        on = (*ids[-2:], *sides[0])
+        self.split = tuple(sorted(on))
+        order = [
+            sum(1 << self.split.index(t) for j, t in enumerate(on) if k >> j & 1)
+            for k in range(1 << len(on))
+        ]
+        if isinstance(valued, tuple):
+            order += [i + len(order) for i in order]
+        self.order = None if order == sorted(order) else order
         self.passes = {}
         # per depth, (the key of the depth below it last folded, its pairs)
         self.last = [(None, None)] * min(len(ids), 2)
+        # (the last row read, its read pairs)
+        self.row = None, None
 
     def folds(self, key, lists, depth=0):
         """The entries at the class tuple `key`, whose bid lists are
@@ -411,21 +438,60 @@ class _ClassPasses:
             self.last[depth] = lower, pairs
         return pairs
 
+    def reads(self, key, lists):
+        """The read pairs of the row of the class tuple `key`, whose bid
+        lists are `lists`: per side in order, the (lacking, holding) reads
+        of the last user, of the entries lacking and then holding the held
+        id, each read at the second-to-last user's class.  A missing
+        split-off user (fewer than two walked users) reads as a None
+        class, its holding entries empty."""
+        row = (*key[:-1], None if key[-1] is None else 0) if key else key
+        if row == self.row[0]:
+            return self.row[1]
+        c = key[-2] if len(key) > 1 else None
+        lower = (*key[:-2], None if c is None else 0, row[-1]) if len(key) > 1 else row
+        criticals = self.passes.get(lower)
+        if criticals is None:
+            entries = self._solve(lower, lists)
+            for _ in range(2 - len(self.ids)):
+                entries = [e for entry in entries for e in (entry, _EMPTY)]
+            reads = [(s, None if b is None else canonical_key(b)) for s, b, _ in entries]
+            criticals = [_critical(*pair) for pair in zip(reads[0::2], reads[1::2])]
+            criticals = self.passes[lower] = list(zip(criticals[0::2], criticals[1::2]))
+        pairs = [(_fold_read(a, c), _fold_read(b, c)) for a, b in criticals]
+        self.row = row, pairs
+        return pairs
+
     def _solve(self, key, lists):
         """Every side's weighted_pass entries at the weight vector `key`,
-        in order; a side without an eligible block raises at the tuple's
-        first raw cell."""
+        in order, each in this kernel's bit order; a side without an
+        eligible block raises at the tuple's first raw cell."""
         entries = []
-        mech, scenario, valued, on, budget = self.mech, self.scenario, self.valued, self.on, self.budget
+        store, order, scenario_ids = self.store, self.order, self.scenario_ids
         weights = {t: k for t, k in zip(self.ids, key) if k is not None}
         for fixed, held in self.sides:
             w = {**weights, **held} if held else weights
-            elig = _admitted(mech, scenario, w, self.read, budget)
-            side = weighted_pass(scenario, w, valued=valued, eligible=elig, split=on, budget=budget)
-            if all(entry[0] is None for entry in side):
-                raise NoEligibleBlockError({**_first_cell(self.ids, lists), **fixed})
-            entries += side
+            if store is None:
+                side = self._pass(w, lists, fixed)
+            else:
+                name = self.split, tuple(map(w.get, scenario_ids))
+                side = store.get(name)
+                if side is None:
+                    side = store[name] = self._pass(w, lists, fixed)
+            entries += side if order is None else [side[i] for i in order]
         return entries
+
+    def _pass(self, weights, lists, fixed):
+        """The weighted_pass entries at weights, split on self.split; no
+        eligible block raises at the first raw cell of lists and fixed."""
+        mech, scenario, budget = self.mech, self.scenario, self.budget
+        elig = _admitted(mech, scenario, weights, self.read, budget)
+        side = weighted_pass(
+            scenario, weights, valued=self.valued, eligible=elig, split=self.split, budget=budget
+        )
+        if all(entry[0] is None for entry in side):
+            raise NoEligibleBlockError({**_first_cell(self.ids, lists), **fixed})
+        return side
 
 
 def audit_bpic(
@@ -524,7 +590,7 @@ def audit_bpic(
 
 class _DeviationTables:
     """The deviation tables of one transaction of one scenario, each
-    reduced to its cut.
+    reduced to its cut, then to its inclusion pattern.
 
     A table maps every own bid an audit looks up (the grid, then the
     strategy bids in valuation order) to (included, own payment) against
@@ -532,15 +598,18 @@ class _DeviationTables:
     only through its read (mechanisms.allocation_read, the classify of the
     other users too): whether the read admits it (its side) and the read
     itself, a weight that never decreases in the bid.  So one cut per side
-    fixes the table (see solver.cut_includes), and a row of the other
-    users' class tuples has its cuts read off one pair of _ClassPasses
-    entry pairs per side (solver.row_cuts): one pass per side, split on
-    this transaction and on the last two other users, the second-to-last
-    folded away, whose admitted set is that of the side's first looked-up
-    bid.
+    fixes the table (see solver.cut_includes), and the table reads its cut
+    only through which looked-up bids it includes (included): cuts with
+    one pattern give one table.  A row of the other users' class tuples
+    has its cuts read off one pair of read pairs per side
+    (_ClassPasses.reads, then solver.row_cuts): one pass per side, split
+    on this transaction and on the last two other users, the second-to-last
+    read at its class by critical-bid arithmetic, whose admitted set is
+    that of the side's first looked-up bid.  The passes come from `store`,
+    shared by every deviator of the scenario.
     """
 
-    def __init__(self, mech, scenario, tx, points, strategy_bids, budget):
+    def __init__(self, mech, scenario, tx, points, strategy_bids, budget, store):
         self.mech, self.scenario, self.classify = mech, scenario, allocation_read(mech)
         self.others = tuple(i for i in scenario.ids() if i != tx.tx_id)
         reads = {b: self.classify(mech, tx, b) for b in (*points, *strategy_bids)}
@@ -554,7 +623,7 @@ class _DeviationTables:
         self.spots = [(b, at[c is not None], c, own_payment(mech, tx, b)) for b, c in reads.items()]
         sides = [{tx.tx_id: b} for b in first_bids.values()]
         self.passes = _ClassPasses(
-            mech, scenario, self.others, budget, sides, argmax_valued(mech), self.classify
+            mech, scenario, self.others, budget, sides, argmax_valued(mech), self.classify, store
         )
 
     def cuts(self, key, lists, classes):
@@ -564,20 +633,22 @@ class _DeviationTables:
         it: the row's first class tuple and bid lists (first raw profile
         first) are key and lists.  With no other user, the one tuple's cut
         reads the pass entries as a None class would."""
-        if classes:
-            pairs = self.passes.pairs(key, lists)
-        else:
-            pairs = [(entry, _EMPTY) for entry in self.passes.folds(key, lists)]
-            classes = (None,)
+        pairs = self.passes.reads(key, lists)
+        classes = classes or (None,)
         # per side: the pairs lacking, then holding this transaction
         return list(zip(*[row_cuts(a, b, classes) for a, b in zip(pairs[0::2], pairs[1::2])]))
 
-    def table(self, cut):
+    def included(self, cut):
+        """The inclusion pattern of a cut tuple: whether each looked-up
+        bid, in lookup order, is included."""
+        return tuple([cut_includes(cut[i], c) for _, i, c, _ in self.spots])
+
+    def table(self, included):
         """{own bid: (included, own payment)} of every looked-up bid under
-        a cut tuple."""
+        an inclusion pattern."""
         return {
-            b: (True, pay) if cut_includes(cut[i], c) else (False, 0)
-            for b, i, c, pay in self.spots
+            b: (True, pay) if inc else (False, 0)
+            for (b, _, _, pay), inc in zip(self.spots, included)
         }
 
 
@@ -622,25 +693,29 @@ def _sweep(mech, strategy, scenarios, grid, budget, profile_samples, sampling_se
     of every scenario.  found holds the witness rows (_Found); checks holds
     (digest, tx id, bound, regret, overbids, below_range) per (scenario,
     transaction) in input order.  Each table is scanned by _scan, bounded
-    by bound_of(scenario, tx), read at the first cut, if bound_of is given.
+    by bound_of(scenario, tx), read at the first scan, if bound_of is given.
 
-    Cost: the loop runs once per row of the other users' class tuples
-    (_class_rows), whose cuts _DeviationTables.cuts reads by arithmetic,
-    with no fold or block key per class tuple.  Consecutive tuples of one
-    cut form a run, whose last bid list concatenates theirs (a one-tuple
-    run keeps its tuple's lists), so the settled lookup, the profile count
-    and the witness store's append run once per run.  _scan runs once per
-    distinct cut of a (scenario, tx), its counts scaled by the raw profiles
-    of the runs that reach it.
+    Cost: each scenario groups its users' grid bids by class once, and
+    keeps one pass store that its deviators' _DeviationTables share, so no
+    pass is solved twice in a scenario; the store is dropped when the
+    scenario ends.  The loop runs once per row of the other users' class
+    tuples (_class_rows), whose cuts _DeviationTables.cuts reads by
+    arithmetic, with no fold or block key per class tuple.  Consecutive
+    tuples of one cut form a run, whose last bid list concatenates theirs
+    (a one-tuple run keeps its tuple's lists), so the settled lookup, the
+    profile count and the witness store's append run once per run.  _scan
+    runs once per distinct inclusion pattern of a (scenario, tx), which
+    also names its _Found outcome, and its counts are scaled by the raw
+    profiles of the runs whose cuts reach it.
 
     Sampled sweeps draw profile_samples profiles per transaction with
     replacement from a seeded stream and audit each distinct one once, as a
     one-tuple row of one-bid lists, grouped by row, then by class tuple,
-    each in the order of its first draw: each row's pairs are folded once,
-    and each pass is still solved at its first draw.  A sample
-    count below 1, an oversized exhaustive profile space and a standard
-    eip1559 cell, the strategy's own bids included, with an excessively low
-    base fee are refused before any scenario is swept.
+    each in the order of its first draw: each row is read once, and each
+    pass is still solved at its first draw.  A sample count below 1, an
+    oversized exhaustive profile space and a standard eip1559 cell, the
+    strategy's own bids included, with an excessively low base fee are
+    refused before any scenario is swept.
     """
     sampled = profile_samples is not None
     if sampled and profile_samples < 1:
@@ -654,16 +729,20 @@ def _sweep(mech, strategy, scenarios, grid, budget, profile_samples, sampling_se
     budget = resolve_budget(budget)
 
     points = grid.points()
+    classify = allocation_read(mech)
     found = _Found()
     cells = 0
     checks = []
     for scenario in scenarios:
         digest = scenario_digest(scenario)
-        for t in scenario.ids():
+        ids = scenario.ids()
+        groups = dict(zip(ids, _class_groups(mech, scenario, ids, points, classify)))
+        store = {}
+        for t in ids:
             tx = scenario.tx(t)
             strategy_bids = [strategy_bid(strategy, v, tx) for v in points]
-            tables = _DeviationTables(mech, scenario, tx, points, strategy_bids, budget)
-            others, classify = tables.others, tables.classify
+            tables = _DeviationTables(mech, scenario, tx, points, strategy_bids, budget, store)
+            others = tables.others
             if sampled:
                 rng = random.Random(f"{sampling_seed}:{digest}:{t}")
                 drawn = [tuple(rng.choice(points) for _ in others) for _ in range(profile_samples)]
@@ -681,11 +760,13 @@ def _sweep(mech, strategy, scenarios, grid, budget, profile_samples, sampling_se
                     for lists in group
                 )
             else:
-                rows = _class_rows(mech, scenario, others, points, classify)
+                rows = _class_rows([groups[i] for i in others])
             bound = None
-            # cut -> [raw profiles reaching it, its _scan outcome, found's
-            # list of the bid lists reaching it, None without witness rows]
+            # cut -> [raw profiles reaching it, then its inclusion
+            # pattern's scan: its _scan outcome and found's list of the bid
+            # lists reaching it, None without witness rows]
             settled = {}
+            scans = {}  # inclusion pattern -> (its _scan outcome, found's list)
             for key, lists, classes, last in rows:
                 cuts = tables.cuts(key, lists, classes)
                 head = lists[:-1]
@@ -699,17 +780,21 @@ def _sweep(mech, strategy, scenarios, grid, budget, profile_samples, sampling_se
                     i = j
                     entry = settled.get(cut)
                     if entry is None:
-                        table = tables.table(cut)
-                        dev = [(b, table[b]) for b in points]
-                        if bound is None and bound_of is not None:
-                            bound = bound_of(scenario, tx)
-                        outcome = _scan(strategy, tx, points, dev, table.__getitem__, bound)
-                        witness_rows = outcome[0]
-                        if witness_rows:
-                            reached = found.reached(digest, t, cut, others, witness_rows)
-                        else:
-                            reached = None
-                        entry = settled[cut] = [0, outcome, reached]
+                        included = tables.included(cut)
+                        scan = scans.get(included)
+                        if scan is None:
+                            table = tables.table(included)
+                            dev = [(b, table[b]) for b in points]
+                            if bound is None and bound_of is not None:
+                                bound = bound_of(scenario, tx)
+                            outcome = _scan(strategy, tx, points, dev, table.__getitem__, bound)
+                            witness_rows = outcome[0]
+                            if witness_rows:
+                                reached = found.reached(digest, t, included, others, witness_rows)
+                            else:
+                                reached = None
+                            scan = scans[included] = outcome, reached
+                        entry = settled[cut] = [0, *scan]
                     entry[0] += prod(map(len, run))
                     if entry[2] is not None:
                         entry[2].append(run)
@@ -742,8 +827,8 @@ def audit_dsic(
     every grid deviation, with the producer following the allocation rule
     throughout.  Zero-gain deviations are not violations.
 
-    Cost model: one _sweep with an unbounded _scan per distinct cut, its
-    argmax cuts read off _ClassPasses; only the emitted Witnesses are
+    Cost model: one _sweep with an unbounded _scan per distinct inclusion
+    pattern, its argmax cuts read off _ClassPasses; only the emitted Witnesses are
     built.  Sampled profiles are drawn with replacement and repeats are
     audited once.  A profile_samples below 1 or a negative max_witnesses
     raises ValueError before any profile is swept.

@@ -260,7 +260,10 @@ def weighted_pass(scenario, weights, *, valued, eligible=None, split=(), budget=
     entry k of the returned list covers the blocks that hold split[j]
     exactly when bit j of k is set, as (maximum score, canonical-first
     block attaining it, all blocks attaining it in canonical order); an
-    empty entry is (None, None, ()).  `valued` is one read, True or False,
+    empty entry is (None, None, ()), and a lone tied item is returned
+    without a sort.  The sweeps pass their split ids in ascending order,
+    so the partition cache (_partition) is shared by every pass of one
+    split set.  `valued` is one read, True or False,
     or the pair (True, False): both reads in one walk, with two
     accumulators, returned as the 2^len(split) valued entries followed by
     the unvalued ones, as if the read were one more split bit.
@@ -328,15 +331,20 @@ def weighted_pass(scenario, weights, *, valued, eligible=None, split=(), budget=
                     ubest, utied = s, [it]
                 elif s == ubest:
                     utied.append(it)
-        if grouped and len(tied) == 1:
-            ties = tied[0].top  # a group's top orderings are in canonical order
+        if len(tied) == 1:
+            # a lone item needs no sort: a group's top orderings are
+            # already in canonical order
+            ties = tied[0].top if grouped else (tied[0],)
         else:
             if grouped:
                 tied = [b for g in tied for b in g.top]
             ties = tuple(sorted(tied, key=canonical_key))
         entries.append((best, ties[0] if ties else None, ties))
         if both:
-            ties = tuple(sorted([g.first for g in utied], key=canonical_key))
+            if len(utied) == 1:
+                ties = (utied[0].first,)
+            else:
+                ties = tuple(sorted([g.first for g in utied], key=canonical_key))
             unvalued.append((ubest, ties[0] if ties else None, ties))
     if both:
         entries += unvalued
@@ -384,11 +392,11 @@ def fold_split(entries, contribution: Money | None):
     decreases in the bid, so one split pass settles every bid of the
     transaction at O(1) each.  A pass split on several transactions is
     read one transaction at a time, each fold halving its entries, in any
-    order: the sweeps always split off their last two walked users (every
-    one, when fewer), and fold the second-to-last user's class into each
-    pattern of the last user (auditors._ClassPasses).  The BPIC sweep then
-    folds the last user's class too; the deviation sweeps read its whole
-    row of classes off the same pairs by row_cuts instead.
+    order: the BPIC sweep splits off its last two walked users (every one,
+    when fewer) and folds the second-to-last user's class, then the last
+    one's (auditors._ClassPasses.folds).  The deviation sweeps read no tie
+    list, so they fold nothing: _fold_read gives a fold's score and first
+    block's key off the pair's _critical.
     """
     lacking = entries[0]
     if contribution is None:
@@ -409,36 +417,51 @@ def fold_split(entries, contribution: Money | None):
 _INF = float("inf")
 
 
-def _critical(pair):
-    """The read of a (lacking, holding) pair of entries split on one user
-    that fold_split makes at a class c of it: (t, lacking score, canonical
-    key of its first block, holding score, its key, the smaller of the two
-    keys).  The fold reads lacking below t, holding plus c above it, and
-    both merged at t; t is inf (-inf) when the holding (lacking) entry is
-    empty, and an empty entry's key is None."""
-    (lacking, first, _), (holding, held_first, _) = pair
-    lacking_key = None if first is None else canonical_key(first)
-    if held_first is None:
+def _critical(lacking, holding):
+    """The read that fold_split makes of a (lacking, holding) pair split on
+    one user at a class c of it, from each entry's (score, canonical key of
+    its first block) read, (None, None) when empty: (t, lacking score, its
+    key, holding score, its key, the smaller of the two keys).  The fold
+    reads lacking below t, holding plus c above it, and at t the lacking
+    score with the smaller key (_fold_read); t is inf (-inf) when the
+    holding (lacking) entry is empty."""
+    lacking, lacking_key = lacking
+    holding, holding_key = holding
+    if holding_key is None:
         return _INF, lacking, lacking_key, None, None, None
-    holding_key = canonical_key(held_first)
-    if first is None:
+    if lacking_key is None:
         return -_INF, None, None, holding, holding_key, None
     return lacking - holding, lacking, lacking_key, holding, holding_key, min(lacking_key, holding_key)
 
 
+def _fold_read(critical, c):
+    """The (score, canonical key of the first block) read of fold_split at
+    the class c (None: not eligible) of a pair whose _critical is
+    `critical`: the pair's critical bid decides the read with one or two
+    comparisons, and no entry or tie list is built."""
+    t, lacking, lacking_key, holding, holding_key, tie_key = critical
+    if c is None or c < t:
+        return lacking, lacking_key
+    if c > t:
+        return holding + c, holding_key
+    return lacking, tie_key
+
+
 def row_cuts(lacking, holding, classes):
     """The cuts of an argmax split on one transaction, one per class of a
-    split-off user, from the entry pairs of that user (split on it) of the
-    blocks lacking the transaction and of those holding it (scored without
-    it).  A cut is False when no block holds the transaction, True when
-    none lacks it, else (the lacking score less the holding one, whether
-    the holding block comes first on the canonical key); splits with one
-    cut include the same own bids.  Each is the cut of both pairs folded at
-    the class by fold_split (None reads the lacking entries), read off each
-    pair's critical class (_critical): a class costs a few comparisons and
-    builds no entry."""
-    t, lacking, lacking_key, with_last, with_last_key, tie_key = _critical(lacking)
-    u, held, held_key, held_last, held_last_key, held_tie_key = _critical(holding)
+    split-off user, from the (score, canonical key of the first block)
+    read pairs of that user (lacking it, holding it) of the blocks lacking
+    the transaction and of those holding it (scored without it); an empty
+    entry reads (None, None).  A cut is False when no block holds the
+    transaction, True when none lacks it, else (the lacking score less the
+    holding one, whether the holding block comes first on the canonical
+    key); splits with one cut include the same own bids.  Each is the cut
+    of both pairs folded at the class by fold_split (None reads the lacking
+    entries), read off each pair's critical class (_critical) as
+    _fold_read does, inlined: a class costs a few comparisons and builds
+    no entry (Myerson's critical bid, "Optimal Auction Design", 1981)."""
+    t, lacking, lacking_key, with_last, with_last_key, tie_key = _critical(*lacking)
+    u, held, held_key, held_last, held_last_key, held_tie_key = _critical(*holding)
     cuts = []
     for c in classes:
         # (score, key of the first block) of each fold at c

@@ -72,7 +72,7 @@ from tfm_lab import (
 )
 from tfm_lab import auditors, solver
 from tfm_lab.auditors import _DeviationTables, _detect_cycle
-from tfm_lab.mechanisms import _clearing_size, argmax_valued, fee_class
+from tfm_lab.mechanisms import _admitted, _clearing_size, argmax_valued, fee_class
 from tfm_lab.solver import BUDGET_ENV_VAR, NoFeasibleBlockError, split_pass
 
 
@@ -488,8 +488,8 @@ def deviation_table(mech, sc, t, base, points, extras, budget):
     """The table _sweep builds for tx t against the other users' bids
     `base`: {own bid: (included, own payment)} at every grid point and
     extra own bid, read off the cut of one _DeviationTables."""
-    tables = _DeviationTables(mech, sc, sc.tx(t), points, extras, budget)
-    return tables.table(sweep_cut(tables, tuple(base[i] for i in tables.others)))
+    tables = _DeviationTables(mech, sc, sc.tx(t), points, extras, budget, {})
+    return tables.table(tables.included(sweep_cut(tables, tuple(base[i] for i in tables.others))))
 
 
 class TestDeviationTable:
@@ -647,7 +647,7 @@ class TestCut:
         tx = sc.tx(1)
         points = grid.points()
         strategy_bids = [strategy_bid(strategy, v, tx) for v in points]
-        tables = _DeviationTables(mech, sc, tx, points, strategy_bids, None)
+        tables = _DeviationTables(mech, sc, tx, points, strategy_bids, None, {})
         assert tables.others == (0, 2)
         assert sweep_cut(tables, (0, 2)) == ((2, True),)
         assert sweep_cut(tables, (2, 0)) == ((2, False),)
@@ -661,12 +661,12 @@ class TestCut:
         # at its bid 2 the gap is still 2, but (2,) ties (0, 1) and comes
         # before (3,), so own bid 2 is no longer included
         mech, (sc,), grid, strategy, _ = LAST_CLASS_TIE_CASE
-        tables = _DeviationTables(mech, sc, sc.tx(3), grid.points(), [], None)
+        tables = _DeviationTables(mech, sc, sc.tx(3), grid.points(), [], None, {})
         assert tables.others == (0, 1, 2)
         assert sweep_cut(tables, (1, 1, 1)) == ((2, True),)
         assert sweep_cut(tables, (1, 1, 2)) == ((2, False),)
-        assert tables.table(((2, True),))[2] == (True, 2)
-        assert tables.table(((2, False),))[2] == (False, 0)
+        assert tables.table(tables.included(((2, True),)))[2] == (True, 2)
+        assert tables.table(tables.included(((2, False),)))[2] == (False, 0)
         report = audit_dsic(mech, strategy, [sc], grid)
         assert report == oracle_dsic(mech, strategy, [sc], grid)
 
@@ -684,7 +684,7 @@ class TestCut:
         the same (included, payment) at every grid point and every extra
         own bid."""
         mech, sc, t, _, points, extras, budget = case
-        tables = _DeviationTables(mech, sc, sc.tx(t), points, extras, budget)
+        tables = _DeviationTables(mech, sc, sc.tx(t), points, extras, budget, {})
         seen = {}
         for profile in product(range(4), repeat=len(tables.others)):
             base = dict(zip(tables.others, profile))
@@ -1196,10 +1196,10 @@ APPROX_MECHANISMS = tuple(
 
 
 @st.composite
-def memo_cases(draw, approx=False):
-    """A mechanism, one or two small scenarios with the first one repeated
-    at the end, a grid of step 1 or 2, a strategy, and a sample count or
-    None for an exhaustive sweep.
+def memo_cases(draw, approx=False, max_n=3):
+    """A mechanism, one or two small scenarios of at most max_n
+    transactions with the first one repeated at the end, a grid of step 1
+    or 2, a strategy, and a sample count or None for an exhaustive sweep.
 
     Every case is defined on its whole grid: the blockset holds the empty
     block, standard eip1559 (and the bounded-regret audit of eip1559) gets
@@ -1215,7 +1215,7 @@ def memo_cases(draw, approx=False):
     scenarios = []
     for k in range(draw(st.integers(1, 2))):
         # a first scenario of one transaction would have no other users
-        n = draw(st.integers(2 if k == 0 else 1, 3))
+        n = draw(st.integers(2 if k == 0 else 1, max_n))
         sizes = [draw(st.integers(1, 2)) for _ in range(n)]
         txs = tuple(Transaction(i, size, draw(st.integers(0, 4))) for i, size in enumerate(sizes))
         cap = draw(st.integers(max(sizes) if approx else 0, sum(sizes)))
@@ -1640,8 +1640,10 @@ class TestPassCounts:
     """The sweeps split each key's pass on the last two walked users: one
     solver.weighted_pass per (classes of the other users, eligibility of
     the split-off ones), whose entries every class of the split-off users
-    is folded into, and revenue_max's two reads share that one pass.
-    Sampled sweeps reuse the passes of the class tuples they revisit."""
+    is read from, and revenue_max's two reads share that one pass.  The
+    deviation sweeps solve each pass once per scenario, however many
+    deviators read it, split on its ids in ascending order.  Sampled sweeps
+    reuse the passes of the class tuples they revisit."""
 
     def counted(self, monkeypatch, audit, *args, **kwargs):
         """(the split of each weighted_pass call the audit made, its report)."""
@@ -1673,28 +1675,29 @@ class TestPassCounts:
     def test_consonant_dsic_passes_once_per_prefix(self, monkeypatch):
         # each of the 4 deviators has 3 other users: 3 prefixes of the first
         # one, one pass each and one side under free eligibility, where a
-        # split on the last user alone would make 4 * 3^2 = 36
+        # split on the last user alone would make 4 * 3^2 = 36.  Deviators
+        # 1, 2 and 3 all split on users 1, 2 and 3 and key their passes on
+        # user 0, so they share 3 passes: 3 for deviator 0 and 3 for them
         sc = scenario([(1, 3, 3), (2, 2, 2), (1, 4, 4), (1, 1, 1)], cap=3)
         mech, grid = Mechanism.fpa(Allocation.CONSONANT), GridSpec(1, 2)
         splits, report = self.counted(monkeypatch, audit_dsic, mech, Truthful(), [sc], grid)
-        assert len(splits) == 12
-        # the last two other users, then the deviator
-        assert set(splits) == {(2, 3, 0), (2, 3, 1), (1, 3, 2), (1, 2, 3)}
+        assert len(splits) == 6
+        # the last two other users and the deviator, in ascending order
+        assert Counter(splits) == {(0, 2, 3): 3, (1, 2, 3): 3}
         assert report == oracle_dsic(mech, Truthful(), [sc], grid)
 
-    # A split is (split-off users, the deviator).  Every deviator splits off
-    # both other users, the one-class reserve-3 user too, which a key reads
-    # as its eligibility.  Each key has two sides, the deviator's bid
-    # eligible or not: tx 0's passes are 2 eligibilities of the three-class
-    # user x 2 of the reserve-3 user x 2 sides
+    # Every deviator splits off both other users, the one-class reserve-3
+    # user too, which a key reads as its eligibility, so every pass is
+    # split on all three ids and keyed by their eligibilities alone: the
+    # deviators share at most 2^3 passes, where each solved its own 8
+    # (2 eligibilities of each other user x 2 sides) before
     @pytest.mark.parametrize(
         "case, samples, want",
         [
-            (ONE_CLASS_LAST_CASE, None, {(1, 2, 0): 8, (0, 2, 1): 8, (0, 1, 2): 8}),
-            (ONE_CLASS_LAST_CASE, 20, {(1, 2, 0): 8, (0, 2, 1): 8, (0, 1, 2): 8}),
-            (ONE_CLASS_FIRST_CASE, None, {(1, 2, 0): 8, (0, 2, 1): 8, (0, 1, 2): 8}),
-            # 20 draws make 6 of tx 1's 8 passes
-            (ONE_CLASS_FIRST_CASE, 20, {(1, 2, 0): 8, (0, 2, 1): 6, (0, 1, 2): 8}),
+            (ONE_CLASS_LAST_CASE, None, 8),
+            (ONE_CLASS_LAST_CASE, 20, 8),
+            (ONE_CLASS_FIRST_CASE, None, 8),
+            (ONE_CLASS_FIRST_CASE, 20, 8),
         ],
         ids=["second-to-last", "second-to-last-sampled", "last", "last-sampled"],
     )
@@ -1703,7 +1706,7 @@ class TestPassCounts:
         splits, report = self.counted(
             monkeypatch, audit_dsic, mech, strategy, scenarios, grid, profile_samples=samples
         )
-        assert Counter(splits) == want
+        assert Counter(splits) == {(0, 1, 2): want}
         assert report == oracle_dsic(mech, strategy, scenarios, grid, samples)
 
     @pytest.mark.parametrize(
@@ -1723,22 +1726,26 @@ class TestPassCounts:
         ids=["tipless", "gated-eip1559"],
     )
     def test_standard_dsic_passes_once_per_clearing_set(self, monkeypatch, mech, strategy, fixtures):
-        # a standard rule reads a bid only as its admission, so each key is
-        # a clearing set of the other users and each takes one pass per
-        # side: a deviator among n users makes 2^(n-1) * 2 passes, and the
-        # criterion-1 fixtures 2 * 4 + 3 * 8 + 4 * 16
+        # a standard rule reads a bid only as its admission, so each pass
+        # is a clearing set of the scenario's users, split on its split
+        # ids: a deviator among n users reads 2^(n-1) * 2 passes, as the
+        # criterion-1 fixtures' 2 * 4 + 3 * 8 + 4 * 16 = 96 reads, but the
+        # scenario solves each once.  With n <= 3 every deviator splits on
+        # every id, so 2^n passes; at n = 4 deviator 0 splits on (0, 2, 3)
+        # and the others on (1, 2, 3), 16 passes each: 4 + 8 + 32 = 44
         grid = GridSpec(1, 5)
         splits, report = self.counted(monkeypatch, audit_dsic, mech, strategy, fixtures, grid)
-        assert len(splits) == 96 and report.verdict == "PASS"
+        assert len(splits) == 44 and report.verdict == "PASS"
         assert report == oracle_dsic(mech, strategy, fixtures, grid)
 
-    @pytest.mark.parametrize("samples, want", [(None, 64), (200, 58)])
+    @pytest.mark.parametrize("samples, want", [(None, 32), (200, 28)])
     def test_unsplit_passes_once_per_class_tuple(self, monkeypatch, samples, want):
         # gated consonant tipless reads a bid only as its eligibility, so a
         # key is the class tuple itself, the last two other users read as
-        # their eligibility, and each class tuple takes one pass per side:
-        # 4 deviators x 2^3 eligibility tuples x 2 sides.  The 200 draws
-        # per deviator revisit class tuples, which reuse their passes
+        # their eligibility, and each class tuple reads one pass per side:
+        # 4 deviators x 2^3 eligibility tuples x 2 sides = 64 reads, of 16
+        # passes of deviator 0's split and 16 of the others'.  The 200
+        # draws per deviator revisit class tuples, which reuse their passes
         sc = random_scenario(7, n_txs=4, bp="additive").scenario
         mech = Mechanism.tipless(2, Eligibility.BASE_FEE_GATED, Allocation.CONSONANT)
         splits, report = self.counted(
@@ -1746,22 +1753,22 @@ class TestPassCounts:
             profile_samples=samples,
         )
         assert len(splits) == want
-        assert set(splits) == {(2, 3, 0), (2, 3, 1), (1, 3, 2), (1, 2, 3)}
+        assert set(splits) == {(0, 2, 3), (1, 2, 3)}
         assert report.verdict == "PASS"
 
     # the fixture of test_consonant_dsic_passes_once_per_prefix, whose
-    # deviators each split off their last two other users.  Only the
-    # second-to-last user is folded, once per row of the last one's
-    # classes, which are read off the pairs without a fold: an exhaustive
-    # walk makes 4 deviators x 9 rows x 4 entries = 144 fold_split calls.
-    # The 20 draws per deviator, grouped by row, make the same 12 passes
-    # and fold once per distinct row: 32 rows, 128 calls
-    @pytest.mark.parametrize("samples, want", [(None, 144), (20, 128)], ids=["exhaustive", "sampled"])
-    def test_kernel_keeps_its_passes_and_one_fold_per_level(self, monkeypatch, samples, want):
+    # deviators each split off their last two other users.  No class is
+    # folded: each of a kernel's 3 pass keys (one side) has the critical of
+    # each of its 4 entry pairs of the second-to-last user read once, 48
+    # reads over the 4 kernels, from the 6 passes the scenario solves.
+    # The 20 draws per deviator, grouped by row, touch the same keys, and
+    # each distinct row is read once
+    @pytest.mark.parametrize("samples", [None, 20], ids=["exhaustive", "sampled"])
+    def test_kernel_reads_each_pass_key_once(self, monkeypatch, samples):
         sc = scenario([(1, 3, 3), (2, 2, 2), (1, 4, 4), (1, 1, 1)], cap=3)
         mech, grid = Mechanism.fpa(Allocation.CONSONANT), GridSpec(1, 2)
         kernels = []
-        folds = Counter()
+        reads = Counter()
 
         class Recording(auditors._ClassPasses):
             def __init__(self, *args):
@@ -1769,24 +1776,28 @@ class TestPassCounts:
                 kernels.append(self)
 
         def counting(*args):
-            folds["fold_split"] += 1
-            return solver.fold_split(*args)
+            reads["_critical"] += 1
+            return solver._critical(*args)
+
+        def unused(*args):
+            raise AssertionError("a deviation sweep folded a class")
 
         monkeypatch.setattr(auditors, "_ClassPasses", Recording)
-        monkeypatch.setattr(auditors, "fold_split", counting)
+        monkeypatch.setattr(auditors, "_critical", counting)
+        monkeypatch.setattr(auditors, "fold_split", unused)
         splits, report = self.counted(
             monkeypatch, audit_dsic, mech, Truthful(), [sc], grid, profile_samples=samples
         )
-        assert len(splits) == 12 and folds["fold_split"] == want
+        assert len(splits) == 6 and reads["_critical"] == 48
         assert len(kernels) == 4
         for k in kernels:
-            # one memo, the passes (one side, so one per weighted_pass call),
-            # and per fold level one slot: the last key it folded
-            assert [name for name, v in vars(k).items() if isinstance(v, dict)] == ["passes"]
-            assert len(k.last) == 2
-        assert sum(len(k.passes) for k in kernels) == len(splits)
+            # two memos: the scenario's store, shared by every kernel, and
+            # the kernel's own criticals per pass key
+            assert [name for name, v in vars(k).items() if isinstance(v, dict)] == ["store", "passes"]
+            assert k.store is kernels[0].store
+            assert len(k.passes) == 3 and all(len(c) == 2 for c in k.passes.values())
+        assert len(kernels[0].store) == len(splits)
         assert report == oracle_dsic(mech, Truthful(), [sc], grid, samples)
-
 
     @pytest.mark.parametrize(
         "case", [ONE_CLASS_FIRST_CASE, ONE_CLASS_LAST_CASE, GATED_PAIR_CASE, PREFIX_CASE],
@@ -1794,26 +1805,192 @@ class TestPassCounts:
     )
     def test_sampled_draws_fold_each_row_once(self, monkeypatch, case):
         # draws are grouped by row (the other users' classes but the last
-        # user's, and whether that one is eligible), so the pairs of each
-        # distinct row of a deviator's draws are folded once, however the
-        # rows interleave in draw order
+        # user's, and whether that one is eligible), so each distinct row
+        # of a deviator's draws is read once (its fold reads at the
+        # second-to-last user's class), however the rows interleave in
+        # draw order
         mech, (sc,), grid, strategy, _ = case
         rows = set()
         for t, base, _ in oracle_cells(sc, grid, samples=40):
             classes = [fee_class(mech, sc.tx(i), b) for i, b in base.items()]
             rows.add((t, *classes[:-1], classes[-1] is None))
-        refolds = []
+        read = []
 
         class Recording(auditors._ClassPasses):
-            def folds(self, key, lists, depth=0):
-                if depth == 1:
-                    refolds.append(key)
-                return super().folds(key, lists, depth)
+            def reads(self, key, lists):
+                last = self.row
+                pairs = super().reads(key, lists)
+                if self.row is not last:
+                    read.append(key)
+                return pairs
 
         monkeypatch.setattr(auditors, "_ClassPasses", Recording)
         report = audit_dsic(mech, strategy, [sc], grid, profile_samples=40)
-        assert len(refolds) == len(rows)
+        assert len(read) == len(rows)
         assert report == oracle_dsic(mech, strategy, [sc], grid, 40)
+
+
+def solved_inputs(audit, *args, **kwargs):
+    """(the inputs (weights, eligibility filter, split) of each
+    weighted_pass call the audit made, its report or error type)."""
+    calls = []
+
+    def recording(sc, weights, **k):
+        calls.append((tuple(sorted(weights.items())), k["eligible"], k["split"]))
+        return solver.weighted_pass(sc, weights, **k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(auditors, "weighted_pass", recording)
+        report = outcome(audit, *args, **kwargs)
+    return calls, report
+
+
+FOUR = scenario([(1, 3, 3), (2, 2, 2), (1, 4, 4), (1, 1, 1)], cap=3, bp=AdditiveValuation({1: 2}))
+FOUR_ALL_FIT = scenario([(1, 3, 3), (2, 2, 2), (1, 4, 4), (1, 1, 1)], bp=AdditiveValuation({1: 2}))
+GATED_TIPLESS = Mechanism.tipless(1, Eligibility.BASE_FEE_GATED, Allocation.CONSONANT)
+
+# one slot and a passive producer: tx 0's cut against tx 1's bid 0 is
+# (0, False), as the empty block ties (0,) and comes first, and against bid
+# 1 it is (1, True); both include own bids 1 and 2 of grid 0..2
+TWO_CUTS_CASE = (
+    Mechanism.fpa(Allocation.CONSONANT),
+    [scenario([(1, 0, 0), (1, 2, 0)], cap=1)],
+    GridSpec(1, 2),
+    Truthful(),
+    None,
+)
+
+
+class TestPassStore:
+    """Each scenario of a deviation sweep keeps one pass store, shared by
+    its deviators' kernels: no pass input is solved twice within one
+    scenario, and each kernel reads a pass's entries through a fixed
+    permutation into its own bit order, the identity for every BPIC
+    kernel.  A table's scan is keyed by its inclusion pattern over the
+    looked-up bids, not by its cut."""
+
+    @given(memo_cases(max_n=4))
+    @example((GATED_TIPLESS, [FOUR, FOUR], GridSpec(1, 3), Truthful(), None))
+    @example((GATED_TIPLESS, [FOUR, FOUR], GridSpec(1, 3), FixedOffset(-2), 20))
+    @example((Mechanism.tipless(2), [FOUR, FOUR], GridSpec(1, 3), Truthful(), None))
+    @example((Mechanism.eip1559(2), [FOUR_ALL_FIT] * 2, GridSpec(1, 3), CappedAtReserve(2), None))
+    @example((Mechanism.fpa(Allocation.CONSONANT), [FOUR, FOUR], GridSpec(1, 3), Truthful(), 30))
+    @example(TWO_CUTS_CASE)
+    @settings(max_examples=60, deadline=None)
+    def test_dsic_solves_no_pass_twice_in_a_scenario(self, case):
+        # each scenario alone: the last one repeats the first, and a
+        # repeated scenario gets a store of its own
+        mech, scenarios, grid, strategy, samples = case
+        for sc in scenarios[:-1] or scenarios:
+            calls, report = solved_inputs(
+                audit_dsic, mech, strategy, [sc], grid, profile_samples=samples
+            )
+            assert len(set(calls)) == len(calls)
+            assert report == outcome(oracle_dsic, mech, strategy, [sc], grid, samples)
+
+    @given(memo_cases(approx=True, max_n=4))
+    @example((GATED_EIP1559, [FOUR_ALL_FIT] * 2, GridSpec(1, 3), None, None))
+    @settings(max_examples=30, deadline=None)
+    def test_approx_dsic_solves_no_pass_twice_in_a_scenario(self, case):
+        mech, scenarios, grid, _, samples = case
+        for sc in scenarios[:-1] or scenarios:
+            calls, report = solved_inputs(
+                audit_approx_dsic_bound, mech, [sc], grid, profile_samples=samples
+            )
+            assert len(set(calls)) == len(calls)
+            assert report == outcome(oracle_approx_dsic, mech, [sc], grid, samples)
+
+    @pytest.mark.parametrize(
+        "mech", [Mechanism.fpa(Allocation.CONSONANT), GATED_TIPLESS, Mechanism.tipless(2)],
+        ids=["fpa-consonant", "gated-tipless", "standard-tipless"],
+    )
+    def test_kernels_read_passes_in_their_own_bit_order(self, mech):
+        # every deviator's kernel reads the shared store's passes, solved
+        # with their split ids in ascending order, exactly as passes split
+        # in its own bit order (the last two other users, then itself)
+        points = GridSpec(1, 3).points()
+        store = {}
+        kernels = [
+            _DeviationTables(mech, FOUR, tx, points, [], None, store).passes
+            for tx in FOUR.transactions
+        ]
+        assert [k.order is None for k in kernels] == [False, False, False, True]
+        for k in kernels:
+            assert k.store is store and k.split == tuple(sorted(k.split))
+            # every pass key: the classes of the first other user, then
+            # each split-off user's eligibility
+            reads = [{k.read(mech, FOUR.tx(i), b) for b in points} for i in k.ids]
+            keys = product(
+                *reads[:-2], *[{None if c is None else 0 for c in r} for r in reads[-2:]]
+            )
+            for key in keys:
+                want = []
+                weights = {t: c for t, c in zip(k.ids, key) if c is not None}
+                for fixed, held in k.sides:
+                    w = {**weights, **held}
+                    elig = _admitted(mech, FOUR, w, k.read, solver.DEFAULT_BUDGET)
+                    want += solver.weighted_pass(
+                        FOUR, w, valued=k.valued, eligible=elig, split=(*k.ids[-2:], *fixed)
+                    )
+                assert k._solve(key, ((0,),) * len(key)) == want
+
+    @pytest.mark.parametrize(
+        "mech",
+        [Mechanism.fpa(), Mechanism.tipless(1), Mechanism.tipless(1, Eligibility.BASE_FEE_GATED)],
+        ids=["revenue-max", "standard", "gated-standard"],
+    )
+    def test_bpic_kernels_permute_nothing(self, monkeypatch, mech):
+        kernels = []
+
+        class Recording(auditors._ClassPasses):
+            def __init__(self, *args):
+                super().__init__(*args)
+                kernels.append(self)
+
+        monkeypatch.setattr(auditors, "_ClassPasses", Recording)
+        report = audit_bpic(mech, [FOUR], GRID)
+        assert kernels
+        for k in kernels:
+            assert k.order is None and k.store is None and k.split == k.ids[-2:]
+        assert report == oracle_bpic(mech, [FOUR], GRID)
+
+    def test_two_cuts_give_one_table_and_one_scan(self, monkeypatch):
+        mech, scenarios, grid, strategy, _ = TWO_CUTS_CASE
+        (sc,) = scenarios
+        cuts = {}  # (tx, cut) -> its inclusion pattern
+        scans = []
+
+        class Recording(_DeviationTables):
+            def included(self, cut):
+                pattern = super().included(cut)
+                cuts[self.others, cut] = pattern
+                return pattern
+
+        def counting(*args):
+            scans.append(args)
+            return scan_of(*args)
+
+        scan_of = auditors._scan
+        monkeypatch.setattr(auditors, "_DeviationTables", Recording)
+        monkeypatch.setattr(auditors, "_scan", counting)
+        cells, found, _ = auditors._sweep(mech, strategy, scenarios, grid, None, None, 0)
+        assert cuts[(1,), ((0, False),)] == cuts[(1,), ((1, True),)] == (False, True, True)
+        patterns = {(others, pattern) for (others, _), pattern in cuts.items()}
+        assert len(scans) == len(patterns) < len(cuts)
+        # outcomes are named by value: (digest, tx, inclusion pattern)
+        names = [outcome_name for _, _, outcome_name in found.outcomes]
+        assert all(type(n) is tuple and {type(x) for x in n} == {bool} for n in names)
+        profiles = {
+            p
+            for _, t, ids, _, tuples in found.outcomes.values()
+            if t == 0
+            for lists in tuples
+            for p in product(*lists)
+        }
+        assert {(0,), (1,)} <= profiles
+        report = audit_dsic(mech, strategy, scenarios, grid)
+        assert report.cells_checked == cells
+        assert report == oracle_dsic(mech, strategy, scenarios, grid)
 
 
 def dfs_cycle(edges):

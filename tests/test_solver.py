@@ -46,9 +46,9 @@ from tfm_lab import (
     welfare,
     welfare_argmax,
 )
-from tfm_lab import solver
+from tfm_lab import auditors, solver
 from tfm_lab.mechanisms import ExcessivelyLowBaseFeeError, argmax_valued, fee_class
-from tfm_lab.auditors import _class_rows, _DeviationTables
+from tfm_lab.auditors import _class_groups, _class_rows, _DeviationTables
 from tfm_lab.solver import (
     _eligible_weights,
     cut_includes,
@@ -986,6 +986,89 @@ HELD_TIE_CASE = (
 )
 
 
+def read_of(entry):
+    """The (score, canonical key of the first block) read of an entry that
+    row_cuts takes, (None, None) when it is empty."""
+    return entry[0], None if entry[1] is None else canonical_key(entry[1])
+
+
+def reads_of(pair):
+    return tuple(map(read_of, pair))
+
+
+@st.composite
+def depth2_cases(draw):
+    """A kernel's walked users (0, 1 or 2 split-off users) and one or two
+    sides of weighted_pass entries split on them and the held id, as a
+    kernel keeps them (bit 0 the first split-off user, then the next, then
+    the held id), with a class of the second-to-last user (None or an
+    integer) and the last user's classes on one row.  The split ids are
+    drawn among ids 0..4, so any of them can come first on the canonical
+    key; each entry holds its own pattern of them."""
+    n = draw(st.integers(0, 2))
+    ids = draw(st.permutations(range(5)))
+    split, rest = ids[: n + 1], ids[n + 1 :]
+    sides = []
+    for _ in range(draw(st.integers(1, 2))):
+        side = []
+        for k in range(1 << len(split)):
+            held = [t for j, t in enumerate(split) if k >> j & 1]
+            pool = [
+                Block(tuple(sorted((*others, *held))))
+                for r in range(3)
+                for others in combinations(rest, r)
+            ]
+            side.append(draw(row_entries(pool)))
+        sides.append(side)
+    c = draw(st.none() | st.integers(-4, 6)) if n == 2 else None
+    classes = [None] if n == 0 else draw(
+        st.one_of(
+            st.just([None]),
+            st.lists(st.integers(-4, 6), min_size=1, max_size=8, unique=True).map(sorted),
+        )
+    )
+    return n, sides, c, classes
+
+
+class SyntheticPasses(auditors._ClassPasses):
+    """A kernel whose one pass key has the given entries (all sides, in
+    kernel order), to read rows of it without a scenario."""
+
+    def __init__(self, n, entries):
+        self.ids, self.entries = tuple(range(n)), entries
+        self.passes, self.row = {}, (None, None)
+
+    def _solve(self, key, lists):
+        return self.entries
+
+
+# Two sides, the second-to-last user folded at class 2.  In each, the
+# pair lacking both the last user and the held id ties at 2 (3 = 1 + 2):
+# in the first its first block, (0,), comes from the lacking entry, and in
+# the second, (1, 2), from the holding one
+DEPTH2_TIE_CASE = (
+    2,
+    [
+        [entry(3, 0), entry(1, 0, 2), EMPTY_ENTRY, EMPTY_ENTRY,
+         entry(2, 3), EMPTY_ENTRY, EMPTY_ENTRY, EMPTY_ENTRY],
+        [entry(3, 3, 4), entry(1, 1, 2), entry(0, 1, 4), EMPTY_ENTRY,
+         entry(2, 3), entry(4, 2, 3), EMPTY_ENTRY, EMPTY_ENTRY],
+    ],
+    2,
+    [1, 2, 3],
+)
+
+# One side, the second-to-last user None.  The pair of the last user among
+# the blocks holding the held id ties at class 2 (3 = 1 + 2), and its first
+# block comes from the entry holding the last user, (0,), or from the one
+# lacking it, (5, 6), before (7, 8)
+DEPTH2_HELD_TIE_CASES = [
+    (2, [[entry(5, 1, 2), EMPTY_ENTRY, EMPTY_ENTRY, EMPTY_ENTRY,
+          entry(3, 5, 6), EMPTY_ENTRY, entry(1, *last), EMPTY_ENTRY]], None, [1, 2, 3])
+    for last in [(0,), (7, 8)]
+]
+
+
 class TestRowCuts:
     """solver.row_cuts settles a row of the last walked user's classes by
     critical-bid arithmetic; each cut must be split_cut of the two pairs
@@ -1001,40 +1084,81 @@ class TestRowCuts:
         sides, classes = case
         for lacking, holding in sides:
             want = [split_cut(fold_split(lacking, c), fold_split(holding, c)) for c in classes]
-            assert row_cuts(lacking, holding, classes) == want
+            assert row_cuts(reads_of(lacking), reads_of(holding), classes) == want
 
     def test_a_tie_takes_its_first_block_from_either_side(self):
         (first, second), classes = ROW_TIE_CASE
         assert fold_split(first[0], 2)[2] == (Block((0,)), Block((0, 3)))
         assert fold_split(second[0], 2)[2] == (Block((0,)), Block((2,)))
-        assert row_cuts(*first, classes) == [(1, False), (1, False), (2, True)]
-        assert row_cuts(*second, classes) == [(1, True), (1, False), (2, False)]
+        assert row_cuts(*map(reads_of, first), classes) == [(1, False), (1, False), (2, True)]
+        assert row_cuts(*map(reads_of, second), classes) == [(1, True), (1, False), (2, False)]
         (held,), classes = HELD_TIE_CASE
         assert fold_split(held[1], 2)[2] == (Block((0, 1)), Block((1, 2)))
-        assert row_cuts(*held, classes) == [(-2, False), (-1, True), (-1, True)]
+        assert row_cuts(*map(reads_of, held), classes) == [(-2, False), (-1, True), (-1, True)]
+
+    @given(depth2_cases())
+    @example(DEPTH2_TIE_CASE)
+    @example(DEPTH2_HELD_TIE_CASES[0])
+    @example(DEPTH2_HELD_TIE_CASES[1])
+    @example((2, [[EMPTY_ENTRY] * 8], None, [None]))
+    @example((2, [[entry(1, 0)] + [EMPTY_ENTRY] * 7], 3, [None, 1]))
+    @settings(max_examples=400, deadline=None)
+    def test_row_reads_match_the_folded_pairs(self, case):
+        # the kernel's row read (the critical of each pair of the
+        # second-to-last user, read at its class) against row_cuts of the
+        # entries folded at that class by fold_split; a missing split-off
+        # user reads as a None class
+        n, sides, c, classes = case
+        kernel = SyntheticPasses(n, [e for side in sides for e in side])
+        key = (c, classes[0])[2 - n :]  # the row's first class tuple
+        pairs = kernel.reads(key, ())
+        assert len(pairs) == 2 * len(sides)
+        for side, (lacking, holding) in zip(sides, zip(pairs[0::2], pairs[1::2])):
+            if n == 2:
+                folded = [fold_split(pair, c) for pair in zip(side[0::2], side[1::2])]
+            elif n == 1:
+                folded = side
+            else:
+                folded = [side[0], EMPTY_ENTRY, side[1], EMPTY_ENTRY]
+            want = [
+                split_cut(fold_split(folded[0:2], x), fold_split(folded[2:4], x)) for x in classes
+            ]
+            assert row_cuts(lacking, holding, classes) == want
+
+    def test_a_row_is_read_once(self):
+        # the pass's criticals are read once per key, and a row's reads
+        # once per row, however often the row is asked for
+        n, sides, c, classes = DEPTH2_TIE_CASE
+        kernel = SyntheticPasses(n, [e for side in sides for e in side])
+        first = kernel.reads((c, 1), ())
+        assert kernel.reads((c, 3), ()) is first
+        assert list(kernel.passes) == [(0, 0)]
+        assert kernel.reads((None, 1), ()) != first
+        assert list(kernel.passes) == [(0, 0), (None, 0)]
 
     @given(ordered_cases())
     @settings(max_examples=200, deadline=None)
     def test_deviation_rows_match_the_folds(self, case):
         # every row of every transaction's deviation tables, one side or
         # two (gated eligibility), against split_cut of each side's two
-        # entries folded at each class tuple of the row
+        # entries folded at each class tuple of the row by a second kernel
         sc, _, mech = case
         points = tuple(range(4))
         for tx in sc.transactions:
-            tables = _DeviationTables(mech, sc, tx, points, [], None)
-            rows = _class_rows(mech, sc, tables.others, points, tables.classify)
-            for key, lists, classes, last in rows:
+            tables = _DeviationTables(mech, sc, tx, points, [], None, {})
+            folder = _DeviationTables(mech, sc, tx, points, [], None, {}).passes
+            groups = _class_groups(mech, sc, tables.others, points, tables.classify)
+            for key, lists, classes, last in _class_rows(groups):
                 try:
                     got = tables.cuts(key, lists, classes)
                 except (NoEligibleBlockError, UnsupportedInstanceError, ExcessivelyLowBaseFeeError):
                     break  # a sweep ends at its first error
                 want = []
                 for c, bids in zip(classes, last):
-                    f = tables.passes.folds((*key[:-1], c), (*lists[:-1], bids))
+                    f = folder.folds((*key[:-1], c), (*lists[:-1], bids))
                     want.append(tuple(split_cut(*f[i : i + 2]) for i in range(0, len(f), 2)))
                 if not classes:
-                    f = tables.passes.folds(key, lists)
+                    f = folder.folds(key, lists)
                     want.append(tuple(split_cut(*f[i : i + 2]) for i in range(0, len(f), 2)))
                 assert got == want
 
