@@ -14,8 +14,9 @@ import random
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from graphlib import CycleError, TopologicalSorter
-from itertools import chain, compress, groupby, product, starmap
+from itertools import chain, compress, filterfalse, groupby, product, repeat, starmap
 from math import prod
 from operator import itemgetter
 from typing import NamedTuple
@@ -210,13 +211,20 @@ def _scenario_tuple(scenarios):
     return scenarios
 
 
+_witness = partial(tuple.__new__, Witness)  # a Witness from its seven fields, in C
+
+
 def _finalize_witnesses(found, max_witnesses):
     """The first max_witnesses witnesses of a _Found in witness_sort_key
     order.
 
     Walks (digest, tx) in order, then each distinct row in order, merged
     across the outcomes that hold it and once per copy within one, then
-    that row's cells in order, and builds only the emitted Witnesses."""
+    that row's cells in order, and builds only the emitted Witnesses.
+    Python steps run once per row: a row's profiles are sorted, its unseen
+    ones made into (id, bid) cells, and its Witnesses built, each in one
+    C-level pass, and the rows of one (digest, tx) share one cell object
+    per profile."""
     _check_max_witnesses(max_witnesses)
     # (digest, tx) -> (ids, {row: the tuple lists that hold it, once per copy})
     by_tx = {}
@@ -234,11 +242,11 @@ def _finalize_witnesses(found, max_witnesses):
                 return tuple(emitted)
             neg_gain, v, rec, dev = row
             tuples = chain.from_iterable(sources[row])
-            for p in sorted(chain.from_iterable(starmap(product, tuples)))[:take]:
-                cell = cells.get(p)
-                if cell is None:
-                    cell = cells[p] = tuple(zip(ids, p))
-                emitted.append(Witness(digest, t, v, rec, dev, -neg_gain, cell))
+            profiles = sorted(chain.from_iterable(starmap(product, tuples)))[:take]
+            missing = list(filterfalse(cells.__contains__, profiles))
+            cells.update(zip(missing, map(tuple, map(zip, repeat(ids), missing))))
+            head = map(repeat, (digest, t, v, rec, dev, -neg_gain))
+            emitted += map(_witness, zip(*head, map(cells.__getitem__, profiles)))
     return tuple(emitted)
 
 

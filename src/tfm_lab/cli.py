@@ -193,8 +193,11 @@ def _effective_mech(args, path: Path, doc: ScenarioDoc) -> Mechanism:
 
 
 def _merge_audit_reports(parts: list[AuditReport], max_witnesses: int) -> AuditReport:
+    """One report of the per-file parts, keeping the first max_witnesses of
+    their witnesses in witness_sort_key order.  Each part's witnesses
+    arrive in that order, so they are merged lazily (heapq.merge) and cut
+    at max_witnesses."""
     first = parts[0]
-    # each part's witnesses arrive in witness_sort_key order
     witnesses = islice(merge(*(p.witnesses for p in parts), key=witness_sort_key), max_witnesses)
     bound_checks = None
     if first.bound_checks is not None:

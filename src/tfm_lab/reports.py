@@ -12,6 +12,8 @@ import csv
 import functools
 import io
 from fractions import Fraction
+from itertools import filterfalse, groupby
+from operator import itemgetter
 
 from .auditors import (
     AuditReport,
@@ -98,7 +100,18 @@ def _csv_line(fields) -> str:
     return out.getvalue()[:-1]
 
 
+_HEAD = itemgetter(0, 1, 2, 3, 4, 5)  # a witness's first six fields
+_CELL = itemgetter(6)  # and its cell
+
+
 def render_audit_report(report: AuditReport, *, wall_time_ms: int = 0) -> str:
+    """The report as CSV text, every byte as csv.writer writes it.
+
+    Python steps run once per run of witnesses sharing a head, written
+    through the writer once, and once per distinct cell, whose text is
+    made once; each witness line is then its head plus its cell's text,
+    joined in one C-level pass.  A batch of new cell texts that holds a
+    character the writer may quote goes through the writer per cell."""
     buf = io.StringIO()
     seed = "-" if report.sampling_seed is None else str(report.sampling_seed)
     buf.write(
@@ -107,19 +120,17 @@ def render_audit_report(report: AuditReport, *, wall_time_ms: int = 0) -> str:
     )
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(WITNESS_HEADER)
-    heads = {}  # the witnesses of one row share its first six fields
-    cell_text = {}  # and those of one profile share its cell's text
-    for w in report.witnesses:
-        head = heads.get(w[:6])
-        if head is None:
-            head = heads[w[:6]] = _csv_line(w[:6] + ("",))
-        text = cell_text.get(w.cell_bids)
-        if text is None:
-            text = cell_bids_to_str(w.cell_bids)
-            if any(map(text.__contains__, ',"\r\n')):  # what csv.writer may quote
-                text = _csv_line(("", text))[1:]
-            text = cell_text[w.cell_bids] = text + "\n"
-        buf.write(head + text)
+    cell_text = {}  # the witnesses of one profile share its cell's text
+    # consecutive witnesses of one row share its first six fields, the head
+    for fields, group in groupby(report.witnesses, _HEAD):
+        head = _csv_line(fields + ("",))
+        cells = list(map(_CELL, group))
+        missing = list(filterfalse(cell_text.__contains__, cells))
+        texts = list(map(cell_bids_to_str, missing))
+        if any(map("".join(texts).__contains__, ',"\r\n')):  # what csv.writer may quote
+            texts = [_csv_line(("", text))[1:] for text in texts]
+        cell_text.update(zip(missing, texts))
+        buf.write(head + ("\n" + head).join(map(cell_text.__getitem__, cells)) + "\n")
     if report.bound_checks is not None:
         buf.write("\n# bound_checks\n")
         writer.writerow(BOUND_HEADER)

@@ -785,8 +785,17 @@ class TestFinalizeWitnesses:
         assert len(found) == len(expanded)
         assert found.max_gain() == max((w.utility_gain for w in expanded), default=0)
         want = sorted(expanded, key=witness_sort_key)
-        for n in {0, cap, len(expanded), len(expanded) + 5}:
-            assert auditors._finalize_witnesses(found, n) == tuple(want[:n])
+        # the first cut that falls inside a row, between two of its cells
+        inside = next((n for n in range(1, len(want)) if want[n - 1][:6] == want[n][:6]), 0)
+        for n in {0, cap, inside, len(expanded), len(expanded) + 5}:
+            got = auditors._finalize_witnesses(found, n)
+            assert got == tuple(want[:n])
+            assert all(type(w) is Witness for w in got)
+            assert [w._asdict() for w in got] == [w._asdict() for w in want[:n]]
+            # within one (digest, tx), equal profiles share one cell object
+            shared = {}
+            for w in got:
+                assert shared.setdefault(w[:2] + (w.cell_bids,), w.cell_bids) is w.cell_bids
 
     def test_collector_merges_rows_and_keeps_copies(self):
         # one outcome holds row r twice and one profile; a second outcome
@@ -827,6 +836,30 @@ class TestFinalizeWitnesses:
         witnesses = [Witness(d, t, v, rec, dev, -neg, cell) for d, t, neg, v, rec, dev, cell in rows]
         want = sorted(witnesses, key=witness_sort_key)[:max_witnesses]
         assert auditors._finalize_witnesses(found_of(rows), max_witnesses) == tuple(want)
+
+    def test_every_cut_inside_a_row_matches_a_full_sort(self):
+        # rows r and s of one (digest, tx) reach profiles (0, 1), (1, 0)
+        # and (2, 1) from one outcome, and s reaches (2, 1) once more from a
+        # second; every cut, inside either row or between them, keeps the
+        # sorted prefix, and equal profiles share one cell object
+        r, s = (-2, 1, 1, 0), (-1, 1, 1, 2)
+        found = auditors._Found()
+        found.add("a" * 64, 0, "first", (1, 2), [r, s], ((0, 2), (1,)))
+        found.add("a" * 64, 0, "first", (1, 2), [r, s], ((1,), (0,)))
+        found.add("a" * 64, 0, "second", (1, 2), [s], ((2,), (1,)))
+        profiles = {r: ((0, 1), (1, 0), (2, 1)), s: ((0, 1), (1, 0), (2, 1), (2, 1))}
+        want = [
+            Witness("a" * 64, 0, v, rec, dev, -neg, ((1, a), (2, b)))
+            for (neg, v, rec, dev), ps in profiles.items()
+            for a, b in ps
+        ]
+        assert want == sorted(want, key=witness_sort_key)
+        assert len(found) == len(want) == 7
+        for n in range(len(want) + 2):
+            assert auditors._finalize_witnesses(found, n) == tuple(want[:n])
+        got = auditors._finalize_witnesses(found, 7)
+        assert got[0].cell_bids is got[3].cell_bids
+        assert got[2].cell_bids is got[5].cell_bids is got[6].cell_bids
 
     def test_zero_emits_nothing_and_negative_raises(self):
         found = found_of([("a" * 64, 0, -1, 1, 1, 2, ((1, 0),))])

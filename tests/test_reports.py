@@ -136,7 +136,8 @@ class TestAuditRoundTrip:
 
 
 def oracle_render(report, wall_time_ms=0):
-    """render_audit_report as one csv.writer row per witness."""
+    """render_audit_report as one csv.writer row per witness, each cell's
+    text made here, independent of cell_bids_to_str."""
     buf = io.StringIO()
     seed = "-" if report.sampling_seed is None else str(report.sampling_seed)
     buf.write(
@@ -146,7 +147,7 @@ def oracle_render(report, wall_time_ms=0):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(WITNESS_HEADER)
     for w in report.witnesses:
-        writer.writerow(w[:6] + (cell_bids_to_str(w.cell_bids),))
+        writer.writerow(w[:6] + (";".join(f"{t}:{b}" for t, b in w.cell_bids),))
     if report.bound_checks is not None:
         buf.write("\n# bound_checks\n")
         writer.writerow(BOUND_HEADER)
@@ -232,6 +233,19 @@ QUOTED_CELL_REPORT = audit_report(
         Witness('x,"y"\n', -1, 0, 0, 0, 10**30, ((0, -1),)),
     )
 )
+# a head that comes back after another head (A, B, A), so its witnesses
+# are not next to each other, with cells repeated across the heads
+HEAD_A = ("a" * 12, 0, 6, 6, 2, 4)
+HEAD_B = ("a" * 12, 1, 5, 5, 0, 5)
+RETURNING_HEAD_REPORT = audit_report(
+    witnesses=(
+        Witness(*HEAD_A, ((1, 3),)),
+        Witness(*HEAD_A, ((1, 4),)),
+        Witness(*HEAD_B, ((1, 3),)),
+        Witness(*HEAD_A, ((1, 3),)),
+        Witness(*HEAD_A, ()),
+    )
+)
 
 
 class TestRenderAgainstWriterRows:
@@ -240,6 +254,7 @@ class TestRenderAgainstWriterRows:
 
     @given(audit_reports(QUOTED_TEXT, INTS | QUOTED_TEXT), st.integers(0, 10**6))
     @example(QUOTED_CELL_REPORT, 0)
+    @example(RETURNING_HEAD_REPORT, 0)
     @settings(max_examples=200, deadline=None)
     def test_same_bytes_as_the_oracle(self, report, wall_time_ms):
         got = render_audit_report(report, wall_time_ms=wall_time_ms)
