@@ -363,13 +363,17 @@ class _ClassPasses:
     class would.  A kernel is read one of two ways, each keeping what it
     reads of a key's passes in passes:
 
-    - folds (the BPIC sweep) recurses over depths, the class tuple at depth
-      0: each folds one split-off user's class, the last first, into the
-      entry pairs of the next (pairs), by fold_split.  passes keeps the
-      entries; each other depth keeps only the entry pairs of the last key
-      below it that it folded.  Product order brings the tuples of one key
-      below depth 0 in one run (ineligible classes are the lowest bids),
-      so an exhaustive walk folds each such key once.
+    - pairs (the BPIC sweep) gives a row of the last user's classes
+      (_class_rows) its entry pairs of that user, which the sweep folds at
+      each class of the row by fold_split.  They are read through folds,
+      which recurses over depths, the class tuple at depth 0: each folds
+      one split-off user's class, the last first, into the entry pairs of
+      the next (pairs).  passes keeps the entries; each other depth keeps
+      only the entry pairs of the last key below it that it folded.
+      Product order brings the tuples of one key below depth 0 in one run
+      (ineligible classes are the lowest bids), so an exhaustive walk
+      folds each such key once.  The standard rules' size read folds each
+      class tuple whole (folds at depth 0).
     - reads (the deviation sweeps) builds no tie list: passes keeps the
       _critical of each entry pair of the second-to-last user, and a row
       of the last user's classes (_class_rows) reads them at that user's
@@ -523,15 +527,22 @@ def audit_bpic(
     eligibility tuple.  Any other rule reads a cell only through its fee
     classes, so each class tuple (_class_tuples) is settled once for all
     its cells, witness gains too (bps is value plus the members' classes).
-    The producer's argmax is read off _ClassPasses, and fpa's revenue_max
-    off the unvalued read of the same walk; a standard rule off a second
-    _ClassPasses of its size read, keyed by the clearing set the tuple fixes
-    (a contribution is >= 0 exactly when the bid clears).  A tuple whose
-    recommendation is tied adds the tie's edges, with no memo of tie
-    lists: a set update per tuple.  A witness tuple gets one row per bid of
-    the witness transaction's class, with that user's list narrowed to the
-    bid, an outcome named by its (gain, bid) (_Found).  A negative
-    max_witnesses raises ValueError before any cell is swept.
+    The tuples are walked by row of the last user's classes (_class_rows):
+    each row reads its entry pairs of that user once (_ClassPasses.pairs),
+    and each class of the row folds them by fold_split, the producer's
+    argmax off the valued pair and fpa's revenue_max off the unvalued pair
+    of the same walk; a standard rule reads a second _ClassPasses of its
+    size read, keyed by the clearing set the tuple fixes (a contribution
+    is >= 0 exactly when the bid clears).  A tuple whose recommendation is
+    tied adds the tie's edges, with no memo of tie lists: a set update per
+    tuple.  A witness tuple's gain, witness transaction and valuation come
+    from a per-scenario dict keyed by the member tuples of its best block
+    and its recommendation, which also keeps the producer's value for the
+    recommendation and its members' positions in the class tuple, so a
+    repeated pair reads no value again.  A witness tuple gets one row per
+    bid of the witness transaction's class, with that user's list
+    narrowed to the bid, an outcome named by its (gain, bid) (_Found).  A
+    negative max_witnesses raises ValueError before any cell is swept.
     """
     _check_max_witnesses(max_witnesses)
     scenarios = _scenario_tuple(scenarios)
@@ -554,33 +565,51 @@ def audit_bpic(
                 if not enumerate_blocks(scenario, eligible=elig, budget=budget):
                     raise NoEligibleBlockError(_first_cell(ids, lists))
             continue
+        if not ids:
+            continue  # one cell, whose only block is the empty one: no witness, no tie
         digest = scenario_digest(scenario)
         # the producer's argmax, and revenue_max's unvalued one in the same walk
         passes = _ClassPasses(mech, scenario, ids, budget, [{}], True if standard else (True, False))
         recs = _ClassPasses(mech, scenario, ids, budget, [{}], False, _clearing_size)
         sizes = [scenario.tx(t).size for t in ids]
+        at = {t: i for i, t in enumerate(ids)}
         edges = {}
-        for key, lists in _class_tuples(mech, scenario, ids, points, fee_class):
-            folds = passes.folds(key, lists)
-            best_score, best, tied = folds[0]
-            if standard:
-                clears = tuple(s if k is not None and k >= 0 else None for s, k in zip(sizes, key))
-                rec = recs.folds(clears, lists)[0][1]
-            else:
-                rec = folds[1][1]
-            if rec in tied:
-                if len(tied) > 1:  # tie lists hold distinct blocks
-                    edges.setdefault(rec, set()).update(b for b in tied if b != rec)
-                continue
-            classes = dict(zip(ids, key))
-            gain = best_score - scenario.bp_valuation.of(rec) - sum(map(classes.get, rec.txs))
-            diff = sorted(set(best.txs) - set(rec.txs)) or sorted(set(rec.txs) - set(best.txs))
-            tx_id = diff[0] if diff else (best.txs or rec.txs)[0]
-            i = ids.index(tx_id)
-            v = scenario.tx(tx_id).valuation
-            for bid in lists[i]:
-                narrowed = (*lists[:i], (bid,), *lists[i + 1 :])
-                found.add(digest, tx_id, (gain, bid), ids, [(-gain, v, bid, bid)], narrowed)
+        # (best.txs, rec.txs) -> (witness tx, its index in ids, its
+        # valuation, the producer's value for rec, rec's members' indices)
+        by_pair = {}
+        groups = _class_groups(mech, scenario, ids, points, fee_class)
+        for row_key, row_lists, classes, last in _class_rows(groups):
+            valued, *unvalued = passes.pairs(row_key, row_lists)
+            prefix, head = row_key[:-1], row_lists[:-1]
+            for c, bids in zip(classes, last):
+                best_score, best, tied = fold_split(valued, c)
+                key, lists = (*prefix, c), (*head, bids)
+                if standard:
+                    clears = tuple(
+                        s if k is not None and k >= 0 else None for s, k in zip(sizes, key)
+                    )
+                    rec = recs.folds(clears, lists)[0][1]
+                else:
+                    rec = fold_split(unvalued[0], c)[1]
+                if rec in tied:
+                    if len(tied) > 1:  # tie lists hold distinct blocks
+                        successors = edges.setdefault(rec, set())
+                        successors.update(tied)
+                        successors.discard(rec)  # never a successor of itself
+                    continue
+                meta = by_pair.get((best.txs, rec.txs))
+                if meta is None:
+                    in_best, in_rec = set(best.txs), set(rec.txs)
+                    diff = sorted(in_best - in_rec) or sorted(in_rec - in_best)
+                    tx_id = diff[0] if diff else (best.txs or rec.txs)[0]
+                    v, value = scenario.tx(tx_id).valuation, scenario.bp_valuation.of(rec)
+                    members = [at[t] for t in rec.txs]
+                    meta = by_pair[best.txs, rec.txs] = tx_id, at[tx_id], v, value, members
+                tx_id, i, v, value, members = meta
+                gain = best_score - value - sum(map(key.__getitem__, members))
+                for bid in lists[i]:
+                    narrowed = (*lists[:i], (bid,), *lists[i + 1 :])
+                    found.add(digest, tx_id, (gain, bid), ids, [(-gain, v, bid, bid)], narrowed)
         cycle = _detect_cycle(edges)
         if cycle is not None:
             conflicts.append(TieConflict(digest, tuple(b.txs for b in cycle)))

@@ -386,17 +386,22 @@ def fold_split(entries, contribution: Money | None):
     transaction that is not eligible, reads `lacking` alone, so it also
     reads the one entry of an unsplit pass.
 
-    On equal scores the tied blocks are merged in canonical order, so the
-    entry is exactly what one pass at that bid would give.  An argmax
-    allocation reads a bid only through this contribution, which never
-    decreases in the bid, so one split pass settles every bid of the
-    transaction at O(1) each.  A pass split on several transactions is
-    read one transaction at a time, each fold halving its entries, in any
-    order: the BPIC sweep splits off its last two walked users (every one,
-    when fewer) and folds the second-to-last user's class, then the last
-    one's (auditors._ClassPasses.folds).  The deviation sweeps read no tie
-    list, so they fold nothing: _fold_read gives a fold's score and first
-    block's key off the pair's _critical.
+    On equal scores the entry keeps the canonical-first of the two first
+    blocks and the two tie lists joined, with no sort: the score, the
+    first block and the set of tied blocks are what one pass at that bid
+    would give, but a folded tie list is in no fixed order.  Its one
+    reader, the BPIC sweep, reads a tie list only as a set (membership,
+    length and its edges), while constructions and replays read
+    split_pass and weighted_pass, whose lists stay in canonical order.
+    An argmax allocation reads a bid only through this contribution,
+    which never decreases in the bid, so one split pass settles every bid
+    of the transaction at O(1) each.  A pass split on several transactions
+    is read one transaction at a time, each fold halving its entries, in
+    any order: the BPIC sweep splits off its last two walked users (every
+    one, when fewer) and folds the second-to-last user's class
+    (auditors._ClassPasses.pairs), then the last one's.  The deviation
+    sweeps read no tie list, so they fold nothing: _fold_read gives a
+    fold's score and first block's key off the pair's _critical.
     """
     lacking = entries[0]
     if contribution is None:
@@ -410,8 +415,8 @@ def fold_split(entries, contribution: Money | None):
         return score, *holding[1:]
     if score < lacking[0]:
         return lacking
-    ties = tuple(sorted((*lacking[2], *holding[2]), key=canonical_key))
-    return score, ties[0], ties
+    first = lacking[1] if canonical_key(lacking[1]) < canonical_key(holding[1]) else holding[1]
+    return score, first, lacking[2] + holding[2]
 
 
 _INF = float("inf")

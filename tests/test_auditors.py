@@ -1112,6 +1112,36 @@ BPIC_PATTERN_TIE_CASE = (
 )
 
 
+# a cross tie at the last user's critical class under gated eligibility:
+# at bids of 1 (class 0 each), (1,), lacking tx 2, and (0, 2), holding it,
+# both score 2, and the standard rule names (0, 2), the largest clearing
+# block, so the tie adds the edge (0, 2) -> (1,); the producer values (1,)
+# and (0, 2), so a fold that took the wrong first block or dropped either
+# side's ties would name another witness or edge
+BPIC_GATED_CROSS_TIE_CASE = (
+    Mechanism.tipless(1, Eligibility.BASE_FEE_GATED),
+    Scenario(
+        tuple(Transaction(i, 1, 0) for i in range(3)),
+        TableValuation({Block((0, 2)): 2, Block((2,)): 1, Block((1,)): 2}),
+        ExplicitBlockset(tuple(Block(b) for b in [(), (2,), (1, 0), (0, 2), (1,)])),
+    ),
+)
+
+# the same on a plain knapsack under revenue_max: (2,) fills the slot alone
+# and, whenever b2 = b0 + b1, ties (0, 1), which lacks tx 2, in the valued
+# read (the producer values tx 1 and tx 2 alike), and comes first.  At bids
+# (1, 1, 2) the unvalued read names (2,) too, which adds the edge (2,) ->
+# (0, 1); at (1, 0, 1) it names (0,), a witness that names tx 2
+BPIC_PLAIN_CROSS_TIE_CASE = (
+    Mechanism.fpa(),
+    scenario([(1, 0, 0), (1, 0, 0), (2, 0, 0)], cap=2, bp=AdditiveValuation({1: 2, 2: 2})),
+)
+
+
+# no transaction: one cell, whose only block is the empty one
+BPIC_NO_USER_CASE = (Mechanism.fpa(), Scenario((), PassiveValuation(), KnapsackBlockset(0)))
+
+
 # the shape of bpic-wide's perm5 tasks: five unit transactions, every
 # ordering of up to four, and a table producer.  One recommended block is
 # tied with several different tie lists across cells, so its successors
@@ -1158,6 +1188,9 @@ class TestBpicAgainstCells:
     @example(BPIC_ONE_CLASS_LAST_CASE)
     @example(BPIC_GATED_PAIR_CASE)
     @example(BPIC_PATTERN_TIE_CASE)
+    @example(BPIC_GATED_CROSS_TIE_CASE)
+    @example(BPIC_PLAIN_CROSS_TIE_CASE)
+    @example(BPIC_NO_USER_CASE)
     @settings(max_examples=60, deadline=None)
     def test_matches_per_cell_oracle(self, case):
         mech, sc = case
@@ -1168,6 +1201,8 @@ class TestBpicAgainstCells:
     @example(BPIC_PREFIX_CASE)
     @example(BPIC_PATTERN_TIE_CASE)
     @example(BPIC_WIDE_TIE_CASE)
+    @example(BPIC_GATED_CROSS_TIE_CASE)
+    @example(BPIC_PLAIN_CROSS_TIE_CASE)
     @settings(max_examples=40, deadline=None)
     def test_tie_edges_match_per_cell_oracle(self, case):
         # the edges, not only the cycle they yield: the same nodes in the
@@ -1704,6 +1739,37 @@ class TestPassCounts:
         assert len(splits) == 27 and set(splits) == {(3, 4)}
         assert report == oracle_bpic(mech, [sc], grid)
         assert report.verdict == "FAIL"
+
+    def test_bpic_reads_a_witness_value_once_per_block_pair(self, monkeypatch):
+        # a witness tuple's gain reads the producer's value for its
+        # recommendation once per distinct (best block, recommendation)
+        # member pair of a scenario, not once per witness tuple.  The
+        # fixture above is audited as two scenarios after a first audit has
+        # built its plans, so every value read is a witness gain's
+        txs = tuple(Transaction(i, 1, 2) for i in range(5))
+        bp = TableValuation({Block((1, 0)): 3, Block((2, 3, 4)): 2, Block((4,)): 1})
+        sc = Scenario(txs, bp, KnapsackBlockset(3, enumerate_permutations=True))
+        mech, grid = Mechanism.fpa(), GridSpec(1, 2)
+        want = audit_bpic(mech, [sc, sc], grid)
+        pairs, tuples = set(), 0
+        for combo in product(grid.points(), repeat=len(txs)):
+            bids = dict(zip(sc.ids(), combo))
+            _, best, tied = split_pass(bids, sc, mech, valued=True)
+            rec = recommended_block(mech, bids, sc)
+            if rec not in tied:  # fpa's fee class is the bid: one tuple per cell
+                pairs.add((best.txs, rec.txs))
+                tuples += 1
+        assert 0 < len(pairs) < tuples
+        reads = []
+        of = TableValuation.of
+
+        def counting(self, block):
+            reads.append(block.txs)
+            return of(self, block)
+
+        monkeypatch.setattr(TableValuation, "of", counting)
+        assert audit_bpic(mech, [sc, sc], grid) == want
+        assert sorted(reads) == sorted([rec for _, rec in pairs] * 2)
 
     def test_consonant_dsic_passes_once_per_prefix(self, monkeypatch):
         # each of the 4 deviators has 3 other users: 3 prefixes of the first
