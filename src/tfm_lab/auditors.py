@@ -360,26 +360,17 @@ class _ClassPasses:
     pass weight (0 when admitted, None when not), so it is the pass's
     weight vector, admitted ids weighing their class, and no bid is read;
     a one-class user read as its eligibility gives as many keys as its
-    class would.  A kernel is read one of two ways, each keeping what it
-    reads of a key's passes in passes:
+    class would.
 
-    - pairs (the BPIC sweep) gives a row of the last user's classes
-      (_class_rows) its entry pairs of that user, which the sweep folds at
-      each class of the row by fold_split.  They are read through folds,
-      which recurses over depths, the class tuple at depth 0: each folds
-      one split-off user's class, the last first, into the entry pairs of
-      the next (pairs).  passes keeps the entries; each other depth keeps
-      only the entry pairs of the last key below it that it folded.
-      Product order brings the tuples of one key below depth 0 in one run
-      (ineligible classes are the lowest bids), so an exhaustive walk
-      folds each such key once.  The standard rules' size read folds each
-      class tuple whole (folds at depth 0).
-    - reads (the deviation sweeps) builds no tie list: passes keeps the
-      _critical of each entry pair of the second-to-last user, and a row
-      of the last user's classes (_class_rows) reads them at that user's
-      class by _fold_read, for solver.row_cuts.  The last row's reads are
-      kept, so a sampled sweep, which groups its draws by row, reads each
-      row once.
+    A kernel is read a row at a time (pairs): a row of the last user's
+    classes (_class_rows) gets the (lacking, holding) pairs of that user,
+    each the second-to-last user's pair folded at its class.  passes keeps
+    what a row folds of each key: the BPIC kernels keep the entries, as a
+    flat list, and fold each pair by fold_split; the deviation kernels
+    (critical set) build no tie list and keep the _critical of each pair,
+    paired as the row's pairs will be, folded by _fold_read, for
+    solver.row_cuts.  The last row's pairs are kept, so a walk, exhaustive
+    or sampled (whose draws are grouped by row), reads each row once.
 
     sides lists the fixed bids of each pass of a key, in order; each maps
     the held id, if any, the same in every side, to a bid that sets only
@@ -391,14 +382,16 @@ class _ClassPasses:
     store, when given, is shared by the kernels of one scenario and keeps
     each pass once, keyed by its split and its weight vector over the
     scenario's ids (the held id at 0 when its bid is admitted), which also
-    fixes its eligibility filter.  A pass is solved when a tuple first
-    needs it, so errors name the tuple's first raw cell with the message
-    of a per-cell pass.
+    fixes its eligibility filter.  A pass is solved when a row first
+    needs it, so errors name the row's first raw cell with the message of
+    a per-cell pass.
     """
 
-    def __init__(self, mech, scenario, ids, budget, sides, valued, read=fee_class, store=None):
+    def __init__(
+        self, mech, scenario, ids, budget, sides, valued, read=fee_class, store=None, critical=False
+    ):
         self.mech, self.scenario, self.ids, self.budget = mech, scenario, ids, budget
-        self.valued, self.read, self.store = valued, read, store
+        self.valued, self.read, self.store, self.critical = valued, read, store, critical
         self.scenario_ids = scenario.ids()
         # (fixed, the held id at weight 0 if the read admits its bid)
         self.sides = [
@@ -418,59 +411,38 @@ class _ClassPasses:
             order += [i + len(order) for i in order]
         self.order = None if order == sorted(order) else order
         self.passes = {}
-        # per depth, (the key of the depth below it last folded, its pairs)
-        self.last = [(None, None)] * min(len(ids), 2)
-        # (the last row read, its read pairs)
+        # (the last row read, its pairs)
         self.row = None, None
 
-    def folds(self, key, lists, depth=0):
-        """The entries at the class tuple `key`, whose bid lists are
-        `lists`: per side in order, per read, the entry lacking and then
-        the one holding the held id (one entry when there is none).  At a
-        depth d > 0 the last d users are read as their pass weight, and
-        each entry is still split on the others."""
-        if depth == len(self.last):
-            entries = self.passes.get(key)
-            if entries is None:
-                entries = self.passes[key] = self._solve(key, lists)
-            return entries
-        return [fold_split(pair, key[-1 - depth]) for pair in self.pairs(key, lists, depth)]
-
-    def pairs(self, key, lists, depth=0):
-        """The entry pairs that folds reads at depth `depth` of the class
-        tuple `key`: the entries one depth below, split on the user folded
-        at `depth`, as (lacking, holding) pairs of that user in their
-        order."""
-        p = len(key) - 1 - depth
-        lower = key[:p] + (None if key[p] is None else 0,) + key[p + 1 :]
-        last, pairs = self.last[depth]
-        if lower != last:
-            below = self.folds(lower, lists, depth + 1)
-            pairs = list(zip(below[0::2], below[1::2]))
-            self.last[depth] = lower, pairs
-        return pairs
-
-    def reads(self, key, lists):
-        """The read pairs of the row of the class tuple `key`, whose bid
-        lists are `lists`: per side in order, the (lacking, holding) reads
-        of the last user, of the entries lacking and then holding the held
-        id, each read at the second-to-last user's class.  A missing
-        split-off user (fewer than two walked users) reads as a None
-        class, its holding entries empty."""
+    def pairs(self, key, lists):
+        """The pairs of the row of the class tuple `key`, whose bid lists
+        are `lists`: per side in order, per read, the (lacking, holding)
+        pair of the last user, of the entries lacking and then holding the
+        held id, each folded at the second-to-last user's class; a critical
+        kernel's pairs are (score, canonical key of the first block) reads.
+        A missing split-off user (fewer than two walked users) reads as a
+        None class, its holding entries empty."""
         row = (*key[:-1], None if key[-1] is None else 0) if key else key
         if row == self.row[0]:
             return self.row[1]
         c = key[-2] if len(key) > 1 else None
         lower = (*key[:-2], None if c is None else 0, row[-1]) if len(key) > 1 else row
-        criticals = self.passes.get(lower)
-        if criticals is None:
-            entries = self._solve(lower, lists)
+        folds = self.passes.get(lower)
+        if folds is None:
+            folds = self._solve(lower, lists)
             for _ in range(2 - len(self.ids)):
-                entries = [e for entry in entries for e in (entry, _EMPTY)]
-            reads = [(s, None if b is None else canonical_key(b)) for s, b, _ in entries]
-            criticals = [_critical(*pair) for pair in zip(reads[0::2], reads[1::2])]
-            criticals = self.passes[lower] = list(zip(criticals[0::2], criticals[1::2]))
-        pairs = [(_fold_read(a, c), _fold_read(b, c)) for a, b in criticals]
+                folds = [e for entry in folds for e in (entry, _EMPTY)]
+            if self.critical:
+                reads = [(s, None if b is None else canonical_key(b)) for s, b, _ in folds]
+                criticals = [_critical(*pair) for pair in zip(reads[0::2], reads[1::2])]
+                folds = list(zip(criticals[0::2], criticals[1::2]))
+            self.passes[lower] = folds
+        if self.critical:
+            pairs = [(_fold_read(a, c), _fold_read(b, c)) for a, b in folds]
+        else:
+            entries = iter(folds)
+            folded = map(fold_split, zip(entries, entries), repeat(c))
+            pairs = list(zip(folded, folded))
         self.row = row, pairs
         return pairs
 
@@ -531,18 +503,21 @@ def audit_bpic(
     each row reads its entry pairs of that user once (_ClassPasses.pairs),
     and each class of the row folds them by fold_split, the producer's
     argmax off the valued pair and fpa's revenue_max off the unvalued pair
-    of the same walk; a standard rule reads a second _ClassPasses of its
-    size read, keyed by the clearing set the tuple fixes (a contribution
-    is >= 0 exactly when the bid clears).  A tuple whose recommendation is
-    tied adds the tie's edges, with no memo of tie lists: a set update per
-    tuple.  A witness tuple's gain, witness transaction and valuation come
-    from a per-scenario dict keyed by the member tuples of its best block
-    and its recommendation, which also keeps the producer's value for the
-    recommendation and its members' positions in the class tuple, so a
-    repeated pair reads no value again.  A witness tuple gets one row per
-    bid of the witness transaction's class, with that user's list
-    narrowed to the bid, an outcome named by its (gain, bid) (_Found).  A
-    negative max_witnesses raises ValueError before any cell is swept.
+    of the same walk; a standard rule folds the one pair of a second
+    _ClassPasses of its size read, keyed by the clearing set the tuple
+    fixes (a contribution is >= 0 exactly when the bid clears), whose row
+    changes along a row of fee classes only with the last user's clearing
+    flag, so it is read at most twice per row.  A tuple whose
+    recommendation is tied adds the tie's edges, with no memo of tie
+    lists: a set update per tuple.  A witness tuple's gain, witness
+    transaction and valuation come from a per-scenario dict keyed by the
+    member tuples of its best block and its recommendation, which also
+    keeps the producer's value for the recommendation and its members'
+    positions in the class tuple, so a repeated pair reads no value again.
+    A witness tuple gets one row per bid of the witness transaction's
+    class, with that user's list narrowed to the bid, an outcome named by
+    its (gain, bid) (_Found).  A negative max_witnesses raises ValueError
+    before any cell is swept.
     """
     _check_max_witnesses(max_witnesses)
     scenarios = _scenario_tuple(scenarios)
@@ -588,7 +563,7 @@ def audit_bpic(
                     clears = tuple(
                         s if k is not None and k >= 0 else None for s, k in zip(sizes, key)
                     )
-                    rec = recs.folds(clears, lists)[0][1]
+                    rec = fold_split(recs.pairs(clears, lists)[0], clears[-1])[1]
                 else:
                     rec = fold_split(unvalued[0], c)[1]
                 if rec in tied:
@@ -639,7 +614,7 @@ class _DeviationTables:
     only through which looked-up bids it includes (included): cuts with
     one pattern give one table.  A row of the other users' class tuples
     has its cuts read off one pair of read pairs per side
-    (_ClassPasses.reads, then solver.row_cuts): one pass per side, split
+    (_ClassPasses.pairs, then solver.row_cuts): one pass per side, split
     on this transaction and on the last two other users, the second-to-last
     read at its class by critical-bid arithmetic, whose admitted set is
     that of the side's first looked-up bid.  The passes come from `store`,
@@ -659,8 +634,9 @@ class _DeviationTables:
         # never compared
         self.spots = [(b, at[c is not None], c, own_payment(mech, tx, b)) for b, c in reads.items()]
         sides = [{tx.tx_id: b} for b in first_bids.values()]
+        valued = argmax_valued(mech)
         self.passes = _ClassPasses(
-            mech, scenario, self.others, budget, sides, argmax_valued(mech), self.classify, store
+            mech, scenario, self.others, budget, sides, valued, self.classify, store, critical=True
         )
 
     def cuts(self, key, lists, classes):
@@ -670,7 +646,7 @@ class _DeviationTables:
         it: the row's first class tuple and bid lists (first raw profile
         first) are key and lists.  With no other user, the one tuple's cut
         reads the pass entries as a None class would."""
-        pairs = self.passes.reads(key, lists)
+        pairs = self.passes.pairs(key, lists)
         classes = classes or (None,)
         # per side: the pairs lacking, then holding this transaction
         return list(zip(*[row_cuts(a, b, classes) for a, b in zip(pairs[0::2], pairs[1::2])]))

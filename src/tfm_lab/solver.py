@@ -398,10 +398,11 @@ def fold_split(entries, contribution: Money | None):
     of the transaction at O(1) each.  A pass split on several transactions
     is read one transaction at a time, each fold halving its entries, in
     any order: the BPIC sweep splits off its last two walked users (every
-    one, when fewer) and folds the second-to-last user's class
-    (auditors._ClassPasses.pairs), then the last one's.  The deviation
-    sweeps read no tie list, so they fold nothing: _fold_read gives a
-    fold's score and first block's key off the pair's _critical.
+    one, when fewer), folds the second-to-last user's class once per row
+    (auditors._ClassPasses.pairs), then the last one's per class.  The
+    deviation sweeps read no tie list, so the same row read folds nothing
+    there: _fold_read gives a fold's score and first block's key off the
+    pair's _critical.
     """
     lacking = entries[0]
     if contribution is None:

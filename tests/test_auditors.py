@@ -71,7 +71,7 @@ from tfm_lab import (
     witness_sort_key,
 )
 from tfm_lab import auditors, solver
-from tfm_lab.auditors import _DeviationTables, _detect_cycle
+from tfm_lab.auditors import _EMPTY, _DeviationTables, _class_groups, _class_rows, _detect_cycle
 from tfm_lab.mechanisms import _admitted, _clearing_size, argmax_valued, fee_class
 from tfm_lab.solver import BUDGET_ENV_VAR, NoFeasibleBlockError, split_pass
 
@@ -1245,11 +1245,11 @@ class TestBpicAgainstCells:
         mech = Mechanism.tipless(1)
 
         class Rotating(auditors._ClassPasses):
-            def folds(self, key, lists, depth=0):
+            def pairs(self, key, lists):
                 if self.read is not _clearing_size:
-                    return super().folds(key, lists, depth)
+                    return super().pairs(key, lists)
                 clearing = frozenset(t for t, k in zip(self.ids, key) if k is not None)
-                return [(None, rotating_rule(mech, clearing, self.scenario), ())]
+                return [((None, rotating_rule(mech, clearing, self.scenario), ()), _EMPTY)]
 
         monkeypatch.setattr(auditors, "_ClassPasses", Rotating)
         want = oracle_bpic(mech, [sc], GRID, rule=rotating_allocation)
@@ -1771,6 +1771,37 @@ class TestPassCounts:
         assert audit_bpic(mech, [sc, sc], grid) == want
         assert sorted(reads) == sorted([rec for _, rec in pairs] * 2)
 
+    @pytest.mark.parametrize(
+        "mech",
+        [Mechanism.tipless(1), Mechanism.tipless(1, Eligibility.BASE_FEE_GATED), Mechanism.eip1559(2)],
+        ids=["tipless", "gated-tipless", "eip1559"],
+    )
+    def test_standard_bpic_reads_its_recommendation_per_row(self, monkeypatch, mech):
+        # a standard rule's recommendation reads only the clearing set, and
+        # along a row of the last user's fee classes only that user's
+        # clearing flag can change, once, at the reserve: so the size
+        # kernel, asked once per class tuple, misses its last-row memo at
+        # most twice per fee-class row
+        sc, points = FOUR_ALL_FIT, GRID.points()
+        rows = list(_class_rows(_class_groups(mech, sc, sc.ids(), points, fee_class)))
+        asked, misses = [], []
+
+        class Recording(auditors._ClassPasses):
+            def pairs(self, key, lists):
+                last = self.row
+                pairs = super().pairs(key, lists)
+                if self.read is _clearing_size:
+                    asked.append(key)
+                    if self.row is not last:
+                        misses.append(key)
+                return pairs
+
+        monkeypatch.setattr(auditors, "_ClassPasses", Recording)
+        report = audit_bpic(mech, [sc], GRID)
+        assert len(asked) == sum(len(classes) for _, _, classes, _ in rows)
+        assert 0 < len(misses) <= 2 * len(rows)
+        assert report == oracle_bpic(mech, [sc], GRID)
+
     def test_consonant_dsic_passes_once_per_prefix(self, monkeypatch):
         # each of the 4 deviators has 3 other users: 3 prefixes of the first
         # one, one pass each and one side under free eligibility, where a
@@ -1870,8 +1901,8 @@ class TestPassCounts:
         reads = Counter()
 
         class Recording(auditors._ClassPasses):
-            def __init__(self, *args):
-                super().__init__(*args)
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
                 kernels.append(self)
 
         def counting(*args):
@@ -1916,9 +1947,9 @@ class TestPassCounts:
         read = []
 
         class Recording(auditors._ClassPasses):
-            def reads(self, key, lists):
+            def pairs(self, key, lists):
                 last = self.row
-                pairs = super().reads(key, lists)
+                pairs = super().pairs(key, lists)
                 if self.row is not last:
                     read.append(key)
                 return pairs
@@ -2042,8 +2073,8 @@ class TestPassStore:
         kernels = []
 
         class Recording(auditors._ClassPasses):
-            def __init__(self, *args):
-                super().__init__(*args)
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
                 kernels.append(self)
 
         monkeypatch.setattr(auditors, "_ClassPasses", Recording)

@@ -1046,11 +1046,11 @@ def depth2_cases(draw):
 
 
 class SyntheticPasses(auditors._ClassPasses):
-    """A kernel whose one pass key has the given entries (all sides, in
-    kernel order), to read rows of it without a scenario."""
+    """A deviation kernel whose one pass key has the given entries (all
+    sides, in kernel order), to read rows of it without a scenario."""
 
     def __init__(self, n, entries):
-        self.ids, self.entries = tuple(range(n)), entries
+        self.ids, self.entries, self.critical = tuple(range(n)), entries, True
         self.passes, self.row = {}, (None, None)
 
     def _solve(self, key, lists):
@@ -1128,7 +1128,7 @@ class TestRowCuts:
         n, sides, c, classes = case
         kernel = SyntheticPasses(n, [e for side in sides for e in side])
         key = (c, classes[0])[2 - n :]  # the row's first class tuple
-        pairs = kernel.reads(key, ())
+        pairs = kernel.pairs(key, ())
         assert len(pairs) == 2 * len(sides)
         for side, (lacking, holding) in zip(sides, zip(pairs[0::2], pairs[1::2])):
             if n == 2:
@@ -1147,10 +1147,10 @@ class TestRowCuts:
         # once per row, however often the row is asked for
         n, sides, c, classes = DEPTH2_TIE_CASE
         kernel = SyntheticPasses(n, [e for side in sides for e in side])
-        first = kernel.reads((c, 1), ())
-        assert kernel.reads((c, 3), ()) is first
+        first = kernel.pairs((c, 1), ())
+        assert kernel.pairs((c, 3), ()) is first
         assert list(kernel.passes) == [(0, 0)]
-        assert kernel.reads((None, 1), ()) != first
+        assert kernel.pairs((None, 1), ()) != first
         assert list(kernel.passes) == [(0, 0), (None, 0)]
 
     @given(ordered_cases())
@@ -1158,25 +1158,34 @@ class TestRowCuts:
     def test_deviation_rows_match_the_folds(self, case):
         # every row of every transaction's deviation tables, one side or
         # two (gated eligibility), against split_cut of each side's two
-        # entries folded at each class tuple of the row by a second kernel
+        # entries folded at each class tuple of the row: fold_split of the
+        # row's entry pairs, read by a second kernel of the same passes that
+        # keeps whole entries, as the BPIC kernels do
         sc, _, mech = case
         points = tuple(range(4))
+
+        def folded_cuts(pairs, c):
+            # per side, split_cut of its two pairs folded at c
+            f = [fold_split(pair, c) for pair in pairs]
+            return tuple(split_cut(*f[i : i + 2]) for i in range(0, len(f), 2))
+
         for tx in sc.transactions:
             tables = _DeviationTables(mech, sc, tx, points, [], None, {})
-            folder = _DeviationTables(mech, sc, tx, points, [], None, {}).passes
+            k = tables.passes
+            sides = [fixed for fixed, _ in k.sides]
+            folder = auditors._ClassPasses(mech, sc, k.ids, None, sides, k.valued, k.read)
             groups = _class_groups(mech, sc, tables.others, points, tables.classify)
             for key, lists, classes, last in _class_rows(groups):
                 try:
                     got = tables.cuts(key, lists, classes)
                 except (NoEligibleBlockError, UnsupportedInstanceError, ExcessivelyLowBaseFeeError):
                     break  # a sweep ends at its first error
-                want = []
-                for c, bids in zip(classes, last):
-                    f = folder.folds((*key[:-1], c), (*lists[:-1], bids))
-                    want.append(tuple(split_cut(*f[i : i + 2]) for i in range(0, len(f), 2)))
+                want = [
+                    folded_cuts(folder.pairs((*key[:-1], c), (*lists[:-1], bids)), c)
+                    for c, bids in zip(classes, last)
+                ]
                 if not classes:
-                    f = folder.folds(key, lists)
-                    want.append(tuple(split_cut(*f[i : i + 2]) for i in range(0, len(f), 2)))
+                    want.append(folded_cuts(folder.pairs(key, lists), None))
                 assert got == want
 
 
